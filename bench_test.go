@@ -258,7 +258,7 @@ func BenchmarkAblationBrokerThroughput(b *testing.B) {
 				if err := broker.Publish("t", "RES:<42>"); err != nil {
 					b.Fatal(err)
 				}
-				<-sub.C()
+				nextOne(b, sub)
 			}
 		})
 	}
@@ -410,6 +410,15 @@ func BenchmarkJournalAppendStatus(b *testing.B) {
 	}
 }
 
+// nextOne pulls the single message the benchmark loop just published.
+func nextOne(b *testing.B, sub *mq.Subscription) mq.Message {
+	batch, err := sub.Next(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return batch[0]
+}
+
 // BenchmarkMessageRoundTrip measures the two wire hops of decentralised
 // enactment: a status push (agent -> broker -> space) and a result pass
 // (agent -> broker -> peer agent ingest).
@@ -437,7 +446,7 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 		if err := broker.PublishAtoms(space.DefaultTopic, []hocl.Atom{hocl.Snapshot(statusTuple)}); err != nil {
 			b.Fatal(err)
 		}
-		sm := <-spaceSub.C()
+		sm := nextOne(b, spaceSub)
 		if !sp.ApplyMessage(sm) {
 			b.Fatal("space rejected payload")
 		}
@@ -446,7 +455,7 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 		if err := broker.PublishAtoms("sa.T2", []hocl.Atom{pass}); err != nil {
 			b.Fatal(err)
 		}
-		m := <-inbox.C()
+		m := nextOne(b, inbox)
 		if len(m.Atoms) != 1 || !hocl.Shareable(m.Atoms[0]) {
 			b.Fatalf("bad structural ingest: %v", m.Atoms)
 		}
@@ -482,14 +491,14 @@ func BenchmarkInstrumentedMessageRoundTrip(b *testing.B) {
 		if err := broker.PublishAtoms(space.DefaultTopic, []hocl.Atom{hocl.Snapshot(statusTuple)}); err != nil {
 			b.Fatal(err)
 		}
-		sm := <-spaceSub.C()
+		sm := nextOne(b, spaceSub)
 		if !sp.ApplyMessage(sm) {
 			b.Fatal("space rejected payload")
 		}
 		if err := broker.PublishAtoms("sa.T2", []hocl.Atom{pass}); err != nil {
 			b.Fatal(err)
 		}
-		m := <-inbox.C()
+		m := nextOne(b, inbox)
 		if len(m.Atoms) != 1 || !hocl.Shareable(m.Atoms[0]) {
 			b.Fatalf("bad structural ingest: %v", m.Atoms)
 		}

@@ -362,6 +362,10 @@ func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	if !ok {
 		return nil, fmt.Errorf("send: destination is %s, want task name", args[0].Kind())
 	}
+	// gw_send fires only on a non-ERROR result, so the task has
+	// completed; say so before the result can reach a successor, or the
+	// trace could show the successor completing first.
+	a.markCompleted()
 	topic := Topic(a.cfg.TopicPrefix, string(dst))
 	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, hocl.SnapshotAtoms(args[1:])))
 	a.publishWithLatency(topic, payload, a.linkLatencyTo(string(dst)))
@@ -474,12 +478,19 @@ func (a *Agent) reduce() error {
 	if err := a.engine.Reduce(a.local); err != nil {
 		return err
 	}
-	if !a.completedSeen && hoclflow.StatusOf(a.local) == hoclflow.StatusCompleted {
-		a.completedSeen = true
-		a.cfg.Trace.Record(trace.TaskCompleted, a.name, a.cfg.Incarnation, "")
+	if hoclflow.StatusOf(a.local) == hoclflow.StatusCompleted {
+		a.markCompleted()
 	}
 	a.pushStatus()
 	return nil
+}
+
+// markCompleted traces the task's completion, once per incarnation.
+func (a *Agent) markCompleted() {
+	if !a.completedSeen {
+		a.completedSeen = true
+		a.cfg.Trace.Record(trace.TaskCompleted, a.name, a.cfg.Incarnation, "")
+	}
 }
 
 // ingest folds a message into the local solution. Structural payloads
@@ -581,57 +592,16 @@ func (a *Agent) Run(ctx context.Context) error {
 		return err
 	}
 
-	if a.clock().Virtual() {
-		return a.runVirtual(ctx, sub)
-	}
-	batches := sub.Batches()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case batch := <-batches:
-			for i := range batch {
-				a.ingest(batch[i])
-			}
-			// Drain whatever else is already due before reducing: one
-			// reduction can absorb a burst of arrivals. (Batch slices
-			// are broker-owned; each is fully ingested before the next
-			// receive, as the Batches contract requires.)
-			for drained := true; drained; {
-				select {
-				case more := <-batches:
-					for i := range more {
-						a.ingest(more[i])
-					}
-				default:
-					drained = false
-				}
-			}
-			if err := a.reduce(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// runVirtual is the receive→reduce loop on a discrete-event clock: the
-// agent goroutine is a schedule participant, so it consumes its inbox
-// with Subscription.Next (the wait for the head message's due instant
-// runs on the scheduler) instead of the drain goroutine behind Batches.
-func (a *Agent) runVirtual(ctx context.Context, sub *mq.Subscription) error {
 	for {
 		batch, err := sub.Next(ctx)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return nil // subscription cancelled
+			return nil // context ended or subscription cancelled
 		}
 		for i := range batch {
 			a.ingest(batch[i])
 		}
-		// Absorb whatever else is already due before reducing, matching
-		// the real-mode burst drain.
+		// Absorb whatever else is already due before reducing: one
+		// reduction can absorb a burst of arrivals.
 		for more := sub.TryNext(); more != nil; more = sub.TryNext() {
 			for i := range more {
 				a.ingest(more[i])

@@ -173,11 +173,11 @@ type wakeRec struct {
 	cancelled bool
 }
 
-// runVirtualSchedule runs one randomized schedule of sleepers —
+// runSchedule runs one randomized schedule of sleepers —
 // including equal deadlines, zero and negative durations, and
 // mid-flight context cancellations — and returns the observed wake
 // sequence. Deterministic in seed.
-func runVirtualSchedule(t *testing.T, seed int64, n int) []wakeRec {
+func runSchedule(t *testing.T, seed int64, n int) []wakeRec {
 	t.Helper()
 	c := NewVirtualClock()
 	rng := rand.New(rand.NewSource(seed))
@@ -241,8 +241,8 @@ func runVirtualSchedule(t *testing.T, seed int64, n int) []wakeRec {
 // the same seed.
 func TestVirtualScheduleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		a := runVirtualSchedule(t, seed, 40)
-		b := runVirtualSchedule(t, seed, 40)
+		a := runSchedule(t, seed, 40)
+		b := runSchedule(t, seed, 40)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: two runs diverged:\n%v\n%v", seed, a, b)
 		}
@@ -264,8 +264,8 @@ func FuzzVirtualSchedule(f *testing.F) {
 	f.Add(int64(-1), uint8(60))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		size := int(n%64) + 1
-		a := runVirtualSchedule(t, seed, size)
-		b := runVirtualSchedule(t, seed, size)
+		a := runSchedule(t, seed, size)
+		b := runSchedule(t, seed, size)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d size %d: runs diverged", seed, size)
 		}

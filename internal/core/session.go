@@ -110,7 +110,7 @@ func (s *Session) journalBatch(batch []mq.Message) error {
 				continue // the space will count it malformed too
 			}
 			// Hand the parsed form to the fold too: the space is the
-			// sole consumer of this recycled batch buffer.
+			// sole consumer of this batch.
 			batch[i].Atoms = parsed
 			atoms = parsed
 		}
@@ -701,16 +701,12 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	}()
 	execTime := clock.Now() - execStart
 	stopAgents()
-	if clock.Virtual() {
-		// The agent participants need the run token to observe the
-		// cancellation and unwind; leave the schedule while they do,
-		// then rejoin for the settle drain and report assembly.
-		clock.Exit()
-		wg.Wait()
-		clock.Enter()
-	} else {
-		wg.Wait()
-	}
+	// On a virtual clock the agent participants need the run token to
+	// observe the cancellation and unwind; leave the schedule while they
+	// do, then rejoin for the settle drain and report assembly.
+	clock.Exit()
+	wg.Wait()
+	clock.Enter()
 	var remoteStats transport.NodeDone
 	if useRemote {
 		remoteStats = rh.stop()

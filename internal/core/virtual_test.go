@@ -51,11 +51,11 @@ type fanSummary struct {
 	Fingerprints        []uint64
 }
 
-// runVirtualFan submits `fan` copies of a seeded 8x8 diamond to one
+// runFan submits `fan` copies of a seeded 8x8 diamond to one
 // shared virtual-clock Manager — under the full message/invocation
 // chaos mix, the hardest case for timing stability — and collects the
 // summary.
-func runVirtualFan(t *testing.T, fan int) fanSummary {
+func runFan(t *testing.T, fan int) fanSummary {
 	t.Helper()
 	m, err := NewManager(Config{
 		Executor:     executor.KindSSH,
@@ -105,8 +105,8 @@ func runVirtualFan(t *testing.T, fan int) fanSummary {
 // stamp on every event timeline. This is the virtual clock's core
 // promise; it must hold under -race and -count=N.
 func TestVirtualTimingDeterminism(t *testing.T) {
-	a := runVirtualFan(t, 3)
-	b := runVirtualFan(t, 3)
+	a := runFan(t, 3)
+	b := runFan(t, 3)
 	for i, total := range a.Total {
 		if total <= 0 {
 			t.Fatalf("fan session %d reported zero model time", i)

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -10,18 +11,18 @@ import (
 	"ginflow/internal/hocl"
 )
 
-// collect drains n messages from sub with a deadline.
+// collect pulls at least n messages from sub with a deadline.
 func collect(t *testing.T, sub *Subscription, n int, timeout time.Duration) []Message {
 	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	var out []Message
-	deadline := time.After(timeout)
 	for len(out) < n {
-		select {
-		case m := <-sub.C():
-			out = append(out, m)
-		case <-deadline:
-			t.Fatalf("timed out with %d/%d messages", len(out), n)
+		batch, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("%v with %d/%d messages", err, len(out), n)
 		}
+		out = append(out, batch...)
 	}
 	return out
 }

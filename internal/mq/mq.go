@@ -30,11 +30,12 @@
 //
 // # Batch delivery
 //
-// Deliveries are batched per subscriber: the broker accumulates a
-// subscriber's pending messages and hands over everything due as one
-// []Message (Subscription.Batches), so a burst of publishes costs one
-// hand-off instead of one channel operation per message. The classic
-// per-message feed (Subscription.C) remains as a flattening adapter.
+// Consumption is pull-only, on either clock: a publish appends to each
+// subscriber's pending queue and signals it, and the consumer's own
+// goroutine takes everything already due as one []Message with
+// Subscription.Next (blocking) or TryNext (non-blocking), so a burst of
+// publishes costs one hand-off instead of one per message. A
+// subscription owns no goroutine and no channel of messages.
 package mq
 
 import (
@@ -66,7 +67,9 @@ import (
 // no longer mutate, and consumers must not mutate them either (the same
 // atoms may be shared by other subscribers and by the broker's replay
 // log). hocl.Shareable tells a consumer whether an atom can be ingested
-// into a reducing solution by reference or must be cloned first.
+// into a reducing solution by reference or must be cloned first. The
+// Message values themselves are the consumer's: Next and TryNext return
+// a fresh slice per call, which the consumer may keep or modify.
 type Message struct {
 	Topic   string
 	Payload string
@@ -100,8 +103,8 @@ type Broker interface {
 	// publishing.
 	PublishAtoms(topic string, atoms []hocl.Atom) error
 	// Subscribe registers a consumer. Messages published after the
-	// subscription are delivered on C (per message) or Batches (in
-	// due-order batches).
+	// subscription come out of its Next/TryNext calls in due-order
+	// batches, in per-topic publication order.
 	Subscribe(topic string) (*Subscription, error)
 	// Published returns the total number of messages accepted, an
 	// instrumentation counter for the experiment reports.
@@ -118,9 +121,8 @@ type Broker interface {
 	// prefix — subscriber registrations, retained logs and counters, on
 	// every shard — and reports how many topics were purged. Sessions
 	// call it on completion so a long-lived broker does not accumulate
-	// state for every workflow ever run. Purging does not close
-	// subscriber channels; consumers still own their Subscription
-	// lifecycles.
+	// state for every workflow ever run. Purging does not cancel
+	// subscriptions; consumers still own their Subscription lifecycles.
 	PurgeTopics(prefix string) int
 	// ShardCount returns the number of independent shards the broker
 	// routes topics through.
@@ -170,11 +172,6 @@ func ShardKey(topic string) string {
 	return ""
 }
 
-// subscriberBuffer bounds the per-message compatibility feed (C); the
-// batch path hands off synchronously and buffers pending messages
-// internally instead.
-const subscriberBuffer = 4096
-
 // ErrClosed is returned by operations on a closed broker.
 var ErrClosed = fmt.Errorf("mq: broker closed")
 
@@ -182,9 +179,9 @@ var ErrClosed = fmt.Errorf("mq: broker closed")
 var ErrCancelled = fmt.Errorf("mq: subscription cancelled")
 
 // timedMsg pairs a message with its earliest delivery instant in model
-// seconds on the broker's clock. Real-mode consumers convert the model
-// instant back to a scaled real-time wait; virtual-mode consumers hand
-// it to the discrete-event scheduler.
+// seconds on the broker's clock. The consumer waits for it through
+// Clock.SleepCtx: a scaled real-time wait on a real clock, a
+// discrete-event timer on a virtual one.
 type timedMsg struct {
 	msg Message
 	due float64
@@ -316,39 +313,23 @@ func (c *common) SetMetrics(reg *obs.Registry) {
 }
 
 // subscriber is one consumer's delivery state: an unbounded pending
-// queue filled by publishers and drained by a per-subscriber goroutine
-// that hands due messages over in batches.
+// queue filled by publishers and emptied by the consumer's own
+// Next/TryNext calls. It owns no goroutine.
 type subscriber struct {
 	id int64
 
-	// clock translates model due instants into waits: a scaled real
-	// sleep in real mode, a scheduler timer in virtual mode. nil for
-	// push-fed subscriptions, whose messages are always already due.
+	// clock translates model due instants into waits. nil for push-fed
+	// subscriptions, whose messages are always already due.
 	clock *cluster.Clock
-	// vcond, set when the clock is virtual, signals "queue became
-	// non-empty" to a participant parked in Next. Virtual subscribers
-	// have no drain goroutine: delivery happens inside the consumer's
-	// Next/TryNext calls, keeping the single-run-token schedule sound.
-	vcond *cluster.Cond
 
 	mu    sync.Mutex
 	queue []timedMsg
-	spare []timedMsg // recycled backing array for queue swaps
 
-	wake chan struct{} // cap 1: "queue is non-empty" signal
-	out  chan []Message
-	done chan struct{}
-
-	// bufs double-buffer the delivered batch slices: the consumer owns a
-	// delivered slice only until its next receive from out, so the two
-	// buffers alternate without allocation in steady state.
-	bufs [2][]Message
-	cur  int
-
-	// flat is the per-message compatibility feed, materialised on first
-	// use of Subscription.C.
-	flatOnce sync.Once
-	flat     chan Message
+	// An empty-queue consumer parks on vcond when the clock has a
+	// scheduler (Clock.NewCond), else on wake; see signal and park.
+	vcond *cluster.Cond
+	wake  chan struct{} // cap 1, sticky: "queue or done changed"
+	done  chan struct{} // closed by Cancel
 
 	// Observability instruments captured from the shard at Subscribe.
 	// All nil for push-fed subscriptions and unmetered brokers — obs
@@ -359,13 +340,30 @@ type subscriber struct {
 	metBatchSize  *obs.Histogram
 }
 
-// enqueue appends a delivery without blocking the publisher.
-func (s *subscriber) enqueue(tm timedMsg) {
-	s.metDeliveries.Inc()
-	s.metPending.Add(1)
-	s.mu.Lock()
-	s.queue = append(s.queue, tm)
-	s.mu.Unlock()
+func newSubscriber(id int64, clock *cluster.Clock) *subscriber {
+	s := &subscriber{id: id, clock: clock, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	if clock != nil {
+		s.vcond = clock.NewCond() // nil on a real clock
+	}
+	return s
+}
+
+// now is the current instant on the subscriber's clock; push-fed
+// subscriptions have none and stamp every message due at 0.
+func (s *subscriber) now() float64 {
+	if s.clock == nil {
+		return 0
+	}
+	return s.clock.Now()
+}
+
+// signal wakes the consumer if it is parked, after the queue grew or
+// done closed. The wake channel is sticky (a signal sent while nobody is
+// parked is kept for the next park), which closes the window between a
+// consumer's empty-queue check and its park. The scheduler Cond needs
+// no such memory: under the single run token nothing can signal between
+// a participant's check and its Wait.
+func (s *subscriber) signal() {
 	if s.vcond != nil {
 		s.vcond.Broadcast()
 		return
@@ -376,10 +374,36 @@ func (s *subscriber) enqueue(tm timedMsg) {
 	}
 }
 
+// park blocks until the next signal or until ctx ends. It is the one
+// place the two clocks differ on the consumption path. A wake-up
+// promises nothing; the caller re-checks done and the queue.
+func (s *subscriber) park(ctx context.Context) error {
+	if s.vcond != nil {
+		return s.vcond.Wait(ctx)
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.wake:
+		return nil
+	}
+}
+
+// enqueue appends a delivery without blocking the publisher.
+func (s *subscriber) enqueue(tm timedMsg) {
+	s.metDeliveries.Inc()
+	s.metPending.Add(1)
+	s.mu.Lock()
+	s.queue = append(s.queue, tm)
+	s.mu.Unlock()
+	s.signal()
+}
+
 // swapTail swaps the two newest pending deliveries — the chaos
 // schedule's within-batch reorder. Only the messages swap; the due
-// instants stay in place, so the due sequence the drain loop relies on
-// remains monotone while the delivery order genuinely changes.
+// instants stay in place, so the due sequence the consumer's due-prefix
+// cut relies on remains monotone while the delivery order genuinely
+// changes.
 func (s *subscriber) swapTail() {
 	s.mu.Lock()
 	if n := len(s.queue); n >= 2 {
@@ -388,128 +412,23 @@ func (s *subscriber) swapTail() {
 	s.mu.Unlock()
 }
 
-// drain moves pending messages to the consumer in due-order batches: it
-// swaps the whole pending queue out under the lock (recycling the backing
-// arrays), waits for the head's due instant, then hands over every
-// message already due as one batch. Because due instants are
-// non-decreasing in enqueue order, waiting for the head never delays a
-// message behind a later one.
-func (s *subscriber) drain() {
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.wake:
-		}
-		for {
-			s.mu.Lock()
-			batch := s.queue
-			if len(batch) == 0 {
-				s.mu.Unlock()
-				break
-			}
-			// Hand the spare array over to the queue and drop our
-			// reference: the queue now owns it exclusively, so the batch
-			// being flushed can never alias the array publishers append
-			// to. The flushed batch's array becomes the next spare.
-			s.queue = s.spare[:0]
-			s.spare = nil
-			s.mu.Unlock()
-			if !s.flush(batch) {
-				return
-			}
-			s.spare = batch[:0]
-		}
-	}
-}
-
-// flush delivers one swapped-out run of pending messages, splitting it at
-// due boundaries; it reports false when the subscription was cancelled.
-func (s *subscriber) flush(batch []timedMsg) bool {
-	for len(batch) > 0 {
-		var now float64
-		if s.clock != nil {
-			if d := batch[0].due - s.clock.Now(); d > 0 {
-				s.clock.Sleep(d)
-			}
-			now = s.clock.Now()
-		}
-		cut := 1
-		for cut < len(batch) && batch[cut].due <= now {
-			cut++
-		}
-		buf := s.bufs[s.cur][:0]
-		for i := 0; i < cut; i++ {
-			buf = append(buf, batch[i].msg)
-		}
-		s.bufs[s.cur] = buf
-		select {
-		case s.out <- buf:
-			s.cur = 1 - s.cur
-			s.metBatches.Inc()
-			s.metBatchSize.Observe(float64(len(buf)))
-			s.metPending.Add(-float64(len(buf)))
-		case <-s.done:
-			return false
-		}
-		batch = batch[cut:]
-	}
-	return true
-}
-
-// flatten adapts the batch hand-off to the per-message C feed.
-func (s *subscriber) flatten() {
-	for {
-		select {
-		case <-s.done:
-			return
-		case batch := <-s.out:
-			for _, m := range batch {
-				select {
-				case s.flat <- m:
-				case <-s.done:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Subscription is one consumer's feed. Consume either per message (C) or
-// in batches (Batches), not both.
+// Subscription is one consumer's feed: a queue the consumer pulls from
+// with Next (blocking) or TryNext (non-blocking) until it calls Cancel.
+// One goroutine consumes a subscription at a time; Cancel may come from
+// any goroutine.
 type Subscription struct {
 	sub    *subscriber
-	cancel func()
+	cancel func() // detaches the feed (shard registration, remote side); may be nil
 	once   sync.Once
 }
 
-// C returns the per-message delivery channel. It is never closed;
-// consumers should select against their own shutdown signal.
-func (s *Subscription) C() <-chan Message {
-	s.sub.flatOnce.Do(func() {
-		s.sub.flat = make(chan Message, subscriberBuffer)
-		go s.sub.flatten()
-	})
-	return s.sub.flat
-}
-
-// Batches returns the batch delivery channel: each receive yields every
-// pending message whose modelled delivery instant has passed, in
-// publication order. The delivered slice is owned by the broker and
-// recycled — the consumer must finish with it (or copy it) before its
-// next receive from the channel, and must not retain it. The channel is
-// never closed; consumers select against their own shutdown signal.
-func (s *Subscription) Batches() <-chan []Message { return s.sub.out }
-
 // Next blocks until at least one message is due and returns every due
-// pending message as one batch, in delivery order. It is the consumer
-// call for virtual-clock brokers, where there is no drain goroutine:
-// the caller must be a schedule participant, and the wait for the head
-// message's due instant runs on the discrete-event scheduler (so model
-// time advances exactly to it). On a real-clock broker Next also works
-// — it waits on the subscriber queue directly — but C/Batches and Next
-// must not be mixed on one subscription. The returned slice is owned by
-// the caller.
+// pending message as one batch, in delivery order. The wait for the
+// head message's due instant runs on the broker's clock; on a virtual
+// clock the caller must be a schedule participant, so model time
+// advances exactly to that instant. Next returns ctx.Err() when ctx ends
+// first and ErrCancelled once the subscription is cancelled. The
+// returned slice is owned by the caller.
 func (s *Subscription) Next(ctx context.Context) ([]Message, error) {
 	sub := s.sub
 	for {
@@ -521,39 +440,25 @@ func (s *Subscription) Next(ctx context.Context) ([]Message, error) {
 			return nil, ErrCancelled
 		default:
 		}
-		var now float64
-		if sub.clock != nil {
-			now = sub.clock.Now()
-		}
+		now := sub.now()
 		sub.mu.Lock()
-		if len(sub.queue) > 0 {
-			head := sub.queue[0].due
-			if head <= now || sub.clock == nil {
-				batch := sub.takeDueLocked(now)
-				sub.mu.Unlock()
-				return batch, nil
+		if len(sub.queue) == 0 {
+			sub.mu.Unlock()
+			if err := sub.park(ctx); err != nil {
+				return nil, err
 			}
+			continue
+		}
+		if head := sub.queue[0].due; head > now {
 			sub.mu.Unlock()
 			if err := sub.clock.SleepCtx(ctx, head-now); err != nil {
 				return nil, err
 			}
 			continue
 		}
+		batch := sub.takeDueLocked(now)
 		sub.mu.Unlock()
-		if sub.vcond != nil {
-			if err := sub.vcond.Wait(ctx); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// Real clock: wait for the enqueue signal.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-sub.done:
-			return nil, ErrCancelled
-		case <-sub.wake:
-		}
+		return batch, nil
 	}
 }
 
@@ -562,13 +467,10 @@ func (s *Subscription) Next(ctx context.Context) ([]Message, error) {
 // time. The returned slice is owned by the caller.
 func (s *Subscription) TryNext() []Message {
 	sub := s.sub
-	var now float64
-	if sub.clock != nil {
-		now = sub.clock.Now()
-	}
+	now := sub.now()
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
-	if len(sub.queue) == 0 || (sub.clock != nil && sub.queue[0].due > now) {
+	if len(sub.queue) == 0 || sub.queue[0].due > now {
 		return nil
 	}
 	return sub.takeDueLocked(now)
@@ -578,12 +480,8 @@ func (s *Subscription) TryNext() []Message {
 // queue. Caller holds sub.mu and has checked the head is due.
 func (sub *subscriber) takeDueLocked(now float64) []Message {
 	cut := 1
-	if sub.clock != nil {
-		for cut < len(sub.queue) && sub.queue[cut].due <= now {
-			cut++
-		}
-	} else {
-		cut = len(sub.queue)
+	for cut < len(sub.queue) && sub.queue[cut].due <= now {
+		cut++
 	}
 	batch := make([]Message, cut)
 	for i := 0; i < cut; i++ {
@@ -601,20 +499,20 @@ func (sub *subscriber) takeDueLocked(now float64) []Message {
 }
 
 // Cancel detaches the consumer; pending deliveries are dropped, which is
-// how a crashed agent loses its in-flight messages on a queue broker.
-func (s *Subscription) Cancel() { s.once.Do(s.cancel) }
+// how a crashed agent loses its in-flight messages on a queue broker. A
+// consumer parked in Next wakes and returns ErrCancelled.
+func (s *Subscription) Cancel() {
+	s.once.Do(func() {
+		close(s.sub.done)
+		s.sub.signal()
+		if s.cancel != nil {
+			s.cancel()
+		}
+	})
+}
 
 func (c *common) Subscribe(topic string) (*Subscription, error) {
-	sub := &subscriber{
-		id:    c.nextID.Add(1),
-		clock: c.clock,
-		wake:  make(chan struct{}, 1),
-		out:   make(chan []Message),
-		done:  make(chan struct{}),
-	}
-	if c.clock.Virtual() {
-		sub.vcond = c.clock.NewCond()
-	}
+	sub := newSubscriber(c.nextID.Add(1), c.clock)
 	sh := c.shardFor(topic)
 	// The closed-check must stay atomic with registration (a concurrent
 	// Close between them would hand out a subscription on a closed
@@ -631,15 +529,9 @@ func (c *common) Subscribe(topic string) (*Subscription, error) {
 	sub.metBatchSize = c.metBatchSize.Load()
 	sh.mu.Unlock()
 	c.mu.RUnlock()
-	if sub.vcond == nil {
-		go sub.drain()
-	}
 	return &Subscription{
-		sub: sub,
-		cancel: func() {
-			close(sub.done)
-			c.removeSub(sh, topic, sub.id)
-		},
+		sub:    sub,
+		cancel: func() { c.removeSub(sh, topic, sub.id) },
 	}, nil
 }
 
@@ -651,41 +543,21 @@ var pushSubIDs atomic.Int64
 // function instead of a local broker shard — the consumer half of a
 // remote transport. Each pushed message is due immediately (its modelled
 // latency already elapsed on the serving broker before the bytes hit
-// the wire); the batch/drain machinery behind Batches and C behaves
-// exactly as for a broker-fed subscription, including the recycled-
-// batch ownership contract. onCancel, when non-nil, runs once when the
-// subscription is cancelled (e.g. to tell the remote side to stop
-// forwarding). Pushing after cancellation is safe and delivers nothing.
+// the wire) and comes out of Next/TryNext exactly as on a broker-fed
+// subscription. onCancel, when non-nil, runs once when the subscription
+// is cancelled (e.g. to tell the remote side to stop forwarding).
+// Pushing after cancellation is safe and delivers nothing.
 func NewPushSubscription(onCancel func()) (*Subscription, func(msgs []Message)) {
-	sub := &subscriber{
-		id:   pushSubIDs.Add(1),
-		wake: make(chan struct{}, 1),
-		out:  make(chan []Message),
-		done: make(chan struct{}),
-	}
-	go sub.drain()
+	sub := newSubscriber(pushSubIDs.Add(1), nil)
 	push := func(msgs []Message) {
 		sub.mu.Lock()
 		for i := range msgs {
-			// due 0: already elapsed (the subscriber has no clock; flush
-			// treats every message as due).
 			sub.queue = append(sub.queue, timedMsg{msg: msgs[i]})
 		}
 		sub.mu.Unlock()
-		select {
-		case sub.wake <- struct{}{}:
-		default:
-		}
+		sub.signal()
 	}
-	return &Subscription{
-		sub: sub,
-		cancel: func() {
-			close(sub.done)
-			if onCancel != nil {
-				onCancel()
-			}
-		},
-	}, push
+	return &Subscription{sub: sub, cancel: onCancel}, push
 }
 
 func (c *common) removeSub(sh *shard, topic string, id int64) {
@@ -705,8 +577,8 @@ func (c *common) removeSub(sh *shard, topic string, id int64) {
 // per-partition throughput bottleneck), then propagates for latency. The
 // resulting due instant is monotonically non-decreasing across publishes
 // on one shard, so per-subscriber FIFO order is preserved. Enqueueing
-// never blocks: backpressure moved from the publisher to the consumer's
-// batch hand-off.
+// never blocks: the pending queue is unbounded and the consumer takes
+// it at its own pace.
 func (c *common) deliver(msg Message) {
 	c.metPublished.Load().Inc()
 	sh := c.shardFor(msg.Topic)
@@ -807,9 +679,9 @@ func sortedKeys(seen map[string]bool) []string {
 }
 
 // PurgeTopics drops subscriber registrations and counters for topics
-// with the given prefix on every shard. Subscriber done-channels are left
-// untouched — closing them is the owning Subscription's job — so a purged
-// consumer simply stops receiving.
+// with the given prefix on every shard. Subscriptions are not cancelled —
+// that is the owning consumer's job — so a purged consumer simply stops
+// receiving.
 func (c *common) PurgeTopics(prefix string) int {
 	return len(c.purge(prefix))
 }

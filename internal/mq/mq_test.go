@@ -3,6 +3,7 @@ package mq
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,35 +15,25 @@ import (
 // testClock is the discrete-event virtual clock: latency modelling
 // stays active (messages fall due at modelled instants) but no real
 // time passes — consumers pull via Next and the clock jumps straight to
-// each due instant. Tests exercising the real-clock drain path build
-// their own cluster.NewClock.
+// each due instant. Tests exercising real-clock waits build their own
+// cluster.NewClock.
 func testClock() *cluster.Clock {
 	return cluster.NewVirtualClock()
 }
 
-// recvOne fetches the next delivered message: pulling (Next) on a
-// virtual-clock subscription, draining C() on a real-clock one.
+// recvOne pulls the next delivered message with a single Next call.
 func recvOne(t *testing.T, sub *Subscription) Message {
 	t.Helper()
-	if sub.sub.clock != nil && sub.sub.clock.Virtual() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		batch, err := sub.Next(ctx)
-		if err != nil {
-			t.Fatalf("waiting for message: %v", err)
-		}
-		if len(batch) != 1 {
-			t.Fatalf("expected a single due message, got %d", len(batch))
-		}
-		return batch[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	batch, err := sub.Next(ctx)
+	if err != nil {
+		t.Fatalf("waiting for message: %v", err)
 	}
-	select {
-	case m := <-sub.C():
-		return m
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for message")
-		return Message{}
+	if len(batch) != 1 {
+		t.Fatalf("expected a single due message, got %d", len(batch))
 	}
+	return batch[0]
 }
 
 func brokers(t *testing.T) map[string]Broker {
@@ -116,6 +107,112 @@ func TestCancelStopsDelivery(t *testing.T) {
 				t.Errorf("cancelled subscription: Next = %v, want ErrCancelled", err)
 			}
 		})
+	}
+}
+
+// pullCase is one kind of subscription a consumer can hold: fed by a
+// real-clock broker, by a virtual-clock broker, or by a push function
+// (the transport client). publish feeds one message to sub; clock is
+// the clock the consumer runs on.
+type pullCase struct {
+	name    string
+	clock   *cluster.Clock
+	sub     *Subscription
+	publish func(payload string)
+}
+
+func pullCases(t *testing.T) []pullCase {
+	t.Helper()
+	brokerFed := func(name string, clock *cluster.Clock) pullCase {
+		b := NewQueueBroker(clock, 0.001)
+		sub, err := b.Subscribe("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pullCase{name, clock, sub, func(p string) {
+			if err := b.Publish("t", p); err != nil {
+				t.Error(err)
+			}
+		}}
+	}
+	sub, push := NewPushSubscription(nil)
+	return []pullCase{
+		brokerFed("real clock", cluster.NewClock(time.Microsecond)),
+		brokerFed("virtual clock", cluster.NewVirtualClock()),
+		{"push-fed", cluster.NewClock(time.Microsecond), sub, func(p string) {
+			push([]Message{{Topic: "t", Payload: p}})
+		}},
+	}
+}
+
+// TestFirstMessageComesOutOfFirstNext: a subscription owns no goroutine
+// that could take a message before the consumer asks for it, so the
+// first publish is what the first Next returns — no warm-up.
+func TestFirstMessageComesOutOfFirstNext(t *testing.T) {
+	for _, tc := range pullCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.sub.Cancel()
+			tc.publish("first")
+			// Time for anything but the consumer to take the message.
+			time.Sleep(5 * time.Millisecond)
+			if m := recvOne(t, tc.sub); m.Payload != "first" {
+				t.Errorf("first Next returned %+v", m)
+			}
+		})
+	}
+}
+
+// TestCancelWakesParkedNext: Cancel from another goroutine ends a Next
+// parked on an empty queue with ErrCancelled, whichever way it parked.
+func TestCancelWakesParkedNext(t *testing.T) {
+	for _, tc := range pullCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			errc := make(chan error, 1)
+			tc.clock.Go(func() {
+				_, err := tc.sub.Next(context.Background())
+				errc <- err
+			})
+			// A virtual clock grants Enter only once the consumer has
+			// parked and released the run token; elsewhere give it a
+			// moment (a Cancel that wins the race is
+			// TestCancelStopsDelivery's case).
+			time.Sleep(5 * time.Millisecond)
+			tc.clock.Enter()
+			tc.sub.Cancel()
+			tc.clock.Exit()
+			select {
+			case err := <-errc:
+				if err != ErrCancelled {
+					t.Errorf("Next = %v, want ErrCancelled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Next still parked after Cancel")
+			}
+		})
+	}
+}
+
+// TestSubscriptionsOwnNoGoroutine: opening subscriptions must not start
+// goroutines, and cancelling them must leave none behind.
+func TestSubscriptionsOwnNoGoroutine(t *testing.T) {
+	b := NewQueueBroker(cluster.NewClock(time.Microsecond), 0.001)
+	before := runtime.NumGoroutine()
+	subs := make([]*Subscription, 256)
+	for i := range subs {
+		sub, err := b.Subscribe(fmt.Sprintf("t%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = sub
+	}
+	if open := runtime.NumGoroutine(); open > before {
+		t.Errorf("256 open subscriptions raised the goroutine count from %d to %d", before, open)
+	}
+	for _, sub := range subs {
+		sub.Cancel()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutine count %d after Cancel, %d before Subscribe", after, before)
 	}
 }
 
@@ -220,9 +317,9 @@ func TestNewBrokerKinds(t *testing.T) {
 }
 
 func TestConcurrentPublishersAndSubscribers(t *testing.T) {
-	// A real clock on purpose: this soaks the concurrent publish path
-	// against the push-drain goroutines, which virtual mode (pull
-	// consumers, one-at-a-time schedule) replaces by design.
+	// A real clock on purpose: this soaks concurrent publishers against
+	// the subscriber queues, which a virtual clock's one-at-a-time
+	// schedule would serialise.
 	b := NewLogBroker(cluster.NewClock(10*time.Microsecond), 0.0001)
 	const (
 		topics     = 8
@@ -256,11 +353,9 @@ func TestConcurrentPublishersAndSubscribers(t *testing.T) {
 	for total < publishers*perPub {
 		progressed := false
 		for _, s := range subs {
-			select {
-			case <-s.C():
-				total++
+			if batch := s.TryNext(); batch != nil {
+				total += len(batch)
 				progressed = true
-			default:
 			}
 		}
 		if !progressed {
@@ -354,7 +449,7 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	if err := b.Publish("wf2.sa.T1", "B"); err != nil {
 		t.Fatal(err)
 	}
-	<-sub1.C() // drain before purge
+	recvOne(t, sub1) // drain before purge
 
 	if got := b.Topics("wf1."); len(got) != 1 || got[0] != "wf1.sa.T1" {
 		t.Fatalf("topics(wf1.) = %v", got)
@@ -385,10 +480,9 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	if err := b.Publish("wf1.sa.T1", "C"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m := <-sub1.C():
-		t.Errorf("purged consumer received %v", m)
-	case <-time.After(10 * time.Millisecond):
+	time.Sleep(10 * time.Millisecond)
+	if batch := sub1.TryNext(); batch != nil {
+		t.Errorf("purged consumer received %v", batch)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -90,7 +91,11 @@ func BenchmarkStandaloneShardSpread(b *testing.B) {
 		for i := 0; i < topics; i++ {
 			got := 0
 			for got < perTopic {
-				got += len(<-subs[i].Batches())
+				batch, err := subs[i].Next(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				got += len(batch)
 			}
 		}
 	}
@@ -227,8 +232,7 @@ func TestShardsIsolateOccupancy(t *testing.T) {
 }
 
 // TestBatchDelivery: a burst of publishes arrives as batches preserving
-// publication order, and the recycled batch slices stay valid until the
-// next receive.
+// publication order.
 func TestBatchDelivery(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
 	b := NewQueueBroker(clock, 1e-9)
@@ -244,23 +248,22 @@ func TestBatchDelivery(t *testing.T) {
 		}
 	}()
 	received := 0
-	batches := sub.Batches()
 	sawMulti := false
-	deadline := time.After(5 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	for received < n {
-		select {
-		case batch := <-batches:
-			if len(batch) > 1 {
-				sawMulti = true
+		batch, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("received %d of %d: %v", received, n, err)
+		}
+		if len(batch) > 1 {
+			sawMulti = true
+		}
+		for _, m := range batch {
+			if want := fmt.Sprintf("m%d", received); m.Payload != want {
+				t.Fatalf("out of order: got %q, want %q", m.Payload, want)
 			}
-			for _, m := range batch {
-				if want := fmt.Sprintf("m%d", received); m.Payload != want {
-					t.Fatalf("out of order: got %q, want %q", m.Payload, want)
-				}
-				received++
-			}
-		case <-deadline:
-			t.Fatalf("received %d of %d", received, n)
+			received++
 		}
 	}
 	// A burst against a briefly busy consumer should coalesce at least
@@ -272,46 +275,9 @@ func TestBatchDelivery(t *testing.T) {
 	}
 }
 
-// TestBatchAndFlatFeedsAgree: the per-message C feed is a flattening of
-// the batch feed — same messages, same order.
-func TestBatchAndFlatFeedsAgree(t *testing.T) {
-	clock := cluster.NewClock(time.Nanosecond)
-	b := NewQueueBroker(clock, 1e-9)
-	sub1, _ := b.Subscribe("t")
-	sub2, _ := b.Subscribe("t")
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := b.Publish("t", fmt.Sprintf("m%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var flat []string
-	for len(flat) < n {
-		m := recvOne(t, sub1)
-		flat = append(flat, m.Payload)
-	}
-	var batched []string
-	deadline := time.After(5 * time.Second)
-	for len(batched) < n {
-		select {
-		case batch := <-sub2.Batches():
-			for _, m := range batch {
-				batched = append(batched, m.Payload)
-			}
-		case <-deadline:
-			t.Fatalf("batched feed received %d of %d", len(batched), n)
-		}
-	}
-	for i := range flat {
-		if flat[i] != batched[i] {
-			t.Fatalf("feeds disagree at %d: %q vs %q", i, flat[i], batched[i])
-		}
-	}
-}
-
 // TestBatchDeliveryConcurrentPublishers hammers one subscriber from many
-// publishers: no message may be lost or duplicated through the recycled
-// batch buffers (regression for the queue/spare aliasing bug).
+// publishers: no message may be lost or duplicated between the pending
+// queue and the batches Next cuts from it.
 func TestBatchDeliveryConcurrentPublishers(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
 	b := NewQueueBroker(clock, 1e-9)
@@ -336,17 +302,16 @@ func TestBatchDeliveryConcurrentPublishers(t *testing.T) {
 	}
 	seen := make(map[int64]int, publishers*perPub)
 	total := 0
-	deadline := time.After(10 * time.Second)
-	batches := sub.Batches()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	for total < publishers*perPub {
-		select {
-		case batch := <-batches:
-			for _, m := range batch {
-				seen[int64(m.Atoms[0].(hocl.Int))]++
-				total++
-			}
-		case <-deadline:
-			t.Fatalf("received %d of %d", total, publishers*perPub)
+		batch, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("received %d of %d: %v", total, publishers*perPub, err)
+		}
+		for _, m := range batch {
+			seen[int64(m.Atoms[0].(hocl.Int))]++
+			total++
 		}
 	}
 	wg.Wait()

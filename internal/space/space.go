@@ -17,7 +17,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ginflow/internal/cluster"
 	"ginflow/internal/failure"
@@ -237,9 +236,8 @@ func (s *Space) bump() {
 
 // SetClock tells the space which model clock its session runs on. On a
 // virtual clock this installs the scheduler-aware wait path
-// (WaitCompleted parks on a Cond instead of the changed channel, and
-// Serve consumes through Subscription.Next); a real clock is a no-op.
-// Call before Serve or WaitCompleted.
+// (WaitCompleted parks on a Cond instead of the changed channel); a
+// real clock is a no-op. Call before WaitCompleted.
 func (s *Space) SetClock(clock *cluster.Clock) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,48 +472,11 @@ func (s *Space) ServeHooked(ctx context.Context, broker mq.Broker, topic string,
 	}
 	s.mu.Lock()
 	sub := s.sub
-	cond := s.cond
 	s.mu.Unlock()
 	defer sub.Cancel()
-	if cond != nil {
-		return s.serveVirtual(ctx, sub, before, after)
-	}
-	batches := sub.Batches()
-	// Under chaos, a ticker drains held-back messages so a deferral
-	// during the final quiet period cannot stall convergence.
-	var tick <-chan time.Time
-	if sched := s.chaos.Load(); sched.Enabled() {
-		t := time.NewTicker(time.Millisecond)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			s.FlushDeferred()
-			return ctx.Err()
-		case <-tick:
-			s.FlushDeferred()
-		case batch := <-batches:
-			if before != nil {
-				before(batch)
-			}
-			s.applyBatchChaos(batch)
-			if after != nil {
-				after()
-			}
-		}
-	}
-}
-
-// serveVirtual is the consume loop on a discrete-event clock: the
-// serving goroutine is a schedule participant, so it receives through
-// Subscription.Next instead of the drain goroutine behind Batches.
-// Chaos-deferred messages are flushed whenever the inbox runs dry —
-// the virtual-time equivalent of the real-mode ticker: a held-back
-// message rejoins as soon as the space would otherwise go quiet, so a
-// deferral can never stall convergence.
-func (s *Space) serveVirtual(ctx context.Context, sub *mq.Subscription, before func([]mq.Message), after func()) error {
+	// Chaos-deferred messages are flushed whenever the inbox runs dry: a
+	// held-back message rejoins as soon as the space would otherwise go
+	// quiet, so a deferral can never stall convergence.
 	for {
 		if err := ctx.Err(); err != nil {
 			s.FlushDeferred()
@@ -576,9 +537,7 @@ func (s *Space) applyBatchChaos(batch []mq.Message) {
 	for i := range batch {
 		switch sched.Draw(failure.BoundarySpace).Kind {
 		case failure.FaultDrop:
-			// Deep-copy before holding: the batch slice is broker-owned
-			// and recycled after this call returns.
-			held = append(held, copyMsg(batch[i]))
+			held = append(held, batch[i])
 		case failure.FaultDuplicate:
 			apply = append(apply, batch[i], batch[i])
 		default:
@@ -608,15 +567,6 @@ func (s *Space) FlushDeferred() int {
 		return 0
 	}
 	return s.ApplyBatch(pending)
-}
-
-// copyMsg deep-copies a broker-owned message for retention beyond the
-// batch hand-off (atom values are immutable; only the slice is shared).
-func copyMsg(m mq.Message) mq.Message {
-	if m.Atoms != nil {
-		m.Atoms = append([]hocl.Atom(nil), m.Atoms...)
-	}
-	return m
 }
 
 // TaskStates returns a copy-on-write snapshot of every task's recorded

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sub.C()
+	ctx := context.Background()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,6 +40,8 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 		if err := rb.Publish("sa.rt", "ping"); err != nil {
 			b.Fatal(err)
 		}
-		<-c
+		if _, err := sub.Next(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -65,16 +65,10 @@ type serverNode struct {
 	name string
 	link link
 
-	mu   sync.Mutex
-	subs map[uint64]*serverSub
-}
-
-// serverSub is one remote subscription: the broker-side subscription
-// and the forwarder goroutine's stop signal.
-type serverSub struct {
-	topic string
-	sub   *mq.Subscription
-	stop  chan struct{}
+	mu sync.Mutex
+	// subs holds the broker-side subscription behind each remote
+	// subscription; cancelling one ends its forwarder goroutine.
+	subs map[uint64]*mq.Subscription
 }
 
 // Listen starts a transport server on addr ("host:port"; ":0" picks a
@@ -167,9 +161,8 @@ func (s *Server) Close() error {
 	for _, n := range nodes {
 		n.link.close()
 		n.mu.Lock()
-		for id, ss := range n.subs {
-			ss.sub.Cancel()
-			close(ss.stop)
+		for id, sub := range n.subs {
+			sub.Cancel()
 			delete(n.subs, id)
 		}
 		n.mu.Unlock()
@@ -218,7 +211,7 @@ func (s *Server) handshake(conn net.Conn) {
 	rejoined := false
 	if h.nodeID == 0 {
 		s.nextNode++
-		n = &serverNode{id: s.nextNode, name: h.name, subs: map[uint64]*serverSub{}}
+		n = &serverNode{id: s.nextNode, name: h.name, subs: map[uint64]*mq.Subscription{}}
 		s.nodes[n.id] = n
 	} else {
 		n = s.nodes[h.nodeID]
@@ -323,17 +316,16 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 		if err != nil {
 			return err
 		}
-		ss := &serverSub{topic: topic, sub: sub, stop: make(chan struct{})}
 		n.mu.Lock()
 		if _, dup := n.subs[subID]; dup {
 			n.mu.Unlock()
 			sub.Cancel()
 			return nil
 		}
-		n.subs[subID] = ss
+		n.subs[subID] = sub
 		n.mu.Unlock()
 		s.wg.Add(1)
-		go s.forward(n, subID, ss)
+		go s.forward(n, subID, sub)
 		return nil
 
 	case fUnsubscribe:
@@ -345,12 +337,11 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 			return err
 		}
 		n.mu.Lock()
-		ss := n.subs[subID]
+		sub := n.subs[subID]
 		delete(n.subs, subID)
 		n.mu.Unlock()
-		if ss != nil {
-			ss.sub.Cancel()
-			close(ss.stop)
+		if sub != nil {
+			sub.Cancel()
 		}
 		return nil
 
@@ -432,29 +423,26 @@ func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 	return nil
 }
 
-// forward streams one broker subscription to its remote subscriber.
-// Each batch is encoded into the BATCH frame immediately — the encode
-// copies every payload, satisfying the broker's recycled-batch
-// contract — and sent reliably, so a batch that raced a connection
+// forward streams one broker subscription to its remote subscriber
+// until the subscription is cancelled. Each batch is encoded into the
+// BATCH frame and sent reliably, so a batch that raced a connection
 // drop is replayed on reconnect.
-func (s *Server) forward(n *serverNode, subID uint64, ss *serverSub) {
+func (s *Server) forward(n *serverNode, subID uint64, sub *mq.Subscription) {
 	defer s.wg.Done()
-	batches := ss.sub.Batches()
 	for {
-		select {
-		case <-ss.stop:
+		batch, err := sub.Next(context.Background())
+		if err != nil {
 			return
-		case batch := <-batches:
-			msgs := make([]wireMsg, len(batch))
-			for i := range batch {
-				msgs[i] = toWireMsg(batch[i])
-			}
-			n.link.send(fBatch, func(seq uint64) []byte {
-				buf := binary.AppendUvarint(nil, seq)
-				buf = binary.AppendUvarint(buf, subID)
-				return encodeMsgs(buf, msgs)
-			})
 		}
+		msgs := make([]wireMsg, len(batch))
+		for i := range batch {
+			msgs[i] = toWireMsg(batch[i])
+		}
+		n.link.send(fBatch, func(seq uint64) []byte {
+			buf := binary.AppendUvarint(nil, seq)
+			buf = binary.AppendUvarint(buf, subID)
+			return encodeMsgs(buf, msgs)
+		})
 	}
 }
 

@@ -45,15 +45,36 @@ func dialTest(t *testing.T, srv *Server, name string) *RemoteBroker {
 	return rb
 }
 
-func recv(t *testing.T, sub *mq.Subscription, timeout time.Duration) mq.Message {
+// feed reads a subscription one message at a time: Next hands over
+// batches, so what one recv does not return waits for the following one.
+type feed struct {
+	sub     *mq.Subscription
+	pending []mq.Message
+}
+
+func subscribe(t *testing.T, b mq.Broker, topic string) *feed {
 	t.Helper()
-	select {
-	case m := <-sub.C():
-		return m
-	case <-time.After(timeout):
-		t.Fatal("timeout waiting for message")
-		return mq.Message{}
+	sub, err := b.Subscribe(topic)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return &feed{sub: sub}
+}
+
+func (f *feed) recv(t *testing.T, timeout time.Duration) mq.Message {
+	t.Helper()
+	if len(f.pending) == 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		batch, err := f.sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("waiting for message: %v", err)
+		}
+		f.pending = batch
+	}
+	m := f.pending[0]
+	f.pending = f.pending[1:]
+	return m
 }
 
 func TestHandshakeAssignsNodeIDs(t *testing.T) {
@@ -71,20 +92,17 @@ func TestHandshakeAssignsNodeIDs(t *testing.T) {
 func TestRemotePublishReachesBroker(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "pub")
-	sub, err := br.Subscribe("sa.t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := subscribe(t, br, "sa.t")
 	if err := rb.Publish("sa.t", "hello"); err != nil {
 		t.Fatal(err)
 	}
-	if m := recv(t, sub, 5*time.Second); m.Payload != "hello" || m.Structural() {
+	if m := sub.recv(t, 5*time.Second); m.Payload != "hello" || m.Structural() {
 		t.Fatalf("got %+v", m)
 	}
 	if err := rb.PublishAtoms("sa.t", []hocl.Atom{hocl.Str("res"), hocl.Int(7)}); err != nil {
 		t.Fatal(err)
 	}
-	m := recv(t, sub, 5*time.Second)
+	m := sub.recv(t, 5*time.Second)
 	if !m.Structural() || len(m.Atoms) != 2 {
 		t.Fatalf("structural publish arrived as %+v", m)
 	}
@@ -96,46 +114,37 @@ func TestRemotePublishReachesBroker(t *testing.T) {
 func TestRemoteSubscribeReceives(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "sub")
-	sub, err := rb.Subscribe("sa.x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := subscribe(t, rb, "sa.x")
 	if err := br.Publish("sa.x", "one"); err != nil {
 		t.Fatal(err)
 	}
 	if err := br.PublishAtoms("sa.x", []hocl.Atom{hocl.Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	m1 := recv(t, sub, 5*time.Second)
+	m1 := sub.recv(t, 5*time.Second)
 	if m1.Topic != "sa.x" || m1.Payload != "one" {
 		t.Fatalf("first: %+v", m1)
 	}
-	m2 := recv(t, sub, 5*time.Second)
+	m2 := sub.recv(t, 5*time.Second)
 	if !m2.Structural() || len(m2.Atoms) != 1 {
 		t.Fatalf("second: %+v", m2)
 	}
 	// Cancelling unsubscribes remotely; later publishes go nowhere.
-	sub.Cancel()
+	sub.sub.Cancel()
 }
 
 func TestReconnectResumesBothDirections(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "rec")
-	sub, err := rb.Subscribe("sa.r")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := subscribe(t, rb, "sa.r")
 	if err := br.Publish("sa.r", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	if m := recv(t, sub, 5*time.Second); m.Payload != "m1" {
+	if m := sub.recv(t, 5*time.Second); m.Payload != "m1" {
 		t.Fatalf("pre-drop: %+v", m)
 	}
 
-	local, err := br.Subscribe("sa.c")
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := subscribe(t, br, "sa.c")
 	srv.DropNode(rb.NodeID())
 	// Traffic during the outage queues on both sides' outboxes.
 	for i := 2; i <= 4; i++ {
@@ -149,14 +158,14 @@ func TestReconnectResumesBothDirections(t *testing.T) {
 
 	seen := map[string]int{}
 	for i := 0; i < 3; i++ {
-		seen[recv(t, sub, 10*time.Second).Payload]++
+		seen[sub.recv(t, 10*time.Second).Payload]++
 	}
 	for i := 2; i <= 4; i++ {
 		if k := fmt.Sprintf("m%d", i); seen[k] != 1 {
 			t.Fatalf("message %s seen %d times (%v)", k, seen[k], seen)
 		}
 	}
-	if m := recv(t, local, 10*time.Second); m.Payload != "c1" {
+	if m := local.recv(t, 10*time.Second); m.Payload != "c1" {
 		t.Fatalf("client publish during outage: %+v", m)
 	}
 	if srv.NodeCount() != 1 {
@@ -208,13 +217,15 @@ func TestSocketChaosLosesNothing(t *testing.T) {
 	// The socket boundary is at-least-once: every distinct payload must
 	// land, duplicates permitted (agents dedup above this layer).
 	seen := map[string]bool{}
-	deadline := time.After(20 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 	for len(seen) < n {
-		select {
-		case m := <-sub.C():
+		batch, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("only %d/%d distinct payloads arrived under chaos: %v", len(seen), n, err)
+		}
+		for _, m := range batch {
 			seen[m.Payload] = true
-		case <-deadline:
-			t.Fatalf("only %d/%d distinct payloads arrived under chaos", len(seen), n)
 		}
 	}
 	if chaos.Faults() == 0 {
