@@ -253,9 +253,10 @@ func BenchmarkAblationBrokerThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := []hocl.Atom{hocl.Tuple{hocl.Ident("RES"), hocl.NewSolution(hocl.Int(42))}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := broker.Publish("t", "RES:<42>"); err != nil {
+				if err := broker.PublishAtoms("t", res); err != nil {
 					b.Fatal(err)
 				}
 				nextOne(b, sub)
@@ -285,17 +286,18 @@ func BenchmarkAblationPassMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWireFormat measures the HOCL text wire format: the
-// cost of encoding and decoding one result-transfer molecule.
+// BenchmarkAblationWireFormat measures the hocl wire codec — the format
+// on the socket and in the journal: the cost of encoding and decoding
+// one result-transfer molecule.
 func BenchmarkAblationWireFormat(b *testing.B) {
 	msg := hoclflow.PassMessage("T1", []hocl.Atom{
 		hocl.Str("some-result-payload"),
 		hocl.List{hocl.Int(1), hocl.Int(2), hocl.Int(3)},
 	})
+	atoms := []hocl.Atom{msg}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		text := msg.String()
-		if _, err := hocl.ParseMolecules(text); err != nil {
+		if _, err := hocl.DecodeAtoms(hocl.EncodeAtoms(atoms)); err != nil {
 			b.Fatal(err)
 		}
 	}

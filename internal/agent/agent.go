@@ -349,11 +349,11 @@ func (a *Agent) rideOutFaults(svcName string, dur float64) (float64, error) {
 
 // send implements the decentralised gw_pass product (§IV-A): ship the
 // result molecules directly to the destination agent's inbox. The
-// payload is structural — the result atoms are snapshotted (solutions
-// get independent shells, immutable atoms travel by reference) and
-// handed to the broker pre-built, never rendered to text. Link latency
-// to the destination's node is charged asynchronously — the message is
-// on the wire, the sender moves on.
+// result atoms are snapshotted (solutions get independent shells,
+// immutable atoms travel by reference) and handed to the broker
+// pre-built, never rendered to text. Link latency to the destination's
+// node is charged asynchronously — the message is on the wire, the
+// sender moves on.
 func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	if len(args) < 1 {
 		return nil, fmt.Errorf("send: missing destination")
@@ -430,8 +430,8 @@ func (a *Agent) linkLatencyTo(peer string) float64 {
 	return a.cfg.Cluster.Latency(a.cfg.Node, a.cfg.Placements[peer])
 }
 
-// publishWithLatency ships a structural payload after the given link
-// latency without blocking the reduction.
+// publishWithLatency ships atoms after the given link latency without
+// blocking the reduction.
 func (a *Agent) publishWithLatency(topic string, atoms []hocl.Atom, latency float64) {
 	if latency <= 0 {
 		_ = a.cfg.Broker.PublishAtoms(topic, atoms)
@@ -493,12 +493,10 @@ func (a *Agent) markCompleted() {
 	}
 }
 
-// ingest folds a message into the local solution. Structural payloads
-// are ingested by reference — no parsing, no cloning — except for atoms
-// containing a non-inert solution, which the engine could mutate while
-// other owners (peers, the replay log) still share them; those are
-// cloned. Textual payloads take the parse path; undecodable ones are
-// dropped — a poisoned message must not kill the agent.
+// ingest folds a message into the local solution. Atoms are ingested by
+// reference — no parsing, no cloning — except for atoms containing a
+// non-inert solution, which the engine could mutate while other owners
+// (peers, the replay log) still share them; those are cloned.
 //
 // RESYNC markers are control messages, not molecules: they reset the
 // status encoder so the next push is a full snapshot (the space asked
@@ -507,18 +505,7 @@ func (a *Agent) markCompleted() {
 // fingerprint) was already ingested is a duplicated delivery and is
 // dropped whole (exactly-once ingestion over at-least-once transport).
 func (a *Agent) ingest(msg mq.Message) {
-	if msg.Structural() {
-		a.ingestAtoms(msg.Atoms)
-		return
-	}
-	atoms, err := hocl.ParseMolecules(msg.Payload)
-	if err != nil {
-		return
-	}
-	a.ingestAtoms(atoms)
-}
-
-func (a *Agent) ingestAtoms(atoms []hocl.Atom) {
+	atoms := msg.Atoms
 	if len(atoms) > 0 {
 		if origin, n, ok := hoclflow.DecodeSeq(atoms[0]); ok {
 			atoms = atoms[1:]

@@ -356,6 +356,13 @@ func SubmitExecutor(k executor.Kind) SubmitOption {
 // Submit validates the service bindings up front — a task or replacement
 // task referencing a service the registry cannot resolve fails with
 // ErrUnknownService before anything deploys.
+//
+// Under a virtual clock, a Submit from a goroutine outside the schedule
+// lands at a wall-clock-dependent model instant: sessions already
+// running keep consuming model time while the caller works. A caller
+// that needs several sessions to start at one reproducible instant
+// holds the run token across its Submit calls
+// (Cluster().Clock().Enter() … Exit()).
 func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services *agent.Registry, opts ...SubmitOption) (*Session, error) {
 	if def == nil {
 		return nil, fmt.Errorf("core: nil workflow definition")

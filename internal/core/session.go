@@ -95,7 +95,7 @@ func newSession(m *Manager, id int64, def *workflow.Definition, services *agent.
 	return s
 }
 
-// journalBatch appends every decodable payload of a space batch to the
+// journalBatch appends every payload of a space batch to the
 // session journal — invoked by the space's serve loop before the batch
 // folds in, so journal order equals fold order. It returns the first
 // write error: journaling is an explicit durability contract, so a
@@ -103,18 +103,7 @@ func newSession(m *Manager, id int64, def *workflow.Definition, services *agent.
 func (s *Session) journalBatch(batch []mq.Message) error {
 	var firstErr error
 	for i := range batch {
-		atoms := batch[i].Atoms
-		if atoms == nil {
-			parsed, err := hocl.ParseMolecules(batch[i].Payload)
-			if err != nil {
-				continue // the space will count it malformed too
-			}
-			// Hand the parsed form to the fold too: the space is the
-			// sole consumer of this batch.
-			batch[i].Atoms = parsed
-			atoms = parsed
-		}
-		if err := s.jw.AppendStatus(atoms); err != nil && firstErr == nil {
+		if err := s.jw.AppendStatus(batch[i].Atoms); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -524,30 +513,14 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 				if !strings.HasPrefix(msg.Topic, topicPrefix) {
 					return
 				}
-				atoms := msg.Atoms
-				if atoms == nil {
-					parsed, err := hocl.ParseMolecules(msg.Payload)
-					if err != nil {
-						return
-					}
-					atoms = parsed
-				}
-				journalErr(s.jw.AppendInbox(msg.Topic, atoms))
+				journalErr(s.jw.AppendInbox(msg.Topic, msg.Atoms))
 			})
 			defer s.mgr.unregisterInboxJournal(s.id)
 			s.jw.SetInboxSource(func() []journal.InboxRecord {
 				var recs []journal.InboxRecord
 				for _, topic := range broker.Topics(topicPrefix) {
 					for _, m := range rep.Log(topic) {
-						atoms := m.Atoms
-						if atoms == nil {
-							parsed, err := hocl.ParseMolecules(m.Payload)
-							if err != nil {
-								continue
-							}
-							atoms = parsed
-						}
-						recs = append(recs, journal.InboxRecord{Topic: topic, Atoms: atoms})
+						recs = append(recs, journal.InboxRecord{Topic: topic, Atoms: m.Atoms})
 					}
 				}
 				return recs

@@ -71,15 +71,24 @@ func runFan(t *testing.T, fan int) fanSummary {
 	}
 	defer m.Close()
 
+	// Hold the run token across the submit loop so all sessions start at
+	// the same model instant. Submitted from outside the schedule,
+	// session 0 would already be consuming model time and chaos draws
+	// while sessions 1–2 were still being submitted, and their start
+	// offsets would be wall-clock facts.
+	clock := m.Cluster().Clock()
+	clock.Enter()
 	sessions := make([]*Session, fan)
 	for i := range sessions {
 		def := workflow.Diamond(workflow.DefaultDiamondSpec(8, 8, false))
 		s, err := m.Submit(context.Background(), def, diamondServices(nil))
 		if err != nil {
+			clock.Exit()
 			t.Fatal(err)
 		}
 		sessions[i] = s
 	}
+	clock.Exit()
 	var sum fanSummary
 	for _, s := range sessions {
 		rep, err := s.Wait(context.Background())

@@ -5,9 +5,10 @@ package hocl
 // immutable once a rule is built, so each *Rule compiles its guard and
 // product trees once (Rule.eprograms, same sync.Once idiom as
 // Rule.program) into a flat instruction sequence executed by the
-// iterative stack machine in evm.go. The tree-walker in expr.go stays as
-// the semantic reference: FuzzExprDifferential pins the two paths to
-// byte-identical results and errors.
+// iterative stack machine in evm.go. The tree-walker in
+// expr_reference_test.go stays as the semantic reference:
+// FuzzExprDifferential pins the two paths to byte-identical results and
+// errors.
 //
 // Two compilation contexts mirror the walker's two entry points:
 //

@@ -233,6 +233,15 @@ func TestFormatMoleculesRoundTrip(t *testing.T) {
 		Tuple{Ident("RES"), NewSolution(Int(42))},
 		Ident("ADAPT"),
 		List{Str("a"), Str("b")},
+		// The shape of an agent status push: T3:<SRC:<T1>, SRV:"s1",
+		// IN:<>, RES:<"out", [1, 2]>>, TRIGGER:"a1".
+		Tuple{Ident("T3"), NewSolution(
+			Tuple{Ident("SRC"), NewSolution(Ident("T1"))},
+			Tuple{Ident("SRV"), Str("s1")},
+			Tuple{Ident("IN"), NewSolution()},
+			Tuple{Ident("RES"), NewSolution(Str("out"), List{Int(1), Int(2)})},
+		)},
+		Tuple{Ident("TRIGGER"), Str("a1")},
 	}
 	s := FormatMolecules(atoms)
 	back, err := ParseMolecules(s)

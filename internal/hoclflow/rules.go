@@ -99,8 +99,8 @@ func GwGc() *hocl.Rule {
 // src: PASS:src:<res...>. The carried solution is marked inert at build
 // time: the results come out of the sender's already-reduced RES solution
 // (gw_send only matches an inert RES), so the receiving engine can match
-// gw_recv immediately instead of first reducing the payload — and, on the
-// structural message path, the shared payload is never written to.
+// gw_recv immediately instead of first reducing the payload — and the
+// shared payload is never written to.
 func PassMessage(src string, res []hocl.Atom) hocl.Atom {
 	sol := hocl.NewSolution(res...)
 	sol.SetInert(true)

@@ -47,14 +47,14 @@ func TestChaosDropStillDelivers(t *testing.T) {
 	defer sub.Cancel()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := b.Publish("t", fmt.Sprintf("m%d", i)); err != nil {
+		if err := b.PublishAtoms("t", strAtoms(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := collect(t, sub, n, 5*time.Second)
 	seen := map[string]bool{}
 	for _, m := range got {
-		seen[m.Payload] = true
+		seen[strOf(m)] = true
 	}
 	if len(seen) != n {
 		t.Fatalf("got %d distinct messages, want %d", len(seen), n)
@@ -102,7 +102,7 @@ func TestChaosReorderSwaps(t *testing.T) {
 	defer sub.Cancel()
 	const n = 8
 	for i := 0; i < n; i++ {
-		if err := b.Publish("t", fmt.Sprintf("m%d", i)); err != nil {
+		if err := b.PublishAtoms("t", strAtoms(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,8 +110,8 @@ func TestChaosReorderSwaps(t *testing.T) {
 	seen := map[string]bool{}
 	inOrder := true
 	for i, m := range got {
-		seen[m.Payload] = true
-		if m.Payload != fmt.Sprintf("m%d", i) {
+		seen[strOf(m)] = true
+		if strOf(m) != fmt.Sprintf("m%d", i) {
 			inOrder = false
 		}
 	}
@@ -128,7 +128,7 @@ func TestChaosReorderSwaps(t *testing.T) {
 // history.
 func TestRestoreLogReplacesHistory(t *testing.T) {
 	b := NewLogBroker(chaosClock(t), 0.1)
-	if err := b.Publish("wf1.sa.T1", "old"); err != nil {
+	if err := b.PublishAtoms("wf1.sa.T1", strAtoms("old")); err != nil {
 		t.Fatal(err)
 	}
 	b.RestoreLog("wf1.sa.T1", []Message{
@@ -152,7 +152,7 @@ func TestPublishObserverSeesEveryPublish(t *testing.T) {
 	b := NewLogBroker(chaosClock(t), 0.1)
 	var seen []Message
 	b.SetPublishObserver(func(m Message) { seen = append(seen, m) })
-	if err := b.Publish("a", "x"); err != nil {
+	if err := b.PublishAtoms("a", strAtoms("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.PublishAtoms("b", []hocl.Atom{hocl.Int(7)}); err != nil {
@@ -162,7 +162,7 @@ func TestPublishObserverSeesEveryPublish(t *testing.T) {
 		t.Fatalf("observer saw %+v", seen)
 	}
 	b.SetPublishObserver(nil)
-	if err := b.Publish("a", "y"); err != nil {
+	if err := b.PublishAtoms("a", strAtoms("y")); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 {

@@ -54,53 +54,31 @@ import (
 	"ginflow/internal/obs"
 )
 
-// Message is one published datum. A message carries its content in one of
-// two forms:
+// Message is one published datum: HOCL molecules, pre-built and shared by
+// reference from publisher to every subscriber (the zero-reparse path,
+// DESIGN.md). hocl.FormatMolecules renders them for a log line.
 //
-//   - textual: Payload holds HOCL molecule text (the original wire
-//     format, still used by external producers and the CLI);
-//   - structural: Atoms holds pre-built molecules shared by reference —
-//     the zero-reparse path (DESIGN.md). Payload is empty and Text()
-//     renders on demand for logs and debugging.
-//
-// Structural payloads are frozen: the publisher hands over atoms it will
-// no longer mutate, and consumers must not mutate them either (the same
-// atoms may be shared by other subscribers and by the broker's replay
-// log). hocl.Shareable tells a consumer whether an atom can be ingested
-// into a reducing solution by reference or must be cloned first. The
-// Message values themselves are the consumer's: Next and TryNext return
-// a fresh slice per call, which the consumer may keep or modify.
+// The atoms are frozen: the publisher hands over atoms it will no longer
+// mutate, and consumers must not mutate them either (the same atoms may
+// be shared by other subscribers and by the broker's replay log).
+// hocl.Shareable tells a consumer whether an atom can be ingested into a
+// reducing solution by reference or must be cloned first. The Message
+// values themselves are the consumer's: Next and TryNext return a fresh
+// slice per call, which the consumer may keep or modify.
 type Message struct {
-	Topic   string
-	Payload string
-	Atoms   []hocl.Atom
+	Topic string
+	Atoms []hocl.Atom
 	// Offset is the message's position in its topic's log (LogBroker
 	// only; -1 for QueueBroker deliveries).
 	Offset int
 }
 
-// Structural reports whether the message carries a structural payload.
-func (m Message) Structural() bool { return m.Atoms != nil }
-
-// Text returns the textual form of the payload, rendering structural
-// payloads on demand. This is the logging/CLI accessor; hot paths consume
-// Atoms directly.
-func (m Message) Text() string {
-	if m.Atoms != nil {
-		return hocl.FormatMolecules(m.Atoms)
-	}
-	return m.Payload
-}
-
 // Broker is the pub/sub surface agents use.
 type Broker interface {
-	// Publish sends payload text to every current subscriber of topic
-	// after the broker's modelled latency.
-	Publish(topic, payload string) error
-	// PublishAtoms sends a structural payload: the pre-built molecules
-	// are delivered (and, on a log broker, retained) by reference, never
-	// rendered or re-parsed. The caller must not mutate the atoms after
-	// publishing.
+	// PublishAtoms sends atoms to every current subscriber of topic
+	// after the broker's modelled latency. The molecules are delivered
+	// (and, on a log broker, retained) by reference, never rendered or
+	// re-parsed. The caller must not mutate the atoms after publishing.
 	PublishAtoms(topic string, atoms []hocl.Atom) error
 	// Subscribe registers a consumer. Messages published after the
 	// subscription come out of its Next/TryNext calls in due-order
@@ -766,17 +744,7 @@ func NewQueueBrokerSharded(clock *cluster.Clock, latency float64, shards int) *Q
 	return &QueueBroker{common: newCommon(clock, latency, DefaultQueueServiceTime, shards)}
 }
 
-// Publish delivers to current subscribers only; nothing is retained.
-func (b *QueueBroker) Publish(topic, payload string) error {
-	if err := b.checkOpen(); err != nil {
-		return err
-	}
-	b.published.Add(1)
-	b.deliver(Message{Topic: topic, Payload: payload, Offset: -1})
-	return nil
-}
-
-// PublishAtoms delivers a structural payload to current subscribers only.
+// PublishAtoms delivers to current subscribers only; nothing is retained.
 func (b *QueueBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if err := b.checkOpen(); err != nil {
 		return err
@@ -836,23 +804,15 @@ func NewLogBrokerSharded(clock *cluster.Clock, latency float64, shards int) *Log
 	return &LogBroker{common: c, logShards: ls}
 }
 
-// Publish appends to the topic log, then delivers to subscribers.
-func (b *LogBroker) Publish(topic, payload string) error {
-	return b.append(Message{Topic: topic, Payload: payload})
-}
-
-// PublishAtoms appends a structural payload to the topic log, then
-// delivers it. The log retains the atoms by reference: replay hands the
-// same frozen molecules back, so recovery pays no re-parse either.
+// PublishAtoms appends to the topic log, then delivers to subscribers.
+// The log retains the atoms by reference: replay hands the same frozen
+// molecules back, so recovery pays no re-parse either.
 func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
-	return b.append(Message{Topic: topic, Atoms: atoms})
-}
-
-func (b *LogBroker) append(msg Message) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
 	b.published.Add(1)
+	msg := Message{Topic: topic, Atoms: atoms}
 	ls := b.logShards[b.shardIndex(msg.Topic)]
 	ls.mu.Lock()
 	msg.Offset = len(ls.logs[msg.Topic])
@@ -956,9 +916,7 @@ func (b *LogBroker) Log(topic string) []Message {
 	defer ls.mu.RUnlock()
 	out := append([]Message(nil), ls.logs[topic]...)
 	for i := range out {
-		if out[i].Atoms != nil {
-			out[i].Atoms = append([]hocl.Atom(nil), out[i].Atoms...)
-		}
+		out[i].Atoms = append([]hocl.Atom(nil), out[i].Atoms...)
 	}
 	return out
 }

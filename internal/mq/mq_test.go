@@ -36,6 +36,18 @@ func recvOne(t *testing.T, sub *Subscription) Message {
 	return batch[0]
 }
 
+// strAtoms wraps an opaque test payload as a one-string message body;
+// strOf reads it back.
+func strAtoms(s string) []hocl.Atom { return []hocl.Atom{hocl.Str(s)} }
+
+func strOf(m Message) string {
+	if len(m.Atoms) != 1 {
+		return fmt.Sprintf("<%d atoms>", len(m.Atoms))
+	}
+	s, _ := m.Atoms[0].(hocl.Str)
+	return string(s)
+}
+
 func brokers(t *testing.T) map[string]Broker {
 	return map[string]Broker{
 		"queue": NewQueueBroker(testClock(), 0.001),
@@ -50,11 +62,11 @@ func TestPublishSubscribe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Publish("sa.T1", "RES:<42>"); err != nil {
+			if err := b.PublishAtoms("sa.T1", strAtoms("RES:<42>")); err != nil {
 				t.Fatal(err)
 			}
 			m := recvOne(t, sub)
-			if m.Payload != "RES:<42>" || m.Topic != "sa.T1" {
+			if strOf(m) != "RES:<42>" || m.Topic != "sa.T1" {
 				t.Errorf("got %+v", m)
 			}
 			if b.Published() != 1 {
@@ -69,7 +81,7 @@ func TestTopicIsolation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s1, _ := b.Subscribe("a")
 			s2, _ := b.Subscribe("b")
-			if err := b.Publish("a", "x"); err != nil {
+			if err := b.PublishAtoms("a", strAtoms("x")); err != nil {
 				t.Fatal(err)
 			}
 			recvOne(t, s1)
@@ -85,7 +97,7 @@ func TestFanOutToMultipleSubscribers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s1, _ := b.Subscribe("t")
 			s2, _ := b.Subscribe("t")
-			if err := b.Publish("t", "m"); err != nil {
+			if err := b.PublishAtoms("t", strAtoms("m")); err != nil {
 				t.Fatal(err)
 			}
 			recvOne(t, s1)
@@ -100,7 +112,7 @@ func TestCancelStopsDelivery(t *testing.T) {
 			sub, _ := b.Subscribe("t")
 			sub.Cancel()
 			sub.Cancel() // idempotent
-			if err := b.Publish("t", "m"); err != nil {
+			if err := b.PublishAtoms("t", strAtoms("m")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sub.Next(context.Background()); err != ErrCancelled {
@@ -130,7 +142,7 @@ func pullCases(t *testing.T) []pullCase {
 			t.Fatal(err)
 		}
 		return pullCase{name, clock, sub, func(p string) {
-			if err := b.Publish("t", p); err != nil {
+			if err := b.PublishAtoms("t", strAtoms(p)); err != nil {
 				t.Error(err)
 			}
 		}}
@@ -140,7 +152,7 @@ func pullCases(t *testing.T) []pullCase {
 		brokerFed("real clock", cluster.NewClock(time.Microsecond)),
 		brokerFed("virtual clock", cluster.NewVirtualClock()),
 		{"push-fed", cluster.NewClock(time.Microsecond), sub, func(p string) {
-			push([]Message{{Topic: "t", Payload: p}})
+			push([]Message{{Topic: "t", Atoms: strAtoms(p)}})
 		}},
 	}
 }
@@ -155,7 +167,7 @@ func TestFirstMessageComesOutOfFirstNext(t *testing.T) {
 			tc.publish("first")
 			// Time for anything but the consumer to take the message.
 			time.Sleep(5 * time.Millisecond)
-			if m := recvOne(t, tc.sub); m.Payload != "first" {
+			if m := recvOne(t, tc.sub); strOf(m) != "first" {
 				t.Errorf("first Next returned %+v", m)
 			}
 		})
@@ -222,7 +234,7 @@ func TestCloseRejectsPublish(t *testing.T) {
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Publish("t", "m"); err != ErrClosed {
+			if err := b.PublishAtoms("t", strAtoms("m")); err != ErrClosed {
 				t.Errorf("publish after close: %v", err)
 			}
 			if _, err := b.Subscribe("t"); err != ErrClosed {
@@ -236,7 +248,7 @@ func TestCloseRejectsPublish(t *testing.T) {
 // lost — the ActiveMQ-mode behaviour that rules out crash recovery.
 func TestQueueBrokerIsVolatile(t *testing.T) {
 	b := NewQueueBroker(testClock(), 0.001)
-	if err := b.Publish("t", "lost"); err != nil {
+	if err := b.PublishAtoms("t", strAtoms("lost")); err != nil {
 		t.Fatal(err)
 	}
 	sub, _ := b.Subscribe("t")
@@ -250,11 +262,11 @@ func TestQueueBrokerIsVolatile(t *testing.T) {
 func TestLogBrokerPersistsAndReplays(t *testing.T) {
 	b := NewLogBroker(testClock(), 0.001)
 	for i := 0; i < 3; i++ {
-		if err := b.Publish("sa.T1", fmt.Sprintf("m%d", i)); err != nil {
+		if err := b.PublishAtoms("sa.T1", strAtoms(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Publish("sa.T2", "other")
+	b.PublishAtoms("sa.T2", strAtoms("other"))
 
 	log := b.Log("sa.T1")
 	if len(log) != 3 {
@@ -264,13 +276,13 @@ func TestLogBrokerPersistsAndReplays(t *testing.T) {
 		if m.Offset != i {
 			t.Errorf("offset[%d] = %d", i, m.Offset)
 		}
-		if m.Payload != fmt.Sprintf("m%d", i) {
-			t.Errorf("payload[%d] = %q (order must be preserved)", i, m.Payload)
+		if strOf(m) != fmt.Sprintf("m%d", i) {
+			t.Errorf("payload[%d] = %q (order must be preserved)", i, strOf(m))
 		}
 	}
 	// Log returns a copy: mutating it must not corrupt the broker.
-	log[0].Payload = "tampered"
-	if b.Log("sa.T1")[0].Payload != "m0" {
+	log[0].Atoms[0] = hocl.Str("tampered")
+	if strOf(b.Log("sa.T1")[0]) != "m0" {
 		t.Error("Log exposed internal state")
 	}
 	if got := b.Log("nosuch"); len(got) != 0 {
@@ -283,7 +295,7 @@ func TestLatencyIsModelled(t *testing.T) {
 	b := NewQueueBroker(clock, 20) // 20 model seconds = 20 ms real
 	sub, _ := b.Subscribe("t")
 	start := time.Now()
-	b.Publish("t", "m")
+	b.PublishAtoms("t", strAtoms("m"))
 	recvOne(t, sub)
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
 		t.Errorf("delivery took %v, want >= ~20ms of modelled latency", elapsed)
@@ -341,7 +353,7 @@ func TestConcurrentPublishersAndSubscribers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perPub; i++ {
 				topic := fmt.Sprintf("t%d", (p+i)%topics)
-				if err := b.Publish(topic, "m"); err != nil {
+				if err := b.PublishAtoms(topic, strAtoms("m")); err != nil {
 					t.Errorf("publish: %v", err)
 				}
 			}
@@ -383,17 +395,11 @@ func TestPublishAtomsDeliversStructurally(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := recvOne(t, sub)
-			if !m.Structural() {
-				t.Fatal("message is not structural")
-			}
 			if len(m.Atoms) != 1 || !m.Atoms[0].Equal(payload[0]) {
 				t.Errorf("atoms = %v", m.Atoms)
 			}
-			if m.Payload != "" {
-				t.Errorf("structural message carries text %q", m.Payload)
-			}
-			if got := m.Text(); got != "RES:<42>" {
-				t.Errorf("Text() = %q, want RES:<42>", got)
+			if got := hocl.FormatMolecules(m.Atoms); got != "RES:<42>" {
+				t.Errorf("FormatMolecules = %q, want RES:<42>", got)
 			}
 			if b.Published() != 1 {
 				t.Errorf("published = %d", b.Published())
@@ -408,11 +414,11 @@ func TestTopicNamespaceAccounting(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
 	b := NewQueueBroker(clock, 1e-9)
 	for i := 0; i < 3; i++ {
-		if err := b.Publish("wf1.sa.T1", "X"); err != nil {
+		if err := b.PublishAtoms("wf1.sa.T1", strAtoms("X")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Publish("wf2.sa.T1", "X"); err != nil {
+	if err := b.PublishAtoms("wf2.sa.T1", strAtoms("X")); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.PublishedPrefix("wf1."); got != 3 {
@@ -443,10 +449,10 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	if _, err := b.Subscribe("wf2.sa.T1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("wf1.sa.T1", "A"); err != nil {
+	if err := b.PublishAtoms("wf1.sa.T1", strAtoms("A")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("wf2.sa.T1", "B"); err != nil {
+	if err := b.PublishAtoms("wf2.sa.T1", strAtoms("B")); err != nil {
 		t.Fatal(err)
 	}
 	recvOne(t, sub1) // drain before purge
@@ -477,7 +483,7 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	sub1.Cancel()
 	// Post-purge publishes to the namespace still work (topics are
 	// created on demand); nothing is delivered to the purged consumer.
-	if err := b.Publish("wf1.sa.T1", "C"); err != nil {
+	if err := b.PublishAtoms("wf1.sa.T1", strAtoms("C")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -493,20 +499,20 @@ func TestLogBrokerReplaysStructuralMessages(t *testing.T) {
 	if err := b.PublishAtoms("sa.T1", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("sa.T1", "TEXTATOM"); err != nil {
+	if err := b.PublishAtoms("sa.T1", strAtoms("SECOND")); err != nil {
 		t.Fatal(err)
 	}
 	log := b.Log("sa.T1")
 	if len(log) != 2 {
 		t.Fatalf("log length = %d", len(log))
 	}
-	if !log[0].Structural() || !log[0].Atoms[0].Equal(hocl.Ident("GOODATOM")) {
+	if len(log[0].Atoms) != 1 || !log[0].Atoms[0].Equal(hocl.Ident("GOODATOM")) {
 		t.Errorf("log[0] = %+v", log[0])
 	}
 	if log[0].Offset != 0 || log[1].Offset != 1 {
 		t.Errorf("offsets = %d, %d", log[0].Offset, log[1].Offset)
 	}
-	if log[1].Structural() || log[1].Payload != "TEXTATOM" {
+	if strOf(log[1]) != "SECOND" {
 		t.Errorf("log[1] = %+v", log[1])
 	}
 	// Tampering with a returned log's atom slice must not corrupt the

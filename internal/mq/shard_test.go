@@ -83,7 +83,7 @@ func BenchmarkStandaloneShardSpread(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		for j := 0; j < perTopic; j++ {
 			for i := 0; i < topics; i++ {
-				if err := br.Publish(names[i], "x"); err != nil {
+				if err := br.PublishAtoms(names[i], strAtoms("x")); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -121,14 +121,14 @@ func TestCrossShardDelivery(t *testing.T) {
 		t.Errorf("16 sessions all hashed to %d shard(s)", len(shardsHit))
 	}
 	for i := range subs {
-		if err := b.Publish(fmt.Sprintf("wf%d.sa.T1", i+1), fmt.Sprintf("m%d", i+1)); err != nil {
+		if err := b.PublishAtoms(fmt.Sprintf("wf%d.sa.T1", i+1), strAtoms(fmt.Sprintf("m%d", i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, s := range subs {
 		m := recvOne(t, s)
-		if want := fmt.Sprintf("m%d", i+1); m.Payload != want {
-			t.Errorf("session %d received %q, want %q", i+1, m.Payload, want)
+		if want := fmt.Sprintf("m%d", i+1); strOf(m) != want {
+			t.Errorf("session %d received %q, want %q", i+1, strOf(m), want)
 		}
 	}
 }
@@ -147,10 +147,10 @@ func TestPurgeTopicsAcrossShards(t *testing.T) {
 		if _, err := b.Subscribe(topic); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Publish(topic, "X"); err != nil {
+		if err := b.PublishAtoms(topic, strAtoms("X")); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Publish(fmt.Sprintf("wf%d.ginflow.space", i), "Y"); err != nil {
+		if err := b.PublishAtoms(fmt.Sprintf("wf%d.ginflow.space", i), strAtoms("Y")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,12 +216,12 @@ func TestShardsIsolateOccupancy(t *testing.T) {
 	quietSub, _ := b.Subscribe(quiet + "t")
 	// 40 messages × 5 model seconds back up the busy shard for ~200 ms.
 	for i := 0; i < 40; i++ {
-		if err := b.Publish(busy+"t", "x"); err != nil {
+		if err := b.PublishAtoms(busy+"t", strAtoms("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start := time.Now()
-	if err := b.Publish(quiet+"t", "y"); err != nil {
+	if err := b.PublishAtoms(quiet+"t", strAtoms("y")); err != nil {
 		t.Fatal(err)
 	}
 	recvOne(t, quietSub)
@@ -244,7 +244,7 @@ func TestBatchDelivery(t *testing.T) {
 	const n = 500
 	go func() {
 		for i := 0; i < n; i++ {
-			_ = b.Publish("t", fmt.Sprintf("m%d", i))
+			_ = b.PublishAtoms("t", strAtoms(fmt.Sprintf("m%d", i)))
 		}
 	}()
 	received := 0
@@ -260,8 +260,8 @@ func TestBatchDelivery(t *testing.T) {
 			sawMulti = true
 		}
 		for _, m := range batch {
-			if want := fmt.Sprintf("m%d", received); m.Payload != want {
-				t.Fatalf("out of order: got %q, want %q", m.Payload, want)
+			if want := fmt.Sprintf("m%d", received); strOf(m) != want {
+				t.Fatalf("out of order: got %q, want %q", strOf(m), want)
 			}
 			received++
 		}

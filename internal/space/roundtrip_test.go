@@ -24,42 +24,6 @@ func statusPayload(t *testing.T) []hocl.Atom {
 	}
 }
 
-// TestStructuralAndTextualPayloadsEquivalent is the round-trip
-// equivalence guarantee of the zero-reparse path: folding a structural
-// payload into a space produces exactly the state that rendering the same
-// payload to text and re-parsing it produces.
-func TestStructuralAndTextualPayloadsEquivalent(t *testing.T) {
-	atoms := statusPayload(t)
-
-	structural := New()
-	if !structural.ApplyMessage(mq.Message{Atoms: atoms}) {
-		t.Fatal("structural payload rejected")
-	}
-	textual := New()
-	if !textual.ApplyMessage(mq.Message{Payload: hocl.FormatMolecules(atoms)}) {
-		t.Fatal("textual payload rejected")
-	}
-
-	if s, x := structural.Status("T3"), textual.Status("T3"); s != x {
-		t.Errorf("status diverged: structural=%v textual=%v", s, x)
-	}
-	sres, xres := structural.Results("T3"), textual.Results("T3")
-	if len(sres) != len(xres) {
-		t.Fatalf("result count diverged: %d vs %d", len(sres), len(xres))
-	}
-	for i := range sres {
-		if !sres[i].Equal(xres[i]) {
-			t.Errorf("result %d diverged: %v vs %v", i, sres[i], xres[i])
-		}
-	}
-	if s, x := structural.Triggered(), textual.Triggered(); len(s) != 1 || len(x) != 1 || s[0] != x[0] {
-		t.Errorf("triggers diverged: %v vs %v", s, x)
-	}
-	if !structural.Snapshot().Equal(textual.Snapshot()) {
-		t.Errorf("global snapshots diverged:\n%v\nvs\n%v", structural.Snapshot(), textual.Snapshot())
-	}
-}
-
 // TestStructuralApplyDoesNotAliasMutations pins the freeze contract from
 // the consumer side: a snapshot taken from the space stays stable even if
 // the snapshot's caller mutates it.

@@ -75,18 +75,17 @@ func (st *taskState) ensureHashed() {
 
 // Space is the shared multiset. It is safe for concurrent use.
 type Space struct {
-	mu        sync.Mutex
-	tasks     map[string]*taskState // task name -> latest sub-solution
-	markers   []hocl.Atom           // TRIGGER markers and other global molecules
-	changed   chan struct{}
+	mu      sync.Mutex
+	tasks   map[string]*taskState // task name -> latest sub-solution
+	markers []hocl.Atom           // TRIGGER markers and other global molecules
+	changed chan struct{}
 	// cond, set by SetClock on a virtual clock, is the scheduler-aware
 	// update signal: a single-run-token schedule cannot express the
 	// changed-channel rendezvous, so virtual-mode waiters park on the
 	// Cond and every update broadcasts it (alongside the channel, which
 	// real-mode waiters keep using).
-	cond *cluster.Cond
-	updates   int64
-	malformed int
+	cond    *cluster.Cond
+	updates int64
 
 	deltasApplied  int64
 	deltaFallbacks int64
@@ -554,19 +553,17 @@ func (s *Space) applyBatchChaos(batch []mq.Message) {
 	}
 }
 
-// FlushDeferred folds every chaos-deferred message immediately,
-// returning how many decoded. The engine calls it after the chaos
-// settle window, before reading results — deferred state must land
-// before anyone fingerprints the space.
-func (s *Space) FlushDeferred() int {
+// FlushDeferred folds every chaos-deferred message immediately. The
+// engine calls it after the chaos settle window, before reading results
+// — deferred state must land before anyone fingerprints the space.
+func (s *Space) FlushDeferred() {
 	s.deferMu.Lock()
 	pending := s.deferred
 	s.deferred = nil
 	s.deferMu.Unlock()
-	if len(pending) == 0 {
-		return 0
+	if len(pending) > 0 {
+		s.ApplyBatch(pending)
 	}
-	return s.ApplyBatch(pending)
 }
 
 // TaskStates returns a copy-on-write snapshot of every task's recorded
@@ -584,37 +581,26 @@ func (s *Space) TaskStates() map[string]*hocl.Solution {
 }
 
 // ApplyBatch folds a batch of status messages into the space under one
-// lock acquisition and one waiter wakeup, returning how many decoded.
-// The batch slice is not retained — safe to call with a broker-owned
-// batch.
-func (s *Space) ApplyBatch(msgs []mq.Message) int {
-	n := 0
+// lock acquisition and one waiter wakeup. The atoms are stored by
+// reference (the zero-reparse path). The batch slice is not retained —
+// safe to call with a broker-owned batch.
+func (s *Space) ApplyBatch(msgs []mq.Message) {
 	s.mu.Lock()
 	applied := int64(0)
 	for i := range msgs {
-		if s.applyMessageLocked(msgs[i], &applied) {
-			n++
-		}
+		s.applyAtomsLocked(msgs[i].Atoms, &applied)
 	}
 	s.finishApplyLocked(applied)
 	fn, want := s.takeResyncLocked()
 	s.mu.Unlock()
 	fireResync(fn, want)
-	return n
 }
 
 // ApplyMessage folds one status message into the space, reporting
-// whether it decoded. Structural payloads are stored by reference — the
-// zero-reparse path; textual payloads are parsed first.
+// whether it carried any molecule; a message without atoms is a no-op.
 func (s *Space) ApplyMessage(msg mq.Message) bool {
-	s.mu.Lock()
-	applied := int64(0)
-	ok := s.applyMessageLocked(msg, &applied)
-	s.finishApplyLocked(applied)
-	fn, want := s.takeResyncLocked()
-	s.mu.Unlock()
-	fireResync(fn, want)
-	return ok
+	s.ApplyBatch([]mq.Message{msg})
+	return len(msg.Atoms) > 0
 }
 
 // takeResyncLocked drains the resync requests accumulated by the fold
@@ -652,26 +638,6 @@ func (s *Space) finishApplyLocked(applied int64) {
 	if s.cond != nil {
 		s.cond.Broadcast()
 	}
-}
-
-func (s *Space) applyMessageLocked(msg mq.Message, applied *int64) bool {
-	if msg.Structural() {
-		s.applyAtomsLocked(msg.Atoms, applied)
-		return true
-	}
-	atoms, err := hocl.ParseMolecules(msg.Payload)
-	if err != nil {
-		s.malformed++
-		return false
-	}
-	s.applyAtomsLocked(atoms, applied)
-	return true
-}
-
-// Apply folds one textual status payload into the space, reporting
-// whether it parsed.
-func (s *Space) Apply(payload string) bool {
-	return s.ApplyMessage(mq.Message{Payload: payload})
 }
 
 // applyAtomsLocked routes each molecule: task tuples (Name:<...>)
@@ -826,11 +792,4 @@ func (s *Space) deltaFallbackLocked(task string) {
 	s.resyncPending[task] = true
 	s.resyncSent++
 	s.resyncWant = append(s.resyncWant, task)
-}
-
-// Malformed returns the number of undecodable payloads seen.
-func (s *Space) Malformed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.malformed
 }

@@ -70,9 +70,19 @@ func TestSnapshotIsDetached(t *testing.T) {
 	}
 }
 
+// molecules parses a literal status payload.
+func molecules(t *testing.T, src string) []hocl.Atom {
+	t.Helper()
+	atoms, err := hocl.ParseMolecules(src)
+	if err != nil {
+		t.Fatalf("ParseMolecules(%q): %v", src, err)
+	}
+	return atoms
+}
+
 func TestApplyPayloads(t *testing.T) {
 	s := New()
-	if !s.Apply(`T1:<SRC:<>, RES:<"r">>, TRIGGER:"a1"`) {
+	if !s.ApplyMessage(mq.Message{Atoms: molecules(t, `T1:<SRC:<>, RES:<"r">>, TRIGGER:"a1"`)}) {
 		t.Fatal("valid payload rejected")
 	}
 	if got := s.Status("T1"); got != hoclflow.StatusCompleted {
@@ -81,11 +91,14 @@ func TestApplyPayloads(t *testing.T) {
 	if got := s.Triggered(); len(got) != 1 || got[0] != "a1" {
 		t.Errorf("triggered = %v", got)
 	}
-	if s.Apply("<<<garbage") {
-		t.Error("malformed payload accepted")
+	// A message without atoms is a no-op: nothing folds in, no waiter
+	// wakes.
+	before, updates := s.Snapshot(), s.Updates()
+	if s.ApplyMessage(mq.Message{}) {
+		t.Error("message without atoms reported as applied")
 	}
-	if s.Malformed() != 1 {
-		t.Errorf("malformed count = %d", s.Malformed())
+	if !s.Snapshot().Equal(before) || s.Updates() != updates {
+		t.Error("message without atoms changed the space")
 	}
 }
 
@@ -133,7 +146,7 @@ func TestServeConsumesBrokerTopic(t *testing.T) {
 	// Give Serve a moment to subscribe before publishing.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := broker.Publish(DefaultTopic, `T1:<SRC:<>, RES:<"ok">>`); err != nil {
+		if err := broker.PublishAtoms(DefaultTopic, molecules(t, `T1:<SRC:<>, RES:<"ok">>`)); err != nil {
 			t.Fatal(err)
 		}
 		if s.Status("T1") == hoclflow.StatusCompleted {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ginflow/internal/cluster"
+	"ginflow/internal/hocl"
 	"ginflow/internal/mq"
 )
 
@@ -33,11 +34,12 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	ping := []hocl.Atom{hocl.Str("ping")}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if err := rb.Publish("sa.rt", "ping"); err != nil {
+		if err := rb.PublishAtoms("sa.rt", ping); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := sub.Next(ctx); err != nil {

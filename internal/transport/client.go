@@ -136,7 +136,7 @@ func (rb *RemoteBroker) connect() (net.Conn, error) {
 	w, err := parseWelcome(payload)
 	if err != nil || w.version != protocolVersion {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: bad welcome (err %v)", err)
+		return nil, fmt.Errorf("transport: handshake: bad welcome (version %d, want %d, err %v)", w.version, protocolVersion, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	rb.mu.Lock()
@@ -353,18 +353,9 @@ func (rb *RemoteBroker) sendSessionJSON(typ byte, session uint64, blob []byte) {
 	})
 }
 
-// Publish sends a textual message to the serving broker.
-func (rb *RemoteBroker) Publish(topic, payload string) error {
-	return rb.publish(topic, kindTextual, []byte(payload))
-}
-
-// PublishAtoms sends a structural message, encoded with the hocl wire
-// codec, to the serving broker.
+// PublishAtoms sends a message, encoded with the hocl wire codec, to
+// the serving broker.
 func (rb *RemoteBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
-	return rb.publish(topic, kindStructural, hocl.EncodeAtoms(atoms))
-}
-
-func (rb *RemoteBroker) publish(topic string, kind byte, data []byte) error {
 	rb.mu.Lock()
 	if rb.closed {
 		rb.mu.Unlock()
@@ -372,7 +363,7 @@ func (rb *RemoteBroker) publish(topic string, kind byte, data []byte) error {
 	}
 	rb.published[topic]++
 	rb.mu.Unlock()
-	p := publishFrame{topic: topic, kind: kind, data: data}
+	p := publishFrame{topic: topic, data: hocl.EncodeAtoms(atoms)}
 	rb.link.send(fPublish, func(seq uint64) []byte { return encodePublish(seq, p) })
 	return nil
 }

@@ -40,7 +40,7 @@ import (
 
 // protocolVersion is the frame protocol version carried in HELLO and
 // WELCOME; a mismatch fails the handshake.
-const protocolVersion = 1
+const protocolVersion = 2
 
 // maxFrame bounds a frame's length prefix (type byte + payload). A peer
 // announcing more is protocol-corrupt and the connection is dropped
@@ -59,7 +59,7 @@ const (
 
 	fSubscribe   byte = 16 // client→server: subID, topic
 	fUnsubscribe byte = 17 // client→server: subID
-	fPublish     byte = 18 // client→server: topic, kind, data
+	fPublish     byte = 18 // client→server: topic, data
 	fBatch       byte = 19 // server→client: subID, count, messages
 	fAssign      byte = 20 // server→client: session, assignment JSON
 	fReady       byte = 21 // client→server: session
@@ -76,12 +76,6 @@ const (
 
 // reliable reports whether a frame type carries a sequence number.
 func reliable(typ byte) bool { return typ >= fSubscribe }
-
-// Message payload kinds inside PUBLISH / BATCH / LOGRESP entries.
-const (
-	kindTextual    byte = 0 // data is the payload string's bytes
-	kindStructural byte = 1 // data is hocl wire-encoded atoms
-)
 
 // errFrame is the root of every frame-decode error; the fuzz harness
 // asserts decoding either succeeds or returns an error wrapping it —
@@ -275,15 +269,14 @@ func parseWelcome(payload []byte) (welcomeFrame, error) {
 	return w, c.done()
 }
 
-// wireMsg is one broker message inside a BATCH or LOGRESP frame.
+// wireMsg is one broker message inside a BATCH or LOGRESP frame; data is
+// its atoms in the hocl wire codec.
 type wireMsg struct {
-	kind   byte
 	offset int64
 	data   []byte
 }
 
 func appendWireMsg(dst []byte, m wireMsg) []byte {
-	dst = append(dst, m.kind)
 	dst = binary.AppendVarint(dst, m.offset)
 	return appendBytes(dst, m.data)
 }
@@ -291,43 +284,23 @@ func appendWireMsg(dst []byte, m wireMsg) []byte {
 func (c *cursor) wireMsg() (wireMsg, error) {
 	var m wireMsg
 	var err error
-	if m.kind, err = c.u8(); err != nil {
-		return m, err
-	}
-	if m.kind != kindTextual && m.kind != kindStructural {
-		return m, c.errf("unknown message kind %d", m.kind)
-	}
 	if m.offset, err = c.varint(); err != nil {
 		return m, err
 	}
-	m.data, err = c.data()
+	m.data, err = c.bytes()
 	return m, err
 }
 
-// data reads a blob like bytes but always returns a non-nil slice, so a
-// structural message with zero atoms stays structural on the far side.
-func (c *cursor) data() ([]byte, error) {
-	b, err := c.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		b = []byte{}
-	}
-	return b, nil
-}
-
-// publishFrame is a client publish: one topic, one message body.
+// publishFrame is a client publish: one topic, one message's atoms in
+// the hocl wire codec.
 type publishFrame struct {
 	topic string
-	kind  byte
 	data  []byte
 }
 
 func encodePublish(seq uint64, p publishFrame) []byte {
 	buf := binary.AppendUvarint(nil, seq)
 	buf = appendString(buf, p.topic)
-	buf = append(buf, p.kind)
 	return appendBytes(buf, p.data)
 }
 
@@ -338,13 +311,7 @@ func parsePublish(c *cursor) (publishFrame, error) {
 	if p.topic, err = c.str(); err != nil {
 		return p, err
 	}
-	if p.kind, err = c.u8(); err != nil {
-		return p, err
-	}
-	if p.kind != kindTextual && p.kind != kindStructural {
-		return p, c.errf("unknown message kind %d", p.kind)
-	}
-	if p.data, err = c.data(); err != nil {
+	if p.data, err = c.bytes(); err != nil {
 		return p, err
 	}
 	return p, c.done()
@@ -366,7 +333,7 @@ func (c *cursor) msgs() ([]wireMsg, error) {
 		return nil, err
 	}
 	if n > uint64(len(c.buf)-c.off) {
-		// Each message costs at least 3 bytes; a count beyond the
+		// Each message costs at least 2 bytes; a count beyond the
 		// remaining payload is corrupt, rejected before allocation.
 		return nil, c.errf("message count %d exceeds remaining %d bytes", n, len(c.buf)-c.off)
 	}

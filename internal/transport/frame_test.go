@@ -44,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestPublishRoundTrip(t *testing.T) {
 	atoms := []hocl.Atom{hocl.Str("hello"), hocl.Int(3)}
-	p := publishFrame{topic: "wf1.space", kind: kindStructural, data: hocl.EncodeAtoms(atoms)}
+	p := publishFrame{topic: "wf1.space", data: hocl.EncodeAtoms(atoms)}
 	payload := encodePublish(99, p)
 	c := cursor{buf: payload}
 	seq, err := c.uvarint()
@@ -55,7 +55,7 @@ func TestPublishRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.topic != p.topic || got.kind != p.kind || !bytes.Equal(got.data, p.data) {
+	if got.topic != p.topic || !bytes.Equal(got.data, p.data) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	back, err := hocl.DecodeAtoms(got.data)
@@ -66,8 +66,8 @@ func TestPublishRoundTrip(t *testing.T) {
 
 func TestMsgsRoundTrip(t *testing.T) {
 	msgs := []wireMsg{
-		{kind: kindTextual, offset: -1, data: []byte("DONE")},
-		{kind: kindStructural, offset: 12, data: hocl.EncodeAtoms([]hocl.Atom{hocl.Int(1)})},
+		{offset: -1, data: hocl.EncodeAtoms([]hocl.Atom{hocl.Ident("DONE")})},
+		{offset: 12, data: hocl.EncodeAtoms(nil)},
 	}
 	buf := encodeMsgs(binary.AppendUvarint(nil, 5), msgs)
 	c := cursor{buf: buf}
@@ -81,7 +81,8 @@ func TestMsgsRoundTrip(t *testing.T) {
 	if err := c.done(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].offset != -1 || string(got[0].data) != "DONE" || got[1].kind != kindStructural {
+	if len(got) != 2 || got[0].offset != -1 || got[1].offset != 12 ||
+		!bytes.Equal(got[0].data, msgs[0].data) || !bytes.Equal(got[1].data, msgs[1].data) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -122,10 +123,23 @@ func TestParseFrameRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-func TestParseFrameRejectsBadKind(t *testing.T) {
-	p := encodePublish(1, publishFrame{topic: "t", kind: 7, data: []byte("x")})
-	if err := parseFrame(fPublish, p); !errors.Is(err, errFrame) {
-		t.Fatalf("err = %v, want errFrame", err)
+// v1Publish builds a protocol-version-1 PUBLISH payload, which carried
+// a kind byte (0 textual, 1 structural) between the topic and the data.
+func v1Publish(seq uint64, topic string, kind byte, data []byte) []byte {
+	buf := appendString(binary.AppendUvarint(nil, seq), topic)
+	return appendBytes(append(buf, kind), data)
+}
+
+// TestParseFrameRejectsV1Publish: the HELLO version check keeps old
+// peers out, but a version-1 PUBLISH that did arrive is refused by the
+// parser rather than mis-framed — the old kind byte reads as a data
+// length that leaves trailing bytes.
+func TestParseFrameRejectsV1Publish(t *testing.T) {
+	atoms := hocl.EncodeAtoms([]hocl.Atom{hocl.Int(1)})
+	for kind, data := range map[byte][]byte{0: []byte("DONE"), 1: atoms} {
+		if err := parseFrame(fPublish, v1Publish(1, "t", kind, data)); !errors.Is(err, errFrame) {
+			t.Errorf("kind %d: err = %v, want errFrame", kind, err)
+		}
 	}
 }
 
@@ -148,20 +162,19 @@ func FuzzFrameDecode(f *testing.F) {
 
 	atoms := hocl.EncodeAtoms([]hocl.Atom{hocl.Str("res"), hocl.Int(42)})
 	msgsBody := encodeMsgs(binary.AppendUvarint(seq(nil), 2), []wireMsg{
-		{kind: kindTextual, offset: -1, data: []byte("DONE")},
-		{kind: kindStructural, offset: 3, data: atoms},
+		{offset: -1, data: hocl.EncodeAtoms(nil)},
+		{offset: 3, data: atoms},
 	})
 
 	// One valid frame of every type.
-	f.Add(wire(fHello, encodeHello(helloFrame{version: 1, nodeID: 0, lastSeq: 0, name: "n"})))
-	f.Add(wire(fWelcome, encodeWelcome(welcomeFrame{version: 1, nodeID: 4, lastSeq: 2})))
+	f.Add(wire(fHello, encodeHello(helloFrame{version: protocolVersion, nodeID: 0, lastSeq: 0, name: "n"})))
+	f.Add(wire(fWelcome, encodeWelcome(welcomeFrame{version: protocolVersion, nodeID: 4, lastSeq: 2})))
 	f.Add(wire(fPing, nil))
 	f.Add(wire(fPong, nil))
 	f.Add(wire(fAck, binary.AppendUvarint(nil, 17)))
 	f.Add(wire(fSubscribe, appendString(binary.AppendUvarint(seq(nil), 1), "wf1.space")))
 	f.Add(wire(fUnsubscribe, binary.AppendUvarint(seq(nil), 1)))
-	f.Add(wire(fPublish, encodePublish(1, publishFrame{topic: "sa.t", kind: kindStructural, data: atoms})))
-	f.Add(wire(fPublish, encodePublish(2, publishFrame{topic: "sa.t", kind: kindTextual, data: []byte("hi")})))
+	f.Add(wire(fPublish, encodePublish(1, publishFrame{topic: "sa.t", data: atoms})))
 	f.Add(wire(fBatch, msgsBody))
 	f.Add(wire(fLogResp, msgsBody))
 	f.Add(wire(fLogReq, appendString(binary.AppendUvarint(seq(nil), 9), "sa.t")))
@@ -175,15 +188,16 @@ func FuzzFrameDecode(f *testing.F) {
 
 	// Hostile shapes.
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})                                                             // zero length
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, fPing})                                          // oversized length
-	f.Add(frameBytesRaw(2, []byte{0, 'x'}))                                               // type zero
-	f.Add(frameBytesRaw(2, []byte{200, 'x'}))                                             // bad control tag
-	f.Add(wire(fPing, nil)[:3])                                                           // torn header
-	f.Add(wire(fHello, []byte{1})[:6])                                                    // torn payload
-	f.Add(wire(fPublish, encodePublish(1, publishFrame{topic: "t", kind: 9, data: nil}))) // bad kind
-	f.Add(wire(fBatch, binary.AppendUvarint(seq(nil), ^uint64(0))))                       // absurd count
-	f.Add(wire(fUnsubscribe, append(binary.AppendUvarint(seq(nil), 1), 0xde, 0xad)))      // trailing bytes
+	f.Add([]byte{0, 0, 0, 0})                                                        // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, fPing})                                     // oversized length
+	f.Add(frameBytesRaw(2, []byte{0, 'x'}))                                          // type zero
+	f.Add(frameBytesRaw(2, []byte{200, 'x'}))                                        // bad control tag
+	f.Add(wire(fPing, nil)[:3])                                                      // torn header
+	f.Add(wire(fHello, []byte{1})[:6])                                               // torn payload
+	f.Add(wire(fPublish, v1Publish(1, "sa.t", 1, atoms)))                            // version-1 layout, structural
+	f.Add(wire(fPublish, v1Publish(2, "sa.t", 0, []byte("hi"))))                     // version-1 layout, textual
+	f.Add(wire(fBatch, binary.AppendUvarint(seq(nil), ^uint64(0))))                  // absurd count
+	f.Add(wire(fUnsubscribe, append(binary.AppendUvarint(seq(nil), 1), 0xde, 0xad))) // trailing bytes
 	two := append(wire(fPing, nil), wire(fAck, binary.AppendUvarint(nil, 1))...)
 	f.Add(two) // multiple frames per input
 

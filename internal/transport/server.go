@@ -487,52 +487,26 @@ func (s *Server) chaosGo(delay float64, fn func()) {
 	}()
 }
 
-// publish lands one remote publish on the broker. Undecodable
-// structural payloads are dropped — a poisoned frame must not kill the
-// bridge (the same resilience contract the agents apply to their
-// inboxes).
+// publish lands one remote publish on the broker. Undecodable payloads
+// are dropped — a poisoned frame must not kill the bridge.
 func (s *Server) publish(p publishFrame) {
-	if p.kind == kindStructural {
-		atoms, err := hocl.DecodeAtoms(p.data)
-		if err != nil {
-			return
-		}
-		_ = s.cfg.Broker.PublishAtoms(p.topic, atoms)
+	atoms, err := hocl.DecodeAtoms(p.data)
+	if err != nil {
 		return
 	}
-	_ = s.cfg.Broker.Publish(p.topic, string(p.data))
+	_ = s.cfg.Broker.PublishAtoms(p.topic, atoms)
 }
 
 // toWireMsg encodes a broker message for the wire, copying the payload
 // out of the broker-owned batch buffer.
 func toWireMsg(m mq.Message) wireMsg {
-	w := wireMsg{offset: int64(m.Offset)}
-	if m.Structural() {
-		w.kind = kindStructural
-		w.data = hocl.EncodeAtoms(m.Atoms)
-	} else {
-		w.kind = kindTextual
-		w.data = []byte(m.Payload)
-	}
-	return w
+	return wireMsg{offset: int64(m.Offset), data: hocl.EncodeAtoms(m.Atoms)}
 }
 
 // fromWireMsg decodes a wire message back into a broker message.
 func fromWireMsg(topic string, w wireMsg) (mq.Message, error) {
-	m := mq.Message{Topic: topic, Offset: int(w.offset)}
-	if w.kind == kindStructural {
-		atoms, err := hocl.DecodeAtoms(w.data)
-		if err != nil {
-			return m, err
-		}
-		if atoms == nil {
-			atoms = []hocl.Atom{}
-		}
-		m.Atoms = atoms
-		return m, nil
-	}
-	m.Payload = string(w.data)
-	return m, nil
+	atoms, err := hocl.DecodeAtoms(w.data)
+	return mq.Message{Topic: topic, Offset: int(w.offset), Atoms: atoms}, err
 }
 
 // Assignment is the work order a remote session sends each worker: the

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -77,6 +78,18 @@ func (f *feed) recv(t *testing.T, timeout time.Duration) mq.Message {
 	return m
 }
 
+// strAtoms wraps an opaque test payload as a one-string message body;
+// strOf reads it back.
+func strAtoms(s string) []hocl.Atom { return []hocl.Atom{hocl.Str(s)} }
+
+func strOf(m mq.Message) string {
+	if len(m.Atoms) != 1 {
+		return fmt.Sprintf("<%d atoms>", len(m.Atoms))
+	}
+	s, _ := m.Atoms[0].(hocl.Str)
+	return string(s)
+}
+
 func TestHandshakeAssignsNodeIDs(t *testing.T) {
 	srv, _, _ := newTestServer(t, nil)
 	a := dialTest(t, srv, "a")
@@ -89,22 +102,73 @@ func TestHandshakeAssignsNodeIDs(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesOtherVersion: a peer speaking another protocol
+// version is turned away at the handshake, on either side, before any
+// message frame could be mis-read.
+func TestHandshakeRefusesOtherVersion(t *testing.T) {
+	const old = protocolVersion - 1
+
+	// Server side: an old HELLO gets the connection closed, no identity.
+	srv, _, _ := newTestServer(t, nil)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, fHello, encodeHello(helloFrame{version: old, name: "old"})); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := readFrame(conn); err == nil {
+		t.Fatalf("old HELLO answered with frame type %d; want the connection closed", typ)
+	}
+	if srv.NodeCount() != 0 {
+		t.Fatalf("old HELLO was assigned an identity: %d nodes", srv.NodeCount())
+	}
+
+	// Client side: an old WELCOME fails Dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if typ, _, err := readFrame(c); err != nil || typ != fHello {
+			return
+		}
+		_ = writeFrame(c, fWelcome, encodeWelcome(welcomeFrame{version: old, nodeID: 1}))
+		// Hold the socket open until the client hangs up, so the error
+		// it reports is the version check and not a reset.
+		_, _, _ = readFrame(c)
+	}()
+	rb, err := Dial(ln.Addr().String(), DialConfig{Name: "new"})
+	if err == nil {
+		rb.Close()
+		t.Fatal("Dial accepted an old WELCOME")
+	}
+}
+
 func TestRemotePublishReachesBroker(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "pub")
 	sub := subscribe(t, br, "sa.t")
-	if err := rb.Publish("sa.t", "hello"); err != nil {
+	if err := rb.PublishAtoms("sa.t", strAtoms("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if m := sub.recv(t, 5*time.Second); m.Payload != "hello" || m.Structural() {
+	if m := sub.recv(t, 5*time.Second); strOf(m) != "hello" {
 		t.Fatalf("got %+v", m)
 	}
 	if err := rb.PublishAtoms("sa.t", []hocl.Atom{hocl.Str("res"), hocl.Int(7)}); err != nil {
 		t.Fatal(err)
 	}
 	m := sub.recv(t, 5*time.Second)
-	if !m.Structural() || len(m.Atoms) != 2 {
-		t.Fatalf("structural publish arrived as %+v", m)
+	if len(m.Atoms) != 2 || !m.Atoms[0].Equal(hocl.Str("res")) || !m.Atoms[1].Equal(hocl.Int(7)) {
+		t.Fatalf("two-atom publish arrived as %+v", m)
 	}
 	if rb.Published() != 2 || rb.PublishedPrefix("sa.") != 2 {
 		t.Fatalf("local counters: %d / %d", rb.Published(), rb.PublishedPrefix("sa."))
@@ -115,18 +179,18 @@ func TestRemoteSubscribeReceives(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "sub")
 	sub := subscribe(t, rb, "sa.x")
-	if err := br.Publish("sa.x", "one"); err != nil {
+	if err := br.PublishAtoms("sa.x", strAtoms("one")); err != nil {
 		t.Fatal(err)
 	}
 	if err := br.PublishAtoms("sa.x", []hocl.Atom{hocl.Int(2)}); err != nil {
 		t.Fatal(err)
 	}
 	m1 := sub.recv(t, 5*time.Second)
-	if m1.Topic != "sa.x" || m1.Payload != "one" {
+	if m1.Topic != "sa.x" || strOf(m1) != "one" {
 		t.Fatalf("first: %+v", m1)
 	}
 	m2 := sub.recv(t, 5*time.Second)
-	if !m2.Structural() || len(m2.Atoms) != 1 {
+	if len(m2.Atoms) != 1 || !m2.Atoms[0].Equal(hocl.Int(2)) {
 		t.Fatalf("second: %+v", m2)
 	}
 	// Cancelling unsubscribes remotely; later publishes go nowhere.
@@ -137,10 +201,10 @@ func TestReconnectResumesBothDirections(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "rec")
 	sub := subscribe(t, rb, "sa.r")
-	if err := br.Publish("sa.r", "m1"); err != nil {
+	if err := br.PublishAtoms("sa.r", strAtoms("m1")); err != nil {
 		t.Fatal(err)
 	}
-	if m := sub.recv(t, 5*time.Second); m.Payload != "m1" {
+	if m := sub.recv(t, 5*time.Second); strOf(m) != "m1" {
 		t.Fatalf("pre-drop: %+v", m)
 	}
 
@@ -148,24 +212,24 @@ func TestReconnectResumesBothDirections(t *testing.T) {
 	srv.DropNode(rb.NodeID())
 	// Traffic during the outage queues on both sides' outboxes.
 	for i := 2; i <= 4; i++ {
-		if err := br.Publish("sa.r", fmt.Sprintf("m%d", i)); err != nil {
+		if err := br.PublishAtoms("sa.r", strAtoms(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := rb.Publish("sa.c", "c1"); err != nil {
+	if err := rb.PublishAtoms("sa.c", strAtoms("c1")); err != nil {
 		t.Fatal(err)
 	}
 
 	seen := map[string]int{}
 	for i := 0; i < 3; i++ {
-		seen[sub.recv(t, 10*time.Second).Payload]++
+		seen[strOf(sub.recv(t, 10*time.Second))]++
 	}
 	for i := 2; i <= 4; i++ {
 		if k := fmt.Sprintf("m%d", i); seen[k] != 1 {
 			t.Fatalf("message %s seen %d times (%v)", k, seen[k], seen)
 		}
 	}
-	if m := local.recv(t, 10*time.Second); m.Payload != "c1" {
+	if m := local.recv(t, 10*time.Second); strOf(m) != "c1" {
 		t.Fatalf("client publish during outage: %+v", m)
 	}
 	if srv.NodeCount() != 1 {
@@ -176,7 +240,7 @@ func TestReconnectResumesBothDirections(t *testing.T) {
 func TestLogRoundTrip(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 	rb := dialTest(t, srv, "log")
-	if err := br.Publish("sa.log", "zero"); err != nil {
+	if err := br.PublishAtoms("sa.log", strAtoms("zero")); err != nil {
 		t.Fatal(err)
 	}
 	if err := br.PublishAtoms("sa.log", []hocl.Atom{hocl.Str("one")}); err != nil {
@@ -186,10 +250,10 @@ func TestLogRoundTrip(t *testing.T) {
 	if len(msgs) != 2 {
 		t.Fatalf("Log returned %d messages, want 2", len(msgs))
 	}
-	if msgs[0].Payload != "zero" || msgs[0].Topic != "sa.log" || msgs[0].Offset != 0 {
+	if strOf(msgs[0]) != "zero" || msgs[0].Topic != "sa.log" || msgs[0].Offset != 0 {
 		t.Fatalf("first: %+v", msgs[0])
 	}
-	if !msgs[1].Structural() || msgs[1].Offset != 1 {
+	if strOf(msgs[1]) != "one" || msgs[1].Offset != 1 {
 		t.Fatalf("second: %+v", msgs[1])
 	}
 }
@@ -210,7 +274,7 @@ func TestSocketChaosLosesNothing(t *testing.T) {
 	}
 	const n = 60
 	for i := 0; i < n; i++ {
-		if err := rb.Publish("sa.chaos", fmt.Sprintf("p%d", i)); err != nil {
+		if err := rb.PublishAtoms("sa.chaos", strAtoms(fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +289,7 @@ func TestSocketChaosLosesNothing(t *testing.T) {
 			t.Fatalf("only %d/%d distinct payloads arrived under chaos: %v", len(seen), n, err)
 		}
 		for _, m := range batch {
-			seen[m.Payload] = true
+			seen[strOf(m)] = true
 		}
 	}
 	if chaos.Faults() == 0 {
