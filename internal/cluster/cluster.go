@@ -326,9 +326,30 @@ func (c *Cluster) TotalSlots() int {
 
 // Rand derives a new deterministic RNG stream from the cluster seed.
 // Each caller gets an independent stream, so concurrent consumers do not
-// contend on one generator.
+// contend on one generator. The stream's seed is drawn here, so streams
+// depend only on the order of Rand calls; its 607-word generator state
+// is built on the first draw, so a stream nobody draws from (an agent
+// whose service has a fixed Duration) costs one word.
 func (c *Cluster) Rand() *rand.Rand {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return rand.New(rand.NewSource(c.rng.Int63()))
+	return rand.New(&lazySource{seed: c.rng.Int63()})
 }
+
+// lazySource is rand.NewSource(seed), seeded on first use: every value
+// it yields is the one the eagerly seeded source would.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }

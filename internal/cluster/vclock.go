@@ -32,8 +32,8 @@ import (
 // as a deterministic hang (debuggable), never as a flaky timestamp.
 
 // waiter states. A waiter is created per blocking call, lives in at
-// most one of the timer heap / a Cond's list plus optionally the
-// interruptible list, and is granted the run token exactly once.
+// most one of the timer heap / a Cond's list plus optionally one
+// context group, and is granted the run token exactly once.
 const (
 	stBlocked = iota // parked on a timer deadline or a Cond
 	stQueued         // moved to the ready queue, awaiting the token
@@ -51,7 +51,16 @@ type vwaiter struct {
 	// lock before the grant send, read by the woken goroutine after the
 	// grant receive.
 	interrupted bool
-	done        <-chan struct{} // ctx.Done(); nil when not interruptible
+	group       *ctxGroup // the context that can break this block; nil when not interruptible
+}
+
+// ctxGroup is the interruptible waiters of one context, keyed by its
+// Done channel. Thousands of parked agents share a session's context, so
+// a sweep asks each *context* whether it has ended, not each waiter.
+type ctxGroup struct {
+	done    <-chan struct{}
+	waiters []*vwaiter // registration order; entries that left stBlocked are stale
+	live    int        // waiters still stBlocked
 }
 
 // timerHeap orders waiters by (deadline, registration seq).
@@ -64,8 +73,8 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(*vwaiter)) }
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*vwaiter)) }
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -84,13 +93,16 @@ type vsched struct {
 	running bool // the run token is held by some participant
 	ready   []*vwaiter
 	timers  timerHeap
-	// intr lists waiters whose block can be broken by a context ending.
-	// Entries are swept (and stale ones compacted away) every time the
-	// scheduler is about to advance model time, and polled on a real
-	// timer when the schedule is otherwise idle, so even a stalled run
-	// can be torn down by a real-time timeout.
-	intr     []*vwaiter
-	idleArm  bool // an idle-poll AfterFunc is pending
+	// groups holds, per context, the waiters whose block that context's
+	// ending can break; a group leaves the map when its last waiter
+	// leaves stBlocked. order lists the groups for the sweep, which runs
+	// (and drops emptied groups) every time the scheduler is about to
+	// advance model time, and on a real timer when the schedule is
+	// otherwise idle, so even a stalled run can be torn down by a
+	// real-time timeout.
+	groups  map[<-chan struct{}]*ctxGroup
+	order   []*ctxGroup
+	idleArm bool // an idle-poll AfterFunc is pending
 
 	// holder is the goroutine id of the current run-token holder, 0
 	// while the token is in flight or free. Blocking calls compare it
@@ -103,7 +115,9 @@ type vsched struct {
 	holder uint64
 }
 
-func newVsched() *vsched { return &vsched{} }
+func newVsched() *vsched {
+	return &vsched{groups: map[<-chan struct{}]*ctxGroup{}}
+}
 
 // goid parses the current goroutine's id from its runtime.Stack header
 // ("goroutine N [...]"). ~1µs; only virtual-mode scheduler operations
@@ -143,6 +157,54 @@ func (v *vsched) newWaiter() *vwaiter {
 	return &vwaiter{seq: v.seq, grant: make(chan struct{}, 1), state: stBlocked}
 }
 
+// watchLocked makes w's block interruptible by ctx ending. ctx may be
+// nil or never-ending (uninterruptible).
+func (v *vsched) watchLocked(w *vwaiter, ctx context.Context) {
+	if ctx == nil {
+		return
+	}
+	done := ctx.Done()
+	if done == nil {
+		return
+	}
+	g := v.groups[done]
+	if g == nil {
+		g = &ctxGroup{done: done}
+		v.groups[done] = g
+		v.order = append(v.order, g)
+	}
+	// Compact once stale entries outnumber live ones 2:1 (amortised O(1)
+	// per registration), so a long-lived context's slice stays O(live).
+	if len(g.waiters) > 3*g.live+8 {
+		kept := g.waiters[:0]
+		for _, o := range g.waiters {
+			if o.state == stBlocked {
+				kept = append(kept, o)
+			}
+		}
+		clear(g.waiters[len(kept):])
+		g.waiters = kept
+	}
+	g.waiters = append(g.waiters, w)
+	g.live++
+	w.group = g
+}
+
+// unwatchLocked records that w left stBlocked by its timer or Cond: its
+// context has one waiter fewer to wake.
+func (v *vsched) unwatchLocked(w *vwaiter) {
+	g := w.group
+	if g == nil {
+		return
+	}
+	w.group = nil
+	g.live--
+	if g.live == 0 {
+		delete(v.groups, g.done)
+		g.waiters = nil
+	}
+}
+
 // scheduleLocked hands the run token to the next runnable participant:
 // ready queue first (FIFO), else the earliest pending timer — advancing
 // model time to its deadline. Called with v.mu held and the token free.
@@ -177,6 +239,7 @@ func (v *vsched) scheduleLocked() {
 			if w.at > v.now {
 				v.now = w.at
 			}
+			v.unwatchLocked(w)
 			w.state = stGranted
 			v.running = true
 			w.grant <- struct{}{}
@@ -190,28 +253,35 @@ func (v *vsched) scheduleLocked() {
 }
 
 // sweepCancelledLocked moves every interruptible waiter whose context
-// has ended to the ready queue, in registration order, and compacts
-// stale entries. Reports whether any waiter was moved.
+// has ended to the ready queue, in registration order across contexts,
+// and drops emptied groups. It polls each context once — O(live
+// contexts), not O(parked waiters) — and walks a group's waiters only
+// when its context has ended. Reports whether any waiter was moved.
 func (v *vsched) sweepCancelledLocked() bool {
 	var woken []*vwaiter
-	live := v.intr[:0]
-	for _, w := range v.intr {
-		if w.state != stBlocked {
-			continue // already fired or broadcast; drop the entry
+	live := v.order[:0]
+	for _, g := range v.order {
+		if g.live == 0 {
+			continue // emptied and already out of the map; drop the entry
 		}
 		select {
-		case <-w.done:
-			w.interrupted = true
-			w.state = stQueued
-			woken = append(woken, w)
+		case <-g.done:
+			for _, w := range g.waiters {
+				if w.state != stBlocked {
+					continue // already fired or broadcast
+				}
+				w.interrupted = true
+				w.state = stQueued
+				w.group = nil
+				woken = append(woken, w)
+			}
+			delete(v.groups, g.done)
 		default:
-			live = append(live, w)
+			live = append(live, g)
 		}
 	}
-	for i := len(live); i < len(v.intr); i++ {
-		v.intr[i] = nil
-	}
-	v.intr = live
+	clear(v.order[len(live):])
+	v.order = live
 	if len(woken) == 0 {
 		return false
 	}
@@ -230,15 +300,8 @@ func (v *vsched) armIdlePollLocked() {
 	if v.idleArm {
 		return
 	}
-	blocked := false
-	for _, w := range v.intr {
-		if w.state == stBlocked {
-			blocked = true
-			break
-		}
-	}
-	if !blocked {
-		return
+	if len(v.groups) == 0 {
+		return // nobody parked whom a context could still wake
 	}
 	v.idleArm = true
 	time.AfterFunc(idlePollInterval, func() {
@@ -329,10 +392,7 @@ func (v *vsched) sleep(ctx context.Context, seconds float64) error {
 	w := v.newWaiter()
 	w.at = v.now + seconds
 	heap.Push(&v.timers, w)
-	if ctx != nil && ctx.Done() != nil {
-		w.done = ctx.Done()
-		v.intr = append(v.intr, w)
-	}
+	v.watchLocked(w, ctx)
 	if isHolder {
 		v.running = false
 		v.holder = 0
@@ -399,10 +459,7 @@ func (cd *Cond) Wait(ctx context.Context) error {
 	isHolder := v.running && v.holder == gid
 	w := v.newWaiter()
 	cd.waiters = append(cd.waiters, w)
-	if ctx != nil && ctx.Done() != nil {
-		w.done = ctx.Done()
-		v.intr = append(v.intr, w)
-	}
+	v.watchLocked(w, ctx)
 	if isHolder {
 		v.running = false
 		v.holder = 0
@@ -433,6 +490,7 @@ func (cd *Cond) Broadcast() {
 		if w.state != stBlocked {
 			continue // already woken by cancellation
 		}
+		v.unwatchLocked(w)
 		w.state = stQueued
 		v.ready = append(v.ready, w)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -257,7 +258,7 @@ func TestVirtualScheduleProperty(t *testing.T) {
 }
 
 // FuzzVirtualSchedule feeds arbitrary seeds/sizes through the same
-// property.
+// property and through the shared-context one.
 func FuzzVirtualSchedule(f *testing.F) {
 	f.Add(int64(42), uint8(20))
 	f.Add(int64(7), uint8(3))
@@ -276,5 +277,285 @@ func FuzzVirtualSchedule(f *testing.F) {
 			}
 			last = w.at
 		}
+		checkSharedSchedule(t, seed, size)
 	})
+}
+
+// sharedWake is one wake observed by runSharedSchedule.
+type sharedWake struct {
+	id        int
+	reg       int     // order of the blocking call among all blocking calls of the run
+	at        float64 // model time observed at wake
+	cancelled bool
+}
+
+// runSharedSchedule runs one randomized schedule in which n participants
+// share k ≪ n contexts: a mix of SleepCtx sleepers and Cond waiters (one
+// to three Wait rounds each, woken by three broadcasts), with cancellers
+// that end one to three contexts at a drawn model instant. It returns
+// the observed wakes in order and, per participant, the wakes the plan
+// predicts. Deterministic in seed.
+func runSharedSchedule(t *testing.T, seed int64, n int) (got []sharedWake, want map[int][]sharedWake) {
+	t.Helper()
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	rng := rand.New(rand.NewSource(seed))
+
+	k := 1 + n/8
+	ctxs := make([]context.Context, k)
+	cancels := make([]context.CancelFunc, k)
+	cancelAt := make([]float64, k)
+	for j := range ctxs {
+		ctxs[j], cancels[j] = context.WithCancel(context.Background())
+	}
+	// Cancellers: each ends the next one to three contexts at one instant,
+	// so a single sweep has to merge the waiters of several groups.
+	var cancellers [][]int
+	for j := 0; j < k; {
+		m := 1 + rng.Intn(3)
+		at := rng.Float64() * 12
+		var set []int
+		for ; m > 0 && j < k; m, j = m-1, j+1 {
+			set = append(set, j)
+			cancelAt[j] = at
+		}
+		cancellers = append(cancellers, set)
+	}
+	bcast := []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
+	sort.Float64s(bcast)
+
+	type part struct {
+		id    int
+		ctx   int
+		waits int     // Cond.Wait rounds; 0 for a sleeper
+		d     float64 // sleep duration
+	}
+	plan := make([]part, n)
+	want = map[int][]sharedWake{}
+	for i := range plan {
+		p := part{id: i, ctx: rng.Intn(k)}
+		cat := cancelAt[p.ctx]
+		if rng.Intn(2) == 0 {
+			p.waits = 1 + rng.Intn(3)
+			for _, b := range bcast[:p.waits] {
+				if cat < b {
+					want[i] = append(want[i], sharedWake{id: i, at: cat, cancelled: true})
+					break
+				}
+				want[i] = append(want[i], sharedWake{id: i, at: b})
+			}
+		} else {
+			p.d = 0.01 + rng.Float64()*10
+			if cat < p.d {
+				want[i] = append(want[i], sharedWake{id: i, at: cat, cancelled: true})
+			} else {
+				want[i] = append(want[i], sharedWake{id: i, at: p.d})
+			}
+		}
+		plan[i] = p
+	}
+
+	// reg and got are only touched by the run-token holder.
+	reg := 0
+	record := func(p part, r int, err error) {
+		if err != nil && err != ctxs[p.ctx].Err() {
+			t.Errorf("seed %d: participant %d woke with %v, want its ctx.Err() %v", seed, p.id, err, ctxs[p.ctx].Err())
+		}
+		got = append(got, sharedWake{id: p.id, reg: r, at: c.Now(), cancelled: err != nil})
+	}
+	var wg sync.WaitGroup
+	c.Enter()
+	for _, p := range plan {
+		p := p
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			if p.waits == 0 {
+				reg++
+				r := reg
+				record(p, r, c.SleepCtx(ctxs[p.ctx], p.d))
+				return
+			}
+			for i := 0; i < p.waits; i++ {
+				reg++
+				r := reg
+				err := cond.Wait(ctxs[p.ctx])
+				record(p, r, err)
+				if err != nil {
+					return
+				}
+			}
+		})
+	}
+	for _, b := range bcast {
+		b := b
+		c.Go(func() {
+			c.Sleep(b)
+			cond.Broadcast()
+		})
+	}
+	for _, set := range cancellers {
+		set := set
+		c.Go(func() {
+			c.Sleep(cancelAt[set[0]])
+			for _, j := range set {
+				cancels[j]()
+			}
+		})
+	}
+	c.Exit()
+	wg.Wait()
+	if groups, _, _ := groupStats(c.v); groups != 0 {
+		t.Errorf("seed %d: %d context groups outlived their waiters", seed, groups)
+	}
+	return got, want
+}
+
+// checkSharedSchedule asserts the shared-context property for one seed:
+// every waiter of a cancelled context wakes at the canceller's model
+// instant with ctx.Err(), everyone else at their deadline or broadcast;
+// the waiters one canceller wakes run in registration order whichever of
+// its contexts they wait on; and two runs of the seed are identical.
+func checkSharedSchedule(t *testing.T, seed int64, n int) {
+	t.Helper()
+	got, want := runSharedSchedule(t, seed, n)
+	again, _ := runSharedSchedule(t, seed, n)
+	if !reflect.DeepEqual(got, again) {
+		t.Fatalf("seed %d size %d: two runs diverged:\n%v\n%v", seed, n, got, again)
+	}
+	perID := map[int][]sharedWake{}
+	for i, w := range got {
+		if i > 0 {
+			prev := got[i-1]
+			if w.at < prev.at {
+				t.Fatalf("seed %d: wake %d at %v before previous %v", seed, i, w.at, prev.at)
+			}
+			if w.cancelled && prev.cancelled && w.at == prev.at && w.reg < prev.reg {
+				t.Fatalf("seed %d: at %v cancelled waiter registered %d ran after %d", seed, w.at, w.reg, prev.reg)
+			}
+		}
+		w.reg = 0
+		perID[w.id] = append(perID[w.id], w)
+	}
+	if !reflect.DeepEqual(perID, want) {
+		t.Fatalf("seed %d size %d: wakes differ from the plan:\n got %v\nwant %v", seed, n, perID, want)
+	}
+}
+
+// TestVirtualSharedContextSchedule: the path real runs take — thousands
+// of parked agents under one session context — in miniature.
+func TestVirtualSharedContextSchedule(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		checkSharedSchedule(t, seed, 64)
+	}
+}
+
+// groupStats reads the scheduler's cancellation bookkeeping.
+func groupStats(v *vsched) (groups, order, longest int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, g := range v.groups {
+		if cap(g.waiters) > longest {
+			longest = cap(g.waiters)
+		}
+	}
+	return len(v.groups), len(v.order), longest
+}
+
+// TestVirtualGroupBookkeepingBounded: neither 10⁵ sleep/wake cycles
+// under one live context nor 10³ short-lived contexts may grow the group
+// map, the sweep list or a group's waiter slice.
+func TestVirtualGroupBookkeepingBounded(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	c.Enter()
+	wg.Add(2)
+	c.Go(func() { // keeps ctx's group alive throughout
+		defer wg.Done()
+		if err := cond.Wait(ctx); err != context.Canceled {
+			t.Errorf("parked waiter woke with %v, want context.Canceled", err)
+		}
+	})
+	c.Go(func() {
+		defer wg.Done()
+		for i := 0; i < 100_000; i++ {
+			if err := c.SleepCtx(ctx, 1); err != nil {
+				t.Errorf("cycle %d: %v", i, err)
+				return
+			}
+		}
+		if groups, order, longest := groupStats(c.v); groups != 1 || order != 1 || longest > 64 {
+			t.Errorf("after 1e5 cycles: %d groups, %d listed, longest waiter slice %d; want 1, 1, <= 64", groups, order, longest)
+		}
+		// Short-lived contexts whose only waiter leaves by its timer
+		// (even i) or by a Broadcast (odd i): the group must be gone
+		// before the context is even cancelled.
+		short := c.NewCond()
+		for i := 0; i < 1000; i++ {
+			sctx, stop := context.WithCancel(ctx)
+			if i%2 == 0 {
+				if err := c.SleepCtx(sctx, 1); err != nil {
+					t.Errorf("short context %d: %v", i, err)
+				}
+			} else {
+				c.Go(func() {
+					if err := short.Wait(sctx); err != nil {
+						t.Errorf("short context %d: %v", i, err)
+					}
+				})
+				c.Sleep(1) // the waiter parks
+				short.Broadcast()
+				c.Sleep(1) // the waiter runs and leaves
+			}
+			groups, _, _ := groupStats(c.v)
+			stop()
+			if groups != 1 {
+				t.Errorf("short context %d left %d groups before it ended, want 1", i, groups)
+				break
+			}
+		}
+		if groups, order, longest := groupStats(c.v); groups != 1 || order > 2 || longest > 64 {
+			t.Errorf("after 1e3 contexts: %d groups, %d listed, longest waiter slice %d; want 1, <= 2, <= 64", groups, order, longest)
+		}
+		cancel()
+	})
+	c.Exit()
+	wg.Wait()
+	if groups, order, _ := groupStats(c.v); groups != 0 || order != 0 {
+		t.Errorf("after the last context ended: %d groups, %d listed; want none", groups, order)
+	}
+}
+
+// TestVirtualIdlePollTearDown: a stalled schedule — every participant
+// parked, no timer pending — is torn down by a context that a real timer
+// ends from outside the schedule.
+func TestVirtualIdlePollTearDown(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	c.Enter()
+	for i := range errs {
+		i := i
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			errs[i] = cond.Wait(ctx) // nobody broadcasts
+		})
+	}
+	c.Exit()
+	wg.Wait()
+	for i, err := range errs {
+		if err != context.DeadlineExceeded {
+			t.Errorf("waiter %d woke with %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if now := c.Now(); now != 0 {
+		t.Errorf("model time moved to %v while stalled", now)
+	}
 }

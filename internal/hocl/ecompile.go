@@ -33,25 +33,25 @@ package hocl
 type eop uint8
 
 const (
-	eLit        eop = iota // push val
-	eVarScalar             // push the atom bound to name
-	eVarElem               // push Snapshot of the atom bound to name
-	eOmegaScalar           // always errors: omega variable in scalar position
-	eSplice                // push Snapshot of each atom of the rest bound to name
-	eSnap                  // replace top of stack with its Snapshot
-	eMark                  // record value-stack height for a constructor
-	eCallCheck             // verify the function exists before evaluating args
-	eCallScalar            // pop mark; call name(stack[mark:]); require 1 atom; push it
-	eCallElems             // pop mark; call; push Snapshot of each result atom
-	eTuple                 // pop mark; stack[mark:] becomes a Tuple (arity >= 2)
-	eList                  // pop mark; stack[mark:] becomes a List
-	eSol                   // pop mark; stack[mark:] becomes a fresh *Solution
-	eBinop                 // pop r, l; push applyBinop result
-	eUnop                  // pop v; push applyUnop result
-	eAndJmp                // top must be Bool; false: jump tgt keeping it; true: pop
-	eOrJmp                 // top must be Bool; true: jump tgt keeping it; false: pop
-	eBoolRight             // top must be Bool (right operand of && / ||)
-	eBadExpr               // unknown expression type
+	eLit         eop = iota // push val
+	eVarScalar              // push the atom bound to name
+	eVarElem                // push Snapshot of the atom bound to name
+	eOmegaScalar            // always errors: omega variable in scalar position
+	eSplice                 // push Snapshot of each atom of the rest bound to name
+	eSnap                   // replace top of stack with its Snapshot
+	eMark                   // record value-stack height for a constructor
+	eCallCheck              // verify the function exists before evaluating args
+	eCallScalar             // pop mark; call name(stack[mark:]); require 1 atom; push it
+	eCallElems              // pop mark; call; push Snapshot of each result atom
+	eTuple                  // pop mark; stack[mark:] becomes a Tuple (arity >= 2)
+	eList                   // pop mark; stack[mark:] becomes a List
+	eSol                    // pop mark; stack[mark:] becomes a fresh *Solution
+	eBinop                  // pop r, l; push applyBinop result
+	eUnop                   // pop v; push applyUnop result
+	eAndJmp                 // top must be Bool; false: jump tgt keeping it; true: pop
+	eOrJmp                  // top must be Bool; true: jump tgt keeping it; false: pop
+	eBoolRight              // top must be Bool (right operand of && / ||)
+	eBadExpr                // unknown expression type
 )
 
 // einstr is one expression instruction. The operand fields are a union:

@@ -37,17 +37,17 @@ type mop uint8
 const (
 	// opSelect is the machine's only choice point: reserve an unused atom
 	// of the active solution context and push it on the data stack.
-	opSelect mop = iota
-	opBindVar  // pop atom; bind a variable, or compare non-linearly
-	opConst    // pop atom; structural equality with a constant
-	opRuleRef  // pop atom; must be a *Rule carrying the given name
-	opTuple    // pop atom; must be a Tuple of arity n; push its elements
-	opList     // pop atom; must be a List of arity n; push its elements
-	opSolEmpty // pop atom; must be an inert, empty *Solution   (<>)
-	opSolRest  // pop atom; inert *Solution, whole contents -> rest (<*w>)
-	opEnterSol // pop atom; inert *Solution of viable arity; open a context
-	opExitSol  // close the active context, leftovers -> rest (or none)
-	opFail     // always fails (omega outside a solution rest position)
+	opSelect   mop = iota
+	opBindVar      // pop atom; bind a variable, or compare non-linearly
+	opConst        // pop atom; structural equality with a constant
+	opRuleRef      // pop atom; must be a *Rule carrying the given name
+	opTuple        // pop atom; must be a Tuple of arity n; push its elements
+	opList         // pop atom; must be a List of arity n; push its elements
+	opSolEmpty     // pop atom; must be an inert, empty *Solution   (<>)
+	opSolRest      // pop atom; inert *Solution, whole contents -> rest (<*w>)
+	opEnterSol     // pop atom; inert *Solution of viable arity; open a context
+	opExitSol      // close the active context, leftovers -> rest (or none)
+	opFail         // always fails (omega outside a solution rest position)
 )
 
 // minstr is one matcher instruction. The operand fields are a union:

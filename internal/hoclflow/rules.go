@@ -7,15 +7,41 @@ import (
 	"ginflow/internal/hocl"
 )
 
+// The six generic rules are the same HOCL program in every agent (and in
+// every centralized sub-solution), so each is parsed once per process and
+// its constructor returns that one *hocl.Rule. A rule is immutable —
+// Clone returns the rule itself, and its matcher, guard and product
+// programs are compiled once, on first use — so the instance is safely
+// shared by every solution and engine, on any goroutine: what an agent
+// owns is its local solution, not its rules, and consuming a one-shot
+// rule removes it from that solution only. The per-task adaptation rules
+// further down embed an adaptation id and stay per call.
+var (
+	gwSetup = hocl.MustParseRuleBody(RuleGwSetup,
+		`replace-one SRC:<>, IN:<*w> by SRC:<>, PAR:list(*w)`, nil)
+	gwCall = hocl.MustParseRuleBody(RuleGwCall,
+		`replace-one SRC:<>, SRV:s, PAR:p, RES:<*w> by SRC:<>, SRV:s, RES:<invoke(s, p), *w>`, nil)
+	gwPass = hocl.MustParseRuleBody(RuleGwPass,
+		`replace ti:<RES:<r, *res>, DST:<tj, *dst>, *oi>, tj:<SRC:<ti, *src>, IN:<*win>, *oj>
+		 by ti:<RES:<r, *res>, DST:<*dst>, *oi>, tj:<SRC:<*src>, IN:<r, *res, *win>, *oj>
+		 if !(r == ERROR)`, nil)
+	gwSend = hocl.MustParseRuleBody(RuleGwSend,
+		`replace RES:<r, *res>, DST:<d, *dst> by RES:<r, *res>, DST:<*dst>, send(d, r, *res) if !(r == ERROR)`, nil)
+	gwRecv = hocl.MustParseRuleBody(RuleGwRecv,
+		`replace PASS:t:<*res>, SRC:<t, *src>, IN:<*win> by SRC:<*src>, IN:<*res, *win>`, nil)
+	gwGc = hocl.MustParseRuleBody(RuleGwGc,
+		`replace PASS:t:<*res>, SRC:<>, RES:<r, *rest> by SRC:<>, RES:<r, *rest>`, nil)
+)
+
 // GwSetup returns the paper's gw_setup rule (Fig. 4, lines 4.01-4.03):
 // once every dependency is satisfied (SRC is empty), assemble the
 // parameter list from the accumulated inputs.
 //
 //	replace-one SRC:<>, IN:<*w> by SRC:<>, PAR:list(*w)
-func GwSetup() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwSetup,
-		`replace-one SRC:<>, IN:<*w> by SRC:<>, PAR:list(*w)`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwSetup() *hocl.Rule { return gwSetup }
 
 // GwCall returns the paper's gw_call rule (Fig. 4, lines 4.04-4.06):
 // invoke the service with the assembled parameters and store the result.
@@ -24,10 +50,10 @@ func GwSetup() *hocl.Rule {
 //
 //	replace-one SRC:<>, SRV:s, PAR:p, RES:<*w>
 //	by SRC:<>, SRV:s, RES:<invoke(s, p), *w>
-func GwCall() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwCall,
-		`replace-one SRC:<>, SRV:s, PAR:p, RES:<*w> by SRC:<>, SRV:s, RES:<invoke(s, p), *w>`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwCall() *hocl.Rule { return gwCall }
 
 // GwPass returns the paper's gw_pass rule (Fig. 4, lines 4.07-4.11) for
 // centralized execution: it moves a produced result from a source task's
@@ -40,12 +66,10 @@ func GwCall() *hocl.Rule {
 //	by      ti:<RES:<r, *res>, DST:<*dst>, *oi>,
 //	        tj:<SRC:<*src>, IN:<r, *res, *win>, *oj>
 //	if !(r == ERROR)
-func GwPass() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwPass,
-		`replace ti:<RES:<r, *res>, DST:<tj, *dst>, *oi>, tj:<SRC:<ti, *src>, IN:<*win>, *oj>
-		 by ti:<RES:<r, *res>, DST:<*dst>, *oi>, tj:<SRC:<*src>, IN:<r, *res, *win>, *oj>
-		 if !(r == ERROR)`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwPass() *hocl.Rule { return gwPass }
 
 // GwSend returns the decentralised sender half of gw_pass (§IV-A): "once
 // the result of the invocation ... is collected, a SA triggers a local
@@ -57,10 +81,10 @@ func GwPass() *hocl.Rule {
 //	replace RES:<r, *res>, DST:<d, *dst>
 //	by RES:<r, *res>, DST:<*dst>, send(d, r, *res)
 //	if !(r == ERROR)
-func GwSend() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwSend,
-		`replace RES:<r, *res>, DST:<d, *dst> by RES:<r, *res>, DST:<*dst>, send(d, r, *res) if !(r == ERROR)`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwSend() *hocl.Rule { return gwSend }
 
 // GwRecv returns the decentralised receiver half of gw_pass: a PASS
 // message from source t satisfies the matching dependency and feeds the
@@ -71,10 +95,10 @@ func GwSend() *hocl.Rule {
 //
 //	replace PASS:t:<*res>, SRC:<t, *src>, IN:<*win>
 //	by SRC:<*src>, IN:<*res, *win>
-func GwRecv() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwRecv,
-		`replace PASS:t:<*res>, SRC:<t, *src>, IN:<*win> by SRC:<*src>, IN:<*res, *win>`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwRecv() *hocl.Rule { return gwRecv }
 
 // GwGc returns the stale-PASS collector: once a task has invoked its
 // service (RES holds a result, so no further input can ever be
@@ -90,10 +114,10 @@ func GwRecv() *hocl.Rule {
 //
 //	replace PASS:t:<*res>, SRC:<>, RES:<r, *rest>
 //	by SRC:<>, RES:<r, *rest>
-func GwGc() *hocl.Rule {
-	return hocl.MustParseRuleBody(RuleGwGc,
-		`replace PASS:t:<*res>, SRC:<>, RES:<r, *rest> by SRC:<>, RES:<r, *rest>`, nil)
-}
+//
+// Every call returns the one shared, immutable instance, parsed once per
+// process and compiled on its first use.
+func GwGc() *hocl.Rule { return gwGc }
 
 // PassMessage builds the molecule carried by a result transfer from task
 // src: PASS:src:<res...>. The carried solution is marked inert at build

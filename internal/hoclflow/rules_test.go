@@ -2,6 +2,8 @@ package hoclflow
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"ginflow/internal/hocl"
@@ -464,5 +466,133 @@ func TestLocalSolutionHasName(t *testing.T) {
 	sub := TaskAttrs{Name: "T7", Service: "s"}.SubSolution()
 	if got := TaskName(sub); got != "" {
 		t.Errorf("SubSolution must not carry NAME, got %q", got)
+	}
+}
+
+// genericRules lists the six shared constructors by name.
+var genericRules = map[string]func() *hocl.Rule{
+	RuleGwSetup: GwSetup, RuleGwCall: GwCall, RuleGwPass: GwPass,
+	RuleGwSend: GwSend, RuleGwRecv: GwRecv, RuleGwGc: GwGc,
+}
+
+// TestGenericRulesAreShared: every call of a generic-rule constructor
+// returns the one process-wide instance.
+func TestGenericRulesAreShared(t *testing.T) {
+	for name, build := range genericRules {
+		a, b := build(), build()
+		if a != b {
+			t.Errorf("%s: two calls returned different instances", name)
+		}
+		if a.Name != name {
+			t.Errorf("%s: shared instance is named %q", name, a.Name)
+		}
+	}
+}
+
+// TestSharedRulesLeaveSolutionsIndependent: an agent that consumes its
+// one-shot gw_setup and gw_call takes them out of its own local solution
+// only; a second agent built from the same instances still holds both
+// and runs to completion later.
+func TestSharedRulesLeaveSolutionsIndependent(t *testing.T) {
+	build := func(name string) *hocl.Solution {
+		return TaskAttrs{Name: name, Service: "s", In: []hocl.Atom{hocl.Str("input")}}.
+			LocalSolution(GwSetup(), GwCall(), GwSend(), GwRecv(), GwGc())
+	}
+	holds := func(sol *hocl.Solution, r *hocl.Rule) bool {
+		for _, a := range sol.Atoms() {
+			if a == hocl.Atom(r) {
+				return true
+			}
+		}
+		return false
+	}
+	reduce := func(sol *hocl.Solution) {
+		t.Helper()
+		e := hocl.NewEngine()
+		invokeRecorder(e, nil)
+		if err := e.Reduce(sol); err != nil {
+			t.Fatal(err)
+		}
+		if got := StatusOf(sol); got != StatusCompleted {
+			t.Fatalf("status = %v (solution %s)", got, sol)
+		}
+	}
+	first, second := build("T1"), build("T2")
+	reduce(first)
+	for _, r := range []*hocl.Rule{GwSetup(), GwCall()} {
+		if holds(first, r) {
+			t.Errorf("first agent still holds one-shot %s after firing it", r.Name)
+		}
+		if !holds(second, r) {
+			t.Errorf("second agent lost %s when the first consumed its own", r.Name)
+		}
+	}
+	reduce(second)
+}
+
+// TestSharedRulesConcurrentFirstReduce: 64 agents, each with its own
+// engine and local solution, reduce at once over one set of rule
+// instances — the process-wide ones, and a freshly parsed (never
+// compiled) set, so every -count iteration races the first compile.
+// Meaningful under -race.
+func TestSharedRulesConcurrentFirstReduce(t *testing.T) {
+	shared := []*hocl.Rule{GwSetup(), GwCall(), GwSend(), GwRecv(), GwGc()}
+	fresh := make([]*hocl.Rule, len(shared))
+	for i, r := range shared {
+		fresh[i] = hocl.MustParseRuleBody(r.Name, r.Body(), nil)
+		if !fresh[i].Equal(r) || fresh[i] == r {
+			t.Fatalf("re-parsed %s is not an equal, distinct rule", r.Name)
+		}
+	}
+	for _, rules := range [][]*hocl.Rule{shared, fresh} {
+		var wg sync.WaitGroup
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sol := TaskAttrs{Name: "T1", Src: []string{"T0"}, Dst: []string{"T2"}, Service: "s"}.LocalSolution(rules...)
+				sol.Add(PassMessage("T0", []hocl.Atom{hocl.Str("in")}), PassMessage("T9", []hocl.Atom{hocl.Str("stray")}))
+				e := hocl.NewEngine()
+				e.Funcs.Register(FnInvoke, func(args []hocl.Atom) ([]hocl.Atom, error) {
+					return []hocl.Atom{hocl.Str("out")}, nil
+				})
+				sent := 0
+				e.Funcs.Register(FnSend, func(args []hocl.Atom) ([]hocl.Atom, error) {
+					sent++
+					return nil, nil
+				})
+				if err := e.Reduce(sol); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := StatusOf(sol); got != StatusCompleted || sent != 1 {
+					t.Errorf("status = %v, %d sends; want completed, 1 (solution %s)", got, sent, sol)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestAdaptationRulesStayPerCall: the rules that embed an adaptation id
+// are built per call — sharing one across adaptations would rewire the
+// wrong region (what the adapt-swap workload guards end to end).
+func TestAdaptationRulesStayPerCall(t *testing.T) {
+	pairs := map[string][2]*hocl.Rule{
+		"add_dst": {AddDstRule("a1", "T1", []string{"R1"}), AddDstRule("a2", "T1", []string{"R1"})},
+		"mv_src":  {MvSrcRule("a1"), MvSrcRule("a2")},
+	}
+	for kind, p := range pairs {
+		if p[0] == p[1] || p[0].Equal(p[1]) || p[0].Name == p[1].Name {
+			t.Errorf("%s: rules of adaptations a1 and a2 are not distinct:\n%s\n%s", kind, p[0], p[1])
+		}
+		for i, id := range []string{`"a1"`, `"a2"`} {
+			if !strings.Contains(p[i].Body(), id) {
+				t.Errorf("%s: rule %s does not name its adaptation %s", kind, p[i].Body(), id)
+			}
+		}
+	}
+	if AddDstRule("a1", "T1", []string{"R1"}) == AddDstRule("a1", "T1", []string{"R1"}) {
+		t.Error("add_dst: two calls returned one instance")
 	}
 }

@@ -40,9 +40,9 @@ func TestStatusDeltaRoundTrip(t *testing.T) {
 func TestDecodeStatusDeltaRejectsOtherAtoms(t *testing.T) {
 	for _, a := range []hocl.Atom{
 		hocl.Int(1),
-		hocl.Tuple{hocl.Ident("T1"), hocl.NewSolution()},              // full snapshot
-		hocl.Tuple{KeySTATDELTA, hocl.Ident("T1")},                    // short
-		hocl.Tuple{KeyTRIGGER, hocl.Str("a1")}, // marker
+		hocl.Tuple{hocl.Ident("T1"), hocl.NewSolution()}, // full snapshot
+		hocl.Tuple{KeySTATDELTA, hocl.Ident("T1")},       // short
+		hocl.Tuple{KeyTRIGGER, hocl.Str("a1")},           // marker
 		hocl.Tuple{ // right arity, wrong element types
 			KeySTATDELTA, hocl.Str("T1"), hocl.Int(0), hocl.Int(0),
 			hocl.List{}, hocl.List{}, hocl.Bool(false),

@@ -3,6 +3,7 @@ package workflow
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -97,7 +98,8 @@ func TestQuickRandomDAGsRunToCompletion(t *testing.T) {
 }
 
 // Property: the derived SRC sets are exactly the transpose of the
-// declared DST sets.
+// declared DST sets, and taskAttrs' one-pass index yields the same SRC
+// lists as a SrcOf scan per task.
 func TestQuickSrcIsTransposeOfDst(t *testing.T) {
 	f := func(seed int64, sizeRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -111,8 +113,13 @@ func TestQuickSrcIsTransposeOfDst(t *testing.T) {
 				fwd[dst][task.ID] = true
 			}
 		}
-		for _, task := range d.Tasks {
+		attrs := d.taskAttrs()
+		for i, task := range d.Tasks {
 			src := d.SrcOf(task.ID)
+			if attrs[i].Name != task.ID || !reflect.DeepEqual(attrs[i].Src, src) {
+				t.Logf("seed %d: taskAttrs[%d] = %s SRC %v, SrcOf(%s) = %v", seed, i, attrs[i].Name, attrs[i].Src, task.ID, src)
+				return false
+			}
 			if len(src) != len(fwd[task.ID]) {
 				return false
 			}

@@ -99,11 +99,20 @@ func (d *Definition) adaptationRoles(central bool) (map[string]*rolePlan, []*hoc
 // main tasks (Src derived from the DAG) and replacement tasks (Src/Dst
 // from the normalised adaptation wiring).
 func (d *Definition) taskAttrs() []hoclflow.TaskAttrs {
-	var out []hoclflow.TaskAttrs
+	// One pass over the edges; SrcOf per task would rescan them all.
+	mainSrc := make(map[string][]string, len(d.Tasks))
 	for _, t := range d.Tasks {
+		for _, dst := range t.Dst {
+			mainSrc[dst] = append(mainSrc[dst], t.ID)
+		}
+	}
+	out := make([]hoclflow.TaskAttrs, 0, len(d.Tasks))
+	for _, t := range d.Tasks {
+		src := mainSrc[t.ID]
+		sort.Strings(src)
 		out = append(out, hoclflow.TaskAttrs{
 			Name:    t.ID,
-			Src:     d.SrcOf(t.ID),
+			Src:     src,
 			Dst:     append([]string(nil), t.Dst...),
 			Service: t.Service,
 			In:      strAtoms(t.In),
