@@ -240,6 +240,12 @@ func WithCluster(cc ClusterConfig) Option { return func(c *Config) { c.Cluster =
 // exact. Virtual time is incompatible with WithListener: out-of-process
 // workers live on wall-clock time, so New fails with ErrVirtualListen
 // when both are set.
+//
+// Combined with WithJournal and a WithChaos schedule that injects
+// journal faults, Submit and Recover retry their write-ahead records
+// with a backoff on the virtual clock, on the caller's goroutine: call
+// them while no session of the Manager is running. (Race-detector builds
+// panic when such a backoff overlaps a running session.)
 func WithVirtualTime() Option { return func(c *Config) { c.Cluster.Virtual = true } }
 
 // WithFailureInjection sets the default fault-injection parameters

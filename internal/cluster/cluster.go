@@ -43,9 +43,11 @@ func NewClock(scale time.Duration) *Clock {
 // NewVirtualClock returns a discrete-event clock: Sleep and SleepCtx
 // park the calling participant with the scheduler instead of sleeping
 // real time, and Now() jumps to the earliest pending deadline whenever
-// every participant is blocked. Goroutines using a virtual clock must
-// join the schedule via Enter/Go and only block through the clock (or a
-// Cond); see vclock.go.
+// every participant is blocked. Goroutines using a virtual clock join
+// the schedule via Enter/Go and only block through the clock (or a
+// Cond). A goroutine outside the schedule may block through the clock
+// only while no participant is running; see vclock.go for the calling
+// contract.
 func NewVirtualClock() *Clock {
 	return &Clock{scale: DefaultScale, v: newVsched()}
 }
@@ -57,7 +59,10 @@ func (c *Clock) Virtual() bool { return c.v != nil }
 func (c *Clock) Scale() time.Duration { return c.scale }
 
 // Sleep blocks for the scaled equivalent of the given model seconds.
-// Negative or zero durations return immediately.
+// Negative or zero durations return immediately. On a virtual clock the
+// caller is either a participant (Go, Enter) or a goroutine outside the
+// schedule calling while no participant runs; an outside goroutine that
+// may overlap running participants brackets the call with Enter/Exit.
 func (c *Clock) Sleep(modelSeconds float64) {
 	if c.v != nil {
 		c.v.sleep(nil, modelSeconds)
@@ -101,7 +106,10 @@ func (c *Clock) Now() float64 {
 
 // Enter joins the calling goroutine to a virtual clock's schedule as a
 // participant, blocking until it is granted the run token. A real-mode
-// clock ignores the call. Pair with Exit.
+// clock ignores the call. Pair with Exit. It is how a goroutine outside
+// the schedule blocks on a virtual clock while participants may be
+// running: between Enter and Exit its Sleep and Cond.Wait calls are a
+// participant's. A participant must not call Enter again.
 func (c *Clock) Enter() {
 	if c.v != nil {
 		c.v.enter()
@@ -151,7 +159,8 @@ func (c *Clock) AdvanceTo(t float64) {
 
 // NewCond returns a scheduler-aware condition variable bound to a
 // virtual clock, or nil on a real-mode clock (callers keep their
-// channel-based paths there).
+// channel-based paths there). Cond.Wait follows Sleep's calling
+// contract.
 func (c *Clock) NewCond() *Cond {
 	if c.v == nil {
 		return nil

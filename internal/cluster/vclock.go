@@ -3,7 +3,6 @@ package cluster
 import (
 	"container/heap"
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +29,20 @@ import (
 // without holding the token, so "ready queue empty" *is* quiescence.
 // The cost of the discipline is that an accounting mistake manifests
 // as a deterministic hang (debuggable), never as a flaky timestamp.
+//
+// The calling contract: a goroutine blocks through the clock (Sleep,
+// SleepCtx, Cond.Wait, Yield) only while it holds the run token — it
+// was started by Clock.Go or joined with Clock.Enter — or while the
+// token is free. A blocking call therefore needs no identity check. If
+// the token is held, the caller is the participant running, and hands
+// it on. If it is free, the caller is an *outsider* (e.g. a journal
+// retry backoff on a Submit caller's goroutine, with no session
+// running yet) that joins the schedule for this one block and gives the
+// token back on wake. A goroutine outside the schedule that may overlap
+// running participants brackets its blocking calls with
+// Clock.Enter/Exit. Race-detector builds check the contract on every
+// blocking call (vclock_check_race.go); other builds compile the check
+// away.
 
 // waiter states. A waiter is created per blocking call, lives in at
 // most one of the timer heap / a Cond's list plus optionally one
@@ -104,51 +117,17 @@ type vsched struct {
 	order   []*ctxGroup
 	idleArm bool // an idle-poll AfterFunc is pending
 
-	// holder is the goroutine id of the current run-token holder, 0
-	// while the token is in flight or free. Blocking calls compare it
-	// against their own goid: a call from any other goroutine is an
-	// *outside* caller — it did not hold the token, must not free it,
-	// and joins the schedule only for the duration of its block (the
-	// token is handed straight back on wake). This is what makes
-	// clock.Sleep safe from goroutines that never entered the schedule,
-	// e.g. a journal retry backoff on the Submit caller's goroutine.
-	holder uint64
+	chk tokenCheck // the calling-contract check; empty outside race builds
 }
 
 func newVsched() *vsched {
 	return &vsched{groups: map[<-chan struct{}]*ctxGroup{}}
 }
 
-// goid parses the current goroutine's id from its runtime.Stack header
-// ("goroutine N [...]"). ~1µs; only virtual-mode scheduler operations
-// pay it.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// claim records the calling goroutine as the token holder; called
-// immediately after every grant receive.
-func (v *vsched) claim(gid uint64) {
-	v.mu.Lock()
-	v.holder = gid
-	v.mu.Unlock()
-}
-
 // releaseLocked frees the run token and hands it to the next runnable
 // participant. Callers hold v.mu.
 func (v *vsched) releaseLocked() {
 	v.running = false
-	v.holder = 0
 	v.scheduleLocked()
 }
 
@@ -219,9 +198,7 @@ func (v *vsched) scheduleLocked() {
 			if len(v.ready) == 0 {
 				v.ready = nil
 			}
-			w.state = stGranted
-			v.running = true
-			w.grant <- struct{}{}
+			v.grantLocked(w)
 			return
 		}
 		// About to advance time: first honour any cancellations that
@@ -240,9 +217,7 @@ func (v *vsched) scheduleLocked() {
 				v.now = w.at
 			}
 			v.unwatchLocked(w)
-			w.state = stGranted
-			v.running = true
-			w.grant <- struct{}{}
+			v.grantLocked(w)
 			return
 		}
 		// Idle. If interruptible waiters remain, a real-time timeout may
@@ -250,6 +225,14 @@ func (v *vsched) scheduleLocked() {
 		v.armIdlePollLocked()
 		return
 	}
+}
+
+// grantLocked hands the free run token to w.
+func (v *vsched) grantLocked(w *vwaiter) {
+	w.state = stGranted
+	v.running = true
+	v.noteGrantLocked()
+	w.grant <- struct{}{}
 }
 
 // sweepCancelledLocked moves every interruptible waiter whose context
@@ -321,7 +304,6 @@ func (v *vsched) armIdlePollLocked() {
 // enter registers the calling goroutine as a participant and blocks
 // until it is granted the run token.
 func (v *vsched) enter() {
-	gid := goid()
 	v.mu.Lock()
 	w := v.newWaiter()
 	w.state = stQueued
@@ -329,7 +311,7 @@ func (v *vsched) enter() {
 	v.scheduleLocked()
 	v.mu.Unlock()
 	<-w.grant
-	v.claim(gid)
+	v.noteGranted()
 }
 
 // exit releases the run token without re-queuing: the participant is
@@ -352,7 +334,7 @@ func (v *vsched) goRun(fn func()) {
 	v.mu.Unlock()
 	go func() {
 		<-w.grant
-		v.claim(goid())
+		v.noteGranted()
 		fn()
 		v.exit()
 	}()
@@ -361,17 +343,16 @@ func (v *vsched) goRun(fn func()) {
 // yield moves the caller to the back of the ready queue, letting every
 // other runnable participant proceed first.
 func (v *vsched) yield() {
-	gid := goid()
 	v.mu.Lock()
+	v.checkBlockLocked("Clock.Yield")
 	w := v.newWaiter()
 	w.state = stQueued
 	v.ready = append(v.ready, w)
 	v.running = false
-	v.holder = 0
 	v.scheduleLocked()
 	v.mu.Unlock()
 	<-w.grant
-	v.claim(gid)
+	v.noteGranted()
 }
 
 // sleep parks the caller until now+seconds, or until ctx ends.
@@ -386,28 +367,31 @@ func (v *vsched) sleep(ctx context.Context, seconds float64) error {
 	if seconds <= 0 {
 		return nil
 	}
-	gid := goid()
 	v.mu.Lock()
-	isHolder := v.running && v.holder == gid
+	v.checkBlockLocked("Clock.Sleep")
 	w := v.newWaiter()
 	w.at = v.now + seconds
 	heap.Push(&v.timers, w)
+	return v.blockLocked(ctx, w)
+}
+
+// blockLocked parks the caller on w, just registered on a timer or a
+// Cond, and returns once w is granted the token. A token held on entry
+// is the caller's (the calling contract): it is released here and the
+// grant hands it back. A free token makes the caller an outsider, which
+// joins the schedule for this block only and frees the token again on
+// wake. Called with v.mu held; returns with it released.
+func (v *vsched) blockLocked(ctx context.Context, w *vwaiter) error {
+	participant := v.running
 	v.watchLocked(w, ctx)
-	if isHolder {
-		v.running = false
-		v.holder = 0
-	}
-	// An outside caller (no token held) leaves `running` alone: it joins
-	// the schedule for this block only and gives the token back on wake.
+	v.running = false
 	v.scheduleLocked()
 	v.mu.Unlock()
 	<-w.grant
-	if isHolder {
-		v.claim(gid)
+	if participant {
+		v.noteGranted()
 	} else {
-		v.mu.Lock()
-		v.releaseLocked()
-		v.mu.Unlock()
+		v.exit()
 	}
 	if w.interrupted {
 		return ctx.Err()
@@ -445,8 +429,9 @@ type Cond struct {
 }
 
 // Wait releases the run token and parks the caller until Broadcast (or
-// ctx ending, which returns ctx.Err()). The caller must hold the run
-// token. Re-check the guarded condition on return, as with sync.Cond.
+// ctx ending, which returns ctx.Err()). The caller holds the run token,
+// or calls while it is free (the calling contract at the top of this
+// file). Re-check the guarded condition on return, as with sync.Cond.
 func (cd *Cond) Wait(ctx context.Context) error {
 	v := cd.v
 	if ctx != nil {
@@ -454,30 +439,11 @@ func (cd *Cond) Wait(ctx context.Context) error {
 			return err
 		}
 	}
-	gid := goid()
 	v.mu.Lock()
-	isHolder := v.running && v.holder == gid
+	v.checkBlockLocked("Cond.Wait")
 	w := v.newWaiter()
 	cd.waiters = append(cd.waiters, w)
-	v.watchLocked(w, ctx)
-	if isHolder {
-		v.running = false
-		v.holder = 0
-	}
-	v.scheduleLocked()
-	v.mu.Unlock()
-	<-w.grant
-	if isHolder {
-		v.claim(gid)
-	} else {
-		v.mu.Lock()
-		v.releaseLocked()
-		v.mu.Unlock()
-	}
-	if w.interrupted {
-		return ctx.Err()
-	}
-	return nil
+	return v.blockLocked(ctx, w)
 }
 
 // Broadcast wakes every goroutine currently parked in Wait, in the

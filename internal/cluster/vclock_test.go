@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -355,7 +356,7 @@ func runSharedSchedule(t *testing.T, seed int64, n int) (got []sharedWake, want 
 		plan[i] = p
 	}
 
-	// reg and got are only touched by the run-token holder.
+	// reg and got are only touched by the participant holding the run token.
 	reg := 0
 	record := func(p part, r int, err error) {
 		if err != nil && err != ctxs[p.ctx].Err() {
@@ -558,4 +559,66 @@ func TestVirtualIdlePollTearDown(t *testing.T) {
 	if now := c.Now(); now != 0 {
 		t.Errorf("model time moved to %v while stalled", now)
 	}
+}
+
+// tokenFree reports whether no goroutine holds c's run token.
+func tokenFree(c *Clock) bool {
+	c.v.mu.Lock()
+	defer c.v.mu.Unlock()
+	return !c.v.running
+}
+
+// TestVirtualOutsiderWhileTokenFree: a goroutine that never joined the
+// schedule may Sleep or Cond.Wait while the run token is free — no
+// participant runnable, none parked on a timer. It joins for that one
+// block, wakes at the instant the schedule gives it, and leaves the
+// token free when it returns.
+func TestVirtualOutsiderWhileTokenFree(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+
+	c.Sleep(2)
+	if now := c.Now(); now != 2 {
+		t.Fatalf("outsider Sleep(2) woke at %v, want 2", now)
+	}
+	if !tokenFree(c) {
+		t.Fatal("outsider Sleep kept the run token")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.SleepCtx(ctx, 1); err != context.Canceled {
+		t.Fatalf("outsider SleepCtx on an ended context = %v, want context.Canceled", err)
+	}
+
+	// An outsider parks on the Cond; a participant that joins after it
+	// advances time and broadcasts, and the outsider wakes at that
+	// instant once the participant leaves.
+	woke := make(chan float64)
+	go func() {
+		if err := cond.Wait(context.Background()); err != nil {
+			t.Errorf("outsider Cond.Wait: %v", err)
+		}
+		woke <- c.Now()
+	}()
+	for {
+		c.v.mu.Lock()
+		parked := len(cond.waiters) == 1
+		c.v.mu.Unlock()
+		if parked {
+			break
+		}
+		runtime.Gosched()
+	}
+	c.Enter()
+	c.Sleep(1)
+	cond.Broadcast()
+	c.Exit()
+	if at := <-woke; at != 3 {
+		t.Fatalf("outsider Cond.Wait returned at %v, want 3 (the broadcast instant)", at)
+	}
+	if !tokenFree(c) {
+		t.Fatal("outsider Cond.Wait kept the run token")
+	}
+	c.Enter() // a free token is granted at once
+	c.Exit()
 }

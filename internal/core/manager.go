@@ -363,6 +363,14 @@ func SubmitExecutor(k executor.Kind) SubmitOption {
 // that needs several sessions to start at one reproducible instant
 // holds the run token across its Submit calls
 // (Cluster().Clock().Enter() … Exit()).
+//
+// The write-ahead record is the one step that can block on the clock
+// from the caller's goroutine: under journal chaos its retries back off
+// on the cluster clock. On a virtual clock the caller must then hold the
+// run token, or call while no session of this manager is running — an
+// outside goroutine may block on a virtual clock only while its run
+// token is free (the calling contract in internal/cluster/vclock.go;
+// race-detector builds panic on a violation).
 func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services *agent.Registry, opts ...SubmitOption) (*Session, error) {
 	if def == nil {
 		return nil, fmt.Errorf("core: nil workflow definition")

@@ -447,42 +447,50 @@ func TestManagerHandleStatusLive(t *testing.T) {
 // namespace hash, so teardown must purge the session's topics from
 // whichever shard holds them. Several concurrent sessions (spread over a
 // 4-shard broker) are cancelled mid-run; afterwards no shard may retain
-// any topic of any session.
+// any topic of any session. It runs on the virtual clock: the test
+// holds the run token while it submits, advances model time until every
+// session has published, and cancels from inside the schedule, so
+// "mid-run" is a model instant rather than a race against a wall-clock
+// deadline.
 func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 	m := newTestManager(t, Config{
 		Executor:     executor.KindSSH,
 		Broker:       mq.KindLog, // retained logs are the easiest state to leak
 		BrokerShards: 4,
-		Cluster:      fastCluster(8),
+		Cluster:      virtualCluster(8, 1),
 	})
 	broker := m.Broker()
 	if broker.ShardCount() != 4 {
 		t.Fatalf("ShardCount = %d, want 4", broker.ShardCount())
 	}
 
+	clock := m.Cluster().Clock()
+	clock.Enter()
 	var sessions []*Session
 	for i := 0; i < 6; i++ {
 		// Long diamonds so cancellation lands mid-run.
 		def := workflow.Diamond(workflow.DefaultDiamondSpec(2, 30, false))
 		s, err := m.Submit(context.Background(), def, diamondServices(nil))
 		if err != nil {
+			clock.Exit()
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
 	}
 	// Let traffic flow so every session has created topics on its shard.
-	deadline := time.Now().Add(5 * time.Second)
 	for _, s := range sessions {
 		for broker.PublishedPrefix(s.TopicNamespace()) == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("session %s produced no traffic", s.TopicNamespace())
+			if clock.Now() > 1000 {
+				clock.Exit()
+				t.Fatalf("session %s produced no traffic in %v model seconds", s.TopicNamespace(), clock.Now())
 			}
-			time.Sleep(time.Millisecond)
+			clock.SleepCtx(context.Background(), 0.1)
 		}
 	}
 	for _, s := range sessions {
 		s.Cancel(nil)
 	}
+	clock.Exit()
 	for _, s := range sessions {
 		if _, err := s.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
 			t.Errorf("wait after cancel: %v", err)

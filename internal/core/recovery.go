@@ -51,6 +51,12 @@ import (
 // Submit. Sessions whose journal cannot be rebuilt are skipped and
 // reported in the joined error alongside the successfully recovered
 // ones.
+//
+// Every journal is resumed before any recovered session starts. Under
+// journal chaos those resumes back off on the cluster clock from the
+// caller's goroutine, so on a virtual clock the caller has Submit's
+// precondition with respect to sessions already running on this
+// manager: hold the run token, or recover while no session runs.
 func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ...SubmitOption) ([]*Session, error) {
 	if m.journal == nil {
 		return nil, ErrNoJournal
@@ -66,6 +72,7 @@ func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ..
 		return nil, err
 	}
 	var sessions []*Session
+	var starts []func()
 	var errs []error
 	for _, id := range ids {
 		st, err := m.journal.ReadSession(id)
@@ -77,24 +84,33 @@ func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ..
 			m.journal.RemoveSession(id)
 			continue
 		}
-		s, err := m.recoverSession(ctx, st, services, opts)
+		s, start, err := m.recoverSession(ctx, st, services, opts)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("core: recover session %d: %w", id, err))
 			continue
 		}
 		sessions = append(sessions, s)
+		starts = append(starts, start)
+	}
+	// Start the sessions only once every journal is resumed: under
+	// journal chaos a resume backs off on the cluster clock from this
+	// goroutine, which on a virtual clock must not overlap a running
+	// session (vclock.go's calling contract).
+	for _, start := range starts {
+		start()
 	}
 	return sessions, errors.Join(errs...)
 }
 
-// recoverSession rebuilds one journaled session and starts it.
-func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, services *agent.Registry, opts []SubmitOption) (*Session, error) {
+// recoverSession rebuilds one journaled session and returns it with the
+// function that starts it.
+func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, services *agent.Registry, opts []SubmitOption) (*Session, func(), error) {
 	def, err := workflow.FromJSON(st.Meta.Workflow)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := checkServices(def, services); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sub := SubmitConfig{
 		Timeout:      time.Duration(st.Meta.TimeoutNS),
@@ -111,10 +127,10 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	}
 	exec, err := m.sessionExecutor(sub.Executor)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if exec == nil {
-		return nil, fmt.Errorf("core: journaled session has no distributed executor")
+		return nil, nil, fmt.Errorf("core: journaled session has no distributed executor")
 	}
 
 	runCtx, cancel := context.WithCancelCause(ctx)
@@ -122,12 +138,12 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	if m.closed {
 		m.mu.Unlock()
 		cancel(ErrManagerClosed)
-		return nil, ErrManagerClosed
+		return nil, nil, ErrManagerClosed
 	}
 	if _, active := m.active[st.Meta.ID]; active {
 		m.mu.Unlock()
 		cancel(ErrCancelled)
-		return nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
+		return nil, nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
 	}
 	s := newSession(m, st.Meta.ID, def, services, sub)
 	s.cancel = cancel
@@ -140,13 +156,13 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	fail := func(err error) (*Session, error) {
+	fail := func(err error) (*Session, func(), error) {
 		m.mu.Lock()
 		delete(m.active, s.id)
 		m.mu.Unlock()
 		m.wg.Done()
 		cancel(ErrCancelled)
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Replay: fold the snapshot and every status record after it into
@@ -198,11 +214,12 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 
 	s.recorder.Record(trace.SessionRecovered, "", 0,
 		fmt.Sprintf("replayed %d status records", st.StatusRecords))
-	m.cluster.Clock().Go(func() {
-		defer m.wg.Done()
-		s.run(runCtx)
-	})
-	return s, nil
+	return s, func() {
+		m.cluster.Clock().Go(func() {
+			defer m.wg.Done()
+			s.run(runCtx)
+		})
+	}, nil
 }
 
 // recoverSpecs rewrites the translated agent specs of a recovered
