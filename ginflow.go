@@ -241,11 +241,10 @@ func WithCluster(cc ClusterConfig) Option { return func(c *Config) { c.Cluster =
 // workers live on wall-clock time, so New fails with ErrVirtualListen
 // when both are set.
 //
-// Combined with WithJournal and a WithChaos schedule that injects
-// journal faults, Submit and Recover retry their write-ahead records
-// with a backoff on the virtual clock, on the caller's goroutine: call
-// them while no session of the Manager is running. (Race-detector builds
-// panic when such a backoff overlaps a running session.)
+// Submit and Recover join the schedule for the length of the call, so
+// their write-ahead retries under journal chaos back off in step with
+// the running sessions. Call them from outside the run, never from a
+// service implementation: a service already runs inside the schedule.
 func WithVirtualTime() Option { return func(c *Config) { c.Cluster.Virtual = true } }
 
 // WithFailureInjection sets the default fault-injection parameters
@@ -384,8 +383,18 @@ func New(opts ...Option) (*Manager, error) {
 // deployment and enactment proceed in the background. The submitting
 // context bounds the session: cancelling it cancels the run. Service
 // bindings are validated up front (ErrUnknownService).
+//
+// Under WithVirtualTime, Submit takes the clock's run token for the
+// call: its write-ahead record may back off on the virtual clock
+// (WithJournal plus journal faults from WithChaos), and the token keeps
+// that backoff in step with the sessions already running. A service
+// implementation runs inside the schedule, holding the token, so it must
+// not call Submit or Recover on a virtual-time Manager.
 func (m *Manager) Submit(ctx context.Context, def *Workflow, services *ServiceRegistry, opts ...SubmitOption) (*Handle, error) {
+	clock := m.inner.Cluster().Clock()
+	clock.Enter()
 	s, err := m.inner.Submit(ctx, def, services, opts...)
+	clock.Exit()
 	if err != nil {
 		return nil, err
 	}
@@ -436,9 +445,13 @@ func (m *Manager) ConnectedNodes() int { return m.inner.ConnectedNodes() }
 // persisted, so the registry is supplied again; opts apply on top of
 // each session's journaled submission config. Sessions whose journal
 // cannot be rebuilt are skipped and reported in the returned error
-// alongside the successfully recovered handles.
+// alongside the successfully recovered handles. Under WithVirtualTime,
+// Recover takes the clock's run token for the call, as Submit does.
 func (m *Manager) Recover(ctx context.Context, services *ServiceRegistry, opts ...SubmitOption) ([]*Handle, error) {
+	clock := m.inner.Cluster().Clock()
+	clock.Enter()
 	sessions, err := m.inner.Recover(ctx, services, opts...)
+	clock.Exit()
 	handles := make([]*Handle, len(sessions))
 	for i, s := range sessions {
 		handles[i] = &Handle{s: s}

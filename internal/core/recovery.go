@@ -52,11 +52,11 @@ import (
 // reported in the joined error alongside the successfully recovered
 // ones.
 //
-// Every journal is resumed before any recovered session starts. Under
-// journal chaos those resumes back off on the cluster clock from the
-// caller's goroutine, so on a virtual clock the caller has Submit's
-// precondition with respect to sessions already running on this
-// manager: hold the run token, or recover while no session runs.
+// Under journal chaos each resume backs off on the cluster clock from
+// the caller's goroutine, and each session starts as soon as its journal
+// is resumed. On a virtual clock the caller therefore holds the run
+// token across Recover (Cluster().Clock().Enter() … Exit()), as
+// ginflow.Manager.Recover does; race-detector builds panic otherwise.
 func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ...SubmitOption) ([]*Session, error) {
 	if m.journal == nil {
 		return nil, ErrNoJournal
@@ -72,7 +72,6 @@ func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ..
 		return nil, err
 	}
 	var sessions []*Session
-	var starts []func()
 	var errs []error
 	for _, id := range ids {
 		st, err := m.journal.ReadSession(id)
@@ -84,33 +83,24 @@ func (m *Manager) Recover(ctx context.Context, services *agent.Registry, opts ..
 			m.journal.RemoveSession(id)
 			continue
 		}
-		s, start, err := m.recoverSession(ctx, st, services, opts)
+		s, err := m.recoverSession(ctx, st, services, opts)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("core: recover session %d: %w", id, err))
 			continue
 		}
 		sessions = append(sessions, s)
-		starts = append(starts, start)
-	}
-	// Start the sessions only once every journal is resumed: under
-	// journal chaos a resume backs off on the cluster clock from this
-	// goroutine, which on a virtual clock must not overlap a running
-	// session (vclock.go's calling contract).
-	for _, start := range starts {
-		start()
 	}
 	return sessions, errors.Join(errs...)
 }
 
-// recoverSession rebuilds one journaled session and returns it with the
-// function that starts it.
-func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, services *agent.Registry, opts []SubmitOption) (*Session, func(), error) {
+// recoverSession rebuilds one journaled session and starts it.
+func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, services *agent.Registry, opts []SubmitOption) (*Session, error) {
 	def, err := workflow.FromJSON(st.Meta.Workflow)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := checkServices(def, services); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sub := SubmitConfig{
 		Timeout:      time.Duration(st.Meta.TimeoutNS),
@@ -127,10 +117,10 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	}
 	exec, err := m.sessionExecutor(sub.Executor)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if exec == nil {
-		return nil, nil, fmt.Errorf("core: journaled session has no distributed executor")
+		return nil, fmt.Errorf("core: journaled session has no distributed executor")
 	}
 
 	runCtx, cancel := context.WithCancelCause(ctx)
@@ -138,12 +128,12 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	if m.closed {
 		m.mu.Unlock()
 		cancel(ErrManagerClosed)
-		return nil, nil, ErrManagerClosed
+		return nil, ErrManagerClosed
 	}
 	if _, active := m.active[st.Meta.ID]; active {
 		m.mu.Unlock()
 		cancel(ErrCancelled)
-		return nil, nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
+		return nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
 	}
 	s := newSession(m, st.Meta.ID, def, services, sub)
 	s.cancel = cancel
@@ -156,13 +146,13 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	fail := func(err error) (*Session, func(), error) {
+	fail := func(err error) (*Session, error) {
 		m.mu.Lock()
 		delete(m.active, s.id)
 		m.mu.Unlock()
 		m.wg.Done()
 		cancel(ErrCancelled)
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Replay: fold the snapshot and every status record after it into
@@ -214,12 +204,11 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 
 	s.recorder.Record(trace.SessionRecovered, "", 0,
 		fmt.Sprintf("replayed %d status records", st.StatusRecords))
-	return s, func() {
-		m.cluster.Clock().Go(func() {
-			defer m.wg.Done()
-			s.run(runCtx)
-		})
-	}, nil
+	m.cluster.Clock().Go(func() {
+		defer m.wg.Done()
+		s.run(runCtx)
+	})
+	return s, nil
 }
 
 // recoverSpecs rewrites the translated agent specs of a recovered

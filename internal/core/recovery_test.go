@@ -11,7 +11,6 @@ import (
 
 	"ginflow/internal/agent"
 	"ginflow/internal/executor"
-	"ginflow/internal/failure"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/journal"
 	"ginflow/internal/montage"
@@ -247,70 +246,6 @@ func TestRecoverAdaptedDiamondKillPoints(t *testing.T) {
 	}
 	if covered == 0 {
 		t.Fatal("no kill point landed inside the journal; harness is vacuous")
-	}
-}
-
-// TestRecoverVirtualUnderJournalChaos: on a virtual clock, Recover
-// resumes several journals from the caller's goroutine — outside the
-// schedule — while journal chaos makes each resume back off on the
-// clock. Those backoffs run with the token free because Recover starts
-// the rebuilt sessions only after the last resume; a race-detector
-// build checks it on every blocking call. Every session then completes.
-func TestRecoverVirtualUnderJournalChaos(t *testing.T) {
-	services := diamondServices(nil)
-	dir := t.TempDir()
-	ctx := context.Background()
-	cfg := journaledConfig(dir, 10)
-	cfg.Cluster = virtualCluster(8, 3)
-
-	m1, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs := []*workflow.Definition{
-		workflow.Diamond(workflow.DefaultDiamondSpec(2, 2, false)),
-		workflow.Diamond(workflow.DefaultDiamondSpec(3, 2, false)),
-		workflow.Diamond(workflow.DefaultDiamondSpec(2, 3, false)),
-	}
-	for _, def := range defs {
-		s, err := m1.Submit(ctx, def, services)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m1.Close()
-
-	cfg = journaledConfig(dir, 0)
-	cfg.Cluster = virtualCluster(8, 3)
-	cfg.Chaos = failure.ChaosConfig{Seed: 5, JournalErrorP: 0.5, JournalTornP: 0.2}
-	cfg.Retry = failure.RetryConfig{MaxAttempts: 8, BackoffBase: 0.25}
-	m2, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	sessions, err := m2.Recover(ctx, services)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sessions) != len(defs) {
-		t.Fatalf("recovered %d sessions, want %d", len(sessions), len(defs))
-	}
-	for _, s := range sessions {
-		rep, err := s.Wait(ctx)
-		if err != nil {
-			t.Errorf("session %d failed: %v", s.ID(), err)
-			continue
-		}
-		if rep.Statuses[workflow.DiamondMergeName] != hoclflow.StatusCompleted {
-			t.Errorf("session %d merge is %v", s.ID(), rep.Statuses[workflow.DiamondMergeName])
-		}
-	}
-	if m2.chaos.Faults() == 0 {
-		t.Fatal("no journal fault injected: nothing ever backed off")
 	}
 }
 

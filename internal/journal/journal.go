@@ -426,10 +426,18 @@ func (w *SessionWriter) appendFrame(typ byte, payload []byte) error {
 			buf = append([]byte(nil), buf...)
 			frameOwned = true
 		}
-		w.mu.Unlock()
-		w.cfg.Chaos.Sleep(rc.Delay(attempt))
-		w.mu.Lock()
+		w.sleepUnlocked(rc.Delay(attempt))
 	}
+}
+
+// sleepUnlocked stalls on the chaos clock with w.mu released. It takes
+// w.mu back even when the sleep panics (race-detector builds check the
+// virtual clock's calling contract there), so a caller's deferred Unlock
+// stays balanced and the panic reaches the caller intact.
+func (w *SessionWriter) sleepUnlocked(seconds float64) {
+	w.mu.Unlock()
+	defer w.mu.Lock()
+	w.cfg.Chaos.Sleep(seconds)
 }
 
 // writeFrame performs the raw segment write for one frame, consulting
@@ -629,9 +637,7 @@ func (w *SessionWriter) maybeSync() error {
 	if f := w.cfg.Chaos.Draw(failure.BoundaryJournalSync); f.Kind == failure.FaultSlow {
 		// Sleep outside w.mu — holding a real mutex across a virtual-clock
 		// sleep can wedge the discrete-event schedule (see appendFrame).
-		w.mu.Unlock()
-		w.cfg.Chaos.Sleep(f.Delay)
-		w.mu.Lock()
+		w.sleepUnlocked(f.Delay)
 	}
 	if !w.cfg.Sync || w.f == nil {
 		return nil
