@@ -684,6 +684,9 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	if useRemote {
 		remoteStats = rh.stop()
 	}
+	if waitErr == nil && !clock.Virtual() {
+		awaitSpaceFold(sp, broker, spaceTopic)
+	}
 
 	// Chaos settle drain: delayed, duplicated and redelivered status
 	// pushes may still be in flight when the exit tasks report complete;
@@ -743,6 +746,21 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		return rep, fmt.Errorf("core: workflow did not complete: %w", waitErr)
 	}
 	return rep, nil
+}
+
+// awaitSpaceFold waits, on the real clock, until the space has folded
+// every message published on its topic. An agent sends the result that
+// completes its successor before it pushes its own final status, so the
+// session can end while that push is still in the broker or the space's
+// queue; reading the state then reports the task as it was before. The
+// agents have stopped when this runs (a remote worker reports DONE after
+// its last push, on the same ordered link), so no push is still to come.
+// The wait is bounded like a worker's DONE.
+func awaitSpaceFold(sp *space.Space, broker mq.Broker, topic string) {
+	deadline := time.Now().Add(remoteDoneTimeout)
+	for sp.Consumed() < broker.PublishedPrefix(topic) && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // hub fans values out to subscribers. It is deliberately lossy under

@@ -108,6 +108,9 @@ type Space struct {
 	resyncSent    int64
 
 	sub *mq.Subscription
+	// consumed counts the messages the serve loop has taken off the
+	// topic and folded in (or, under chaos, deferred).
+	consumed atomic.Int64
 
 	// chaos, when set, perturbs the serve-path fold order (defer and
 	// duplicate per message) — the space-client boundary of the chaos
@@ -501,8 +504,15 @@ func (s *Space) ServeHooked(ctx context.Context, broker mq.Broker, topic string,
 		if after != nil {
 			after()
 		}
+		s.consumed.Add(int64(len(batch)))
 	}
 }
+
+// Consumed returns how many messages the serve loop has taken off its
+// topic and folded in, chaos-deferred ones included. Once it reaches the
+// broker's publish count for the topic, every status published so far
+// is in the space.
+func (s *Space) Consumed() int64 { return s.consumed.Load() }
 
 // SetChaos installs the fault schedule for the space-client boundary.
 // Install before Serve; a nil schedule is ignored.

@@ -158,3 +158,38 @@ func TestServeConsumesBrokerTopic(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestConsumedCountsEveryMessage: Consumed reaches the broker's publish
+// count for the topic, messages that change nothing included, which is
+// what a session waits on before it reads the final state.
+func TestConsumedCountsEveryMessage(t *testing.T) {
+	clock := cluster.NewClock(10 * time.Microsecond)
+	broker := mq.NewQueueBroker(clock, 0.001)
+	s := New()
+	if err := s.Attach(broker, ""); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.Serve(ctx, broker, "")
+
+	update := molecules(t, `T1:<SRC:<>, RES:<"ok">>`)
+	for _, atoms := range [][]hocl.Atom{update, update, nil} {
+		if err := broker.PublishAtoms(DefaultTopic, atoms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Consumed() < broker.PublishedPrefix(DefaultTopic) {
+		if time.Now().After(deadline) {
+			t.Fatalf("consumed %d of %d", s.Consumed(), broker.PublishedPrefix(DefaultTopic))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Consumed(); got != 3 {
+		t.Fatalf("Consumed = %d, want 3", got)
+	}
+	if s.Status("T1") != hoclflow.StatusCompleted {
+		t.Fatalf("T1 is %v after its push was consumed", s.Status("T1"))
+	}
+}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -51,8 +52,13 @@ type RemoteBroker struct {
 	published map[string]int64
 	nextReq   uint64
 	logWaits  map[uint64]*logWait
+	// ctrlQ queues session-control frames for the node runtime, and
+	// ctrlSig (capacity 1) wakes it. The queue is unbounded so the read
+	// loop never waits on the runtime, which may itself be waiting on
+	// an ACK only the read loop can deliver (see link.serve).
+	ctrlQ   []controlFrame
+	ctrlSig chan struct{}
 
-	ctrl     chan controlFrame
 	closedCh chan struct{}
 	wg       sync.WaitGroup
 }
@@ -93,15 +99,15 @@ func Dial(addr string, cfg DialConfig) (*RemoteBroker, error) {
 		subs:      map[uint64]*clientSub{},
 		published: map[string]int64{},
 		logWaits:  map[uint64]*logWait{},
-		ctrl:      make(chan controlFrame, 16),
+		ctrlSig:   make(chan struct{}, 1),
 		closedCh:  make(chan struct{}),
 	}
-	conn, err := rb.connect()
+	conn, r, err := rb.connect()
 	if err != nil {
 		return nil, err
 	}
 	rb.wg.Add(1)
-	go rb.run(conn)
+	go rb.run(conn, r)
 	return rb, nil
 }
 
@@ -114,29 +120,32 @@ func (rb *RemoteBroker) NodeID() uint64 {
 }
 
 // connect dials and handshakes once, attaching the socket to the
-// reliable link (which replays any unacknowledged frames).
-func (rb *RemoteBroker) connect() (net.Conn, error) {
+// reliable link (which replays any unacknowledged frames). The returned
+// reader is the connection's only one: it was created before the
+// handshake, so bytes buffered past WELCOME are kept.
+func (rb *RemoteBroker) connect() (net.Conn, *bufio.Reader, error) {
 	conn, err := net.DialTimeout("tcp", rb.addr, handshakeTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", rb.addr, err)
+		return nil, nil, fmt.Errorf("transport: dial %s: %w", rb.addr, err)
 	}
+	r := bufio.NewReaderSize(conn, readBufSize)
 	rb.mu.Lock()
 	h := helloFrame{version: protocolVersion, nodeID: rb.nodeID, lastSeq: rb.link.received(), name: rb.cfg.Name}
 	rb.mu.Unlock()
 	if err := writeFrame(conn, fHello, encodeHello(h)); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake write: %w", err)
+		return nil, nil, fmt.Errorf("transport: handshake write: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(r)
 	if err != nil || typ != fWelcome {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: no welcome (type %d, err %v)", typ, err)
+		return nil, nil, fmt.Errorf("transport: handshake: no welcome (type %d, err %v)", typ, err)
 	}
 	w, err := parseWelcome(payload)
 	if err != nil || w.version != protocolVersion {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: bad welcome (version %d, want %d, err %v)", w.version, protocolVersion, err)
+		return nil, nil, fmt.Errorf("transport: handshake: bad welcome (version %d, want %d, err %v)", w.version, protocolVersion, err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	rb.mu.Lock()
@@ -144,17 +153,17 @@ func (rb *RemoteBroker) connect() (net.Conn, error) {
 	rb.mu.Unlock()
 	rb.link.onAck(w.lastSeq)
 	rb.link.attach(conn)
-	return conn, nil
+	return conn, r, nil
 }
 
 // run owns the connection lifecycle: serve reads until the socket
 // breaks, then reconnect with capped backoff until Close.
-func (rb *RemoteBroker) run(conn net.Conn) {
+func (rb *RemoteBroker) run(conn net.Conn, r *bufio.Reader) {
 	defer rb.wg.Done()
 	backoff := 50 * time.Millisecond
 	for {
 		stopPing := rb.startPing()
-		rb.serveConn(conn)
+		rb.link.serve(r, rb.dispatch)
 		stopPing()
 		rb.link.detach(conn)
 		for {
@@ -169,9 +178,9 @@ func (rb *RemoteBroker) run(conn net.Conn) {
 			if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
-			next, err := rb.connect()
+			next, nextR, err := rb.connect()
 			if err == nil {
-				conn = next
+				conn, r = next, nextR
 				backoff = 50 * time.Millisecond
 				metReconnects.Inc()
 				break
@@ -205,48 +214,6 @@ func (rb *RemoteBroker) startPing() func() {
 		}
 	}()
 	return func() { close(stop) }
-}
-
-// serveConn reads one connection until it breaks.
-func (rb *RemoteBroker) serveConn(conn net.Conn) {
-	for {
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		switch typ {
-		case fPing:
-			rb.link.sendControl(fPong, nil)
-			continue
-		case fPong:
-			continue
-		case fAck:
-			c := cursor{buf: payload}
-			seq, err := c.uvarint()
-			if err != nil {
-				return
-			}
-			rb.link.onAck(seq)
-			continue
-		case fHello, fWelcome:
-			return
-		}
-		c := cursor{buf: payload}
-		seq, err := c.uvarint()
-		if err != nil {
-			return
-		}
-		fresh, err := rb.link.accept(seq)
-		if err != nil {
-			return
-		}
-		if fresh {
-			if err := rb.dispatch(typ, &c); err != nil {
-				return
-			}
-		}
-		rb.link.sendAck()
-	}
 }
 
 // dispatch handles one fresh reliable frame from the server.
@@ -317,7 +284,7 @@ func (rb *RemoteBroker) dispatch(typ byte, c *cursor) error {
 		cf.typ = typ
 		var err error
 		if typ == fAssign {
-			cf.session, cf.blob, err = parseSessionJSON(c)
+			cf.session, cf.blob, err = parseSessionBlob(c)
 		} else {
 			if cf.session, err = c.uvarint(); err == nil {
 				err = c.done()
@@ -326,17 +293,27 @@ func (rb *RemoteBroker) dispatch(typ byte, c *cursor) error {
 		if err != nil {
 			return err
 		}
+		rb.mu.Lock()
+		rb.ctrlQ = append(rb.ctrlQ, cf)
+		rb.mu.Unlock()
 		select {
-		case rb.ctrl <- cf:
-		case <-rb.closedCh:
+		case rb.ctrlSig <- struct{}{}:
+		default:
 		}
 		return nil
 	}
 	return nil // tolerate unknown server frames
 }
 
-// control exposes the session-control stream to the node runtime.
-func (rb *RemoteBroker) control() <-chan controlFrame { return rb.ctrl }
+// takeControl hands the node runtime every session-control frame queued
+// so far, in arrival order; ctrlSig signals that there may be some.
+func (rb *RemoteBroker) takeControl() []controlFrame {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	q := rb.ctrlQ
+	rb.ctrlQ = nil
+	return q
+}
 
 // sendReady reports this node's session readiness to the server.
 func (rb *RemoteBroker) sendReady(session uint64) {
@@ -346,10 +323,18 @@ func (rb *RemoteBroker) sendReady(session uint64) {
 	})
 }
 
-// sendSessionJSON sends a session-scoped JSON frame (FAIL/DONE/EVENT).
-func (rb *RemoteBroker) sendSessionJSON(typ byte, session uint64, blob []byte) {
+// sendSessionBlob sends a session-scoped frame with a JSON body
+// (FAIL/DONE).
+func (rb *RemoteBroker) sendSessionBlob(typ byte, session uint64, blob []byte) {
 	rb.link.send(typ, func(seq uint64) []byte {
-		return encodeSessionJSON(seq, session, blob)
+		return encodeSessionBlob(seq, session, blob)
+	})
+}
+
+// sendEvent forwards one trace event in the binary EVENT layout.
+func (rb *RemoteBroker) sendEvent(session uint64, e NodeEvent) {
+	rb.link.send(fEvent, func(seq uint64) []byte {
+		return encodeEvent(seq, session, e)
 	})
 }
 

@@ -13,6 +13,8 @@
 // the payload. Payload integers are varints (uvarint unless noted),
 // strings and byte blobs are uvarint-length-prefixed. Molecule payloads
 // travel in the hocl wire codec (hocl.EncodeAtoms / hocl.DecodeAtoms).
+// Trace events are binary too (see encodeEvent); only the once-per-session
+// ASSIGN, FAIL and DONE bodies are JSON documents.
 //
 // Control frames (HELLO, WELCOME, PING, PONG, ACK) are connection-scoped
 // and unsequenced. Every other frame is reliable: its payload starts
@@ -36,11 +38,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // protocolVersion is the frame protocol version carried in HELLO and
-// WELCOME; a mismatch fails the handshake.
-const protocolVersion = 2
+// WELCOME; a mismatch fails the handshake. Version 3 made EVENT bodies
+// binary (version 2 carried them as JSON).
+const protocolVersion = 3
+
+// readBufSize is the per-connection read buffer: one socket read
+// usually brings in a whole burst of frames.
+const readBufSize = 32 << 10
 
 // maxFrame bounds a frame's length prefix (type byte + payload). A peer
 // announcing more is protocol-corrupt and the connection is dropped
@@ -67,7 +75,7 @@ const (
 	fStop        byte = 23 // server→client: session
 	fFail        byte = 24 // client→server: session, failure JSON
 	fDone        byte = 25 // client→server: session, stats JSON
-	fEvent       byte = 26 // client→server: session, trace-event JSON
+	fEvent       byte = 26 // client→server: session, binary trace event
 	fLogReq      byte = 27 // client→server: reqID, topic
 	fLogResp     byte = 28 // server→client: reqID, count, messages
 
@@ -102,18 +110,16 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame, returning its type and a freshly allocated
-// payload (safe to retain or hand to goroutines). Length and type are
-// validated before any payload allocation.
+// payload (safe to retain or hand to goroutines). The length and type
+// header is one read; both are validated before any payload allocation.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
-	}
+	got, err := io.ReadFull(r, hdr[:])
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrame {
+	if got >= 4 && (n == 0 || n > maxFrame) {
 		return 0, nil, fmt.Errorf("%w: length %d", errFrame, n)
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	if err != nil {
 		return 0, nil, err
 	}
 	typ := hdr[4]
@@ -155,6 +161,15 @@ func (c *cursor) varint() (int64, error) {
 		return 0, c.errf("bad varint")
 	}
 	c.off += n
+	return v, nil
+}
+
+func (c *cursor) u64() (uint64, error) {
+	if len(c.buf)-c.off < 8 {
+		return 0, c.errf("truncated uint64")
+	}
+	v := binary.BigEndian.Uint64(c.buf[c.off:])
+	c.off += 8
 	return v, nil
 }
 
@@ -348,15 +363,15 @@ func (c *cursor) msgs() ([]wireMsg, error) {
 	return msgs, nil
 }
 
-// sessionJSON encodes the (session, JSON blob) bodies shared by ASSIGN,
-// FAIL, DONE and EVENT.
-func encodeSessionJSON(seq, session uint64, blob []byte) []byte {
+// encodeSessionBlob encodes the (session, blob) bodies shared by ASSIGN,
+// FAIL and DONE; the blob is a JSON document.
+func encodeSessionBlob(seq, session uint64, blob []byte) []byte {
 	buf := binary.AppendUvarint(nil, seq)
 	buf = binary.AppendUvarint(buf, session)
 	return appendBytes(buf, blob)
 }
 
-func parseSessionJSON(c *cursor) (uint64, []byte, error) {
+func parseSessionBlob(c *cursor) (uint64, []byte, error) {
 	session, err := c.uvarint()
 	if err != nil {
 		return 0, nil, err
@@ -366,6 +381,49 @@ func parseSessionJSON(c *cursor) (uint64, []byte, error) {
 		return 0, nil, err
 	}
 	return session, blob, c.done()
+}
+
+// encodeEvent encodes an EVENT body: session, At as float64 bits (8
+// bytes, big-endian), Kind, Task, Incarnation (varint), Info. The Node
+// field is not sent; the server stamps it from the connection.
+func encodeEvent(seq, session uint64, e NodeEvent) []byte {
+	buf := make([]byte, 0, 24+len(e.Kind)+len(e.Task)+len(e.Info))
+	buf = binary.AppendUvarint(buf, seq)
+	buf = binary.AppendUvarint(buf, session)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.At))
+	buf = appendString(buf, e.Kind)
+	buf = appendString(buf, e.Task)
+	buf = binary.AppendVarint(buf, int64(e.Incarnation))
+	return appendString(buf, e.Info)
+}
+
+// parseEvent parses an EVENT body (sequence already consumed).
+func parseEvent(c *cursor) (uint64, NodeEvent, error) {
+	var e NodeEvent
+	session, err := c.uvarint()
+	if err != nil {
+		return 0, e, err
+	}
+	bits, err := c.u64()
+	if err != nil {
+		return 0, e, err
+	}
+	e.At = math.Float64frombits(bits)
+	if e.Kind, err = c.str(); err != nil {
+		return 0, e, err
+	}
+	if e.Task, err = c.str(); err != nil {
+		return 0, e, err
+	}
+	inc, err := c.varint()
+	if err != nil {
+		return 0, e, err
+	}
+	e.Incarnation = int(inc)
+	if e.Info, err = c.str(); err != nil {
+		return 0, e, err
+	}
+	return session, e, c.done()
 }
 
 // parseFrame validates a full frame payload of the given type,
@@ -425,8 +483,11 @@ func parseFrame(typ byte, payload []byte) error {
 			return err
 		}
 		return c.done()
-	case fAssign, fFail, fDone, fEvent:
-		_, _, err := parseSessionJSON(&c)
+	case fAssign, fFail, fDone:
+		_, _, err := parseSessionBlob(&c)
+		return err
+	case fEvent:
+		_, _, err := parseEvent(&c)
 		return err
 	case fReady, fStart, fStop:
 		if _, err := c.uvarint(); err != nil {

@@ -107,6 +107,29 @@ func TestReadFrameRejectsBeforeAllocation(t *testing.T) {
 	}
 }
 
+// TestEventRoundTrip: an EVENT body decodes to what was encoded, and
+// every truncation of it, like a trailing byte, is a decode error.
+func TestEventRoundTrip(t *testing.T) {
+	e := NodeEvent{At: 12.375, Kind: "service-invoked", Task: "N2_8", Incarnation: 2, Info: "svc"}
+	payload := encodeEvent(41, 7, e)
+	c := cursor{buf: payload}
+	if seq, err := c.uvarint(); err != nil || seq != 41 {
+		t.Fatalf("seq %d err %v", seq, err)
+	}
+	session, got, err := parseEvent(&c)
+	if err != nil || session != 7 || got != e {
+		t.Fatalf("parseEvent: session %d %+v err %v", session, got, err)
+	}
+	for n := 0; n < len(payload); n++ {
+		if err := parseFrame(fEvent, payload[:n]); !errors.Is(err, errFrame) {
+			t.Errorf("truncated to %d of %d bytes: err = %v, want errFrame", n, len(payload), err)
+		}
+	}
+	if err := parseFrame(fEvent, append(payload, 0)); !errors.Is(err, errFrame) {
+		t.Errorf("trailing byte: err = %v, want errFrame", err)
+	}
+}
+
 // frameBytesRaw builds a frame with an arbitrary (possibly invalid)
 // body, bypassing writeFrame's checks.
 func frameBytesRaw(n uint32, body []byte) []byte {
@@ -178,13 +201,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(wire(fBatch, msgsBody))
 	f.Add(wire(fLogResp, msgsBody))
 	f.Add(wire(fLogReq, appendString(binary.AppendUvarint(seq(nil), 9), "sa.t")))
-	f.Add(wire(fAssign, encodeSessionJSON(1, 3, []byte(`{"tasks":["A"]}`))))
+	f.Add(wire(fAssign, encodeSessionBlob(1, 3, []byte(`{"tasks":["A"]}`))))
 	f.Add(wire(fReady, binary.AppendUvarint(seq(nil), 3)))
 	f.Add(wire(fStart, binary.AppendUvarint(seq(nil), 3)))
 	f.Add(wire(fStop, binary.AppendUvarint(seq(nil), 3)))
-	f.Add(wire(fFail, encodeSessionJSON(1, 3, []byte(`{"err":"x"}`))))
-	f.Add(wire(fDone, encodeSessionJSON(1, 3, []byte(`{"failures":0}`))))
-	f.Add(wire(fEvent, encodeSessionJSON(1, 3, []byte(`{"kind":"agent-started"}`))))
+	f.Add(wire(fFail, encodeSessionBlob(1, 3, []byte(`{"err":"x"}`))))
+	f.Add(wire(fDone, encodeSessionBlob(1, 3, []byte(`{"failures":0}`))))
+	f.Add(wire(fEvent, encodeEvent(1, 3, NodeEvent{At: 1.5, Kind: "agent-started", Task: "T1", Incarnation: 1})))
 
 	// Hostile shapes.
 	f.Add([]byte{})

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -102,6 +103,84 @@ func (l *link) sendAck() {
 	seq := l.lastIn
 	l.mu.Unlock()
 	l.sendControl(fAck, binary.AppendUvarint(nil, seq))
+}
+
+// serve reads one connection until it breaks or the peer violates the
+// protocol. It answers PING, applies the peer's ACKs, and hands each
+// fresh reliable frame to dispatch (a duplicate replayed after a
+// reconnect is dropped by sequence).
+//
+// ACKs are cumulative and sent once per read burst. Dispatching a
+// reliable frame leaves an ACK owed; the loop writes it as soon as the
+// buffer holds no whole frame, i.e. before the next readFrame could block
+// on the socket. That holds whatever frame type ended the burst: a burst
+// that ends on PING, PONG or the peer's own ACK still pays what it owes.
+// The ACK follows dispatch, so it certifies processing: a sendWait on the
+// peer (the synchronous Subscribe the READY barrier builds on) returns
+// only after the frame's dispatch here has returned.
+//
+// Batching is deadlock-free because no dispatch path waits on the peer:
+// dispatch hands work to the broker, to an unbounded queue or to a
+// buffered channel, and never blocks until another frame arrives. A
+// dispatch that did wait for the peer could hold back an owed ACK the
+// peer is itself waiting for.
+func (l *link) serve(r *bufio.Reader, dispatch func(typ byte, c *cursor) error) {
+	owed := false
+	// One cursor per connection, not per frame: handed to a func value,
+	// a per-frame cursor would escape to the heap. dispatch must not
+	// retain it.
+	c := new(cursor)
+	for {
+		if owed && !frameBuffered(r) {
+			l.sendAck()
+			owed = false
+		}
+		typ, payload, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		*c = cursor{buf: payload}
+		switch typ {
+		case fPing:
+			l.sendControl(fPong, nil)
+			continue
+		case fPong:
+			continue
+		case fAck:
+			seq, err := c.uvarint()
+			if err != nil {
+				return
+			}
+			l.onAck(seq)
+			continue
+		case fHello, fWelcome:
+			return // handshake frames mid-stream: protocol violation
+		}
+		seq, err := c.uvarint()
+		if err != nil {
+			return
+		}
+		fresh, err := l.accept(seq)
+		if err != nil {
+			return
+		}
+		if fresh {
+			if err := dispatch(typ, c); err != nil {
+				return
+			}
+		}
+		owed = true
+	}
+}
+
+// frameBuffered reports whether r already holds a whole frame, so the
+// next readFrame returns without touching the socket.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4) // cannot fail: 4 bytes are buffered
+	return uint64(r.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // onAck trims the outbox up to the peer's cumulative sequence and

@@ -101,23 +101,30 @@ func (n *Node) loop() {
 		select {
 		case <-n.done:
 			return
-		case cf := <-n.rb.control():
-			switch cf.typ {
-			case fAssign:
-				n.handleAssign(cf.session, cf.blob)
-			case fStart:
-				if ns := n.session(cf.session); ns != nil {
-					ns.start()
-				}
-			case fStop:
-				if ns := n.session(cf.session); ns != nil {
-					n.wg.Add(1)
-					go func() {
-						defer n.wg.Done()
-						ns.stopAndReport()
-					}()
-				}
+		case <-n.rb.ctrlSig:
+			for _, cf := range n.rb.takeControl() {
+				n.handleControl(cf)
 			}
+		}
+	}
+}
+
+// handleControl applies one session-control frame from the server.
+func (n *Node) handleControl(cf controlFrame) {
+	switch cf.typ {
+	case fAssign:
+		n.handleAssign(cf.session, cf.blob)
+	case fStart:
+		if ns := n.session(cf.session); ns != nil {
+			ns.start()
+		}
+	case fStop:
+		if ns := n.session(cf.session); ns != nil {
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				ns.stopAndReport()
+			}()
 		}
 	}
 }
@@ -141,7 +148,7 @@ func (n *Node) handleAssign(session uint64, blob []byte) {
 	ns, err := n.buildSession(session, blob)
 	if err != nil {
 		b, _ := json.Marshal(nodeFailure{Err: err.Error()})
-		n.rb.sendSessionJSON(fFail, session, b)
+		n.rb.sendSessionBlob(fFail, session, b)
 		return
 	}
 	n.mu.Lock()
@@ -249,14 +256,10 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	}
 	ns.recorder = trace.NewForwarder(clock)
 	ns.recorder.AddSink(func(e trace.Event) {
-		b, err := json.Marshal(NodeEvent{
+		n.rb.sendEvent(session, NodeEvent{
 			At: e.At, Kind: string(e.Kind), Task: e.Task,
 			Incarnation: e.Incarnation, Info: e.Info,
 		})
-		if err != nil {
-			return
-		}
-		n.rb.sendSessionJSON(fEvent, session, b)
 	})
 	ns.newInc = func(spec workflow.AgentSpec, incarnation int) *agent.Agent {
 		return agent.New(agent.Config{
@@ -352,7 +355,7 @@ func (ns *nodeSession) fail(err error) {
 			Err:              err.Error(),
 			RetriesExhausted: errors.Is(err, failure.ErrRetriesExhausted),
 		})
-		ns.node.rb.sendSessionJSON(fFail, ns.id, b)
+		ns.node.rb.sendSessionBlob(fFail, ns.id, b)
 	})
 }
 
@@ -383,6 +386,6 @@ func (ns *nodeSession) stopAndReport() {
 	d := NodeDone{Failures: ns.failures, Recoveries: ns.recoveries, Duplicates: ns.duplicates}
 	ns.mu.Unlock()
 	blob, _ := json.Marshal(d)
-	ns.node.rb.sendSessionJSON(fDone, ns.id, blob)
+	ns.node.rb.sendSessionBlob(fDone, ns.id, blob)
 	ns.node.removeSession(ns.id)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -185,11 +186,13 @@ func (s *Server) acceptLoop() {
 
 // handshake consumes a connection's HELLO, resolves or creates its node
 // identity, answers WELCOME and hands the socket to the node's link
-// (which replays any unacknowledged frames).
+// (which replays any unacknowledged frames). The connection's reader is
+// created here and kept for its life, so no byte read past HELLO is lost.
 func (s *Server) handshake(conn net.Conn) {
 	defer s.wg.Done()
+	r := bufio.NewReaderSize(conn, readBufSize)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(r)
 	if err != nil || typ != fHello {
 		conn.Close()
 		return
@@ -246,55 +249,15 @@ func (s *Server) handshake(conn net.Conn) {
 		rs.notifyReconnect(n.id)
 	}
 	s.wg.Add(1)
-	go s.serveConn(n, conn)
+	go s.serveConn(n, conn, r)
 }
 
-// serveConn reads one connection until it breaks, dispatching reliable
-// frames exactly once (duplicates replayed after a reconnect are
-// discarded by sequence).
-func (s *Server) serveConn(n *serverNode, conn net.Conn) {
+// serveConn reads one connection until it breaks (see link.serve for
+// the dedup and ACK discipline).
+func (s *Server) serveConn(n *serverNode, conn net.Conn, r *bufio.Reader) {
 	defer s.wg.Done()
 	defer n.link.detach(conn)
-	for {
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		switch typ {
-		case fPing:
-			n.link.sendControl(fPong, nil)
-			continue
-		case fPong:
-			continue
-		case fAck:
-			c := cursor{buf: payload}
-			seq, err := c.uvarint()
-			if err != nil {
-				return
-			}
-			n.link.onAck(seq)
-			continue
-		case fHello, fWelcome:
-			return // handshake frames mid-stream: protocol violation
-		}
-		c := cursor{buf: payload}
-		seq, err := c.uvarint()
-		if err != nil {
-			return
-		}
-		fresh, err := n.link.accept(seq)
-		if err != nil {
-			return
-		}
-		if fresh {
-			if err := s.dispatch(n, typ, &c); err != nil {
-				return
-			}
-		}
-		// Ack after dispatch: a cumulative ACK certifies processing, the
-		// guarantee the client's synchronous Subscribe waits on.
-		n.link.sendAck()
-	}
+	n.link.serve(r, func(typ byte, c *cursor) error { return s.dispatch(n, typ, c) })
 }
 
 // dispatch handles one fresh reliable frame from a worker.
@@ -391,18 +354,20 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 	var session uint64
 	var blob []byte
+	var ev NodeEvent
 	var err error
-	if typ == fReady {
-		if session, err = c.uvarint(); err != nil {
-			return err
+	switch typ {
+	case fReady:
+		if session, err = c.uvarint(); err == nil {
+			err = c.done()
 		}
-		if err = c.done(); err != nil {
-			return err
-		}
-	} else {
-		if session, blob, err = parseSessionJSON(c); err != nil {
-			return err
-		}
+	case fEvent:
+		session, ev, err = parseEvent(c)
+	default:
+		session, blob, err = parseSessionBlob(c)
+	}
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	rs := s.sessions[session]
@@ -418,7 +383,7 @@ func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 	case fDone:
 		rs.markDone(n.id, blob)
 	case fEvent:
-		rs.pushEvent(n.id, blob)
+		rs.pushEvent(n.id, ev)
 	}
 	return nil
 }
@@ -655,7 +620,7 @@ func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment) (*Re
 			return nil, err
 		}
 		n.link.send(fAssign, func(seq uint64) []byte {
-			return encodeSessionJSON(seq, session, blob)
+			return encodeSessionBlob(seq, session, blob)
 		})
 	}
 	return rs, nil
@@ -816,11 +781,7 @@ func (rs *RemoteSession) markDone(node uint64, blob []byte) {
 	}
 }
 
-func (rs *RemoteSession) pushEvent(node uint64, blob []byte) {
-	var e NodeEvent
-	if err := json.Unmarshal(blob, &e); err != nil {
-		return
-	}
+func (rs *RemoteSession) pushEvent(node uint64, e NodeEvent) {
 	e.Node = node
 	select {
 	case rs.events <- e:

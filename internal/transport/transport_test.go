@@ -106,7 +106,7 @@ func TestHandshakeAssignsNodeIDs(t *testing.T) {
 // version is turned away at the handshake, on either side, before any
 // message frame could be mis-read.
 func TestHandshakeRefusesOtherVersion(t *testing.T) {
-	const old = protocolVersion - 1
+	const old = 2 // version 2 sent trace events as JSON
 
 	// Server side: an old HELLO gets the connection closed, no identity.
 	srv, _, _ := newTestServer(t, nil)
