@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ginflow/internal/hocl"
 )
 
 // TestManagerConcurrentWorkflows is the acceptance bar for the
@@ -134,12 +136,23 @@ func TestManagerHandleEventsAndCancel(t *testing.T) {
 	}
 	defer mgr.Close()
 
-	// Session 1: stream events.
+	// Session 1: stream events. The entry service waits until the
+	// stream is subscribed: events recorded before Events() are not
+	// replayed.
 	def := Diamond(DefaultDiamondSpec(2, 2, false))
-	h1, err := mgr.Submit(context.Background(), def, noopServices(0.1, "split", "work", "merge"))
+	services := noopServices(0.1, "split", "work", "merge")
+	split, _ := services.Lookup("split")
+	subscribed := make(chan struct{})
+	services.RegisterFunc("split", 0.1, func(params []hocl.Atom) (hocl.Atom, error) {
+		<-subscribed
+		return split.Invoke(params)
+	})
+	h1, err := mgr.Submit(context.Background(), def, services)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := h1.Events()
+	close(subscribed)
 	// Session 2: a crawler to cancel.
 	h2, err := mgr.Submit(context.Background(), Sequence(3, "slow", "in"), noopServices(1e5, "slow"))
 	if err != nil {
@@ -147,7 +160,7 @@ func TestManagerHandleEventsAndCancel(t *testing.T) {
 	}
 
 	completed := 0
-	for e := range h1.Events() {
+	for e := range events {
 		if e.Kind == EventTaskCompleted {
 			completed++
 		}

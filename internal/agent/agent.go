@@ -302,49 +302,24 @@ func (a *Agent) invoke(args []hocl.Atom) ([]hocl.Atom, error) {
 	return []hocl.Atom{result}, nil
 }
 
-// rideOutFaults draws the chaos schedule's invocation boundary and
-// retries transient faults under the bounded backoff budget:
-//
-//   - slow: the call succeeds but takes longer (added to dur, no retry);
-//   - error: the attempt fails fast, is traced and retried after
-//     backoff;
-//   - timeout: the service runs its full duration, the response is
-//     lost, and the attempt is retried after backoff.
-//
-// Exhaustion returns an EscalationError whose chain matches
-// failure.ErrRetriesExhausted; the supervisor escalates it into a
-// session failure.
+// rideOutFaults retries the chaos schedule's transient invocation
+// faults under the agent's backoff budget (failure.Schedule.RideOut),
+// tracing and counting each one. Exhaustion returns an EscalationError
+// whose chain matches failure.ErrRetriesExhausted; the supervisor
+// escalates it into a session failure.
 func (a *Agent) rideOutFaults(svcName string, dur float64) (float64, error) {
-	rc := a.cfg.Retry.WithDefaults()
-	for attempt := 1; ; attempt++ {
-		f := a.cfg.Chaos.Draw(failure.BoundaryInvoke)
-		switch f.Kind {
-		case failure.FaultSlow:
-			return dur + f.Delay, nil
-		case failure.FaultError, failure.FaultTimeout:
-			cost := f.Delay
-			if f.Kind == failure.FaultTimeout {
-				cost = dur // the service ran to its deadline before the response was lost
-			}
-			if err := a.sleep(cost); err != nil {
-				return 0, err
-			}
-			a.cfg.Trace.Record(trace.ServiceFaulted, a.name, a.cfg.Incarnation,
-				fmt.Sprintf("%s attempt %d: %v", svcName, attempt, f.Err))
-			a.met.Retries.Inc()
-			if attempt >= rc.MaxAttempts {
-				return 0, &EscalationError{
-					Task: a.name, Incarnation: a.cfg.Incarnation,
-					Service: svcName, Attempts: attempt, Cause: f.Err,
-				}
-			}
-			if err := a.sleep(rc.Delay(attempt)); err != nil {
-				return 0, err
-			}
-		default:
-			return dur, nil
+	took, attempts, err := a.cfg.Chaos.RideOut(dur, a.cfg.Retry, a.sleep, func(attempt int, f failure.Fault) {
+		a.cfg.Trace.Record(trace.ServiceFaulted, a.name, a.cfg.Incarnation,
+			fmt.Sprintf("%s attempt %d: %v", svcName, attempt, f.Err))
+		a.met.Retries.Inc()
+	})
+	if err != nil && attempts > 0 {
+		return 0, &EscalationError{
+			Task: a.name, Incarnation: a.cfg.Incarnation,
+			Service: svcName, Attempts: attempts, Cause: err,
 		}
 	}
+	return took, err
 }
 
 // send implements the decentralised gw_pass product (§IV-A): ship the

@@ -58,9 +58,11 @@ func waitStatus(t *testing.T, sp *space.Space, task string, want hoclflow.Status
 func startSpace(t *testing.T, ctx context.Context, broker mq.Broker) *space.Space {
 	t.Helper()
 	sp := space.New()
+	// Subscribe before agents publish.
+	if err := sp.Attach(broker, ""); err != nil {
+		t.Fatal(err)
+	}
 	go sp.Serve(ctx, broker, "")
-	// Let the subscription land before agents publish.
-	time.Sleep(5 * time.Millisecond)
 	return sp
 }
 

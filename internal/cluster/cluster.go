@@ -158,9 +158,9 @@ func (c *Clock) AdvanceTo(t float64) {
 }
 
 // NewCond returns a scheduler-aware condition variable bound to a
-// virtual clock, or nil on a real-mode clock (callers keep their
-// channel-based paths there). Cond.Wait follows Sleep's calling
-// contract.
+// virtual clock, or nil on a real-mode clock. Cond.Wait follows Sleep's
+// calling contract. Code that waits for a state change on either clock
+// uses Wake, which parks on a Cond only on a virtual clock.
 func (c *Clock) NewCond() *Cond {
 	if c.v == nil {
 		return nil

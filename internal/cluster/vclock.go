@@ -421,8 +421,8 @@ func (v *vsched) advanceTo(t float64) {
 // cannot express (an unbuffered rendezvous needs two goroutines
 // runnable at once). Wait releases the run token; Broadcast moves every
 // current waiter to the ready queue in wait order. Obtain one from
-// Clock.NewCond; in real mode NewCond returns nil and callers keep
-// their channel paths.
+// Clock.NewCond, or wait through Wake, which uses one on a virtual
+// clock.
 type Cond struct {
 	v       *vsched
 	waiters []*vwaiter

@@ -218,6 +218,25 @@ func TestRemoteAdaptationMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestRemoteCrashesRecover runs the crash-and-respawn loop on the
+// worker side: agents hosted in separate OS processes crash with
+// probability p on the log broker, their worker respawns them with
+// inbox replay, and the run must still reach the in-process fault-free
+// outcome. The workers' DONE reports carry the counts.
+func TestRemoteCrashesRecover(t *testing.T) {
+	def := workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false))
+	services := diamondServices(nil)
+	baseRep, baseFP := runWithFingerprint(t, def, services, remoteBaseConfig())
+
+	cfg := remoteBaseConfig()
+	cfg.FailureP, cfg.FailureT = 0.5, 0.05
+	rep, fp := remoteRun(t, def, services, cfg, "diamond", 2)
+	requireSameOutcome(t, baseRep, rep, baseFP, fp)
+	if rep.Failures == 0 || rep.Failures != rep.Recoveries {
+		t.Errorf("failures = %d, recoveries = %d: want equal and non-zero", rep.Failures, rep.Recoveries)
+	}
+}
+
 // TestRemoteSocketChaosConverges perturbs the socket boundary — remote
 // publish dispatches dropped, duplicated, delayed and reordered between
 // the TCP bridge and the broker — and requires the seeded run to settle

@@ -291,7 +291,8 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 	clock := clus.Clock()
 	rng := clus.Rand()
 	chaos := s.mgr.chaos
-	rc := s.mgr.cfg.Retry.WithDefaults()
+	rc := s.mgr.cfg.Retry
+	sleep := func(d float64) error { clock.Sleep(d); return nil }
 
 	eng := hocl.NewEngine()
 	eng.Funcs.Register(hoclflow.FnInvoke, func(args []hocl.Atom) ([]hocl.Atom, error) {
@@ -310,32 +311,14 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 			}
 		}
 		// The invocation boundary is chaos-perturbed exactly like the
-		// agents' (rideOutFaults): slow calls succeed late, errors and
-		// timeouts cost their modelled delay and retry under the bounded
-		// backoff budget, and exhaustion fails the reduction with the
-		// failure.ErrRetriesExhausted chain.
-		dur := svc.InvocationDuration(rng)
-		for attempt := 1; ; attempt++ {
-			switch f := chaos.Draw(failure.BoundaryInvoke); f.Kind {
-			case failure.FaultSlow:
-				clock.Sleep(dur + f.Delay)
-			case failure.FaultError, failure.FaultTimeout:
-				cost := f.Delay
-				if f.Kind == failure.FaultTimeout {
-					cost = dur // the service ran to its deadline before the response was lost
-				}
-				clock.Sleep(cost)
-				if attempt >= rc.MaxAttempts {
-					return nil, fmt.Errorf("invoke %s: %d attempts: %w (%w)",
-						name, attempt, failure.ErrRetriesExhausted, f.Err)
-				}
-				clock.Sleep(rc.Delay(attempt))
-				continue
-			default:
-				clock.Sleep(dur)
-			}
-			break
+		// agents' (failure.Schedule.RideOut), and exhaustion fails the
+		// reduction with the failure.ErrRetriesExhausted chain.
+		took, attempts, err := chaos.RideOut(svc.InvocationDuration(rng), rc, sleep, nil)
+		if err != nil {
+			return nil, fmt.Errorf("invoke %s: %d attempts: %w (%w)",
+				name, attempts, failure.ErrRetriesExhausted, err)
 		}
+		clock.Sleep(took)
 		res, err := svc.Invoke(params)
 		if err != nil {
 			return []hocl.Atom{hoclflow.AtomERROR}, nil
@@ -420,9 +403,15 @@ func (s *Session) deployWithRetry(ctx context.Context, specs []workflow.AgentSpe
 }
 
 // runDistributed provisions agents through the executor under the
-// session's topic namespace and runs the decentralised engine.
+// session's topic namespace and runs the decentralised engine, in
+// phases: attach the space, deploy, launch the agents (in process or on
+// the joined workers), await the exit tasks, wind down, report.
+//
+// Every failure source ends the run through one funnel: fail records
+// the first cause and cancels runCtx, the one context the await (and
+// the remote READY barrier) watch on either clock.
 func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
-	def, services, cfg := s.def, s.services, s.mgr.cfg
+	def, cfg := s.def, s.mgr.cfg
 	specs, err := def.TranslateAgents()
 	if err != nil {
 		return nil, err
@@ -451,13 +440,126 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// defer below.)
 	defer broker.PurgeTopics(s.prefix)
 
+	runCtx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+
 	// The space consumes status updates; attach before any agent runs.
+	stopSpace, err := s.attachSpace(fail, spaceTopic, topicPrefix)
+	if err != nil {
+		return nil, err
+	}
+	defer stopSpace()
+
+	// Deployment (§IV-C): claim resources, place agents. Injected
+	// deployment faults retry with backoff before giving up.
+	placements, deployTime, err := s.deployWithRetry(ctx, specs, clus)
+	if err != nil {
+		if cause := classifyCause(context.Cause(ctx)); cause != nil {
+			return nil, fmt.Errorf("core: deployment aborted: %w", cause)
+		}
+		return nil, err
+	}
+	defer func() {
+		for _, p := range placements {
+			p.Node.Release()
+		}
+	}()
+
+	// Remote enactment: when the manager hosts a transport listener and
+	// worker processes have joined, the agents run out-of-process — the
+	// session fans its tasks out over the joined nodes and supervises
+	// through the control protocol instead of in-process goroutines.
+	// Recovered sessions stay in-process: their agents seed from
+	// journaled solutions, which do not travel over an Assignment.
+	// Either way every first incarnation subscribes before any agent
+	// starts reducing: a fast entry task must not publish results into
+	// the void (fatal on the volatile queue broker).
+	var host agentHost
+	if s.mgr.server != nil && !s.recovered && s.mgr.server.NodeCount() > 0 {
+		host, err = s.launchRemote(runCtx, fail, spaceTopic, topicPrefix, specs)
+	} else {
+		host, err = s.launchLocal(fail, spaceTopic, topicPrefix, placements)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Post-resume convergence: ask every recovered agent for a full
+	// status push through the resync channel. Fresh incarnations push
+	// full snapshots anyway, so this only forces the order — the space
+	// re-hears every rebuilt task even if its seeded state is already
+	// final.
+	for name := range seeded {
+		s.space.RequestResync(name)
+	}
+
+	execStart := clock.Now()
+	host.start(ctx)
+	waitErr := s.space.WaitCompleted(runCtx, def.Exits())
+	if waitErr != nil {
+		waitErr = endCause(ctx, runCtx)
+	}
+	execTime := clock.Now() - execStart
+	counts := host.stop()
+	s.settle(ctx, waitErr == nil, spaceTopic)
+
+	sp := s.space
+	rep := &Report{
+		Workflow:   def.Name,
+		Executor:   s.exec.Name(),
+		Broker:     string(cfg.Broker),
+		Tasks:      def.TaskCount(),
+		Agents:     len(placements),
+		Nodes:      len(clus.Nodes()),
+		DeployTime: deployTime, ExecTime: execTime,
+		TotalTime:  deployTime + execTime,
+		Failures:   counts.Failures,
+		Recoveries: counts.Recoveries,
+		Messages:   broker.PublishedPrefix(s.prefix),
+		Statuses:   map[string]hoclflow.Status{},
+		Results:    map[string][]string{},
+
+		DuplicatesSuppressed: counts.Duplicates,
+		EventsDropped:        s.hub.droppedCount(),
+	}
+	rep.Adaptations = sp.Triggered()
+	rep.Events = s.recorder.Events()
+	for _, id := range def.AllTaskIDs() {
+		rep.Statuses[id] = sp.Status(id)
+	}
+	for _, exit := range def.Exits() {
+		for _, a := range sp.Results(exit) {
+			rep.Results[exit] = append(rep.Results[exit], a.String())
+		}
+	}
+	if waitErr != nil {
+		return rep, fmt.Errorf("core: workflow did not complete: %w", waitErr)
+	}
+	return rep, nil
+}
+
+// endCause says why runCtx ended. A failure recorded through the funnel
+// is returned as is; an ended parent context (timeout, Cancel) maps onto
+// the API's sentinels. classifyCause must not see a funnel failure: it
+// would re-label it ErrCancelled.
+func endCause(ctx, runCtx context.Context) error {
+	cause := context.Cause(runCtx)
+	if parent := context.Cause(ctx); parent != nil && errors.Is(cause, parent) {
+		return classifyCause(parent)
+	}
+	return cause
+}
+
+// attachSpace subscribes the session's space to its status topic and
+// starts the serve loop that folds it, journaling each batch first when
+// the session is durable. The serve loop and the journal report their
+// failures to fail; the returned stop ends the serve loop.
+func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPrefix string) (stop func(), err error) {
+	sp, broker := s.space, s.mgr.broker
 	// The space-client boundary is chaos-perturbed too: delivered status
 	// batches may be deferred or double-folded before they reach the
-	// multiset (drops are deferred, never lost — FlushDeferred below
+	// multiset (drops are deferred, never lost — FlushDeferred in settle
 	// drains the remainder so the run still converges).
-	sp := s.space
-	sp.SetClock(clock)
 	sp.SetChaos(s.mgr.chaos)
 	if err := sp.Attach(broker, spaceTopic); err != nil {
 		return nil, err
@@ -469,27 +571,13 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		_ = broker.PublishAtoms(agent.Topic(topicPrefix, task), []hocl.Atom{hoclflow.ResyncMarker(task)})
 	})
 	spaceCtx, stopSpace := context.WithCancel(context.Background())
-	defer stopSpace()
-	spaceFailed := make(chan error, 1)
-	// waitCtx wakes the virtual-mode completion wait on failure: a
-	// single-token schedule cannot multi-select over channels, so every
-	// failure sender buffers its error and cancels this context, and the
-	// virtual waitErr path maps the wake back to the buffered cause.
-	// (Real mode keeps the channel select; cancelling is harmless there.)
-	waitCtx, failNow := context.WithCancel(ctx)
-	defer failNow()
-	// journalErr funnels write-through failures into the session's
-	// failure channel: durability was asked for, so a failing journal
-	// fails the session instead of silently degrading.
+	stop = stopSpace
+	// Durability was asked for, so a failing journal fails the session
+	// instead of silently degrading.
 	journalErr := func(err error) {
-		if err == nil {
-			return
+		if err != nil {
+			fail(fmt.Errorf("core: space failed: journal write-through: %w", err))
 		}
-		select {
-		case spaceFailed <- fmt.Errorf("journal write-through: %w", err):
-		default:
-		}
-		failNow()
 	}
 	serveSpace := func() error { return sp.Serve(spaceCtx, broker, spaceTopic) }
 	if s.jw != nil {
@@ -515,7 +603,10 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 				}
 				journalErr(s.jw.AppendInbox(msg.Topic, msg.Atoms))
 			})
-			defer s.mgr.unregisterInboxJournal(s.id)
+			stop = func() {
+				s.mgr.unregisterInboxJournal(s.id)
+				stopSpace()
+			}
 			s.jw.SetInboxSource(func() []journal.InboxRecord {
 				var recs []journal.InboxRecord
 				for _, topic := range broker.Topics(topicPrefix) {
@@ -527,225 +618,119 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 			})
 		}
 	}
-	clock.Go(func() {
-		err := serveSpace()
-		if err != nil && spaceCtx.Err() == nil {
-			spaceFailed <- err
-			failNow()
+	s.mgr.cluster.Clock().Go(func() {
+		if err := serveSpace(); err != nil && spaceCtx.Err() == nil {
+			fail(fmt.Errorf("core: space failed: %w", err))
 		}
 	})
+	return stop, nil
+}
 
-	// Deployment (§IV-C): claim resources, place agents. Injected
-	// deployment faults retry with backoff before giving up.
-	placements, deployTime, err := s.deployWithRetry(ctx, specs, clus)
-	if err != nil {
-		if cause := classifyCause(context.Cause(ctx)); cause != nil {
-			return nil, fmt.Errorf("core: deployment aborted: %w", cause)
-		}
-		return nil, err
-	}
-	defer func() {
-		for _, p := range placements {
-			p.Node.Release()
-		}
-	}()
+// agentHost is where a session's agents run: in process under one
+// supervisor (localHost), or on the joined worker nodes (remoteHost).
+// Every agent is built and subscribed before start.
+type agentHost interface {
+	// start lets every agent run until ctx ends or stop.
+	start(ctx context.Context)
+	// stop winds the agents down and returns their crash, respawn and
+	// duplicate counts.
+	stop() transport.NodeDone
+}
 
+// localHost runs a session's agents as supervised in-process
+// goroutines.
+type localHost struct {
+	sup    *agent.Supervisor
+	firsts []*agent.Agent
+	clock  *cluster.Clock
+	fail   context.CancelCauseFunc
+
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+// launchLocal builds and subscribes the first incarnation of every
+// placed agent.
+func (s *Session) launchLocal(fail context.CancelCauseFunc, spaceTopic, topicPrefix string, placements []executor.Placement) (*localHost, error) {
+	clus, cfg := s.mgr.cluster, s.mgr.cfg
 	nodeOf := map[string]*cluster.Node{}
 	for _, p := range placements {
 		nodeOf[p.Spec.Task.Name] = p.Node
 	}
-
-	injector := failure.New(s.sub.FailureP, s.sub.FailureT, clus.Rand())
-
-	// Remote enactment: when the manager hosts a transport listener and
-	// worker processes have joined, the agents run out-of-process — the
-	// session fans its tasks out over the joined nodes and supervises
-	// through the control protocol instead of in-process goroutines.
-	// Recovered sessions stay in-process: their agents seed from
-	// journaled solutions, which do not travel over an Assignment.
-	var rh *remoteHost
-	useRemote := s.mgr.server != nil && !s.recovered && s.mgr.server.NodeCount() > 0
-
-	// Launch supervised agents. Every first incarnation subscribes
-	// before any agent starts reducing: a fast entry task must not
-	// publish results into the void (fatal on the volatile queue broker).
-	sup := &supervisor{
-		cluster: clus, broker: broker, services: services,
-		injector: injector, placements: nodeOf,
-		topicPrefix: topicPrefix, spaceTopic: spaceTopic,
-		restartDelay: cfg.RestartDelay, maxRecoveries: cfg.MaxRecoveries,
-		recorder: s.recorder, metrics: s.mgr.met.agents,
-		chaos: s.mgr.chaos, retry: cfg.Retry,
-	}
-	var firstIncarnations []*agent.Agent
-	if useRemote {
-		// Remote READY is the same barrier: every worker reports READY
-		// only after all its inbox subscriptions reached the broker.
-		rh, err = s.launchRemote(ctx, sp, spaceTopic, topicPrefix, specs)
-		if err != nil {
+	h := &localHost{clock: clus.Clock(), fail: fail, sup: &agent.Supervisor{
+		Config: agent.Config{
+			Broker:      s.mgr.broker,
+			Cluster:     clus,
+			Placements:  nodeOf,
+			Services:    s.services,
+			Injector:    failure.New(s.sub.FailureP, s.sub.FailureT, clus.Rand()),
+			SpaceTopic:  spaceTopic,
+			TopicPrefix: topicPrefix,
+			Trace:       s.recorder,
+			Chaos:       s.mgr.chaos,
+			Retry:       cfg.Retry,
+			Metrics:     s.mgr.met.agents,
+		},
+		RestartDelay:  cfg.RestartDelay,
+		MaxRecoveries: cfg.MaxRecoveries,
+	}}
+	for _, p := range placements {
+		a := h.sup.New(p.Spec)
+		if err := a.Subscribe(); err != nil {
 			return nil, err
 		}
-		defer rh.close()
-	} else {
-		firstIncarnations = make([]*agent.Agent, len(placements))
-		for i, p := range placements {
-			a := sup.newAgent(p, 0)
-			if err := a.Subscribe(); err != nil {
-				return nil, err
-			}
-			firstIncarnations[i] = a
-		}
+		h.firsts = append(h.firsts, a)
 	}
+	return h, nil
+}
 
-	// Post-resume convergence: ask every recovered agent for a full
-	// status push through the resync channel. Fresh incarnations push
-	// full snapshots anyway, so this only forces the order — the space
-	// re-hears every rebuilt task even if its seeded state is already
-	// final.
-	for name := range seeded {
-		sp.RequestResync(name)
+func (h *localHost) start(ctx context.Context) {
+	ctx, h.cancel = context.WithCancel(ctx)
+	for _, a := range h.firsts {
+		h.wg.Add(1)
+		h.clock.Go(func() {
+			defer h.wg.Done()
+			if err := h.sup.Run(ctx, a); err != nil && ctx.Err() == nil {
+				h.fail(fmt.Errorf("core: agent failed: %w", err))
+			}
+		})
 	}
+}
 
-	agentsCtx, stopAgents := context.WithCancel(ctx)
-	defer stopAgents()
-	execStart := clock.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(placements))
-	var remoteFailed <-chan error
-	if useRemote {
-		rh.rs.Start()
-		remoteFailed = rh.rs.Failed()
-	} else {
-		for i, p := range placements {
-			wg.Add(1)
-			p, first := p, firstIncarnations[i]
-			clock.Go(func() {
-				defer wg.Done()
-				if err := sup.run(agentsCtx, p, first); err != nil && agentsCtx.Err() == nil {
-					errCh <- err
-					failNow()
-				}
-			})
-		}
-	}
-
-	// Wait for the exit tasks to report completion in the space.
-	waitErr := func() error {
-		if clock.Virtual() {
-			// Participant path: WaitCompleted parks on the space Cond;
-			// failures wake it through waitCtx and are mapped back to
-			// their buffered cause here.
-			err := sp.WaitCompleted(waitCtx, def.Exits())
-			if err == nil {
-				return nil
-			}
-			select {
-			case e := <-errCh:
-				return fmt.Errorf("core: agent failed: %w", e)
-			default:
-			}
-			select {
-			case e := <-spaceFailed:
-				return fmt.Errorf("core: space failed: %w", e)
-			default:
-			}
-			if cause := classifyCause(context.Cause(ctx)); cause != nil {
-				return cause
-			}
-			return err
-		}
-		done := make(chan error, 1)
-		go func() { done <- sp.WaitCompleted(ctx, def.Exits()) }()
-		select {
-		case err := <-done:
-			if err != nil {
-				if cause := classifyCause(context.Cause(ctx)); cause != nil {
-					return cause
-				}
-			}
-			return err
-		case err := <-errCh:
-			return fmt.Errorf("core: agent failed: %w", err)
-		case err := <-remoteFailed:
-			return fmt.Errorf("core: agent failed: %w", err)
-		case err := <-spaceFailed:
-			return fmt.Errorf("core: space failed: %w", err)
-		}
-	}()
-	execTime := clock.Now() - execStart
-	stopAgents()
+func (h *localHost) stop() transport.NodeDone {
+	h.cancel()
 	// On a virtual clock the agent participants need the run token to
 	// observe the cancellation and unwind; leave the schedule while they
 	// do, then rejoin for the settle drain and report assembly.
-	clock.Exit()
-	wg.Wait()
-	clock.Enter()
-	var remoteStats transport.NodeDone
-	if useRemote {
-		remoteStats = rh.stop()
-	}
-	if waitErr == nil && !clock.Virtual() {
-		awaitSpaceFold(sp, broker, spaceTopic)
-	}
+	h.clock.Exit()
+	h.wg.Wait()
+	h.clock.Enter()
+	var d transport.NodeDone
+	d.Failures, d.Recoveries, d.Duplicates = h.sup.Counts()
+	return d
+}
 
-	// Chaos settle drain: delayed, duplicated and redelivered status
-	// pushes may still be in flight when the exit tasks report complete;
-	// let them fold into the space (the version gate drops the stale
-	// ones) before the final state is read, so the fingerprint is
-	// deterministic for a given seed.
-	if waitErr == nil {
+// settle lets the space catch up once the agents have stopped, before
+// the final state is read. After a completed run it waits for every
+// status push still in flight and, under chaos, for delayed, duplicated
+// and redelivered pushes to fold (the version gate drops the stale
+// ones), so the fingerprint is deterministic for a given seed. Either
+// way it folds the batches space-boundary chaos deferred.
+func (s *Session) settle(ctx context.Context, completed bool, spaceTopic string) {
+	clock := s.mgr.cluster.Clock()
+	if completed {
+		if !clock.Virtual() {
+			awaitSpaceFold(s.space, s.mgr.broker, spaceTopic)
+		}
 		if d := s.mgr.chaos.SettleSeconds(); d > 0 {
 			clock.SleepCtx(ctx, d)
 		}
 	}
-	// Space-boundary chaos defers dropped batches instead of losing
-	// them; fold the remainder in before the final state is read.
-	sp.FlushDeferred()
-
+	s.space.FlushDeferred()
 	if n := s.hub.droppedCount(); n > 0 {
 		s.recorder.Record(trace.EventsDropped, "", 0,
 			fmt.Sprintf("%d events lost to slow consumers", n))
 	}
-
-	rep := &Report{
-		Workflow:   def.Name,
-		Executor:   s.exec.Name(),
-		Broker:     string(cfg.Broker),
-		Tasks:      def.TaskCount(),
-		Agents:     len(placements),
-		Nodes:      len(clus.Nodes()),
-		DeployTime: deployTime, ExecTime: execTime,
-		TotalTime:  deployTime + execTime,
-		Failures:   sup.failures(),
-		Recoveries: sup.recoveries(),
-		Messages:   broker.PublishedPrefix(s.prefix),
-		Statuses:   map[string]hoclflow.Status{},
-		Results:    map[string][]string{},
-
-		DuplicatesSuppressed: sup.duplicates(),
-		EventsDropped:        s.hub.droppedCount(),
-	}
-	if useRemote {
-		// Out-of-process agents report their crash/respawn/dedup counts
-		// in their DONE frames; the in-process supervisor saw nothing.
-		rep.Failures = remoteStats.Failures
-		rep.Recoveries = remoteStats.Recoveries
-		rep.DuplicatesSuppressed = remoteStats.Duplicates
-	}
-	rep.Adaptations = sp.Triggered()
-	rep.Events = s.recorder.Events()
-	for _, id := range def.AllTaskIDs() {
-		rep.Statuses[id] = sp.Status(id)
-	}
-	for _, exit := range def.Exits() {
-		for _, a := range sp.Results(exit) {
-			rep.Results[exit] = append(rep.Results[exit], a.String())
-		}
-	}
-	if waitErr != nil {
-		return rep, fmt.Errorf("core: workflow did not complete: %w", waitErr)
-	}
-	return rep, nil
 }
 
 // awaitSpaceFold waits, on the real clock, until the space has folded

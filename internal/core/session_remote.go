@@ -20,13 +20,15 @@ const remoteDoneTimeout = 10 * time.Second
 
 // remoteHost is the session side of out-of-process enactment: it owns
 // the transport RemoteSession, forwards the workers' trace events into
-// the session recorder, and translates worker reconnects into space
-// resync requests for that worker's tasks.
+// the session recorder and their failures into the session's failure
+// funnel, and translates worker reconnects into space resync requests
+// for that worker's tasks.
 type remoteHost struct {
 	rs       *transport.RemoteSession
 	tasksOf  map[uint64][]string
 	sp       *space.Space
 	recorder *trace.Recorder
+	fail     context.CancelCauseFunc
 
 	stopC chan struct{}
 	doneC chan struct{}
@@ -39,7 +41,7 @@ type remoteHost struct {
 // — the remote form of the subscribe-before-reduce ordering: a worker
 // reports READY only once all its agents' inbox subscriptions are live
 // on the manager's broker.
-func (s *Session) launchRemote(ctx context.Context, sp *space.Space, spaceTopic, topicPrefix string, specs []workflow.AgentSpec) (*remoteHost, error) {
+func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseFunc, spaceTopic, topicPrefix string, specs []workflow.AgentSpec) (*remoteHost, error) {
 	srv := s.mgr.server
 	ids := srv.NodeIDs()
 	if len(ids) == 0 {
@@ -81,31 +83,22 @@ func (s *Session) launchRemote(ctx context.Context, sp *space.Space, spaceTopic,
 		return nil, fmt.Errorf("core: remote enactment: %w", err)
 	}
 	rh := &remoteHost{
-		rs: rs, tasksOf: tasksOf, sp: sp, recorder: s.recorder,
+		rs: rs, tasksOf: tasksOf, sp: s.space, recorder: s.recorder, fail: fail,
 		stopC: make(chan struct{}), doneC: make(chan struct{}),
 	}
 	go rh.forward()
 
-	// The READY barrier must also watch the failure channel: a worker
-	// that cannot build its agents reports FAIL instead of READY, and
-	// the barrier would otherwise hang until the session timeout.
-	readyErr := make(chan error, 1)
-	go func() { readyErr <- rs.WaitReady(ctx) }()
-	select {
-	case err := <-readyErr:
-		if err != nil {
-			rh.close()
-			return nil, err
-		}
-	case err := <-rs.Failed():
+	// A worker that cannot build its agents reports FAIL instead of
+	// READY; the forwarder funnels it, which ends the barrier.
+	if err := rs.WaitReady(runCtx); err != nil {
 		rh.close()
-		return nil, fmt.Errorf("core: remote enactment: %w", err)
+		return nil, err
 	}
 	return rh, nil
 }
 
-// forward pumps the workers' event and reconnect streams until close.
-// Reconnects trigger a space resync of that worker's tasks: the
+// forward pumps the workers' event, failure and reconnect streams until
+// close. Reconnects trigger a space resync of that worker's tasks: the
 // reliable link replays everything the outage queued, and the resync
 // additionally forces a fresh full snapshot per task so the space heals
 // even if the worker itself restarted mid-push (the version gate drops
@@ -117,7 +110,9 @@ func (rh *remoteHost) forward() {
 		case <-rh.stopC:
 			return
 		case e := <-rh.rs.Events():
-			rh.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
+			rh.record(e)
+		case err := <-rh.rs.Failed():
+			rh.fail(fmt.Errorf("core: agent failed: %w", err))
 		case id := <-rh.rs.Reconnected():
 			for _, task := range rh.tasksOf[id] {
 				rh.sp.RequestResync(task)
@@ -126,14 +121,31 @@ func (rh *remoteHost) forward() {
 	}
 }
 
-// stop winds the workers down and aggregates their DONE stats (partial
-// if a worker never answers within remoteDoneTimeout).
+func (rh *remoteHost) record(e transport.NodeEvent) {
+	rh.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
+}
+
+func (rh *remoteHost) start(context.Context) { rh.rs.Start() }
+
+// stop winds the workers down, aggregates their DONE stats (partial if
+// a worker never answers within remoteDoneTimeout) and closes the
+// session. Every event a worker sent precedes its DONE on the ordered
+// link, so the events still queued are recorded before the forwarder
+// stops.
 func (rh *remoteHost) stop() transport.NodeDone {
 	rh.rs.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), remoteDoneTimeout)
 	defer cancel()
 	stats, _ := rh.rs.WaitDone(ctx)
-	return stats
+	rh.close()
+	for {
+		select {
+		case e := <-rh.rs.Events():
+			rh.record(e)
+		default:
+			return stats
+		}
+	}
 }
 
 // close stops the forwarder and unregisters the remote session.

@@ -341,6 +341,45 @@ func (c RetryConfig) Delay(attempt int) float64 {
 	return d
 }
 
+// RideOut rides out the invocation-boundary faults drawn for one
+// service call of dur model seconds under the retry budget rc, and
+// returns how long the call that goes through takes: dur, or dur plus a
+// slow fault's delay. An error fault costs its delay and a timeout the
+// whole dur (the service ran to its deadline before the response was
+// lost); each is charged through sleep, reported to onFault (nil
+// ignores it) and retried after rc's backoff. A spent budget returns
+// the attempts made and the last fault's error; a sleep error returns
+// as is, with attempts 0.
+func (s *Schedule) RideOut(dur float64, rc RetryConfig, sleep func(float64) error, onFault func(attempt int, f Fault)) (took float64, attempts int, err error) {
+	rc = rc.WithDefaults()
+	for attempt := 1; ; attempt++ {
+		f := s.Draw(BoundaryInvoke)
+		switch f.Kind {
+		case FaultSlow:
+			return dur + f.Delay, 0, nil
+		case FaultError, FaultTimeout:
+			cost := f.Delay
+			if f.Kind == FaultTimeout {
+				cost = dur
+			}
+			if err := sleep(cost); err != nil {
+				return 0, 0, err
+			}
+			if onFault != nil {
+				onFault(attempt, f)
+			}
+			if attempt >= rc.MaxAttempts {
+				return 0, attempt, f.Err
+			}
+			if err := sleep(rc.Delay(attempt)); err != nil {
+				return 0, 0, err
+			}
+		default:
+			return dur, 0, nil
+		}
+	}
+}
+
 // Schedule is a live fault schedule: per-boundary seeded RNG streams,
 // fault counters, and the consecutive-fault cap. All methods are safe
 // for concurrent use and safe on a nil receiver (a nil *Schedule never

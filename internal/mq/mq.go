@@ -303,11 +303,10 @@ type subscriber struct {
 	mu    sync.Mutex
 	queue []timedMsg
 
-	// An empty-queue consumer parks on vcond when the clock has a
-	// scheduler (Clock.NewCond), else on wake; see signal and park.
-	vcond *cluster.Cond
-	wake  chan struct{} // cap 1, sticky: "queue or done changed"
-	done  chan struct{} // closed by Cancel
+	// notify parks an empty-queue consumer until the queue grows or
+	// done closes.
+	notify cluster.Wake
+	done   chan struct{} // closed by Cancel
 
 	// Observability instruments captured from the shard at Subscribe.
 	// All nil for push-fed subscriptions and unmetered brokers — obs
@@ -319,11 +318,7 @@ type subscriber struct {
 }
 
 func newSubscriber(id int64, clock *cluster.Clock) *subscriber {
-	s := &subscriber{id: id, clock: clock, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	if clock != nil {
-		s.vcond = clock.NewCond() // nil on a real clock
-	}
-	return s
+	return &subscriber{id: id, clock: clock, notify: cluster.NewWake(clock), done: make(chan struct{})}
 }
 
 // now is the current instant on the subscriber's clock; push-fed
@@ -335,38 +330,6 @@ func (s *subscriber) now() float64 {
 	return s.clock.Now()
 }
 
-// signal wakes the consumer if it is parked, after the queue grew or
-// done closed. The wake channel is sticky (a signal sent while nobody is
-// parked is kept for the next park), which closes the window between a
-// consumer's empty-queue check and its park. The scheduler Cond needs
-// no such memory: under the single run token nothing can signal between
-// a participant's check and its Wait.
-func (s *subscriber) signal() {
-	if s.vcond != nil {
-		s.vcond.Broadcast()
-		return
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// park blocks until the next signal or until ctx ends. It is the one
-// place the two clocks differ on the consumption path. A wake-up
-// promises nothing; the caller re-checks done and the queue.
-func (s *subscriber) park(ctx context.Context) error {
-	if s.vcond != nil {
-		return s.vcond.Wait(ctx)
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.wake:
-		return nil
-	}
-}
-
 // enqueue appends a delivery without blocking the publisher.
 func (s *subscriber) enqueue(tm timedMsg) {
 	s.metDeliveries.Inc()
@@ -374,7 +337,7 @@ func (s *subscriber) enqueue(tm timedMsg) {
 	s.mu.Lock()
 	s.queue = append(s.queue, tm)
 	s.mu.Unlock()
-	s.signal()
+	s.notify.Signal()
 }
 
 // swapTail swaps the two newest pending deliveries — the chaos
@@ -422,7 +385,7 @@ func (s *Subscription) Next(ctx context.Context) ([]Message, error) {
 		sub.mu.Lock()
 		if len(sub.queue) == 0 {
 			sub.mu.Unlock()
-			if err := sub.park(ctx); err != nil {
+			if err := sub.notify.Park(ctx); err != nil {
 				return nil, err
 			}
 			continue
@@ -439,6 +402,11 @@ func (s *Subscription) Next(ctx context.Context) ([]Message, error) {
 		return batch, nil
 	}
 }
+
+// Clock returns the clock the subscription's due instants run on: the
+// broker's, or nil for a push-fed subscription. A consumer that also
+// waits on state of its own builds its cluster.Wake on it.
+func (s *Subscription) Clock() *cluster.Clock { return s.sub.clock }
 
 // TryNext returns every pending message already due as one batch, or
 // nil when nothing is due yet. It never blocks and never advances model
@@ -482,7 +450,7 @@ func (sub *subscriber) takeDueLocked(now float64) []Message {
 func (s *Subscription) Cancel() {
 	s.once.Do(func() {
 		close(s.sub.done)
-		s.sub.signal()
+		s.sub.notify.Signal()
 		if s.cancel != nil {
 			s.cancel()
 		}
@@ -533,7 +501,7 @@ func NewPushSubscription(onCancel func()) (*Subscription, func(msgs []Message)) 
 			sub.queue = append(sub.queue, timedMsg{msg: msgs[i]})
 		}
 		sub.mu.Unlock()
-		sub.signal()
+		sub.notify.Signal()
 	}
 	return &Subscription{sub: sub, cancel: onCancel}, push
 }

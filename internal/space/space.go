@@ -6,7 +6,7 @@
 //
 // Status pushes arrive either as full snapshots (a Name:<...> tuple
 // replacing the task's recorded sub-solution) or as deltas
-// (hoclflow.StatusDelta: only the changed top-level atoms), which the
+// (hoclflow.StatusDelta: only the top-level atoms that differ), which the
 // space folds into its stored copy. Deltas are anchored by fingerprints;
 // one that does not anchor — unknown task, base mismatch — is dropped
 // and counted, and the last good state is kept (DESIGN.md "Broker
@@ -78,13 +78,10 @@ type Space struct {
 	mu      sync.Mutex
 	tasks   map[string]*taskState // task name -> latest sub-solution
 	markers []hocl.Atom           // TRIGGER markers and other global molecules
-	changed chan struct{}
-	// cond, set by SetClock on a virtual clock, is the scheduler-aware
-	// update signal: a single-run-token schedule cannot express the
-	// changed-channel rendezvous, so virtual-mode waiters park on the
-	// Cond and every update broadcasts it (alongside the channel, which
-	// real-mode waiters keep using).
-	cond    *cluster.Cond
+	// folded wakes the WaitCompleted waiter after every fold. Attach
+	// puts it on the subscription's clock, so a virtual-clock waiter
+	// parks on the scheduler.
+	folded  cluster.Wake
 	updates int64
 
 	deltasApplied  int64
@@ -136,7 +133,7 @@ func (v taskVersion) before(w taskVersion) bool {
 func New() *Space {
 	return &Space{
 		tasks:         map[string]*taskState{},
-		changed:       make(chan struct{}),
+		folded:        cluster.NewWake(nil),
 		resyncPending: map[string]bool{},
 		versions:      map[string]taskVersion{},
 	}
@@ -201,7 +198,7 @@ func (s *Space) ResyncRequests() int64 {
 func (s *Space) UpdateTask(name string, sub *hocl.Solution) {
 	s.mu.Lock()
 	s.updateTaskLocked(name, sub)
-	s.bump()
+	s.finishApplyLocked(1)
 	s.mu.Unlock()
 }
 
@@ -222,30 +219,8 @@ func (s *Space) updateTaskLocked(name string, sub *hocl.Solution) {
 func (s *Space) AddMarker(a hocl.Atom) {
 	s.mu.Lock()
 	s.markers = append(s.markers, a)
-	s.bump()
+	s.finishApplyLocked(1)
 	s.mu.Unlock()
-}
-
-// bump signals waiters; callers hold s.mu.
-func (s *Space) bump() {
-	s.updates++
-	close(s.changed)
-	s.changed = make(chan struct{})
-	if s.cond != nil {
-		s.cond.Broadcast()
-	}
-}
-
-// SetClock tells the space which model clock its session runs on. On a
-// virtual clock this installs the scheduler-aware wait path
-// (WaitCompleted parks on a Cond instead of the changed channel); a
-// real clock is a no-op. Call before WaitCompleted.
-func (s *Space) SetClock(clock *cluster.Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if clock.Virtual() && s.cond == nil {
-		s.cond = clock.NewCond()
-	}
 }
 
 // Updates returns the number of updates applied so far.
@@ -372,61 +347,41 @@ func (s *Space) StateFingerprint() uint64 {
 	return m.Fingerprint()
 }
 
-// waitCh returns the channel closed at the next update.
-func (s *Space) waitCh() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.changed
-}
-
-// WaitCompleted blocks until every named task reports StatusCompleted, or
-// the context ends.
+// WaitCompleted blocks until every named task reports StatusCompleted,
+// or the context ends. One goroutine waits at a time, as one goroutine
+// consumes a Subscription: every fold wakes that waiter, which re-checks
+// the tasks. On a virtual clock the waiter is a schedule participant and
+// the space is attached first, which puts the wake-up on the
+// subscription's clock.
 func (s *Space) WaitCompleted(ctx context.Context, names []string) error {
-	s.mu.Lock()
-	cond := s.cond
-	s.mu.Unlock()
-	if cond != nil {
-		// Virtual clock: the caller is a schedule participant; park on
-		// the Cond so the run token is released while waiting. The
-		// single-token schedule means no update can slip in between the
-		// completion check and the wait.
-		for {
-			if s.allCompleted(names) {
-				return nil
-			}
-			if err := cond.Wait(ctx); err != nil {
-				return err
-			}
-		}
-	}
 	for {
-		if s.allCompleted(names) {
+		s.mu.Lock()
+		done := s.allCompletedLocked(names)
+		folded := s.folded
+		s.mu.Unlock()
+		if done {
 			return nil
 		}
-		ch := s.waitCh()
-		if s.allCompleted(names) { // re-check: update may have raced waitCh
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ch:
+		if err := folded.Park(ctx); err != nil {
+			return err
 		}
 	}
 }
 
-func (s *Space) allCompleted(names []string) bool {
+func (s *Space) allCompletedLocked(names []string) bool {
 	for _, n := range names {
-		if s.Status(n) != hoclflow.StatusCompleted {
+		st, ok := s.tasks[n]
+		if !ok || hoclflow.StatusOf(st.sub) != hoclflow.StatusCompleted {
 			return false
 		}
 	}
 	return true
 }
 
-// Attach subscribes the space to its broker topic. Attaching before any
-// agent starts guarantees no status update is published into the void.
-// Attach is idempotent.
+// Attach subscribes the space to its broker topic and moves its
+// WaitCompleted wake-up onto the subscription's clock. Attaching before
+// any agent starts guarantees no status update is published into the
+// void. Attach is idempotent.
 func (s *Space) Attach(broker mq.Broker, topic string) error {
 	if topic == "" {
 		topic = DefaultTopic
@@ -441,6 +396,10 @@ func (s *Space) Attach(broker mq.Broker, topic string) error {
 		return err
 	}
 	s.sub = sub
+	// A waiter parked on the old wake-up re-checks and moves over.
+	old := s.folded
+	s.folded = cluster.NewWake(sub.Clock())
+	old.Signal()
 	return nil
 }
 
@@ -643,11 +602,7 @@ func (s *Space) finishApplyLocked(applied int64) {
 		return
 	}
 	s.updates += applied
-	close(s.changed)
-	s.changed = make(chan struct{})
-	if s.cond != nil {
-		s.cond.Broadcast()
-	}
+	s.folded.Signal()
 }
 
 // applyAtomsLocked routes each molecule: task tuples (Name:<...>)

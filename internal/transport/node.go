@@ -166,24 +166,15 @@ type nodeSession struct {
 	node *Node
 	id   uint64
 
-	clus          *cluster.Cluster
-	recorder      *trace.Recorder
-	restartDelay  float64
-	maxRecoveries int
-
-	specs  []workflow.AgentSpec
+	sup    *agent.Supervisor
 	agents []*agent.Agent // first incarnations, subscribed at build time
-	newInc func(spec workflow.AgentSpec, incarnation int) *agent.Agent
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu         sync.Mutex
-	started    bool
-	failures   int
-	recoveries int
-	duplicates int64
+	mu      sync.Mutex
+	started bool
 
 	failOnce sync.Once
 }
@@ -246,24 +237,15 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 		chaos.SetSleeper(clock.Sleep)
 	}
 
-	ns := &nodeSession{
-		node:          n,
-		id:            session,
-		clus:          clus,
-		restartDelay:  a.RestartDelay,
-		maxRecoveries: a.MaxRecoveries,
-		specs:         mine,
-	}
-	ns.recorder = trace.NewForwarder(clock)
-	ns.recorder.AddSink(func(e trace.Event) {
+	recorder := trace.NewForwarder(clock)
+	recorder.AddSink(func(e trace.Event) {
 		n.rb.sendEvent(session, NodeEvent{
 			At: e.At, Kind: string(e.Kind), Task: e.Task,
 			Incarnation: e.Incarnation, Info: e.Info,
 		})
 	})
-	ns.newInc = func(spec workflow.AgentSpec, incarnation int) *agent.Agent {
-		return agent.New(agent.Config{
-			Spec:        spec,
+	ns := &nodeSession{node: n, id: session, sup: &agent.Supervisor{
+		Config: agent.Config{
 			Broker:      n.rb,
 			Cluster:     clus,
 			Services:    n.services,
@@ -272,13 +254,14 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 			Retry:       a.Retry,
 			SpaceTopic:  a.SpaceTopic,
 			TopicPrefix: a.TopicPrefix,
-			Incarnation: incarnation,
-			Trace:       ns.recorder,
+			Trace:       recorder,
 			Metrics:     agent.NewMetrics(nil),
-		})
-	}
+		},
+		RestartDelay:  a.RestartDelay,
+		MaxRecoveries: a.MaxRecoveries,
+	}}
 	for _, spec := range mine {
-		first := ns.newInc(spec, 0)
+		first := ns.sup.New(spec)
 		if err := first.Subscribe(); err != nil {
 			return nil, err
 		}
@@ -297,54 +280,18 @@ func (ns *nodeSession) start() {
 	ns.started = true
 	ns.ctx, ns.cancel = context.WithCancel(context.Background())
 	ns.mu.Unlock()
-	for i := range ns.specs {
+	// Every agent runs under the session's supervisor (crash respawns
+	// replay the inbox through the remote broker's Log). An escalation
+	// or a spent budget FAILs the session to the server, while the
+	// remaining agents keep running until STOP, as in-process.
+	for _, first := range ns.agents {
 		ns.wg.Add(1)
-		go ns.runLoop(ns.specs[i], ns.agents[i])
-	}
-}
-
-// runLoop mirrors the in-process supervisor: restart crashed
-// incarnations (inbox replay via the remote broker's Log) under a
-// recovery budget; escalations and spent budgets FAIL the session to
-// the server, while the remaining agents keep running until STOP —
-// exactly the in-process engine's wind-down semantics.
-func (ns *nodeSession) runLoop(spec workflow.AgentSpec, first *agent.Agent) {
-	defer ns.wg.Done()
-	for incarnation := 0; ; incarnation++ {
-		a := first
-		if incarnation > 0 || a == nil {
-			a = ns.newInc(spec, incarnation)
-		}
-		err := a.Run(ns.ctx)
-		ns.mu.Lock()
-		ns.duplicates += a.DuplicatesSuppressed()
-		ns.mu.Unlock()
-		switch {
-		case err == nil:
-			return // context ended: orderly shutdown
-		case agent.IsCrash(err):
-			ns.mu.Lock()
-			ns.failures++
-			if ns.recoveries >= ns.maxRecoveries {
-				ns.mu.Unlock()
-				ns.fail(fmt.Errorf("recovery budget exhausted: %w", err))
-				return
+		go func() {
+			defer ns.wg.Done()
+			if err := ns.sup.Run(ns.ctx, first); err != nil {
+				ns.fail(err)
 			}
-			ns.recoveries++
-			ns.mu.Unlock()
-			if ns.clus.Clock().SleepCtx(ns.ctx, ns.restartDelay) != nil {
-				return
-			}
-			ns.recorder.Record(trace.AgentRecovered, spec.Task.Name, incarnation+1, "")
-		default:
-			var esc *agent.EscalationError
-			if errors.As(err, &esc) {
-				ns.recorder.Record(trace.AgentEscalated, esc.Task, esc.Incarnation,
-					fmt.Sprintf("service %s: %d attempts: %v", esc.Service, esc.Attempts, esc.Cause))
-			}
-			ns.fail(err)
-			return
-		}
+		}()
 	}
 }
 
@@ -382,9 +329,8 @@ func (ns *nodeSession) stop() {
 // stopAndReport stops the session and sends the DONE stats report.
 func (ns *nodeSession) stopAndReport() {
 	ns.stop()
-	ns.mu.Lock()
-	d := NodeDone{Failures: ns.failures, Recoveries: ns.recoveries, Duplicates: ns.duplicates}
-	ns.mu.Unlock()
+	var d NodeDone
+	d.Failures, d.Recoveries, d.Duplicates = ns.sup.Counts()
 	blob, _ := json.Marshal(d)
 	ns.node.rb.sendSessionBlob(fDone, ns.id, blob)
 	ns.node.removeSession(ns.id)

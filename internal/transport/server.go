@@ -719,8 +719,7 @@ func (rs *RemoteSession) stats() NodeDone {
 }
 
 // Failed delivers at most one early worker failure (an escalated agent
-// or spent recovery budget) — the remote analogue of the in-process
-// supervisor's error channel.
+// or spent recovery budget), including one reported instead of READY.
 func (rs *RemoteSession) Failed() <-chan error { return rs.failed }
 
 // Events delivers trace events forwarded from the workers' agents.

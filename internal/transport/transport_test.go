@@ -337,7 +337,12 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 		t.Fatalf("ready: %v", err)
 	}
 
+	// Attach before START, as a session does: a status push published
+	// before the space subscribes is lost.
 	sp := space.New()
+	if err := sp.Attach(br, "wt.space"); err != nil {
+		t.Fatal(err)
+	}
 	spCtx, spCancel := context.WithCancel(context.Background())
 	defer spCancel()
 	go sp.Serve(spCtx, br, "wt.space")
