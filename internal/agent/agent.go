@@ -155,7 +155,6 @@ type Agent struct {
 	// different fingerprint is a respawned sender reusing its counter
 	// and is accepted. Touched only by the ingest goroutine.
 	seen map[string]map[int64]uint64
-	dups atomic.Int64
 
 	// met is the resolved instrument set (zero value: all no-ops).
 	met Metrics
@@ -197,10 +196,6 @@ func (a *Agent) Sends() int64 { return a.sends.Load() }
 
 // Reductions returns the number of reduction passes performed.
 func (a *Agent) Reductions() int64 { return a.reductions.Load() }
-
-// DuplicatesSuppressed returns how many duplicated deliveries the inbox
-// sequence protocol suppressed in this incarnation.
-func (a *Agent) DuplicatesSuppressed() int64 { return a.dups.Load() }
 
 // Local exposes the agent's local solution for inspection in tests and
 // reports. The caller must not mutate it while Run is active.
@@ -485,7 +480,6 @@ func (a *Agent) ingest(msg mq.Message) {
 		if origin, n, ok := hoclflow.DecodeSeq(atoms[0]); ok {
 			atoms = atoms[1:]
 			if a.dupSeq(origin, n, atoms) {
-				a.dups.Add(1)
 				a.met.Dedup.Inc()
 				a.cfg.Trace.Record(trace.MessageDeduped, a.name, a.cfg.Incarnation,
 					fmt.Sprintf("%s#%d", origin, n))

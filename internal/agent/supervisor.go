@@ -20,7 +20,9 @@ import (
 //
 // One Supervisor serves every agent of its host (a whole in-process
 // session, or one session's share on a worker node), so the recovery
-// budget and the counters are per host. It is safe for concurrent use.
+// budget is per host. Crashes, respawns and suppressed duplicates are
+// counted nowhere here: they are events in Config.Trace, and the
+// session's recorder is their one record. It is safe for concurrent use.
 type Supervisor struct {
 	// Config is the template every incarnation is built from: Spec,
 	// Node and Incarnation are filled in per incarnation, Node from
@@ -32,9 +34,7 @@ type Supervisor struct {
 	MaxRecoveries int
 
 	mu         sync.Mutex
-	failures   int
-	recoveries int
-	duplicates int64
+	recoveries int // respawns granted, against MaxRecoveries
 }
 
 // New builds incarnation 0 of spec. The caller subscribes it before any
@@ -59,9 +59,6 @@ func (s *Supervisor) Run(ctx context.Context, first *Agent) error {
 			a = s.incarnation(spec, n)
 		}
 		err := a.Run(ctx)
-		s.mu.Lock()
-		s.duplicates += a.DuplicatesSuppressed()
-		s.mu.Unlock()
 		switch {
 		case err == nil:
 			return nil // context ended: orderly shutdown
@@ -88,23 +85,14 @@ func (s *Supervisor) Run(ctx context.Context, first *Agent) error {
 	}
 }
 
-// respawnAllowed counts a crash and reports whether the budget allows
-// one more respawn, counting it if so.
+// respawnAllowed reports whether the budget allows one more respawn,
+// counting it if so.
 func (s *Supervisor) respawnAllowed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.failures++
 	if s.recoveries >= s.MaxRecoveries {
 		return false
 	}
 	s.recoveries++
 	return true
-}
-
-// Counts returns the host's crashes, respawns and suppressed duplicate
-// deliveries so far.
-func (s *Supervisor) Counts() (failures, recoveries int, duplicates int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failures, s.recoveries, s.duplicates
 }

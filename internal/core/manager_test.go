@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/mq"
 	"ginflow/internal/trace"
+	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
 )
 
@@ -506,5 +508,100 @@ func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 		if got := broker.Topics(ns); len(got) != 0 {
 			t.Errorf("broker retains topics of cancelled session %s: %v", ns, got)
 		}
+	}
+}
+
+// TestManagerCloseLeavesNothing is the leak gate around Manager.Close:
+// after one completed and one cancelled session, on either clock and
+// either broker, and with the agents on two joined workers, Close
+// returns the process to its goroutine count before NewManager and the
+// broker holds no topic.
+func TestManagerCloseLeavesNothing(t *testing.T) {
+	type leakCase struct {
+		name    string
+		cfg     Config
+		workers int
+	}
+	var cases []leakCase
+	for _, virtual := range []bool{false, true} {
+		for _, kind := range []mq.Kind{mq.KindQueue, mq.KindLog} {
+			clus := fastCluster(4)
+			clus.Virtual = virtual
+			cases = append(cases, leakCase{
+				name: fmt.Sprintf("virtual=%v/%s", virtual, kind),
+				cfg:  Config{Executor: executor.KindSSH, Broker: kind, Cluster: clus},
+			})
+		}
+	}
+	remote := fastCluster(4)
+	remote.Virtual = false
+	cases = append(cases, leakCase{
+		name:    "remote",
+		cfg:     Config{Executor: executor.KindSSH, Broker: mq.KindLog, Cluster: remote, Listen: "127.0.0.1:0"},
+		workers: 2,
+	})
+	// Slow mesh services keep the second session running until it is
+	// cancelled.
+	services := agent.NewRegistry()
+	services.RegisterNoop(0.1, "split", "merge")
+	services.RegisterNoop(100, "work")
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m, err := NewManager(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []*transport.Node
+			for i := 0; i < tc.workers; i++ {
+				n, err := transport.Join(m.ListenerAddr(), transport.NodeConfig{Name: "leak", Services: services})
+				if err != nil {
+					m.Close()
+					t.Fatal(err)
+				}
+				nodes = append(nodes, n)
+			}
+
+			done, err := m.Submit(context.Background(), workflow.Diamond(workflow.DefaultDiamondSpec(2, 1, false)), services)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := done.Wait(context.Background()); err != nil {
+				t.Fatalf("completed session: %v", err)
+			}
+			// Cancel the second session once its agents are publishing.
+			clock, broker := m.Cluster().Clock(), m.Broker()
+			clock.Enter()
+			cancelled, err := m.Submit(context.Background(), workflow.Diamond(workflow.DefaultDiamondSpec(2, 3, false)), services)
+			if err != nil {
+				clock.Exit()
+				t.Fatal(err)
+			}
+			for broker.PublishedPrefix(cancelled.TopicNamespace()) == 0 && clock.Now() < 1000 {
+				clock.SleepCtx(context.Background(), 0.1)
+			}
+			cancelled.Cancel(nil)
+			clock.Exit()
+			if _, err := cancelled.Wait(context.Background()); !errors.Is(err, ErrCancelled) {
+				t.Errorf("cancelled session: %v", err)
+			}
+
+			for _, n := range nodes {
+				n.Close()
+			}
+			m.Close()
+			if topics := broker.Topics(""); len(topics) != 0 {
+				t.Errorf("broker holds topics after Close: %v", topics)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				buf := make([]byte, 1<<16)
+				t.Errorf("goroutines: %d before NewManager, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }

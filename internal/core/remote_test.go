@@ -222,7 +222,7 @@ func TestRemoteAdaptationMatchesInProcess(t *testing.T) {
 // worker side: agents hosted in separate OS processes crash with
 // probability p on the log broker, their worker respawns them with
 // inbox replay, and the run must still reach the in-process fault-free
-// outcome. The workers' DONE reports carry the counts.
+// outcome. The workers' crash and respawn events carry the counts.
 func TestRemoteCrashesRecover(t *testing.T) {
 	def := workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false))
 	services := diamondServices(nil)
@@ -246,6 +246,11 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 	services := diamondServices(nil)
 	baseRep, baseFP := runWithFingerprint(t, def, services, remoteBaseConfig())
 
+	// Duplicated publishes reach the workers' agents, whose dedup events
+	// cross the wire into the report. One seed may duplicate no direct
+	// message (the socket draws follow the real-time interleaving of the
+	// workers' frames), so the suppressions are summed over the seeds.
+	var dups int64
 	for _, seed := range []int64{400, 401, 402} {
 		cfg := remoteBaseConfig()
 		cfg.Chaos = failure.ChaosConfig{
@@ -275,7 +280,11 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 		if m.Chaos().Faults() == 0 {
 			t.Errorf("seed %d: no socket fault ever fired; chaos run is vacuous", seed)
 		}
+		dups += rep.DuplicatesSuppressed
 		m.Close()
+	}
+	if dups == 0 {
+		t.Error("no duplicated delivery was suppressed on any seed: MessageDeduped did not reach the report")
 	}
 }
 

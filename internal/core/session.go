@@ -20,7 +20,6 @@ import (
 	"ginflow/internal/mq"
 	"ginflow/internal/space"
 	"ginflow/internal/trace"
-	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
 )
 
@@ -500,7 +499,9 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		waitErr = endCause(ctx, runCtx)
 	}
 	execTime := clock.Now() - execStart
-	counts := host.stop()
+	// Once the host has stopped, no agent records any more: the report's
+	// crash, respawn and dedup counts are complete folds over the recorder.
+	host.stop()
 	s.settle(ctx, waitErr == nil, spaceTopic)
 
 	sp := s.space
@@ -513,13 +514,13 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		Nodes:      len(clus.Nodes()),
 		DeployTime: deployTime, ExecTime: execTime,
 		TotalTime:  deployTime + execTime,
-		Failures:   counts.Failures,
-		Recoveries: counts.Recoveries,
+		Failures:   s.recorder.Count(trace.AgentCrashed),
+		Recoveries: s.recorder.Count(trace.AgentRecovered),
 		Messages:   broker.PublishedPrefix(s.prefix),
 		Statuses:   map[string]hoclflow.Status{},
 		Results:    map[string][]string{},
 
-		DuplicatesSuppressed: counts.Duplicates,
+		DuplicatesSuppressed: int64(s.recorder.Count(trace.MessageDeduped)),
 		EventsDropped:        s.hub.droppedCount(),
 	}
 	rep.Adaptations = sp.Triggered()
@@ -632,9 +633,9 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 type agentHost interface {
 	// start lets every agent run until ctx ends or stop.
 	start(ctx context.Context)
-	// stop winds the agents down and returns their crash, respawn and
-	// duplicate counts.
-	stop() transport.NodeDone
+	// stop winds the agents down; once it returns they record nothing
+	// more.
+	stop()
 }
 
 // localHost runs a session's agents as supervised in-process
@@ -697,7 +698,7 @@ func (h *localHost) start(ctx context.Context) {
 	}
 }
 
-func (h *localHost) stop() transport.NodeDone {
+func (h *localHost) stop() {
 	h.cancel()
 	// On a virtual clock the agent participants need the run token to
 	// observe the cancellation and unwind; leave the schedule while they
@@ -705,9 +706,6 @@ func (h *localHost) stop() transport.NodeDone {
 	h.clock.Exit()
 	h.wg.Wait()
 	h.clock.Enter()
-	var d transport.NodeDone
-	d.Failures, d.Recoveries, d.Duplicates = h.sup.Counts()
-	return d
 }
 
 // settle lets the space catch up once the agents have stopped, before

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"ginflow/internal/space"
 	"ginflow/internal/trace"
 	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
@@ -15,24 +13,15 @@ import (
 // remoteDoneTimeout bounds the wait for the workers' DONE reports at
 // session teardown, in real time: the model clock scale makes a healthy
 // wind-down near-instant, so a worker that stays silent this long is
-// gone and the session proceeds with the stats it has.
+// gone and the session proceeds with the events it has.
 const remoteDoneTimeout = 10 * time.Second
 
-// remoteHost is the session side of out-of-process enactment: it owns
-// the transport RemoteSession, forwards the workers' trace events into
-// the session recorder and their failures into the session's failure
-// funnel, and translates worker reconnects into space resync requests
-// for that worker's tasks.
+// remoteHost is the session side of out-of-process enactment: the
+// transport RemoteSession, whose hooks (see launchRemote) record the
+// workers' trace events into the session recorder, funnel their
+// failures and resync a reconnected worker's tasks.
 type remoteHost struct {
-	rs       *transport.RemoteSession
-	tasksOf  map[uint64][]string
-	sp       *space.Space
-	recorder *trace.Recorder
-	fail     context.CancelCauseFunc
-
-	stopC chan struct{}
-	doneC chan struct{}
-	once  sync.Once
+	rs *transport.RemoteSession
 }
 
 // launchRemote fans the session's tasks out over the joined worker
@@ -78,81 +67,46 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 			Retry:   cfg.Retry,
 		}
 	}
-	rs, err := srv.StartRemote(uint64(s.id), assigns)
+	// The hooks run on the transport's read loops and must not block:
+	// recording, funnelling and requesting a resync all return at once.
+	// A worker's events precede its DONE on the ordered link, so the
+	// recorder holds every one of them when stop returns.
+	rs, err := srv.StartRemote(uint64(s.id), assigns, transport.SessionHooks{
+		Event: func(e transport.NodeEvent) {
+			s.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
+		},
+		Fail: func(err error) { fail(fmt.Errorf("core: agent failed: %w", err)) },
+		// The reliable link replays everything the outage queued; the
+		// resync additionally forces a fresh full snapshot per task, so
+		// the space heals even if the worker restarted mid-push (the
+		// version gate drops whatever arrives stale or twice).
+		Reconnect: func(node uint64) {
+			for _, task := range tasksOf[node] {
+				s.space.RequestResync(task)
+			}
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: remote enactment: %w", err)
 	}
-	rh := &remoteHost{
-		rs: rs, tasksOf: tasksOf, sp: s.space, recorder: s.recorder, fail: fail,
-		stopC: make(chan struct{}), doneC: make(chan struct{}),
-	}
-	go rh.forward()
-
 	// A worker that cannot build its agents reports FAIL instead of
-	// READY; the forwarder funnels it, which ends the barrier.
+	// READY; the Fail hook funnels it, which ends the barrier.
 	if err := rs.WaitReady(runCtx); err != nil {
-		rh.close()
+		rs.Close()
 		return nil, err
 	}
-	return rh, nil
-}
-
-// forward pumps the workers' event, failure and reconnect streams until
-// close. Reconnects trigger a space resync of that worker's tasks: the
-// reliable link replays everything the outage queued, and the resync
-// additionally forces a fresh full snapshot per task so the space heals
-// even if the worker itself restarted mid-push (the version gate drops
-// whatever arrives stale or twice).
-func (rh *remoteHost) forward() {
-	defer close(rh.doneC)
-	for {
-		select {
-		case <-rh.stopC:
-			return
-		case e := <-rh.rs.Events():
-			rh.record(e)
-		case err := <-rh.rs.Failed():
-			rh.fail(fmt.Errorf("core: agent failed: %w", err))
-		case id := <-rh.rs.Reconnected():
-			for _, task := range rh.tasksOf[id] {
-				rh.sp.RequestResync(task)
-			}
-		}
-	}
-}
-
-func (rh *remoteHost) record(e transport.NodeEvent) {
-	rh.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
+	return &remoteHost{rs: rs}, nil
 }
 
 func (rh *remoteHost) start(context.Context) { rh.rs.Start() }
 
-// stop winds the workers down, aggregates their DONE stats (partial if
-// a worker never answers within remoteDoneTimeout) and closes the
-// session. Every event a worker sent precedes its DONE on the ordered
-// link, so the events still queued are recorded before the forwarder
-// stops.
-func (rh *remoteHost) stop() transport.NodeDone {
+// stop winds the workers down, waits for their DONE reports (giving up
+// on a worker that never answers within remoteDoneTimeout) and closes
+// the session.
+func (rh *remoteHost) stop() {
 	rh.rs.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), remoteDoneTimeout)
 	defer cancel()
-	stats, _ := rh.rs.WaitDone(ctx)
-	rh.close()
-	for {
-		select {
-		case e := <-rh.rs.Events():
-			rh.record(e)
-		default:
-			return stats
-		}
-	}
-}
-
-// close stops the forwarder and unregisters the remote session.
-func (rh *remoteHost) close() {
-	rh.once.Do(func() {
-		close(rh.stopC)
-		<-rh.doneC
-		rh.rs.Close()
-	})
+	_ = rh.rs.WaitDone(ctx) // a silent worker's events are lost with it
+	rh.rs.Close()
 }

@@ -155,30 +155,30 @@ func TestTraceTimelineOfRecovery(t *testing.T) {
 	if len(byKind[trace.AgentRecovered]) != rep.Recoveries {
 		t.Errorf("recovery events %d != recoveries %d", len(byKind[trace.AgentRecovered]), rep.Recoveries)
 	}
-	// Every task eventually produced a completed service span.
-	spansByTask := map[string]bool{}
-	for _, sp := range recorderFromEvents(rep.Events).Spans() {
-		if !sp.Err {
-			spansByTask[sp.Task] = true
+	// Every task eventually produced a completed service span: an
+	// invocation and a completion of the same incarnation.
+	type incarnation struct {
+		task string
+		n    int
+	}
+	invoked := map[incarnation]bool{}
+	completed := map[string]bool{}
+	for _, e := range rep.Events {
+		k := incarnation{e.Task, e.Incarnation}
+		switch e.Kind {
+		case trace.ServiceInvoked:
+			invoked[k] = true
+		case trace.ServiceCompleted:
+			if invoked[k] {
+				completed[e.Task] = true
+			}
 		}
 	}
 	for _, task := range def.Tasks {
-		if !spansByTask[task.ID] {
+		if !completed[task.ID] {
 			t.Errorf("task %s has no completed span", task.ID)
 		}
 	}
-}
-
-// recorderFromEvents rebuilds a recorder from recorded events so span
-// derivation can be reused.
-func recorderFromEvents(events []trace.Event) *trace.Recorder {
-	r := trace.NewRecorder(nil)
-	for _, e := range events {
-		// Note: At is lost (nil clock stamps 0), but span matching only
-		// needs ordering, which record order preserves.
-		r.Record(e.Kind, e.Task, e.Incarnation, e.Info)
-	}
-	return r
 }
 
 // TestTraceDisabledByDefault keeps the hot path clean.

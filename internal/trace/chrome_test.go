@@ -19,8 +19,8 @@ func TestSetCapRing(t *testing.T) {
 		clock.AdvanceTo(float64(i))
 		r.Record(ResultSent, "T", i, "")
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if n := len(r.Events()); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	if r.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", r.Dropped())
@@ -34,8 +34,8 @@ func TestSetCapRing(t *testing.T) {
 
 	// Shrinking below the current length discards the oldest surplus.
 	r.SetCap(1)
-	if r.Len() != 1 || r.Events()[0].At != 5 {
-		t.Errorf("after shrink: len=%d events=%v, want only the newest", r.Len(), r.Events())
+	if events := r.Events(); len(events) != 1 || events[0].At != 5 {
+		t.Errorf("after shrink: events=%v, want only the newest", events)
 	}
 	if r.Dropped() != 4 {
 		t.Errorf("dropped = %d, want 4", r.Dropped())
@@ -47,8 +47,8 @@ func TestSetCapRing(t *testing.T) {
 	r.Record(ResultSent, "T", 6, "")
 	clock.AdvanceTo(7)
 	r.Record(ResultSent, "T", 7, "")
-	if r.Len() != 3 {
-		t.Errorf("after uncapping: len = %d, want 3", r.Len())
+	if n := len(r.Events()); n != 3 {
+		t.Errorf("after uncapping: len = %d, want 3", n)
 	}
 
 	// Nil recorder stays safe.

@@ -1,14 +1,15 @@
 // Package trace records the observable events of a workflow enactment —
 // agent lifecycle, service invocations, result transfers, adaptation
-// triggers, crashes and recoveries — on the model-time axis. A Recorder
-// is optional instrumentation: the engine attaches one when asked
-// (core.Config.CollectTrace) and returns the collected timeline in the
-// run report, where tests and the CLI can assert on or display it.
+// triggers, crashes and recoveries — on the model-time axis. A session
+// records into one Recorder, its record of what happened: the run
+// report's crash, respawn and duplicate totals are the recorder's
+// per-kind counts, and the timeline itself is retained only when asked
+// (core.Config.CollectTrace), for tests and the CLI to assert on or
+// display.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -74,6 +75,7 @@ type Clock interface {
 
 // Recorder collects events. It is safe for concurrent use; a nil
 // Recorder ignores all records, so instrumentation sites need no guards.
+// Every recorder counts what it records per kind (Count).
 //
 // Besides retaining the timeline, a recorder can fan events out live:
 // sinks registered with AddSink observe every event as it is recorded —
@@ -93,18 +95,20 @@ type Recorder struct {
 	start   int
 	dropped int64
 	sinks   []func(Event)
+	// counts tallies every recorded event per kind, retained or not.
+	counts map[Kind]int
 }
 
 // NewRecorder returns a recorder stamping events with the given clock
 // and retaining the full timeline.
 func NewRecorder(clock Clock) *Recorder {
-	return &Recorder{clock: clock, retain: true}
+	return &Recorder{clock: clock, retain: true, counts: map[Kind]int{}}
 }
 
 // NewForwarder returns a recorder that forwards events to its sinks
 // without retaining them: Events() stays empty, Record is O(sinks).
 func NewForwarder(clock Clock) *Recorder {
-	return &Recorder{clock: clock}
+	return &Recorder{clock: clock, counts: map[Kind]int{}}
 }
 
 // AddSink registers a live observer invoked (synchronously) for every
@@ -131,6 +135,7 @@ func (r *Recorder) Record(kind Kind, task string, incarnation int, info string) 
 	}
 	e := Event{At: at, Kind: kind, Task: task, Incarnation: incarnation, Info: info}
 	r.mu.Lock()
+	r.counts[kind]++
 	if r.retain {
 		if r.cap > 0 && len(r.events) == r.cap {
 			// Ring full: overwrite the oldest event.
@@ -203,88 +208,15 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Filter returns the events of one kind, in time order.
-func (r *Recorder) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ForTask returns the events of one task, in time order.
-func (r *Recorder) ForTask(task string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Task == task {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Count returns the number of events of a kind.
+// Count returns how many events of a kind were recorded, whether the
+// timeline retained them or not: a forwarder and a capped ring count
+// every event. The session report reads its crash, respawn and dedup
+// totals here.
 func (r *Recorder) Count(kind Kind) int {
-	return len(r.Filter(kind))
-}
-
-// Len returns the total number of recorded events.
-func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// WriteTimeline renders the timeline to w, one event per line.
-func (r *Recorder) WriteTimeline(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Spans derives per-task busy intervals (service-invoked to
-// service-completed/errored pairs, matched per incarnation) — the raw
-// material of a Gantt view.
-type Span struct {
-	Task        string
-	Incarnation int
-	Start, End  float64
-	Err         bool // ended in ERROR
-}
-
-// Spans returns completed service spans in start order. Invocations cut
-// short by a crash produce no span (their end never happened).
-func (r *Recorder) Spans() []Span {
-	type key struct {
-		task string
-		inc  int
-	}
-	open := map[key]float64{}
-	var spans []Span
-	for _, e := range r.Events() {
-		k := key{e.Task, e.Incarnation}
-		switch e.Kind {
-		case ServiceInvoked:
-			open[k] = e.At
-		case ServiceCompleted, ServiceErrored:
-			if start, ok := open[k]; ok {
-				spans = append(spans, Span{
-					Task: e.Task, Incarnation: e.Incarnation,
-					Start: start, End: e.At,
-					Err: e.Kind == ServiceErrored,
-				})
-				delete(open, k)
-			}
-		}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return spans
+	return r.counts[kind]
 }

@@ -17,9 +17,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Events() != nil {
 		t.Error("nil recorder has events")
 	}
-	if r.Len() != 0 {
-		t.Error("nil recorder non-empty")
-	}
 }
 
 func TestRecordAndQuery(t *testing.T) {
@@ -37,72 +34,49 @@ func TestRecordAndQuery(t *testing.T) {
 	clock.AdvanceTo(7)
 	r.Record(TaskCompleted, "T2", 0, "")
 
-	if r.Len() != 5 {
-		t.Fatalf("len = %d", r.Len())
-	}
 	events := r.Events()
+	if len(events) != 5 {
+		t.Fatalf("len = %d", len(events))
+	}
 	for i := 1; i < len(events); i++ {
 		if events[i].At < events[i-1].At {
 			t.Fatalf("events out of order: %v", events)
 		}
 	}
-	if got := r.Filter(ServiceInvoked); len(got) != 1 || got[0].Info != "s1" {
-		t.Errorf("Filter = %v", got)
+	if e := events[1]; e.Kind != ServiceInvoked || e.Info != "s1" || e.At != 2 {
+		t.Errorf("events[1] = %v", e)
 	}
-	if got := r.ForTask("T1"); len(got) != 4 {
-		t.Errorf("ForTask(T1) = %v", got)
+	if e := events[1].String(); !strings.Contains(e, "2.00s") || !strings.Contains(e, "s1") {
+		t.Errorf("String() = %q", e)
 	}
-	if r.Count(TaskCompleted) != 1 {
-		t.Errorf("Count = %d", r.Count(TaskCompleted))
-	}
-}
-
-func TestSpans(t *testing.T) {
-	clock := cluster.NewVirtualClock()
-	r := NewRecorder(clock)
-
-	// Incarnation 0 invokes at t=1 and crashes (no completion).
-	clock.AdvanceTo(1)
-	r.Record(ServiceInvoked, "T1", 0, "s")
-	clock.AdvanceTo(2)
-	r.Record(AgentCrashed, "T1", 0, "s")
-	// Incarnation 1 replays: invokes at t=4, completes at t=9 — with
-	// another task erroring at t=5..6 in between.
-	clock.AdvanceTo(4)
-	r.Record(ServiceInvoked, "T1", 1, "s")
-	clock.AdvanceTo(5)
-	r.Record(ServiceInvoked, "T2", 0, "flaky")
-	clock.AdvanceTo(6)
-	r.Record(ServiceErrored, "T2", 0, "flaky")
-	clock.AdvanceTo(9)
-	r.Record(ServiceCompleted, "T1", 1, "s")
-
-	spans := r.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %v", spans)
-	}
-	if spans[0].Task != "T1" || spans[0].Start != 4 || spans[0].End != 9 || spans[0].Err {
-		t.Errorf("span[0] = %+v", spans[0])
-	}
-	if spans[1].Task != "T2" || !spans[1].Err {
-		t.Errorf("span[1] = %+v", spans[1])
+	if r.Count(TaskCompleted) != 1 || r.Count(AgentCrashed) != 0 {
+		t.Errorf("Count = %d/%d", r.Count(TaskCompleted), r.Count(AgentCrashed))
 	}
 }
 
-func TestWriteTimeline(t *testing.T) {
-	clock := cluster.NewVirtualClock()
-	clock.AdvanceTo(3.5)
-	r := NewRecorder(clock)
-	r.Record(AgentStarted, "T1", 2, "detail")
-	var b strings.Builder
-	if err := r.WriteTimeline(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, frag := range []string{"3.50s", "agent-started", "T1", "#2", "detail"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("timeline %q missing %q", out, frag)
+// TestCountOutlivesRetention: Count tallies every recorded event, also
+// those a capped ring overwrote and those a forwarder never retained.
+func TestCountOutlivesRetention(t *testing.T) {
+	capped := NewRecorder(cluster.NewVirtualClock())
+	capped.SetCap(2)
+	fwd := NewForwarder(cluster.NewVirtualClock())
+	for _, r := range []*Recorder{capped, fwd} {
+		for i := 0; i < 5; i++ {
+			r.Record(AgentCrashed, "T", i, "")
 		}
+		r.Record(MessageDeduped, "T", 0, "")
+	}
+	for name, r := range map[string]*Recorder{"capped": capped, "forwarder": fwd} {
+		if r.Count(AgentCrashed) != 5 || r.Count(MessageDeduped) != 1 {
+			t.Errorf("%s: counts = %d/%d, want 5/1", name, r.Count(AgentCrashed), r.Count(MessageDeduped))
+		}
+	}
+	if n := len(capped.Events()); n != 2 {
+		t.Errorf("capped ring retained %d events, want 2", n)
+	}
+	var nilRec *Recorder
+	if nilRec.Count(AgentCrashed) != 0 {
+		t.Error("nil recorder counts events")
 	}
 }
 
@@ -121,8 +95,8 @@ func TestSinkFanOut(t *testing.T) {
 	if got1[1].Kind != TaskCompleted {
 		t.Errorf("sink order: %v", got1)
 	}
-	if r.Len() != 2 {
-		t.Errorf("retained = %d", r.Len())
+	if n := len(r.Events()); n != 2 {
+		t.Errorf("retained = %d", n)
 	}
 
 	f := NewForwarder(cluster.NewVirtualClock())
@@ -132,8 +106,8 @@ func TestSinkFanOut(t *testing.T) {
 	if streamed != 1 {
 		t.Errorf("forwarder streamed %d, want 1", streamed)
 	}
-	if f.Len() != 0 || len(f.Events()) != 0 {
-		t.Errorf("forwarder retained events: %d", f.Len())
+	if n := len(f.Events()); n != 0 {
+		t.Errorf("forwarder retained events: %d", n)
 	}
 	// Nil recorder and nil sink stay safe.
 	var nilRec *Recorder
@@ -157,7 +131,7 @@ func TestRecorderConcurrency(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if r.Len() != 8*200 {
-		t.Errorf("len = %d", r.Len())
+	if n := len(r.Events()); n != 8*200 || r.Count(ResultSent) != 8*200 {
+		t.Errorf("len = %d, count = %d", n, r.Count(ResultSent))
 	}
 }

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,5 +186,57 @@ func TestAckFollowsSubscribeDispatch(t *testing.T) {
 	}
 	if !g.returned.Load() {
 		t.Fatal("ACK written before the broker subscription existed")
+	}
+}
+
+// TestRemoteEventsLossless: a worker's EVENT frames all reach the
+// session's Event hook, in order, before its DONE completes WaitDone,
+// however many arrive and however fast.
+func TestRemoteEventsLossless(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	conn := rawNode(t, srv)
+	go io.Copy(io.Discard, conn) // the ASSIGN and the ACKs
+	node := srv.NodeIDs()[0]
+
+	var (
+		mu   sync.Mutex
+		seen []NodeEvent
+	)
+	const session, n = 7, 5000
+	rs, err := srv.StartRemote(session, map[uint64]Assignment{node: {}}, SessionHooks{
+		Event: func(e NodeEvent) {
+			mu.Lock()
+			seen = append(seen, e)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+
+	var burst []byte
+	for seq := uint64(1); seq <= n; seq++ {
+		e := NodeEvent{At: float64(seq), Kind: "message-deduped", Task: "T", Incarnation: int(seq)}
+		burst = append(burst, frameBytes(t, fEvent, encodeEvent(seq, session, e))...)
+	}
+	burst = append(burst, frameBytes(t, fDone, encodeSession(n+1, session))...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.WaitDone(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != n {
+		t.Fatalf("Event hook saw %d of %d events before DONE", len(seen), n)
+	}
+	for i, e := range seen {
+		if e.Incarnation != i+1 || e.Node != node {
+			t.Fatalf("event %d = %+v, want incarnation %d from node %d", i, e, i+1, node)
+		}
 	}
 }

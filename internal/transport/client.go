@@ -315,16 +315,13 @@ func (rb *RemoteBroker) takeControl() []controlFrame {
 	return q
 }
 
-// sendReady reports this node's session readiness to the server.
-func (rb *RemoteBroker) sendReady(session uint64) {
-	rb.link.send(fReady, func(seq uint64) []byte {
-		buf := binary.AppendUvarint(nil, seq)
-		return binary.AppendUvarint(buf, session)
-	})
+// sendSession sends a session-scoped frame that carries only the
+// session ID (READY/DONE).
+func (rb *RemoteBroker) sendSession(typ byte, session uint64) {
+	rb.link.send(typ, func(seq uint64) []byte { return encodeSession(seq, session) })
 }
 
-// sendSessionBlob sends a session-scoped frame with a JSON body
-// (FAIL/DONE).
+// sendSessionBlob sends a session-scoped frame with a JSON body (FAIL).
 func (rb *RemoteBroker) sendSessionBlob(typ byte, session uint64, blob []byte) {
 	rb.link.send(typ, func(seq uint64) []byte {
 		return encodeSessionBlob(seq, session, blob)

@@ -14,7 +14,8 @@
 // strings and byte blobs are uvarint-length-prefixed. Molecule payloads
 // travel in the hocl wire codec (hocl.EncodeAtoms / hocl.DecodeAtoms).
 // Trace events are binary too (see encodeEvent); only the once-per-session
-// ASSIGN, FAIL and DONE bodies are JSON documents.
+// ASSIGN and FAIL bodies are JSON documents. READY, START, STOP and DONE
+// carry the session ID alone.
 //
 // Control frames (HELLO, WELCOME, PING, PONG, ACK) are connection-scoped
 // and unsequenced. Every other frame is reliable: its payload starts
@@ -43,8 +44,9 @@ import (
 
 // protocolVersion is the frame protocol version carried in HELLO and
 // WELCOME; a mismatch fails the handshake. Version 3 made EVENT bodies
-// binary (version 2 carried them as JSON).
-const protocolVersion = 3
+// binary (version 2 carried them as JSON); version 4 dropped DONE's JSON
+// stats body.
+const protocolVersion = 4
 
 // readBufSize is the per-connection read buffer: one socket read
 // usually brings in a whole burst of frames.
@@ -74,7 +76,7 @@ const (
 	fStart       byte = 22 // server→client: session
 	fStop        byte = 23 // server→client: session
 	fFail        byte = 24 // client→server: session, failure JSON
-	fDone        byte = 25 // client→server: session, stats JSON
+	fDone        byte = 25 // client→server: session
 	fEvent       byte = 26 // client→server: session, binary trace event
 	fLogReq      byte = 27 // client→server: reqID, topic
 	fLogResp     byte = 28 // server→client: reqID, count, messages
@@ -363,8 +365,14 @@ func (c *cursor) msgs() ([]wireMsg, error) {
 	return msgs, nil
 }
 
-// encodeSessionBlob encodes the (session, blob) bodies shared by ASSIGN,
-// FAIL and DONE; the blob is a JSON document.
+// encodeSession encodes the session-ID-only bodies of READY, START, STOP
+// and DONE.
+func encodeSession(seq, session uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(nil, seq), session)
+}
+
+// encodeSessionBlob encodes the (session, blob) bodies shared by ASSIGN
+// and FAIL; the blob is a JSON document.
 func encodeSessionBlob(seq, session uint64, blob []byte) []byte {
 	buf := binary.AppendUvarint(nil, seq)
 	buf = binary.AppendUvarint(buf, session)
@@ -483,13 +491,13 @@ func parseFrame(typ byte, payload []byte) error {
 			return err
 		}
 		return c.done()
-	case fAssign, fFail, fDone:
+	case fAssign, fFail:
 		_, _, err := parseSessionBlob(&c)
 		return err
 	case fEvent:
 		_, _, err := parseEvent(&c)
 		return err
-	case fReady, fStart, fStop:
+	case fReady, fStart, fStop, fDone:
 		if _, err := c.uvarint(); err != nil {
 			return err
 		}

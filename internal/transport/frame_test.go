@@ -206,7 +206,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(wire(fStart, binary.AppendUvarint(seq(nil), 3)))
 	f.Add(wire(fStop, binary.AppendUvarint(seq(nil), 3)))
 	f.Add(wire(fFail, encodeSessionBlob(1, 3, []byte(`{"err":"x"}`))))
-	f.Add(wire(fDone, encodeSessionBlob(1, 3, []byte(`{"failures":0}`))))
+	f.Add(wire(fDone, encodeSession(1, 3)))
 	f.Add(wire(fEvent, encodeEvent(1, 3, NodeEvent{At: 1.5, Kind: "agent-started", Task: "T1", Incarnation: 1})))
 
 	// Hostile shapes.

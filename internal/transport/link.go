@@ -15,6 +15,12 @@ import (
 // outlives individual connections: a broken socket detaches, a
 // handshake attaches the replacement and replays the outbox.
 type link struct {
+	// dispatching orders dispatch across connections: a read loop on a
+	// dropped socket may still be dispatching when its successor accepts
+	// the next frame, and the peer's frames must reach dispatch in
+	// sequence.
+	dispatching sync.Mutex
+
 	mu      sync.Mutex
 	conn    net.Conn
 	nextSeq uint64
@@ -120,10 +126,10 @@ func (l *link) sendAck() {
 // only after the frame's dispatch here has returned.
 //
 // Batching is deadlock-free because no dispatch path waits on the peer:
-// dispatch hands work to the broker, to an unbounded queue or to a
-// buffered channel, and never blocks until another frame arrives. A
-// dispatch that did wait for the peer could hold back an owed ACK the
-// peer is itself waiting for.
+// dispatch hands work to the broker, to an unbounded queue, to a
+// buffered channel or to a remote session's non-blocking hooks, and
+// never blocks until another frame arrives. A dispatch that did wait for
+// the peer could hold back an owed ACK the peer is itself waiting for.
 func (l *link) serve(r *bufio.Reader, dispatch func(typ byte, c *cursor) error) {
 	owed := false
 	// One cursor per connection, not per frame: handed to a func value,
@@ -160,14 +166,14 @@ func (l *link) serve(r *bufio.Reader, dispatch func(typ byte, c *cursor) error) 
 		if err != nil {
 			return
 		}
+		l.dispatching.Lock()
 		fresh, err := l.accept(seq)
+		if err == nil && fresh {
+			err = dispatch(typ, c)
+		}
+		l.dispatching.Unlock()
 		if err != nil {
 			return
-		}
-		if fresh {
-			if err := dispatch(typ, c); err != nil {
-				return
-			}
 		}
 		owed = true
 	}

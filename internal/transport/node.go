@@ -158,7 +158,7 @@ func (n *Node) handleAssign(session uint64, blob []byte) {
 	// before it, so by the time the server routes it every inbox
 	// subscription is live on the broker: the no-publish-into-the-void
 	// barrier holds across the wire.
-	n.rb.sendReady(session)
+	n.rb.sendSession(fReady, session)
 }
 
 // nodeSession is one assigned session's worker-side state.
@@ -326,12 +326,10 @@ func (ns *nodeSession) stop() {
 	}
 }
 
-// stopAndReport stops the session and sends the DONE stats report.
+// stopAndReport stops the session and reports DONE. Every event its
+// agents recorded was sent before, on the same ordered link.
 func (ns *nodeSession) stopAndReport() {
 	ns.stop()
-	var d NodeDone
-	d.Failures, d.Recoveries, d.Duplicates = ns.sup.Counts()
-	blob, _ := json.Marshal(d)
-	ns.node.rb.sendSessionBlob(fDone, ns.id, blob)
+	ns.node.rb.sendSession(fDone, ns.id)
 	ns.node.removeSession(ns.id)
 }

@@ -246,7 +246,9 @@ func (s *Server) handshake(conn net.Conn) {
 	}
 	n.link.attach(conn)
 	for _, rs := range sessions {
-		rs.notifyReconnect(n.id)
+		if rs.hooks.Reconnect != nil {
+			rs.hooks.Reconnect(n.id)
+		}
 	}
 	s.wg.Add(1)
 	go s.serveConn(n, conn, r)
@@ -351,13 +353,15 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 
 // dispatchSession routes a session-scoped frame to its RemoteSession
 // (silently dropped if the session is gone — a late frame after Close).
+// It runs on the worker's read loop, so a session's hooks see that
+// worker's reports in the order they were sent.
 func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 	var session uint64
 	var blob []byte
 	var ev NodeEvent
 	var err error
 	switch typ {
-	case fReady:
+	case fReady, fDone:
 		if session, err = c.uvarint(); err == nil {
 			err = c.done()
 		}
@@ -377,13 +381,16 @@ func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 	}
 	switch typ {
 	case fReady:
-		rs.markReady(n.id)
-	case fFail:
-		rs.markFailed(n.id, blob)
+		rs.mark(n.id, rs.ready, rs.readyCh)
 	case fDone:
-		rs.markDone(n.id, blob)
+		rs.mark(n.id, rs.done, rs.doneCh)
+	case fFail:
+		rs.reportFailure(n.id, blob)
 	case fEvent:
-		rs.pushEvent(n.id, ev)
+		if rs.hooks.Event != nil {
+			ev.Node = n.id
+			rs.hooks.Event(ev)
+		}
 	}
 	return nil
 }
@@ -504,16 +511,6 @@ type Assignment struct {
 	Retry failure.RetryConfig `json:"retry,omitempty"`
 }
 
-// NodeDone is a worker's end-of-session stats report.
-type NodeDone struct {
-	// Failures / Recoveries count injected crashes and respawns on this
-	// worker; Duplicates counts deliveries its agents' sequence
-	// protocol suppressed.
-	Failures   int   `json:"failures"`
-	Recoveries int   `json:"recoveries"`
-	Duplicates int64 `json:"duplicates"`
-}
-
 // nodeFailure is a worker's early-failure report (an escalated agent or
 // a spent recovery budget).
 type nodeFailure struct {
@@ -550,45 +547,63 @@ func (e *ErrNodeFailed) Error() string {
 	return fmt.Sprintf("transport: node %d failed: %s", e.Node, e.Msg)
 }
 
+// SessionHooks receive a remote session's worker reports. Event and
+// Fail run on the reporting worker's read loop, so one worker's reports
+// arrive in the order it sent them, and every event a worker recorded
+// precedes its DONE: the session has seen them all when WaitDone
+// returns. Reconnect runs on the handshake goroutine of a worker whose
+// connection dropped and came back. A hook must not block: it runs
+// where link.serve requires that no dispatch wait on the peer, and the
+// read loop owes the worker an ACK. A nil hook drops its reports.
+type SessionHooks struct {
+	// Event receives one trace event from a worker's agents, with Node
+	// stamped from the connection.
+	Event func(NodeEvent)
+	// Fail receives a worker's early failure (an escalated agent, a
+	// spent recovery budget, or an assignment it could not build, sent
+	// instead of READY) as an *ErrNodeFailed. Each worker fails a
+	// session at most once, but several workers may.
+	Fail func(error)
+	// Reconnect receives the ID of a worker that rejoined: the
+	// session's cue to resync that worker's tasks.
+	Reconnect func(node uint64)
+}
+
 // RemoteSession is the server-side handle of one workflow session's
 // remote enactment: it tracks which workers were assigned, barriers on
-// their readiness, starts and stops them, and collects their failure
-// and completion reports.
+// their readiness, starts and stops them, and hands their reports to
+// the session's hooks.
 type RemoteSession struct {
 	id     uint64
 	server *Server
 	nodes  []uint64
+	hooks  SessionHooks
 
 	mu      sync.Mutex
 	ready   map[uint64]bool
-	dones   map[uint64]NodeDone
+	done    map[uint64]bool
 	readyCh chan struct{}
 	doneCh  chan struct{}
 	started bool
 	stopped bool
-
-	failed      chan error
-	events      chan NodeEvent
-	reconnected chan uint64
 }
 
 // StartRemote registers a remote session and sends each worker its
 // assignment. The workers answer READY once their agents are built and
-// subscribed; barrier on that with WaitReady, then Start.
-func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment) (*RemoteSession, error) {
+// subscribed; barrier on that with WaitReady, then Start. The workers'
+// reports go to hooks from here on.
+func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment, hooks SessionHooks) (*RemoteSession, error) {
 	if len(assigns) == 0 {
 		return nil, fmt.Errorf("transport: session %d: no assignments", session)
 	}
 	rs := &RemoteSession{
-		id:          session,
-		server:      s,
-		ready:       map[uint64]bool{},
-		dones:       map[uint64]NodeDone{},
-		readyCh:     make(chan struct{}),
-		doneCh:      make(chan struct{}),
-		failed:      make(chan error, 1),
-		events:      make(chan NodeEvent, 1024),
-		reconnected: make(chan uint64, 64),
+		id:      session,
+		server:  s,
+		hooks:   hooks,
+		ready:   map[uint64]bool{},
+		done:    map[uint64]bool{},
+		readyCh: make(chan struct{}),
+		doneCh:  make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -688,48 +703,21 @@ func (rs *RemoteSession) sendAll(typ byte) {
 	}
 	rs.server.mu.Unlock()
 	for _, n := range nodes {
-		n.link.send(typ, func(seq uint64) []byte {
-			buf := binary.AppendUvarint(nil, seq)
-			return binary.AppendUvarint(buf, rs.id)
-		})
+		n.link.send(typ, func(seq uint64) []byte { return encodeSession(seq, rs.id) })
 	}
 }
 
-// WaitDone blocks until every worker reported DONE (or ctx ends) and
-// returns the aggregated stats.
-func (rs *RemoteSession) WaitDone(ctx context.Context) (NodeDone, error) {
+// WaitDone blocks until every worker reported DONE or ctx ends. A
+// worker's DONE follows everything it reported, so by then the hooks
+// have seen every event of every worker.
+func (rs *RemoteSession) WaitDone(ctx context.Context) error {
 	select {
 	case <-rs.doneCh:
+		return nil
 	case <-ctx.Done():
-		return rs.stats(), fmt.Errorf("transport: session %d: workers not done: %w", rs.id, context.Cause(ctx))
+		return fmt.Errorf("transport: session %d: workers not done: %w", rs.id, context.Cause(ctx))
 	}
-	return rs.stats(), nil
 }
-
-func (rs *RemoteSession) stats() NodeDone {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var total NodeDone
-	for _, d := range rs.dones {
-		total.Failures += d.Failures
-		total.Recoveries += d.Recoveries
-		total.Duplicates += d.Duplicates
-	}
-	return total
-}
-
-// Failed delivers at most one early worker failure (an escalated agent
-// or spent recovery budget), including one reported instead of READY.
-func (rs *RemoteSession) Failed() <-chan error { return rs.failed }
-
-// Events delivers trace events forwarded from the workers' agents.
-// Delivery is lossy under backpressure, like every event stream in the
-// engine.
-func (rs *RemoteSession) Events() <-chan NodeEvent { return rs.events }
-
-// Reconnected delivers the ID of a worker whose connection dropped and
-// came back — the session's cue to resync that worker's tasks.
-func (rs *RemoteSession) Reconnected() <-chan uint64 { return rs.reconnected }
 
 // Close unregisters the session from the server; late frames for it
 // are dropped.
@@ -741,56 +729,27 @@ func (rs *RemoteSession) Close() {
 	rs.server.mu.Unlock()
 }
 
-func (rs *RemoteSession) markReady(node uint64) {
+// mark records node's READY or DONE in seen and closes all once every
+// assigned worker has reported it.
+func (rs *RemoteSession) mark(node uint64, seen map[uint64]bool, all chan struct{}) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.ready[node] || !rs.hasNode(node) {
+	if seen[node] || !rs.hasNode(node) {
 		return
 	}
-	rs.ready[node] = true
-	if len(rs.ready) == len(rs.nodes) {
-		close(rs.readyCh)
+	seen[node] = true
+	if len(seen) == len(rs.nodes) {
+		close(all)
 	}
 }
 
-func (rs *RemoteSession) markFailed(node uint64, blob []byte) {
+func (rs *RemoteSession) reportFailure(node uint64, blob []byte) {
+	if rs.hooks.Fail == nil {
+		return
+	}
 	var nf nodeFailure
 	if err := json.Unmarshal(blob, &nf); err != nil {
 		nf.Err = fmt.Sprintf("unparseable failure report: %v", err)
 	}
-	select {
-	case rs.failed <- &ErrNodeFailed{Node: node, Msg: nf.Err, RetriesExhausted: nf.RetriesExhausted}:
-	default:
-	}
-}
-
-func (rs *RemoteSession) markDone(node uint64, blob []byte) {
-	var d NodeDone
-	if err := json.Unmarshal(blob, &d); err != nil {
-		return
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if _, dup := rs.dones[node]; dup || !rs.hasNode(node) {
-		return
-	}
-	rs.dones[node] = d
-	if len(rs.dones) == len(rs.nodes) {
-		close(rs.doneCh)
-	}
-}
-
-func (rs *RemoteSession) pushEvent(node uint64, e NodeEvent) {
-	e.Node = node
-	select {
-	case rs.events <- e:
-	default: // lossy, like every other event stream
-	}
-}
-
-func (rs *RemoteSession) notifyReconnect(node uint64) {
-	select {
-	case rs.reconnected <- node:
-	default:
-	}
+	rs.hooks.Fail(&ErrNodeFailed{Node: node, Msg: nf.Err, RetriesExhausted: nf.RetriesExhausted})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"ginflow/internal/hocl"
 	"ginflow/internal/mq"
 	"ginflow/internal/space"
+	"ginflow/internal/trace"
 	"ginflow/internal/workflow"
 )
 
@@ -299,7 +301,8 @@ func TestSocketChaosLosesNothing(t *testing.T) {
 
 // TestNodeRunsAssignedSession drives the full worker protocol in one
 // process: assign a two-task sequence, barrier on READY, start, watch
-// the space converge, stop, and collect the DONE stats.
+// the space converge, stop, and collect the DONE reports. The worker's
+// events reach the Event hook before WaitDone returns.
 func TestNodeRunsAssignedSession(t *testing.T) {
 	srv, br, _ := newTestServer(t, nil)
 
@@ -316,6 +319,11 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var (
+		mu     sync.Mutex
+		kinds  = map[string]int{}
+		failed error
+	)
 	rs, err := srv.StartRemote(1, map[uint64]Assignment{
 		node.NodeID(): {
 			SpaceTopic:  "wt.space",
@@ -324,6 +332,17 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 			Tasks:       []string{"S1", "S2"},
 			Seed:        1,
 			ScaleNS:     int64(50 * time.Microsecond),
+		},
+	}, SessionHooks{
+		Event: func(e NodeEvent) {
+			mu.Lock()
+			kinds[e.Kind]++
+			mu.Unlock()
+		},
+		Fail: func(err error) {
+			mu.Lock()
+			failed = err
+			mu.Unlock()
 		},
 	})
 	if err != nil {
@@ -349,26 +368,20 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 
 	rs.Start()
 	if err := sp.WaitCompleted(ctx, []string{"S1", "S2"}); err != nil {
-		t.Fatalf("convergence: %v (err channel: %v)", err, drainFailed(rs))
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("convergence: %v (worker failure: %v)", err, failed)
 	}
 	rs.Stop()
-	stats, err := rs.WaitDone(ctx)
-	if err != nil {
+	if err := rs.WaitDone(ctx); err != nil {
 		t.Fatalf("done: %v", err)
 	}
-	if stats.Failures != 0 || stats.Recoveries != 0 {
-		t.Fatalf("unexpected stats: %+v", stats)
+	mu.Lock()
+	if kinds[string(trace.TaskCompleted)] != 2 || kinds[string(trace.AgentCrashed)] != 0 || failed != nil {
+		t.Fatalf("unexpected reports: events %v, failure %v", kinds, failed)
 	}
+	mu.Unlock()
 	if sp.StateFingerprint() == 0 {
 		t.Fatal("space fingerprint is zero after convergence")
-	}
-}
-
-func drainFailed(rs *RemoteSession) error {
-	select {
-	case err := <-rs.Failed():
-		return err
-	default:
-		return nil
 	}
 }
