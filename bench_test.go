@@ -1,11 +1,10 @@
 package ginflow
 
-// Benchmarks, one per table/figure of the paper's evaluation (§V), plus
-// ablation benchmarks for the design choices called out in DESIGN.md.
-// Every figure benchmark runs a representative configuration of its
-// experiment per iteration and reports the modelled execution time as a
-// custom metric (model_s/op); the full paper-scale sweeps live in
-// cmd/ginflow-bench, whose output is recorded in EXPERIMENTS.md.
+// CPU benchmarks: ablations for the design choices called out in
+// DESIGN.md and the hot paths cmd/benchguard holds to allocation
+// ceilings. None times a modelled sleep. The paper's figures in model
+// seconds come from cmd/ginflow-bench, whose points are the committed
+// goldens internal/bench/testdata/figures*.json.
 
 import (
 	"context"
@@ -28,12 +27,6 @@ import (
 	"ginflow/internal/workflow"
 )
 
-// benchScale is the default model-time scale: 1 ms of real time per
-// model second keeps every modelled sleep above the host timer
-// granularity, so the reported model_s metrics are honest. Iterations
-// are consequently tens of milliseconds to ~1 s of real time each.
-const benchScale = time.Millisecond
-
 func benchServices() *agent.Registry {
 	reg := agent.NewRegistry()
 	reg.RegisterNoop(bench.MeshTaskDuration, "split", "work", "merge", "workalt")
@@ -50,94 +43,10 @@ func runDiamondOnce(b *testing.B, h, v int, fully bool, cfg core.Config) *core.R
 	return rep
 }
 
+// benchCluster runs on the virtual clock, so ns/op is CPU, not modelled
+// sleep.
 func benchCluster(nodes int) cluster.Config {
-	return cluster.Config{Nodes: nodes, CoresPerNode: 24, Scale: benchScale}
-}
-
-// BenchmarkFig12SimpleDiamond regenerates one cell of Fig. 12(a): a 6x6
-// simple-connected diamond on SSH + ActiveMQ.
-func BenchmarkFig12SimpleDiamond(b *testing.B) {
-	var model float64
-	for i := 0; i < b.N; i++ {
-		rep := runDiamondOnce(b, 6, 6, false, core.Config{
-			Executor: executor.KindSSH,
-			Broker:   mq.KindQueue,
-			Cluster:  benchCluster(25),
-		})
-		model += rep.ExecTime
-	}
-	b.ReportMetric(model/float64(b.N), "model_s/op")
-}
-
-// BenchmarkFig12FullDiamond regenerates one cell of Fig. 12(b): the
-// fully-connected flavour of the same diamond.
-func BenchmarkFig12FullDiamond(b *testing.B) {
-	var model float64
-	for i := 0; i < b.N; i++ {
-		rep := runDiamondOnce(b, 6, 6, true, core.Config{
-			Executor: executor.KindSSH,
-			Broker:   mq.KindQueue,
-			Cluster:  benchCluster(25),
-		})
-		model += rep.ExecTime
-	}
-	b.ReportMetric(model/float64(b.N), "model_s/op")
-}
-
-// BenchmarkFig13Adaptiveness regenerates one bar of Fig. 13: a 4x4
-// diamond whose whole body is swapped on-the-fly after the last mesh
-// service fails (simple-to-simple scenario); the reported metric is the
-// with/without-adaptiveness ratio.
-func BenchmarkFig13Adaptiveness(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		spec := workflow.DefaultDiamondSpec(4, 4, false)
-		base := runDiamondOnce(b, 4, 4, false, core.Config{
-			Executor: executor.KindSSH,
-			Broker:   mq.KindQueue,
-			Cluster:  benchCluster(25),
-		})
-
-		def := workflow.WithBodyReplacement(workflow.Diamond(spec), spec, false, "workalt")
-		last, _ := def.TaskByID(workflow.LastMeshTask(spec))
-		last.Service = "flaky"
-		services := benchServices()
-		services.RegisterFailing("flaky", bench.MeshTaskDuration)
-		adaptive, err := core.Run(context.Background(), def, services, core.Config{
-			Executor: executor.KindSSH,
-			Broker:   mq.KindQueue,
-			Cluster:  benchCluster(25),
-		})
-		if err != nil {
-			b.Fatalf("adaptive run: %v", err)
-		}
-		ratio += adaptive.ExecTime / base.ExecTime
-	}
-	b.ReportMetric(ratio/float64(b.N), "ratio")
-}
-
-// BenchmarkFig14ExecutorMiddleware regenerates Fig. 14's bar groups: a
-// 4x4 diamond under each executor × broker combination on 10 nodes,
-// reporting deployment and execution model time separately.
-func BenchmarkFig14ExecutorMiddleware(b *testing.B) {
-	for _, ex := range []executor.Kind{executor.KindSSH, executor.KindMesos} {
-		for _, br := range []mq.Kind{mq.KindQueue, mq.KindLog} {
-			b.Run(fmt.Sprintf("%s/%s", ex, br), func(b *testing.B) {
-				var deploy, exec float64
-				for i := 0; i < b.N; i++ {
-					rep := runDiamondOnce(b, 4, 4, false, core.Config{
-						Executor: ex,
-						Broker:   br,
-						Cluster:  benchCluster(10),
-					})
-					deploy += rep.DeployTime
-					exec += rep.ExecTime
-				}
-				b.ReportMetric(deploy/float64(b.N), "deploy_model_s/op")
-				b.ReportMetric(exec/float64(b.N), "exec_model_s/op")
-			})
-		}
-	}
+	return cluster.Config{Nodes: nodes, CoresPerNode: 24, Virtual: true}
 }
 
 // BenchmarkFig15MontageGeneration covers Fig. 15's artifacts: building,
@@ -154,32 +63,6 @@ func BenchmarkFig15MontageGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFig16Resilience regenerates one bar of Fig. 16: Montage on
-// Mesos + Kafka with p=0.5, T=0 failure injection, recovered by inbox
-// replay.
-func BenchmarkFig16Resilience(b *testing.B) {
-	var model, failures float64
-	for i := 0; i < b.N; i++ {
-		reg := agent.NewRegistry()
-		montage.RegisterServices(reg)
-		rep, err := core.Run(context.Background(), montage.Workflow(), reg, core.Config{
-			Executor: executor.KindMesos,
-			Broker:   mq.KindLog,
-			Cluster:  benchCluster(25),
-			FailureP: 0.5,
-			FailureT: 0,
-			Timeout:  5 * time.Minute,
-		})
-		if err != nil {
-			b.Fatalf("run: %v", err)
-		}
-		model += rep.ExecTime
-		failures += float64(rep.Failures)
-	}
-	b.ReportMetric(model/float64(b.N), "model_s/op")
-	b.ReportMetric(failures/float64(b.N), "failures/op")
 }
 
 // --- Ablation benchmarks ----------------------------------------------------
@@ -267,8 +150,8 @@ func BenchmarkAblationBrokerThroughput(b *testing.B) {
 
 // BenchmarkAblationPassMode compares the two gw_pass designs (§IV-A): a
 // single interpreter applying the global rule versus decentralised
-// agents exchanging messages. Real time is dominated by the modelled
-// sleeps; the model_s metric shows the coordination difference.
+// agents exchanging messages. Both run on the virtual clock, so ns/op is
+// CPU; the model_s metric shows the coordination difference.
 func BenchmarkAblationPassMode(b *testing.B) {
 	for _, mode := range []executor.Kind{executor.KindCentralized, executor.KindSSH} {
 		b.Run(string(mode), func(b *testing.B) {
@@ -504,30 +387,5 @@ func BenchmarkInstrumentedMessageRoundTrip(b *testing.B) {
 		if len(m.Atoms) != 1 || !hocl.Shareable(m.Atoms[0]) {
 			b.Fatalf("bad structural ingest: %v", m.Atoms)
 		}
-	}
-}
-
-// BenchmarkFig12LargeDiamond extends Fig. 12 beyond the paper's mesh
-// sizes: a 12x12 diamond (146 tasks; the fully-connected flavour moves
-// ~2000 messages) on SSH + ActiveMQ. Before the zero-reparse message
-// path, meshes this size were dominated by render/re-parse CPU.
-func BenchmarkFig12LargeDiamond(b *testing.B) {
-	for _, fully := range []bool{false, true} {
-		name := "simple"
-		if fully {
-			name = "fully-connected"
-		}
-		b.Run(name, func(b *testing.B) {
-			var model float64
-			for i := 0; i < b.N; i++ {
-				rep := runDiamondOnce(b, 12, 12, fully, core.Config{
-					Executor: executor.KindSSH,
-					Broker:   mq.KindQueue,
-					Cluster:  benchCluster(25),
-				})
-				model += rep.ExecTime
-			}
-			b.ReportMetric(model/float64(b.N), "model_s/op")
-		})
 	}
 }

@@ -17,7 +17,7 @@
 //
 // A second mode validates a scraped /metrics body instead: -exposition
 // runs the promlint-style checker over a saved Prometheus text file
-// (the CI smoke job scrapes a live ginflow-bench run), and -require
+// (the CI smoke job scrapes a live ginflow run), and -require
 // fails unless every named family appears:
 //
 //	go run ./cmd/benchguard -exposition metrics.prom \

@@ -1,5 +1,6 @@
 // Command ginflow-bench regenerates the tables and figures of the
-// paper's evaluation (§V):
+// paper's evaluation (§V) in model seconds, on the discrete-event
+// virtual clock:
 //
 //	ginflow-bench -fig 12a    coordination timespan, simple diamond (Fig. 12a)
 //	ginflow-bench -fig 12b    coordination timespan, fully-connected (Fig. 12b)
@@ -7,46 +8,23 @@
 //	ginflow-bench -fig 14     executor × middleware comparison (Fig. 14)
 //	ginflow-bench -fig 15     Montage shape and duration CDF (Fig. 15)
 //	ginflow-bench -fig 16     resilience under failure injection (Fig. 16)
-//	ginflow-bench -fig sweep  diamond scaling sweep (8x8 .. 24x24),
-//	                          standalone runs vs. one shared Manager
-//	                          multiplexing the whole sweep concurrently
-//	ginflow-bench -fig chaos  chaos soak: seeded fault schedules
-//	                          (-chaos-seeds of them) that must all
-//	                          converge to the chaos-free outcome
-//	ginflow-bench -fig all    everything above except chaos, in order
+//	ginflow-bench -fig all    everything above, in order
 //
-// The sweep takes extra knobs: -sizes picks the mesh sizes (e.g.
-// -sizes 8,16), -shards sets the broker shard count (1 = the unsharded
-// broker, for before/after comparisons), and -json writes the sweep
-// results plus a final metrics snapshot as a machine-readable artifact
-// (the CI smoke job uploads it).
+// -quick shrinks the sweeps for a fast sanity pass. Same-seed runs
+// print identical tables. With -fig all, -json writes every figure's
+// points in the form of the committed goldens:
 //
-// Observability: -metrics-addr serves the process metrics and pprof
-// over HTTP for the lifetime of the run (scrape /metrics while a sweep
-// is in flight), and -trace-out writes the Chrome trace_event timeline
-// of a dedicated 16x16 diamond run on the virtual clock — load it in
-// chrome://tracing or https://ui.perfetto.dev.
-//
-// Times are model seconds (1 model second costs -scale of real time;
-// see DESIGN.md §1 for the substitution rationale). -quick shrinks the
-// sweeps for a fast sanity pass. -virtual switches every run to the
-// discrete-event virtual clock: model time jumps straight between
-// timer deadlines, -scale is ignored, and same-seed runs report
-// bit-identical timings (see DESIGN.md "Virtual time").
+//	ginflow-bench -json internal/bench/testdata/figures.json
+//	ginflow-bench -quick -runs 1 -json internal/bench/testdata/figures_quick.json
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"ginflow/internal/bench"
-	"ginflow/internal/obs"
-	"ginflow/internal/trace"
 )
 
 func main() {
@@ -58,165 +36,49 @@ func main() {
 
 func run() error {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 12a | 12b | 13 | 14 | 15 | 16 | sweep | chaos | all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 12a | 12b | 13 | 14 | 15 | 16 | all")
 		quick    = flag.Bool("quick", false, "reduced sweeps")
 		runs     = flag.Int("runs", 3, "repetitions for averaged experiments (paper: up to 10)")
-		scale    = flag.Duration("scale", time.Millisecond, "real time per model second")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		timeout  = flag.Duration("timeout", 5*time.Minute, "per-run timeout (real time)")
-		shards   = flag.Int("shards", 0, "broker shard count (0 = default, 1 = unsharded)")
-		sizes    = flag.String("sizes", "", "comma-separated sweep mesh sizes, e.g. 8,16,24 (sweep only)")
-		fan      = flag.Int("fan", 1, "concurrent copies of each sweep size on the shared Manager (sweep only)")
-		jsonPath = flag.String("json", "", "write sweep results as JSON to this path (sweep only)")
-		chaosN   = flag.Int("chaos-seeds", 10, "seeded fault schedules to soak (chaos only)")
-		virtual  = flag.Bool("virtual", false, "discrete-event virtual clock: model time jumps between timer deadlines, -scale is ignored")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address for the run's lifetime (e.g. :9090)")
-		traceOut    = flag.String("trace-out", "", "write the Chrome trace_event JSON of a dedicated virtual 16x16 diamond run to this path")
+		jsonPath = flag.String("json", "", "with -fig all, write every figure's points as JSON to this path")
 	)
 	flag.Parse()
+	opts := bench.Options{Out: os.Stdout, Quick: *quick, Runs: *runs, Seed: *seed}
 
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n\n", srv.Addr())
-	}
-
-	opts := bench.Options{
-		Out:          os.Stdout,
-		Quick:        *quick,
-		Runs:         *runs,
-		Scale:        *scale,
-		Seed:         *seed,
-		Timeout:      *timeout,
-		BrokerShards: *shards,
-		Fan:          *fan,
-		Virtual:      *virtual,
-	}
-	sweepSizes, err := parseSizes(*sizes)
-	if err != nil {
-		return err
-	}
-
-	runFig := func(name string) error {
-		started := time.Now()
-		var err error
-		switch name {
-		case "12a":
-			_, err = bench.Fig12(opts, false)
-		case "12b":
-			_, err = bench.Fig12(opts, true)
-		case "13":
-			_, err = bench.Fig13(opts)
-		case "14":
-			_, err = bench.Fig14(opts)
-		case "15":
-			err = bench.Fig15(opts)
-		case "16":
-			_, _, err = bench.Fig16(opts)
-		case "sweep":
-			err = runSweep(opts, sweepSizes, *jsonPath)
-		case "chaos":
-			err = bench.ChaosSoak(opts, *chaosN)
-		default:
-			return fmt.Errorf("unknown figure %q", name)
-		}
-		if err != nil {
-			return fmt.Errorf("fig %s: %w", name, err)
-		}
-		fmt.Printf("(fig %s done in %.1fs real time)\n\n", name, time.Since(started).Seconds())
-		return nil
-	}
-
-	if *traceOut != "" {
-		if err := writeTrace(opts, *traceOut); err != nil {
+	if *fig == "all" {
+		figs, err := bench.All(opts)
+		if err != nil || *jsonPath == "" {
 			return err
 		}
-	}
-
-	if *fig != "all" {
-		return runFig(*fig)
-	}
-	for _, name := range []string{"12a", "12b", "13", "14", "15", "16", "sweep"} {
-		if err := runFig(name); err != nil {
+		f, err := os.Create(*jsonPath)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeTrace runs the dedicated traced virtual 16x16 diamond and writes
-// its Chrome trace_event timeline to path.
-func writeTrace(opts bench.Options, path string) error {
-	rep, err := bench.TracedDiamondRun(opts, 16)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, rep.Events); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote Chrome trace of a virtual 16x16 diamond (%d events) to %s\n\n", len(rep.Events), path)
-	return nil
-}
-
-// runSweep runs both sweep modes and optionally writes the JSON
-// artifact.
-func runSweep(opts bench.Options, sizes []int, jsonPath string) error {
-	standalonePoints, standaloneWall, err := bench.DiamondSweep(opts, sizes, false)
-	if err != nil {
-		return err
-	}
-	sharedPoints, sharedWall, err := bench.DiamondSweep(opts, sizes, true)
-	if err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	artifact := bench.SweepArtifact{
-		Results: []bench.SweepResult{
-			{
-				Mode: "standalone", BrokerShards: opts.BrokerShards, Runs: opts.Runs, Fan: opts.Fan,
-				Points: standalonePoints, WallSeconds: standaloneWall.Seconds(),
-			},
-			{
-				Mode: "shared-manager", BrokerShards: opts.BrokerShards, Runs: opts.Runs, Fan: opts.Fan,
-				Points: sharedPoints, WallSeconds: sharedWall.Seconds(),
-			},
-		},
-		Metrics: obs.Default().Snapshot(),
-	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-}
-
-// parseSizes decodes the -sizes flag ("" means the default grid).
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -sizes entry %q (want positive integers)", p)
+		if err := figs.WriteJSON(f); err != nil {
+			f.Close()
+			return err
 		}
-		sizes = append(sizes, n)
+		return f.Close()
 	}
-	return sizes, nil
+	if *jsonPath != "" {
+		return errors.New("-json writes every figure: use it with -fig all")
+	}
+	var err error
+	switch *fig {
+	case "12a":
+		_, err = bench.Fig12(opts, false)
+	case "12b":
+		_, err = bench.Fig12(opts, true)
+	case "13":
+		_, err = bench.Fig13(opts)
+	case "14":
+		_, err = bench.Fig14(opts)
+	case "15":
+		err = bench.Fig15(opts)
+	case "16":
+		_, _, err = bench.Fig16(opts)
+	default:
+		return fmt.Errorf("unknown figure %q", *fig)
+	}
+	return err
 }

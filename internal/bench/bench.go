@@ -3,20 +3,22 @@
 // adaptiveness ratios (Fig. 13), the executor × middleware comparison
 // (Fig. 14), the Montage workload shape and duration CDF (Fig. 15) and
 // the resilience-under-failure-injection bars (Fig. 16). The same code
-// backs the ginflow-bench CLI and the root-level Go benchmarks.
+// backs the ginflow-bench CLI.
 //
-// All reported times are model seconds (see internal/cluster): absolute
-// values are not comparable to the paper's testbed, but the shapes —
-// who wins, by what factor, where crossovers fall — are the
-// reproduction target. EXPERIMENTS.md records paper-vs-measured.
+// All reported times are model seconds on the virtual clock (see
+// internal/cluster): absolute values are not comparable to the paper's
+// testbed, but the shapes — who wins, by what factor, where crossovers
+// fall — are the reproduction target. Every point is committed as a
+// golden in testdata/figures.json (paper sizes) and
+// testdata/figures_quick.json (-quick -runs 1); see All.
 package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"ginflow/internal/agent"
 	"ginflow/internal/cluster"
@@ -24,49 +26,27 @@ import (
 	"ginflow/internal/executor"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
-	"ginflow/internal/obs"
 	"ginflow/internal/workflow"
 )
 
-// Options tunes an experiment run.
+// Options tunes an experiment run. Every run is on the discrete-event
+// virtual clock (see internal/cluster), so a given Options always
+// yields the same points, bit for bit.
 type Options struct {
 	// Out receives the rendered tables (io.Discard when nil).
 	Out io.Writer
-	// Scale is the real-time cost of one model second (default 1 ms —
-	// see internal/cluster for the calibration rationale).
-	Scale time.Duration
 	// Runs is the number of repetitions for averaged experiments
 	// (default 3; the paper uses up to 10).
 	Runs int
-	// Quick shrinks the sweeps for smoke tests and Go benchmarks.
+	// Quick shrinks the sweeps for smoke tests.
 	Quick bool
 	// Seed makes runs reproducible (default 1).
 	Seed int64
-	// Timeout bounds each single workflow run in real time (default 5 m).
-	Timeout time.Duration
-	// BrokerShards partitions the shared broker (0 = mq default, 1 =
-	// unsharded); only concurrent shared-Manager sweeps are sensitive to
-	// it.
-	BrokerShards int
-	// Fan is the number of concurrent copies of each sweep size
-	// submitted to the shared Manager (default 1). Raising it multiplies
-	// the concurrent-session load on the shared broker — the regime
-	// where shard count decides the wall-clock. Standalone sweeps run
-	// the copies sequentially, for an equal-work baseline.
-	Fan int
-	// Virtual runs every experiment on the discrete-event virtual clock
-	// (see internal/cluster): model time advances only at timer
-	// deadlines, so sweeps cost CPU rather than wall-clock and same-seed
-	// runs report bit-identical timings. Scale is ignored.
-	Virtual bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.Out == nil {
 		o.Out = io.Discard
-	}
-	if o.Scale <= 0 {
-		o.Scale = cluster.DefaultScale
 	}
 	if o.Runs <= 0 {
 		o.Runs = 3
@@ -74,13 +54,47 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Minute
-	}
-	if o.Fan <= 0 {
-		o.Fan = 1
-	}
 	return o
+}
+
+// Figures holds every point of the figures All runs, exactly as Fig12,
+// Fig13, Fig14 and Fig16 return them.
+type Figures struct {
+	Fig12a, Fig12b []Fig12Point
+	Fig13          []Fig13Point
+	Fig14          []Fig14Point
+	Fig16Baseline  Fig16Point
+	Fig16          []Fig16Point
+}
+
+// All reproduces Figs. 12(a), 12(b), 13, 14 and 16, prints Fig. 15 in
+// between, and returns the points.
+func All(opts Options) (Figures, error) {
+	opts = opts.withDefaults()
+	var f Figures
+	var err error
+	steps := []func() error{
+		func() error { f.Fig12a, err = Fig12(opts, false); return err },
+		func() error { f.Fig12b, err = Fig12(opts, true); return err },
+		func() error { f.Fig13, err = Fig13(opts); return err },
+		func() error { f.Fig14, err = Fig14(opts); return err },
+		func() error { return Fig15(opts) },
+		func() error { f.Fig16Baseline, f.Fig16, err = Fig16(opts); return err },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			return f, err
+		}
+		fmt.Fprintln(opts.Out)
+	}
+	return f, nil
+}
+
+// WriteJSON encodes f in the form of the committed goldens.
+func (f Figures) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(f)
 }
 
 // MeshTaskDuration is the modelled duration of a diamond mesh task: the
@@ -95,20 +109,13 @@ func diamondServices() *agent.Registry {
 	return reg
 }
 
-func (o Options) clusterConfig(nodes int, seed int64) cluster.Config {
+func clusterConfig(nodes int, seed int64) cluster.Config {
 	return cluster.Config{
 		Nodes:        nodes,
 		CoresPerNode: 24,
-		Scale:        o.Scale,
 		Seed:         seed,
-		Virtual:      o.Virtual,
+		Virtual:      true,
 	}
-}
-
-// runOnce executes one workflow run and returns its report.
-func runOnce(opts Options, def *workflow.Definition, services *agent.Registry, cfg core.Config) (*core.Report, error) {
-	cfg.Timeout = opts.Timeout
-	return core.Run(context.Background(), def, services, cfg)
 }
 
 // --- Fig. 12: coordination timespan of diamond workflows -----------------
@@ -153,10 +160,10 @@ func Fig12(opts Options, fully bool) ([]Fig12Point, error) {
 			var sum float64
 			for run := 0; run < opts.Runs; run++ {
 				def := workflow.Diamond(workflow.DefaultDiamondSpec(h, v, fully))
-				rep, err := runOnce(opts, def, diamondServices(), core.Config{
+				rep, err := core.Run(context.Background(), def, diamondServices(), core.Config{
 					Executor: executor.KindSSH,
 					Broker:   mq.KindQueue,
-					Cluster:  opts.clusterConfig(25, opts.Seed+int64(run)),
+					Cluster:  clusterConfig(25, opts.Seed+int64(run)),
 				})
 				if err != nil {
 					return points, fmt.Errorf("fig12 %dx%d: %w", h, v, err)
@@ -170,168 +177,6 @@ func Fig12(opts Options, fully bool) ([]Fig12Point, error) {
 		fmt.Fprintln(opts.Out)
 	}
 	return points, nil
-}
-
-// --- Diamond scaling sweep (beyond the paper's grid) -----------------------
-
-// SweepPoint is one cell of the diamond scaling sweep.
-type SweepPoint struct {
-	N    int     // mesh is N×N
-	Exec float64 // mean execution time, model seconds
-}
-
-// SweepResult is one mode of the diamond scaling sweep in a
-// serialisable form (part of the -json artifact of ginflow-bench).
-type SweepResult struct {
-	Mode         string // "standalone" or "shared-manager"
-	BrokerShards int    // 0 = mq default
-	Runs         int
-	Fan          int // concurrent copies of each size (shared mode)
-	Points       []SweepPoint
-	WallSeconds  float64 // real time for the whole mode
-}
-
-// SweepArtifact is the -json artifact of ginflow-bench: the sweep
-// results of both modes plus a final snapshot of every metric family
-// the sweep produced, so timing numbers and the counters behind them
-// travel together.
-type SweepArtifact struct {
-	Results []SweepResult
-	Metrics []obs.FamilySnapshot
-}
-
-// SweepSizes returns the default scaling-sweep mesh sizes. The 24×24
-// mesh (578 agents) is the post-sharding scale target; it only became
-// tractable in shared-Manager mode once sessions stopped contending on
-// one broker occupancy.
-func SweepSizes(quick bool) []int {
-	if quick {
-		return []int{4, 6}
-	}
-	return []int{8, 12, 16, 24}
-}
-
-// DiamondSweep measures N×N simple-connected diamonds at the given
-// sizes on 25 nodes over SSH + ActiveMQ.
-//
-// With shared=false each run gets a throwaway engine (the paper's
-// one-workflow-per-invocation shape); Options.Fan > 1 repeats each size
-// sequentially, for an equal-work baseline. With shared=true the whole
-// sweep fans through one long-lived core.Manager per repetition: Fan
-// copies of every size are submitted concurrently and multiplex over one
-// cluster and broker in separate topic namespaces — the scaling shape
-// the Manager API (and the sharded broker) exists for. The returned wall
-// duration covers the whole sweep.
-func DiamondSweep(opts Options, sizes []int, shared bool) ([]SweepPoint, time.Duration, error) {
-	opts = opts.withDefaults()
-	if len(sizes) == 0 {
-		sizes = SweepSizes(opts.Quick)
-	}
-	mode := "standalone runs"
-	if shared {
-		mode = fmt.Sprintf("one shared Manager, concurrent sessions, %s", shardLabel(opts.BrokerShards))
-	}
-	if opts.Fan > 1 {
-		mode += fmt.Sprintf(", fan %d", opts.Fan)
-	}
-	fmt.Fprintf(opts.Out, "# Diamond scaling sweep (%s; model seconds, mean of %d runs)\n", mode, opts.Runs)
-	fmt.Fprintf(opts.Out, "%-8s %12s\n", "mesh", "exec(s)")
-
-	started := time.Now()
-	sums := make([]float64, len(sizes))
-	for run := 0; run < opts.Runs; run++ {
-		if shared {
-			execs, err := sweepThroughManager(opts, sizes, opts.Seed+int64(run))
-			if err != nil {
-				return nil, time.Since(started), err
-			}
-			for i, e := range execs {
-				sums[i] += e
-			}
-			continue
-		}
-		for i, n := range sizes {
-			for f := 0; f < opts.Fan; f++ {
-				def := workflow.Diamond(workflow.DefaultDiamondSpec(n, n, false))
-				rep, err := runOnce(opts, def, diamondServices(), core.Config{
-					Executor:     executor.KindSSH,
-					Broker:       mq.KindQueue,
-					BrokerShards: opts.BrokerShards,
-					Cluster:      opts.clusterConfig(25, opts.Seed+int64(run*opts.Fan+f)),
-				})
-				if err != nil {
-					return nil, time.Since(started), fmt.Errorf("sweep %dx%d: %w", n, n, err)
-				}
-				sums[i] += rep.ExecTime / float64(opts.Fan)
-			}
-		}
-	}
-	wall := time.Since(started)
-
-	points := make([]SweepPoint, len(sizes))
-	for i, n := range sizes {
-		points[i] = SweepPoint{N: n, Exec: sums[i] / float64(opts.Runs)}
-		fmt.Fprintf(opts.Out, "%-8s %12.1f\n", fmt.Sprintf("%dx%d", n, n), points[i].Exec)
-	}
-	fmt.Fprintf(opts.Out, "(sweep wall time: %.1fs real)\n", wall.Seconds())
-	return points, wall, nil
-}
-
-// shardLabel renders a shard-count option for sweep headers.
-func shardLabel(shards int) string {
-	switch {
-	case shards <= 0:
-		return fmt.Sprintf("%d broker shards (default)", mq.DefaultShards)
-	case shards == 1:
-		return "unsharded broker"
-	default:
-		return fmt.Sprintf("%d broker shards", shards)
-	}
-}
-
-// sweepThroughManager submits Fan copies of every sweep size
-// concurrently to one long-lived Manager and returns the per-size mean
-// execution times.
-func sweepThroughManager(opts Options, sizes []int, seed int64) ([]float64, error) {
-	// The shared platform grows with the fan so per-session node density
-	// matches the standalone baseline (the broker, not the nodes, is the
-	// contended resource under test).
-	m, err := core.NewManager(core.Config{
-		Executor:     executor.KindSSH,
-		Broker:       mq.KindQueue,
-		BrokerShards: opts.BrokerShards,
-		Cluster:      opts.clusterConfig(25*opts.Fan, seed),
-		Timeout:      opts.Timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-
-	type submission struct {
-		idx     int // index into sizes (not the size: duplicates stay distinct)
-		session *core.Session
-	}
-	subs := make([]submission, 0, len(sizes)*opts.Fan)
-	for i, n := range sizes {
-		for f := 0; f < opts.Fan; f++ {
-			def := workflow.Diamond(workflow.DefaultDiamondSpec(n, n, false))
-			s, err := m.Submit(context.Background(), def, diamondServices())
-			if err != nil {
-				return nil, fmt.Errorf("sweep submit %dx%d: %w", n, n, err)
-			}
-			subs = append(subs, submission{idx: i, session: s})
-		}
-	}
-	execs := make([]float64, len(sizes))
-	for _, sub := range subs {
-		rep, err := sub.session.Wait(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("sweep %dx%d: %w", sizes[sub.idx], sizes[sub.idx], err)
-		}
-		execs[sub.idx] += rep.ExecTime / float64(opts.Fan)
-	}
-	return execs, nil
 }
 
 // --- Fig. 13: adaptiveness ratio ------------------------------------------
@@ -385,10 +230,10 @@ func Fig13(opts Options) ([]Fig13Point, error) {
 
 			var baseSum, adaptSum float64
 			for run := 0; run < opts.Runs; run++ {
-				base, err := runOnce(opts, workflow.Diamond(spec), diamondServices(), core.Config{
+				base, err := core.Run(context.Background(), workflow.Diamond(spec), diamondServices(), core.Config{
 					Executor: executor.KindSSH,
 					Broker:   mq.KindQueue,
-					Cluster:  opts.clusterConfig(25, opts.Seed+int64(run)),
+					Cluster:  clusterConfig(25, opts.Seed+int64(run)),
 				})
 				if err != nil {
 					return points, fmt.Errorf("fig13 %s %dx%d baseline: %w", sc.Name, n, n, err)
@@ -401,10 +246,10 @@ func Fig13(opts Options) ([]Fig13Point, error) {
 				services := diamondServices()
 				services.RegisterFailing("flaky", MeshTaskDuration)
 
-				adapt, err := runOnce(opts, def, services, core.Config{
+				adapt, err := core.Run(context.Background(), def, services, core.Config{
 					Executor: executor.KindSSH,
 					Broker:   mq.KindQueue,
-					Cluster:  opts.clusterConfig(25, opts.Seed+int64(run)),
+					Cluster:  clusterConfig(25, opts.Seed+int64(run)),
 				})
 				if err != nil {
 					return points, fmt.Errorf("fig13 %s %dx%d adaptive: %w", sc.Name, n, n, err)
@@ -466,10 +311,10 @@ func Fig14(opts Options) ([]Fig14Point, error) {
 				var deploySum, execSum float64
 				for run := 0; run < opts.Runs; run++ {
 					def := workflow.Diamond(workflow.DefaultDiamondSpec(h, v, false))
-					rep, err := runOnce(opts, def, diamondServices(), core.Config{
+					rep, err := core.Run(context.Background(), def, diamondServices(), core.Config{
 						Executor: exKind,
 						Broker:   brKind,
-						Cluster:  opts.clusterConfig(nodes, opts.Seed+int64(run)),
+						Cluster:  clusterConfig(nodes, opts.Seed+int64(run)),
 					})
 					if err != nil {
 						return points, fmt.Errorf("fig14 %s/%s/%d: %w", exKind, brKind, nodes, err)
@@ -595,10 +440,10 @@ func Fig16(opts Options) (baseline Fig16Point, points []Fig16Point, err error) {
 	runMontage := func(p, t float64, seed int64) (*core.Report, error) {
 		reg := agent.NewRegistry()
 		montage.RegisterServices(reg)
-		return runOnce(opts, montage.Workflow(), reg, core.Config{
+		return core.Run(context.Background(), montage.Workflow(), reg, core.Config{
 			Executor: executor.KindMesos,
 			Broker:   mq.KindLog,
-			Cluster:  opts.clusterConfig(25, seed),
+			Cluster:  clusterConfig(25, seed),
 			FailureP: p,
 			FailureT: t,
 		})

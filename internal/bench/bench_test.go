@@ -2,129 +2,199 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"ginflow/internal/cluster"
-	"ginflow/internal/core"
-	"ginflow/internal/executor"
-	"ginflow/internal/mq"
-	"ginflow/internal/workflow"
 )
 
-// quickOpts runs experiments on reduced grids on the virtual clock: the
-// shape assertions below order model seconds, which on the scaled real
-// clock (1 ms per model second) a busy box reorders.
-func quickOpts(buf *bytes.Buffer) Options {
-	return Options{
-		Out:     buf,
-		Quick:   true,
-		Runs:    1,
-		Virtual: true,
+// The regeneration commands of the committed goldens.
+const (
+	regenQuick = "go run ./cmd/ginflow-bench -quick -runs 1 -json internal/bench/testdata/figures_quick.json"
+	regenFull  = "go run ./cmd/ginflow-bench -json internal/bench/testdata/figures.json"
+)
+
+// TestFiguresGolden regenerates the quick figure set and requires it to
+// match the committed golden: model time is a contract across versions,
+// not only within one binary. Where the goldens were written (amd64
+// without FMA) the bytes must match; elsewhere the compiler may fuse
+// float multiply-adds and move the last bits, so floats match within
+// fusedTolerance.
+func TestFiguresGolden(t *testing.T) {
+	var out bytes.Buffer
+	figs, err := All(Options{Out: &out, Quick: true, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var got bytes.Buffer
+	if err := figs.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/figures_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden Figures
+	if err := json.Unmarshal(want, &golden); err != nil {
+		t.Fatalf("testdata/figures_quick.json: %v", err)
+	}
+	diff := ""
+	switch {
+	case !exactFloats():
+		diff = firstDiff(figs, golden, fusedTolerance)
+	case !bytes.Equal(got.Bytes(), want):
+		if diff = firstDiff(figs, golden, 0); diff == "" {
+			diff = "the points match; the encoding differs"
+		}
+	}
+	if diff != "" {
+		t.Fatalf("model time moved: %s\nIf the move is intended, regenerate both goldens and say why in CHANGES.md:\n  %s\n  %s",
+			diff, regenQuick, regenFull)
+	}
+	for _, header := range []string{"Fig. 12(a)", "Fig. 12(b)", "Fig. 13", "Fig. 14", "Fig. 15", "Fig. 16"} {
+		if !strings.Contains(out.String(), header) {
+			t.Errorf("output misses the %s header:\n%s", header, out.String())
+		}
+	}
+}
+
+// fusedTolerance is the relative float tolerance of the golden
+// comparison on builds that may fuse multiply-adds.
+const fusedTolerance = 1e-9
+
+// exactFloats reports whether this binary rounds every float operation
+// separately, as the amd64 build without FMA (GOAMD64 v1, v2) that wrote
+// the goldens does.
+func exactFloats() bool {
+	if runtime.GOARCH != "amd64" {
+		return false
+	}
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "GOAMD64" {
+			return s.Value == "v1" || s.Value == "v2"
+		}
+	}
+	return true
+}
+
+// firstDiff names the first point at which got differs from want, with
+// floats equal when within tol of each other relatively; it returns ""
+// when every point matches.
+func firstDiff(got, want Figures, tol float64) string {
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		name := g.Type().Field(i).Name
+		gf, wf := g.Field(i), w.Field(i)
+		if gf.Kind() != reflect.Slice {
+			if !sameValue(gf, wf, tol) {
+				return fmt.Sprintf("%s = %+v, golden %+v", name, gf.Interface(), wf.Interface())
+			}
+			continue
+		}
+		for j := 0; j < gf.Len() || j < wf.Len(); j++ {
+			switch {
+			case j >= wf.Len():
+				return fmt.Sprintf("%s[%d] = %+v is not in the golden", name, j, gf.Index(j).Interface())
+			case j >= gf.Len():
+				return fmt.Sprintf("%s[%d] missing, golden %+v", name, j, wf.Index(j).Interface())
+			case !sameValue(gf.Index(j), wf.Index(j), tol):
+				return fmt.Sprintf("%s[%d] = %+v, golden %+v", name, j, gf.Index(j).Interface(), wf.Index(j).Interface())
+			}
+		}
+	}
+	return ""
+}
+
+// sameValue compares two points field by field, floats within tol.
+func sameValue(a, b reflect.Value, tol float64) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y))
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameValue(a.Field(i), b.Field(i), tol) {
+				return false
+			}
+		}
+		return true
+	default:
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+}
+
+// paperFigures loads the committed paper-size golden, which the shape
+// tests below read instead of rerunning the sweeps.
+func paperFigures(t *testing.T) Figures {
+	t.Helper()
+	data, err := os.ReadFile("testdata/figures.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Figures
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestFig12QuickShape(t *testing.T) {
-	var buf bytes.Buffer
-	simple, err := Fig12(quickOpts(&buf), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := Fig12Grid(true)
-	if len(simple) != len(grid)*len(grid) {
-		t.Fatalf("points: %d", len(simple))
-	}
-	byHV := map[[2]int]float64{}
-	for _, p := range simple {
-		if p.Time <= 0 {
-			t.Fatalf("non-positive time at %dx%d", p.H, p.V)
-		}
-		byHV[[2]int{p.H, p.V}] = p.Time
-	}
-	// Time grows with the vertical dimension (layers serialize).
+	f := paperFigures(t)
+	grid := Fig12Grid(false)
 	lo, hi := grid[0], grid[len(grid)-1]
-	if byHV[[2]int{lo, hi}] <= byHV[[2]int{lo, lo}] {
-		t.Errorf("time must grow with v: %v", byHV)
-	}
-	if !strings.Contains(buf.String(), "Fig. 12(a)") {
-		t.Errorf("output header missing:\n%s", buf.String())
+	at := func(points []Fig12Point, h, v int) float64 { return fig12At(t, points, h, v) }
+	for name, points := range map[string][]Fig12Point{"12a": f.Fig12a, "12b": f.Fig12b} {
+		if len(points) != len(grid)*len(grid) {
+			t.Fatalf("Fig. %s: %d points", name, len(points))
+		}
+		for _, p := range points {
+			if p.Time <= 0 {
+				t.Errorf("Fig. %s: non-positive time at %dx%d", name, p.H, p.V)
+			}
+		}
+		// Time grows with the vertical dimension (layers serialize).
+		if at(points, lo, hi) <= at(points, lo, lo) {
+			t.Errorf("Fig. %s: time must grow with v: %v", name, points)
+		}
 	}
 }
 
-// TestDiamondSweepQuick runs the scaling sweep in both modes on the
-// reduced grid: standalone runs and the whole sweep fanned through one
-// shared Manager, which must produce per-size results of the same shape.
-func TestDiamondSweepQuick(t *testing.T) {
-	var buf bytes.Buffer
-	standalone, _, err := DiamondSweep(quickOpts(&buf), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, _, err := DiamondSweep(quickOpts(&buf), nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := SweepSizes(true)
-	if len(standalone) != len(sizes) || len(shared) != len(sizes) {
-		t.Fatalf("points: standalone=%d shared=%d, want %d", len(standalone), len(shared), len(sizes))
-	}
-	for i := range sizes {
-		if standalone[i].N != sizes[i] || shared[i].N != sizes[i] {
-			t.Errorf("size order: standalone=%v shared=%v", standalone, shared)
-		}
-		if standalone[i].Exec <= 0 || shared[i].Exec <= 0 {
-			t.Errorf("non-positive exec at %dx%d", sizes[i], sizes[i])
+// fig12At returns the time of the h×v point of a Fig. 12 surface.
+func fig12At(t *testing.T, points []Fig12Point, h, v int) float64 {
+	t.Helper()
+	for _, p := range points {
+		if p.H == h && p.V == v {
+			return p.Time
 		}
 	}
-	// Bigger meshes take longer when run back to back. (No such
-	// monotonicity holds in shared mode: concurrent sessions contend on
-	// the one middleware, so a small mesh can queue behind a big one.)
-	last := len(sizes) - 1
-	if standalone[last].Exec <= standalone[0].Exec {
-		t.Errorf("standalone sweep not scaling: %v", standalone)
-	}
-	if !strings.Contains(buf.String(), "shared Manager") {
-		t.Errorf("output header missing:\n%s", buf.String())
-	}
+	t.Fatalf("no %dx%d point", h, v)
+	return 0
 }
 
 func TestFig12FullyConnectedCostsMore(t *testing.T) {
-	// A wide, shallow diamond separates the two flavours structurally:
-	// 20x4 fully connected pushes 400 messages per layer boundary through
-	// the shared broker where the simple flavour pushes 20. The quick
-	// grid's small squares are too close to distinguish under load noise
-	// (e.g. with the race detector), so measure this shape directly.
-	run := func(fully bool) float64 {
-		def := workflow.Diamond(workflow.DefaultDiamondSpec(20, 4, fully))
-		rep, err := runOnce(Options{Scale: time.Millisecond, Timeout: time.Minute}.withDefaults(),
-			def, diamondServices(), core.Config{
-				Executor: executor.KindSSH,
-				Broker:   mq.KindQueue,
-				Cluster: cluster.Config{
-					Nodes: 25, CoresPerNode: 24, Scale: time.Millisecond, Seed: 7,
-				},
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.ExecTime
-	}
-	simple := run(false)
-	full := run(true)
-	if full <= simple*1.15 {
-		t.Errorf("fully connected %0.1f should clearly exceed simple %0.1f", full, simple)
+	// Fully connecting the widest, deepest mesh pushes h² messages per
+	// layer boundary through the broker where the simple flavour pushes h.
+	f := paperFigures(t)
+	grid := Fig12Grid(false)
+	hi := grid[len(grid)-1]
+	if simple, full := fig12At(t, f.Fig12a, hi, hi), fig12At(t, f.Fig12b, hi, hi); full <= 1.15*simple {
+		t.Errorf("fully connected %dx%d %.1f should clearly exceed simple %.1f", hi, hi, full, simple)
 	}
 }
 
 func TestFig13QuickShape(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := Fig13(quickOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3*len(Fig13Grid(true)) {
+	points := paperFigures(t).Fig13
+	if len(points) != len(Fig13Scenarios())*len(Fig13Grid(false)) {
 		t.Fatalf("points: %d", len(points))
 	}
 	for _, p := range points {
@@ -136,29 +206,35 @@ func TestFig13QuickShape(t *testing.T) {
 }
 
 func TestFig14QuickShape(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := Fig14(quickOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := paperFigures(t).Fig14
 	byKey := map[string]Fig14Point{}
 	for _, p := range points {
 		byKey[p.Executor+"/"+p.Broker+"/"+strconv.Itoa(p.Nodes)] = p
 	}
-	// ActiveMQ must beat Kafka on execution time for the same executor.
-	for _, ex := range []string{"ssh", "mesos"} {
-		q := byKey[ex+"/activemq/5"].Exec
-		k := byKey[ex+"/kafka/5"].Exec
-		if k <= q {
-			t.Errorf("%s: kafka exec %.1f must exceed activemq %.1f", ex, k, q)
+	nodes := Fig14Nodes(false)
+	if len(points) != 4*len(nodes) {
+		t.Fatalf("points: %d", len(points))
+	}
+	for i, n := range nodes {
+		// ActiveMQ must beat Kafka on execution time for the same executor.
+		for _, ex := range []string{"ssh", "mesos"} {
+			q := byKey[ex+"/activemq/"+strconv.Itoa(n)].Exec
+			k := byKey[ex+"/kafka/"+strconv.Itoa(n)].Exec
+			if k <= q {
+				t.Errorf("%s on %d nodes: kafka exec %.1f must exceed activemq %.1f", ex, n, k, q)
+			}
 		}
-	}
-	// Mesos deployment time decreases with nodes; SSH's increases.
-	if !(byKey["mesos/activemq/10"].Deploy < byKey["mesos/activemq/5"].Deploy) {
-		t.Errorf("mesos deploy must shrink with nodes: %+v", points)
-	}
-	if !(byKey["ssh/activemq/10"].Deploy > byKey["ssh/activemq/5"].Deploy) {
-		t.Errorf("ssh deploy must grow with nodes: %+v", points)
+		if i == 0 {
+			continue
+		}
+		// Mesos deployment time decreases with nodes; SSH's increases.
+		prev, cur := strconv.Itoa(nodes[i-1]), strconv.Itoa(n)
+		if !(byKey["mesos/activemq/"+cur].Deploy < byKey["mesos/activemq/"+prev].Deploy) {
+			t.Errorf("mesos deploy must shrink with nodes: %+v", points)
+		}
+		if !(byKey["ssh/activemq/"+cur].Deploy > byKey["ssh/activemq/"+prev].Deploy) {
+			t.Errorf("ssh deploy must grow with nodes: %+v", points)
+		}
 	}
 }
 
@@ -176,29 +252,30 @@ func TestFig15Output(t *testing.T) {
 }
 
 func TestFig16QuickShape(t *testing.T) {
-	var buf bytes.Buffer
-	opts := quickOpts(&buf)
-	baseline, points, err := Fig16(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := paperFigures(t)
+	baseline := f.Fig16Baseline
 	if baseline.Mean <= 0 {
 		t.Fatalf("baseline: %+v", baseline)
 	}
-	if len(points) != 1 { // quick: p=0.5, T=0
-		t.Fatalf("points: %+v", points)
+	ps, ts := Fig16Params(false)
+	if len(f.Fig16) != len(ps)*len(ts) {
+		t.Fatalf("points: %+v", f.Fig16)
 	}
-	p := points[0]
-	if p.Failures == 0 {
-		t.Error("no failures observed at p=0.5")
-	}
-	if p.Mean <= baseline.Mean {
-		t.Errorf("failures must cost time: %0.f vs baseline %0.f", p.Mean, baseline.Mean)
-	}
-	// Observed failures should be within a factor ~2.5 of the paper's
-	// p/(1-p)·N_T estimate even on a single run.
-	if p.Failures < p.Expected/2.5 || p.Failures > p.Expected*2.5 {
-		t.Errorf("failures %.0f vs expected %.0f diverge", p.Failures, p.Expected)
+	for _, p := range f.Fig16 {
+		if p.P != 0.5 {
+			continue
+		}
+		if p.Failures == 0 {
+			t.Errorf("T=%v: no failures observed at p=0.5", p.T)
+		}
+		if p.Mean <= baseline.Mean {
+			t.Errorf("T=%v: failures must cost time: %.0f vs baseline %.0f", p.T, p.Mean, baseline.Mean)
+		}
+		// Observed failures stay within a factor 2.5 of the paper's
+		// p/(1-p)·N_T estimate.
+		if p.Failures < p.Expected/2.5 || p.Failures > p.Expected*2.5 {
+			t.Errorf("T=%v: failures %.0f vs expected %.0f diverge", p.T, p.Failures, p.Expected)
+		}
 	}
 }
 
