@@ -124,8 +124,7 @@ func run() error {
 		Executor:     ginflow.ExecutorKind(*executorKind),
 		Broker:       ginflow.BrokerKind(*brokerKind),
 		Cluster:      clusterCfg,
-		FailureP:     *failureP,
-		FailureT:     *failureT,
+		Chaos:        ginflow.ChaosConfig{AgentCrashP: *failureP, AgentCrashAfter: *failureT},
 		Timeout:      *timeout,
 		CollectTrace: *showTrace || *traceOut != "",
 	}
@@ -277,7 +276,7 @@ func managerOptions(cfg ginflow.Config) []ginflow.Option {
 		ginflow.WithExecutor(cfg.Executor),
 		ginflow.WithBroker(cfg.Broker),
 		ginflow.WithCluster(cfg.Cluster),
-		ginflow.WithFailureInjection(cfg.FailureP, cfg.FailureT),
+		ginflow.WithFailureInjection(cfg.Chaos.AgentCrashP, cfg.Chaos.AgentCrashAfter),
 		ginflow.WithTimeout(cfg.Timeout),
 	}
 	if cfg.CollectTrace {

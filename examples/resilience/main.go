@@ -32,8 +32,7 @@ func main() {
 		Executor: ginflow.ExecutorMesos,
 		Broker:   ginflow.BrokerKafka, // recovery needs the persisted log
 		Cluster:  ginflow.ClusterConfig{Nodes: 25},
-		FailureP: p,
-		FailureT: t,
+		Chaos:    ginflow.ChaosConfig{AgentCrashP: p, AgentCrashAfter: t},
 		Timeout:  5 * time.Minute,
 	})
 	if err != nil {

@@ -103,8 +103,9 @@ type (
 	// BrokerKind selects a messaging middleware (§IV-A).
 	BrokerKind = mq.Kind
 	// ChaosConfig parameterises the deterministic chaos harness: seeded
-	// fault injection at the message, invocation, deployment and journal
-	// boundaries. One seed replays one fault schedule exactly.
+	// fault injection at the agent-crash, message, invocation,
+	// deployment, journal, socket and space boundaries. One seed replays
+	// one fault schedule exactly.
 	ChaosConfig = failure.ChaosConfig
 	// RetryConfig bounds the retry-with-backoff loops run under chaos.
 	RetryConfig = failure.RetryConfig
@@ -247,11 +248,12 @@ func WithCluster(cc ClusterConfig) Option { return func(c *Config) { c.Cluster =
 // service implementation: a service already runs inside the schedule.
 func WithVirtualTime() Option { return func(c *Config) { c.Cluster.Virtual = true } }
 
-// WithFailureInjection sets the default fault-injection parameters
-// (§V-D): each service invocation crashes its agent with probability p
-// after t model seconds. Overridable per submission.
+// WithFailureInjection sets the paper's §V-D fault: each service
+// invocation crashes its agent with probability p, t model seconds into
+// the service (if it is still running). It fills ChaosConfig's
+// AgentCrashP and AgentCrashAfter, so a later WithChaos replaces it.
 func WithFailureInjection(p, t float64) Option {
-	return func(c *Config) { c.FailureP = p; c.FailureT = t }
+	return func(c *Config) { c.Chaos.AgentCrashP = p; c.Chaos.AgentCrashAfter = t }
 }
 
 // WithRestartDelay sets the modelled cost (model seconds) of respawning
@@ -271,13 +273,14 @@ func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = 
 func WithTrace() Option { return func(c *Config) { c.CollectTrace = true } }
 
 // WithChaos enables the deterministic chaos harness: every boundary the
-// config selects — message delivery (drop, duplicate, delay, reorder),
-// service invocation (transient error, timeout, slow-down), agent
-// deployment and journal I/O (write error, torn write, slow fsync) — is
-// perturbed by a seeded schedule. The same seed over the same workload
-// replays the same faults, so a failing run is reproducible from its
-// seed alone. Pair with WithRetry to tune how hard the engine fights
-// back before escalating.
+// config selects — §V-D agent crashes, message delivery (drop,
+// duplicate, delay, reorder), service invocation (transient error,
+// timeout, slow-down), agent deployment and journal I/O (write error,
+// torn write, slow fsync) — is perturbed by a seeded schedule. The same
+// seed over the same workload replays the same faults, so a failing run
+// is reproducible from its seed alone; a zero Seed takes the cluster
+// seed. New rejects a config that fails ChaosConfig.Validate. Pair with
+// WithRetry to tune how hard the engine fights back before escalating.
 func WithChaos(cc ChaosConfig) Option { return func(c *Config) { c.Chaos = cc } }
 
 // WithRetry bounds the retry-with-backoff loops run under WithChaos
@@ -342,12 +345,6 @@ func SubmitTimeout(d time.Duration) SubmitOption { return core.SubmitTimeout(d) 
 
 // SubmitTrace retains this session's event timeline in Report.Events.
 func SubmitTrace() SubmitOption { return core.SubmitTrace() }
-
-// SubmitFailureInjection overrides the manager's fault-injection
-// parameters for one session.
-func SubmitFailureInjection(p, t float64) SubmitOption {
-	return core.SubmitFailureInjection(p, t)
-}
 
 // WithSessionExecutor overrides the Manager's executor for one session:
 // a centralized single-interpreter debug run inside a distributed

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -92,11 +91,10 @@ type Config struct {
 	Placements map[string]*cluster.Node
 	// Services resolves SRV names.
 	Services *Registry
-	// Injector draws crash plans (nil or zero: no failures).
-	Injector *failure.Injector
-	// Chaos, when enabled, perturbs service invocations with transient
-	// faults (errors, timeouts, slow-downs) that the agent retries under
-	// Retry before escalating.
+	// Chaos, when set, crashes the agent mid-service (§V-D agent
+	// crashes) and perturbs service invocations with transient faults
+	// (errors, timeouts, slow-downs) that the agent retries under Retry
+	// before escalating.
 	Chaos *failure.Schedule
 	// Retry bounds the retry-with-backoff for transient invocation
 	// faults (zero value: failure.RetryConfig defaults).
@@ -107,8 +105,6 @@ type Config struct {
 	TopicPrefix string
 	// Incarnation is 0 for the first launch and increments per recovery.
 	Incarnation int
-	// Rand drives duration draws; nil derives one from Cluster.
-	Rand *rand.Rand
 	// Trace, when non-nil, records the agent's lifecycle events.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives the agent's observability updates
@@ -127,7 +123,6 @@ type Agent struct {
 	name   string
 	local  *hocl.Solution
 	engine *hocl.Engine
-	rng    *rand.Rand
 	sub    *mq.Subscription
 	// runCtx is the context of the active Run, consulted by invoke so a
 	// cancelled agent abandons its in-flight modelled invocation instead
@@ -173,10 +168,6 @@ func New(cfg Config) *Agent {
 	a.local = cfg.Spec.Local.SnapshotSolution()
 	a.statusEnc.Task = a.name
 	a.statusEnc.Incarnation = cfg.Incarnation
-	a.rng = cfg.Rand
-	if a.rng == nil && cfg.Cluster != nil {
-		a.rng = cfg.Cluster.Rand()
-	}
 	a.engine = hocl.NewEngine()
 	if cfg.Metrics != nil {
 		a.met = *cfg.Metrics
@@ -242,9 +233,9 @@ func (a *Agent) bindFunctions() {
 
 // invoke implements the gw_call external function: resolve the service,
 // charge its modelled duration on the clock and return the result (or
-// ERROR on service-level failure). Fault injection interrupts the
-// invocation with a CrashError after the planned delay, aborting the
-// reduction — the supervisor takes over from there.
+// ERROR on service-level failure). An agent-crash fault interrupts the
+// invocation with a CrashError after its delay, aborting the reduction
+// — the supervisor takes over from there.
 func (a *Agent) invoke(args []hocl.Atom) ([]hocl.Atom, error) {
 	if len(args) < 1 {
 		return nil, fmt.Errorf("invoke: missing service name")
@@ -264,19 +255,19 @@ func (a *Agent) invoke(args []hocl.Atom) ([]hocl.Atom, error) {
 		}
 	}
 
-	dur := svc.InvocationDuration(a.rng)
+	dur := svc.Duration
 	startModel, startWall := a.clock().Now(), time.Now()
 	a.cfg.Trace.Record(trace.ServiceInvoked, a.name, a.cfg.Incarnation, string(svcName))
-	if plan := a.cfg.Injector.Next(); plan.Crash && plan.After <= dur {
+	if f := a.cfg.Chaos.Draw(failure.BoundaryAgentCrash); f.Kind == failure.FaultCrash && f.Delay <= dur {
 		// The failure hits while the service is still running (§V-D:
 		// only services whose duration exceeds T are at risk).
-		if err := a.sleep(plan.After); err != nil {
+		if err := a.sleep(f.Delay); err != nil {
 			return nil, err
 		}
 		a.cfg.Trace.Record(trace.AgentCrashed, a.name, a.cfg.Incarnation, string(svcName))
 		return nil, &CrashError{Task: a.name, Incarnation: a.cfg.Incarnation, At: a.clock().Now()}
 	}
-	if a.cfg.Chaos.Enabled() {
+	if a.cfg.Chaos.Active(failure.BoundaryInvoke) {
 		var err error
 		if dur, err = a.rideOutFaults(string(svcName), dur); err != nil {
 			return nil, err

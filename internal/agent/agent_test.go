@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -115,14 +114,14 @@ func TestAgentCrashAndReplayRecovery(t *testing.T) {
 	p, c := twoAgentSpecs(t)
 	services := noopRegistry(0.05, "s1", "s2")
 
-	// Injector: the first draw crashes (p=1 for one call), then heals.
-	inj := failure.New(1.0, 0.01, rand.New(rand.NewSource(5)))
+	// Crash schedule: every invocation crashes 0.01 s in.
+	crash := failure.NewSchedule(failure.ChaosConfig{Seed: 5, AgentCrashP: 1, AgentCrashAfter: 0.01})
 
 	// Consumer incarnation 0 with injection enabled.
 	crashed := make(chan error, 1)
 	a0 := New(Config{
 		Spec: c, Broker: broker, Cluster: clus, Node: clus.Node(0),
-		Services: services, Injector: inj,
+		Services: services, Chaos: crash,
 	})
 	if err := a0.Subscribe(); err != nil {
 		t.Fatal(err)
@@ -258,7 +257,7 @@ func TestServiceRegistry(t *testing.T) {
 		t.Errorf("names = %v", r.Names())
 	}
 	svc, ok := r.Lookup("a")
-	if !ok || svc.InvocationDuration(nil) != 0.5 {
+	if !ok || svc.Duration != 0.5 {
 		t.Errorf("noop service: %+v", svc)
 	}
 	out, err := svc.Invoke(nil)
@@ -276,12 +275,6 @@ func TestServiceRegistry(t *testing.T) {
 	}
 	if _, ok := r.Lookup("nosuch"); ok {
 		t.Error("phantom service")
-	}
-	// DurationFn takes precedence.
-	r.Register(&Service{Name: "d", Duration: 9, DurationFn: func(*rand.Rand) float64 { return 2 }})
-	dSvc, _ := r.Lookup("d")
-	if got := dSvc.InvocationDuration(nil); got != 2 {
-		t.Errorf("DurationFn ignored: %v", got)
 	}
 	// Zero-value registry is usable.
 	var z Registry

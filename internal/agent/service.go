@@ -14,7 +14,6 @@ package agent
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"ginflow/internal/hocl"
@@ -28,22 +27,11 @@ type Service struct {
 	Name string
 	// Duration is the modelled execution time in model seconds.
 	Duration float64
-	// DurationFn, when set, draws the execution time per invocation
-	// (heterogeneous workloads such as Montage).
-	DurationFn func(r *rand.Rand) float64
 	// Compute produces the result atom from the invocation parameters.
 	// Returning an error yields the ERROR atom (a service-level failure,
 	// the trigger of workflow adaptation, §III-C). Nil echoes
 	// "out-<name>".
 	Compute func(params []hocl.Atom) (hocl.Atom, error)
-}
-
-// InvocationDuration resolves the invocation's modelled duration.
-func (s *Service) InvocationDuration(r *rand.Rand) float64 {
-	if s.DurationFn != nil {
-		return s.DurationFn(r)
-	}
-	return s.Duration
 }
 
 // Invoke executes the computation.

@@ -24,6 +24,7 @@ import (
 	"ginflow/internal/cluster"
 	"ginflow/internal/core"
 	"ginflow/internal/executor"
+	"ginflow/internal/failure"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
 	"ginflow/internal/workflow"
@@ -444,8 +445,7 @@ func Fig16(opts Options) (baseline Fig16Point, points []Fig16Point, err error) {
 			Executor: executor.KindMesos,
 			Broker:   mq.KindLog,
 			Cluster:  clusterConfig(25, seed),
-			FailureP: p,
-			FailureT: t,
+			Chaos:    failure.ChaosConfig{AgentCrashP: p, AgentCrashAfter: t},
 		})
 	}
 

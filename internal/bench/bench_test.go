@@ -262,19 +262,44 @@ func TestFig16QuickShape(t *testing.T) {
 		t.Fatalf("points: %+v", f.Fig16)
 	}
 	for _, p := range f.Fig16 {
-		if p.P != 0.5 {
-			continue
-		}
 		if p.Failures == 0 {
-			t.Errorf("T=%v: no failures observed at p=0.5", p.T)
+			t.Errorf("p=%v T=%v: no failures observed", p.P, p.T)
 		}
 		if p.Mean <= baseline.Mean {
-			t.Errorf("T=%v: failures must cost time: %.0f vs baseline %.0f", p.T, p.Mean, baseline.Mean)
+			t.Errorf("p=%v T=%v: failures must cost time: %.0f vs baseline %.0f", p.P, p.T, p.Mean, baseline.Mean)
 		}
 		// Observed failures stay within a factor 2.5 of the paper's
 		// p/(1-p)·N_T estimate.
 		if p.Failures < p.Expected/2.5 || p.Failures > p.Expected*2.5 {
-			t.Errorf("T=%v: failures %.0f vs expected %.0f diverge", p.T, p.Failures, p.Expected)
+			t.Errorf("p=%v T=%v: failures %.0f vs expected %.0f diverge", p.P, p.T, p.Failures, p.Expected)
+		}
+	}
+}
+
+// TestExpectedFailures checks the paper's §V-D estimate against the
+// values it reports: with 118 services and T=0, p = 0.2/0.5/0.8 give
+// about 26/114/487 observed failures (expected ≈ 29.5/118/472).
+func TestExpectedFailures(t *testing.T) {
+	cases := []struct {
+		p        float64
+		nT       int
+		observed float64 // from the paper
+	}{
+		{0.2, 118, 26},
+		{0.5, 118, 114},
+		{0.8, 118, 487},
+	}
+	for _, c := range cases {
+		want := expectedFailures(c.p, c.nT)
+		// The paper's observations should lie within ~25% of the model.
+		if math.Abs(want-c.observed)/want > 0.25 {
+			t.Errorf("p=%v: model %v vs paper %v diverge", c.p, want, c.observed)
+		}
+	}
+	// Outside (0, 1) the estimate has no finite value; it reads 0.
+	for _, p := range []float64{0, 1} {
+		if got := expectedFailures(p, 100); got != 0 {
+			t.Errorf("p=%v: %v", p, got)
 		}
 	}
 }

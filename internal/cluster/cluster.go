@@ -13,7 +13,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -233,7 +232,8 @@ type Config struct {
 	LinkLatency float64
 	// Scale is the real-time cost of one model second (default 1 ms).
 	Scale time.Duration
-	// Seed makes the simulation reproducible (default 1).
+	// Seed identifies the run (default 1): the engine seeds its fault
+	// schedule from it when the chaos config names no seed of its own.
 	Seed int64
 	// Virtual selects the discrete-event clock: modelled sleeps cost no
 	// real time, and Now() advances to the earliest pending deadline
@@ -274,9 +274,6 @@ type Cluster struct {
 	cfg   Config
 	nodes []*Node
 	clock *Clock
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // New builds a cluster from the config (zero values take defaults).
@@ -289,7 +286,6 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:   cfg,
 		clock: clock,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		node := &Node{ID: i, Cores: cfg.CoresPerNode}
@@ -332,33 +328,3 @@ func (c *Cluster) TotalSlots() int {
 	}
 	return total
 }
-
-// Rand derives a new deterministic RNG stream from the cluster seed.
-// Each caller gets an independent stream, so concurrent consumers do not
-// contend on one generator. The stream's seed is drawn here, so streams
-// depend only on the order of Rand calls; its 607-word generator state
-// is built on the first draw, so a stream nobody draws from (an agent
-// whose service has a fixed Duration) costs one word.
-func (c *Cluster) Rand() *rand.Rand {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return rand.New(&lazySource{seed: c.rng.Int63()})
-}
-
-// lazySource is rand.NewSource(seed), seeded on first use: every value
-// it yields is the one the eagerly seeded source would.
-type lazySource struct {
-	seed int64
-	src  rand.Source64 // nil until the first draw
-}
-
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }

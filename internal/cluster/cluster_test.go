@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -98,63 +96,6 @@ func TestClusterLatency(t *testing.T) {
 	}
 	if got := c.Latency(nil, b); got != 0 {
 		t.Errorf("nil-node latency = %v", got)
-	}
-}
-
-func TestClusterRandDeterministic(t *testing.T) {
-	seq := func(seed int64) []int64 {
-		c := New(Config{Seed: seed})
-		var out []int64
-		for i := 0; i < 5; i++ {
-			out = append(out, c.Rand().Int63())
-		}
-		return out
-	}
-	a, b := seq(42), seq(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-	c := seq(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical streams")
-	}
-}
-
-// TestClusterRandStreamsUnchangedByLazySeeding: the i-th Rand() stream is
-// rand.New(rand.NewSource(seed_i)) value for value, with seed_i the i-th
-// draw of the cluster generator — whether or not its earlier siblings
-// were ever drawn from, and across a re-Seed.
-func TestClusterRandStreamsUnchangedByLazySeeding(t *testing.T) {
-	draw := func(r *rand.Rand) []any {
-		return []any{r.Int63(), r.Uint64(), r.Float64(), r.NormFloat64(), r.Perm(7), r.Intn(1000), r.Uint32()}
-	}
-	for _, drawSiblings := range []bool{false, true} {
-		c := New(Config{Seed: 42})
-		seeds := rand.New(rand.NewSource(42))
-		for i := 0; i < 6; i++ {
-			got, want := c.Rand(), rand.New(rand.NewSource(seeds.Int63()))
-			if !drawSiblings && i < 5 {
-				continue // streams 0..4 stay unseeded; stream 5 must not notice
-			}
-			for round := 0; round < 3; round++ {
-				if g, w := draw(got), draw(want); !reflect.DeepEqual(g, w) {
-					t.Fatalf("siblings drawn=%v stream %d round %d: %v, want %v", drawSiblings, i, round, g, w)
-				}
-			}
-			got.Seed(7)
-			want.Seed(7)
-			if g, w := draw(got), draw(want); !reflect.DeepEqual(g, w) {
-				t.Fatalf("stream %d after Seed(7): %v, want %v", i, g, w)
-			}
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"ginflow/internal/agent"
 	"ginflow/internal/executor"
+	"ginflow/internal/failure"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/mq"
 	"ginflow/internal/workflow"
@@ -169,8 +170,7 @@ func TestRandomDAGsDistributedWithCrashes(t *testing.T) {
 			Executor:     executor.KindSSH,
 			Broker:       mq.KindLog,
 			Cluster:      fastCluster(4),
-			FailureP:     0.3,
-			FailureT:     0.05,
+			Chaos:        failure.ChaosConfig{AgentCrashP: 0.3, AgentCrashAfter: 0.05},
 			RestartDelay: 0.2,
 			Timeout:      60 * time.Second,
 		}

@@ -15,9 +15,56 @@ import (
 	"ginflow/internal/journal"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
+	"ginflow/internal/obs"
 	"ginflow/internal/trace"
 	"ginflow/internal/workflow"
 )
+
+// TestChaosAgentCrashOnly runs §V-D through the chaos schedule alone:
+// Montage on Mesos + Kafka with only AgentCrashP set. Every crash is
+// recovered, the schedule draws on the agent-crash boundary and no
+// other, and there is nothing to settle — the broker, space, socket,
+// journal and deploy paths stay on their no-chaos branches.
+func TestChaosAgentCrashOnly(t *testing.T) {
+	if _, err := NewManager(Config{Chaos: failure.ChaosConfig{AgentCrashP: 1.5}}); err == nil {
+		t.Fatal("NewManager accepted AgentCrashP = 1.5")
+	}
+	services := agent.NewRegistry()
+	montage.RegisterServices(services)
+	reg := obs.NewRegistry()
+	m, err := NewManager(Config{
+		Executor: executor.KindMesos,
+		Broker:   mq.KindLog,
+		Cluster:  fastCluster(25),
+		Metrics:  reg,
+		Chaos:    failure.ChaosConfig{AgentCrashP: 0.5},
+		Timeout:  2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.Submit(context.Background(), montage.Workflow(), services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("run failed: %v (report %v)", err, rep)
+	}
+	if rep.Failures == 0 || rep.Failures != rep.Recoveries {
+		t.Errorf("failures = %d, recoveries = %d: want equal and non-zero", rep.Failures, rep.Recoveries)
+	}
+	if got := m.Chaos().SettleSeconds(); got != 0 {
+		t.Errorf("crash-only schedule settles for %v model seconds", got)
+	}
+	for b := failure.BoundaryMessage; b <= failure.BoundaryAgentCrash; b++ {
+		draws := reg.Counter("ginflow_chaos_draws_total", "", obs.L("boundary", b.String())).Value()
+		if crash := b == failure.BoundaryAgentCrash; crash != (draws > 0) {
+			t.Errorf("boundary %s: %d draws", b, draws)
+		}
+	}
+}
 
 // The chaos soak: every workload below runs once fault-free to pin the
 // converged space fingerprint, then once per seeded schedule with the

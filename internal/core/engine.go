@@ -63,11 +63,6 @@ type Config struct {
 	Mesos executor.Mesos
 	EC2   executor.EC2
 
-	// FailureP / FailureT drive fault injection (§V-D): each service
-	// invocation crashes its agent with probability FailureP after
-	// FailureT model seconds (if the service is still running).
-	FailureP float64
-	FailureT float64
 	// RestartDelay is the modelled cost of respawning a crashed agent
 	// (default 2 model seconds).
 	RestartDelay float64
@@ -106,9 +101,10 @@ type Config struct {
 	Journal journal.Config
 
 	// Chaos drives the deterministic fault schedule (DESIGN.md "Fault
-	// model & chaos harness"): seeded, replayable perturbation of
-	// message delivery, service invocation, agent deployment and
-	// journal I/O. The zero value disables every boundary.
+	// model & chaos harness"): seeded, replayable §V-D agent crashes and
+	// perturbation of message delivery, service invocation, agent
+	// deployment, journal I/O, the socket and the space fold. The zero
+	// value disables every boundary; a zero Seed takes Cluster.Seed.
 	Chaos failure.ChaosConfig
 	// Retry bounds the transient-fault retry loops run under Chaos
 	// (invocation retries, deploy retries, journal write retries); the

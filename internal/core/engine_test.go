@@ -10,6 +10,7 @@ import (
 	"ginflow/internal/agent"
 	"ginflow/internal/cluster"
 	"ginflow/internal/executor"
+	"ginflow/internal/failure"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/mq"
 	"ginflow/internal/workflow"
@@ -165,8 +166,7 @@ func TestRunResilienceKafka(t *testing.T) {
 		Executor:     executor.KindMesos,
 		Broker:       mq.KindLog,
 		Cluster:      fastCluster(4),
-		FailureP:     0.5,
-		FailureT:     0,
+		Chaos:        failure.ChaosConfig{AgentCrashP: 0.5, AgentCrashAfter: 0},
 		RestartDelay: 0.5,
 		Timeout:      60 * time.Second,
 	})
@@ -194,8 +194,7 @@ func TestRunResilienceQueueStalls(t *testing.T) {
 		Executor:     executor.KindSSH,
 		Broker:       mq.KindQueue,
 		Cluster:      fastCluster(2),
-		FailureP:     0.9999, // S2 virtually guaranteed to crash while S1's result is in flight
-		FailureT:     0.1,
+		Chaos:        failure.ChaosConfig{AgentCrashP: 0.9999, AgentCrashAfter: 0.1}, // S2 virtually guaranteed to crash while S1's result is in flight
 		RestartDelay: 0.1,
 		Timeout:      2 * time.Second,
 	})

@@ -76,9 +76,12 @@ func TestSessionFailureFunnel(t *testing.T) {
 			name: "recovery budget exhausted",
 			make: func() setup {
 				return setup{
-					cfg:      Config{Broker: mq.KindLog, MaxRecoveries: 1},
+					cfg: Config{
+						Broker:        mq.KindLog,
+						MaxRecoveries: 1,
+						Chaos:         failure.ChaosConfig{AgentCrashP: 1, AgentCrashAfter: 0.05},
+					},
 					services: diamondServices(nil),
-					opts:     []SubmitOption{SubmitFailureInjection(1, 0.05)},
 				}
 			},
 			within: 30 * time.Second,

@@ -98,7 +98,13 @@ type Manager struct {
 // Recover.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.Chaos.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	clus := cluster.New(cfg.Cluster)
+	if cfg.Chaos.Seed == 0 {
+		cfg.Chaos.Seed = clus.Config().Seed
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -311,9 +317,6 @@ type SubmitConfig struct {
 	// CollectTrace retains the full event timeline in Report.Events for
 	// this session (default Config.CollectTrace).
 	CollectTrace bool
-	// FailureP / FailureT override the manager's fault injection for
-	// this session.
-	FailureP, FailureT float64
 	// Executor overrides the manager's executor for this session ("" =
 	// manager default). Centralized narrows a distributed manager to a
 	// single-interpreter debug run; a distributed kind on a distributed
@@ -334,12 +337,6 @@ func SubmitTimeout(d time.Duration) SubmitOption {
 // Report.Events (live streaming via Session.Events needs no option).
 func SubmitTrace() SubmitOption {
 	return func(c *SubmitConfig) { c.CollectTrace = true }
-}
-
-// SubmitFailureInjection overrides the manager's fault-injection
-// parameters (§V-D) for this session.
-func SubmitFailureInjection(p, t float64) SubmitOption {
-	return func(c *SubmitConfig) { c.FailureP = p; c.FailureT = t }
 }
 
 // SubmitExecutor overrides the manager's executor for this session —
@@ -388,8 +385,6 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	sub := SubmitConfig{
 		Timeout:      m.cfg.Timeout,
 		CollectTrace: m.cfg.CollectTrace,
-		FailureP:     m.cfg.FailureP,
-		FailureT:     m.cfg.FailureT,
 	}
 	for _, opt := range opts {
 		opt(&sub)
@@ -478,8 +473,6 @@ func sessionMeta(s *Session) (journal.SessionMeta, error) {
 		ID:           s.id,
 		Workflow:     defJSON,
 		TimeoutNS:    int64(s.sub.Timeout),
-		FailureP:     s.sub.FailureP,
-		FailureT:     s.sub.FailureT,
 		CollectTrace: s.sub.CollectTrace,
 		Executor:     string(s.sub.Executor),
 	}, nil

@@ -105,8 +105,6 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	sub := SubmitConfig{
 		Timeout:      time.Duration(st.Meta.TimeoutNS),
 		CollectTrace: st.Meta.CollectTrace,
-		FailureP:     st.Meta.FailureP,
-		FailureT:     st.Meta.FailureT,
 		Executor:     executor.Kind(st.Meta.Executor),
 	}
 	for _, opt := range opts {

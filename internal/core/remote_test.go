@@ -229,7 +229,7 @@ func TestRemoteCrashesRecover(t *testing.T) {
 	baseRep, baseFP := runWithFingerprint(t, def, services, remoteBaseConfig())
 
 	cfg := remoteBaseConfig()
-	cfg.FailureP, cfg.FailureT = 0.5, 0.05
+	cfg.Chaos = failure.ChaosConfig{AgentCrashP: 0.5, AgentCrashAfter: 0.05}
 	rep, fp := remoteRun(t, def, services, cfg, "diamond", 2)
 	requireSameOutcome(t, baseRep, rep, baseFP, fp)
 	if rep.Failures == 0 || rep.Failures != rep.Recoveries {

@@ -288,7 +288,6 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 	}
 	clus := s.mgr.cluster
 	clock := clus.Clock()
-	rng := clus.Rand()
 	chaos := s.mgr.chaos
 	rc := s.mgr.cfg.Retry
 	sleep := func(d float64) error { clock.Sleep(d); return nil }
@@ -312,7 +311,7 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 		// The invocation boundary is chaos-perturbed exactly like the
 		// agents' (failure.Schedule.RideOut), and exhaustion fails the
 		// reduction with the failure.ErrRetriesExhausted chain.
-		took, attempts, err := chaos.RideOut(svc.InvocationDuration(rng), rc, sleep, nil)
+		took, attempts, err := chaos.RideOut(svc.Duration, rc, sleep, nil)
 		if err != nil {
 			return nil, fmt.Errorf("invoke %s: %d attempts: %w (%w)",
 				name, attempts, failure.ErrRetriesExhausted, err)
@@ -664,7 +663,6 @@ func (s *Session) launchLocal(fail context.CancelCauseFunc, spaceTopic, topicPre
 			Cluster:     clus,
 			Placements:  nodeOf,
 			Services:    s.services,
-			Injector:    failure.New(s.sub.FailureP, s.sub.FailureT, clus.Rand()),
 			SpaceTopic:  spaceTopic,
 			TopicPrefix: topicPrefix,
 			Trace:       s.recorder,

@@ -53,18 +53,11 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 			TopicPrefix:   topicPrefix,
 			Workflow:      defJSON,
 			Tasks:         tasks,
-			FailureP:      s.sub.FailureP,
-			FailureT:      s.sub.FailureT,
 			RestartDelay:  cfg.RestartDelay,
 			MaxRecoveries: cfg.MaxRecoveries,
-			// Offsetting the platform seed by the session ID gives each
-			// session its own deterministic worker-side stream (duration
-			// draws, crash plans), mirroring the manager's shared RNG
-			// being advanced per session.
-			Seed:    cfg.Cluster.Seed + s.id,
-			ScaleNS: int64(s.mgr.cluster.Clock().Scale()),
-			Chaos:   cfg.Chaos,
-			Retry:   cfg.Retry,
+			ScaleNS:       int64(s.mgr.cluster.Clock().Scale()),
+			Chaos:         cfg.Chaos,
+			Retry:         cfg.Retry,
 		}
 	}
 	// The hooks run on the transport's read loops and must not block:

@@ -7,6 +7,7 @@ import (
 
 	"ginflow/internal/agent"
 	"ginflow/internal/executor"
+	"ginflow/internal/failure"
 	"ginflow/internal/mq"
 	"ginflow/internal/trace"
 	"ginflow/internal/workflow"
@@ -139,8 +140,7 @@ func TestTraceTimelineOfRecovery(t *testing.T) {
 		Executor:     executor.KindMesos,
 		Broker:       mq.KindLog,
 		Cluster:      fastCluster(3),
-		FailureP:     0.5,
-		FailureT:     0,
+		Chaos:        failure.ChaosConfig{AgentCrashP: 0.5, AgentCrashAfter: 0},
 		RestartDelay: 0.2,
 		CollectTrace: true,
 		Timeout:      60 * time.Second,

@@ -1,3 +1,12 @@
+// Package failure is the system's one fault model: a seeded Schedule
+// draws every fault the engine can inject, at every boundary it has —
+// the paper's §V-D agent crashes, broker delivery, service invocation,
+// executor deployment, journal I/O, the network transport and the space
+// fold — so a faulty run can be replayed from its seed. Each boundary
+// owns an independent RNG stream; within a boundary the draw sequence
+// is fully determined by the seed, so the fault mix of a run is
+// reproducible even though goroutine interleaving may vary which call
+// site receives which draw.
 package failure
 
 import (
@@ -8,15 +17,6 @@ import (
 
 	"ginflow/internal/obs"
 )
-
-// This file grows the package beyond the agent-crash injector into a
-// deterministic chaos layer: a seeded Schedule draws faults at every
-// boundary the system has — broker delivery, service invocation,
-// executor deployment, journal I/O — so a chaotic run can be replayed
-// from its seed. Each boundary owns an independent RNG stream; within a
-// boundary the draw sequence is fully determined by the seed, so the
-// fault mix of a run is reproducible even though goroutine interleaving
-// may vary which call site receives which draw.
 
 // Boundary names a fault-injection point.
 type Boundary int
@@ -47,6 +47,13 @@ const (
 	// (never lose) or duplicate individual folds, exercising the version
 	// gate and resync machinery from the consumer side.
 	BoundarySpace
+	// BoundaryAgentCrash is the paper's §V-D fault: one draw per service
+	// invocation, crashing the agent incarnation a fixed time into its
+	// service. Its draws are independent Bernoulli(AgentCrashP) trials —
+	// MaxConsecutive does not apply — because a restarted agent can
+	// crash again, which is what makes p/(1-p) × N_T the expected
+	// failure count.
+	BoundaryAgentCrash
 
 	boundaryCount
 )
@@ -68,6 +75,8 @@ func (b Boundary) String() string {
 		return "socket"
 	case BoundarySpace:
 		return "space"
+	case BoundaryAgentCrash:
+		return "agent-crash"
 	}
 	return fmt.Sprintf("boundary(%d)", int(b))
 }
@@ -97,6 +106,9 @@ const (
 	FaultSlow
 	// FaultTorn persists only a prefix of a journal write.
 	FaultTorn
+	// FaultCrash kills the agent incarnation Fault.Delay model seconds
+	// into its service invocation.
+	FaultCrash
 )
 
 // String returns the fault kind's name.
@@ -120,6 +132,8 @@ func (k FaultKind) String() string {
 		return "slow"
 	case FaultTorn:
 		return "torn"
+	case FaultCrash:
+		return "crash"
 	}
 	return fmt.Sprintf("fault(%d)", int(k))
 }
@@ -148,7 +162,8 @@ type Fault struct {
 	// Kind classifies the fault; FaultNone means proceed untouched.
 	Kind FaultKind
 	// Delay is the fault's duration in model seconds (delays,
-	// slow-downs); zero otherwise.
+	// slow-downs) or, for a crash, its offset into the service; zero
+	// otherwise.
 	Delay float64
 	// Err is the error the operation should surface, nil for kinds that
 	// only shift timing.
@@ -158,12 +173,22 @@ type Fault struct {
 // ChaosConfig parameterises a fault schedule. All probabilities are per
 // draw in [0,1]; the kinds of one boundary are mutually exclusive per
 // draw (their probabilities are read as adjacent intervals, so their
-// sum should stay ≤ 1). Durations are model seconds. The zero value
-// disables chaos entirely.
+// sum must stay ≤ 1; Validate checks). Durations are model seconds.
+// The zero value disables chaos entirely.
 type ChaosConfig struct {
 	// Seed selects the deterministic fault schedule; runs with the same
-	// seed and config draw identical per-boundary fault sequences.
+	// seed and config draw identical per-boundary fault sequences. The
+	// engine replaces a zero Seed with its cluster seed.
 	Seed int64
+
+	// AgentCrashP is the probability that a service invocation crashes
+	// its agent incarnation (§V-D). The supervisor respawns the agent,
+	// which replays its inbox and may crash again.
+	AgentCrashP float64
+	// AgentCrashAfter is how long into the service the crash hits, in
+	// model seconds. An invocation shorter than that completes: only
+	// services longer than AgentCrashAfter are at risk.
+	AgentCrashAfter float64
 
 	// MessageDropP is the probability a delivery attempt is dropped.
 	// Dropped deliveries are redelivered after RedeliverDelay (bounded),
@@ -238,18 +263,105 @@ type ChaosConfig struct {
 
 	// MaxConsecutive forces a no-fault draw after this many consecutive
 	// faults on one boundary, keeping retry budgets sufficient (default
-	// 3; negative disables the cap).
+	// 3; negative disables the cap). Agent crashes are never capped.
 	MaxConsecutive int
+}
+
+// faultKind is one fault a boundary can draw: probability p of kind,
+// carrying err and a delay of fixed plus a uniform draw in [0, spread).
+type faultKind struct {
+	p             float64
+	kind          FaultKind
+	err           error
+	fixed, spread float64
+}
+
+// maxKinds is the most faults one boundary has.
+const maxKinds = 4
+
+// kinds lists each boundary's faults in the order Draw lays their
+// probability intervals out (unused slots have p = 0); the one place
+// that knows which faults a boundary has. Durations are read as given
+// (withDefaults first for a live schedule).
+func (c ChaosConfig) kinds() (k [boundaryCount][maxKinds]faultKind) {
+	k[BoundaryMessage] = [maxKinds]faultKind{
+		{p: c.MessageDropP, kind: FaultDrop},
+		{p: c.MessageDupP, kind: FaultDuplicate},
+		{p: c.MessageDelayP, kind: FaultDelay, spread: c.MessageDelayMax},
+		{p: c.MessageReorderP, kind: FaultReorder},
+	}
+	k[BoundaryInvoke] = [maxKinds]faultKind{
+		{p: c.InvokeErrorP, kind: FaultError, err: errInvoke},
+		{p: c.InvokeTimeoutP, kind: FaultTimeout, err: errTimeout},
+		{p: c.InvokeSlowP, kind: FaultSlow, spread: c.InvokeSlowMax},
+	}
+	k[BoundaryDeploy] = [maxKinds]faultKind{{p: c.DeployErrorP, kind: FaultError, err: errDeploy}}
+	k[BoundaryJournalWrite] = [maxKinds]faultKind{
+		{p: c.JournalErrorP, kind: FaultError, err: errJournal},
+		{p: c.JournalTornP, kind: FaultTorn, err: errJournalTorn},
+	}
+	k[BoundaryJournalSync] = [maxKinds]faultKind{{p: c.JournalSlowSyncP, kind: FaultSlow, spread: c.JournalSyncDelayMax}}
+	k[BoundarySocket] = [maxKinds]faultKind{
+		{p: c.SocketDropP, kind: FaultDrop},
+		{p: c.SocketDupP, kind: FaultDuplicate},
+		{p: c.SocketDelayP, kind: FaultDelay, spread: c.SocketDelayMax},
+		{p: c.SocketReorderP, kind: FaultReorder},
+	}
+	k[BoundarySpace] = [maxKinds]faultKind{{p: c.SpaceDropP, kind: FaultDrop}, {p: c.SpaceDupP, kind: FaultDuplicate}}
+	k[BoundaryAgentCrash] = [maxKinds]faultKind{{p: c.AgentCrashP, kind: FaultCrash, fixed: c.AgentCrashAfter}}
+	return k
+}
+
+// active reports whether boundary b can fault under c.
+func (c ChaosConfig) active(b Boundary) bool {
+	for _, k := range c.kinds()[b] {
+		if k.p > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Enabled reports whether any fault probability is set.
 func (c ChaosConfig) Enabled() bool {
-	return c.MessageDropP > 0 || c.MessageDupP > 0 || c.MessageDelayP > 0 ||
-		c.MessageReorderP > 0 || c.InvokeErrorP > 0 || c.InvokeTimeoutP > 0 ||
-		c.InvokeSlowP > 0 || c.DeployErrorP > 0 || c.JournalErrorP > 0 ||
-		c.JournalTornP > 0 || c.JournalSlowSyncP > 0 ||
-		c.SocketDropP > 0 || c.SocketDupP > 0 || c.SocketDelayP > 0 ||
-		c.SocketReorderP > 0 || c.SpaceDropP > 0 || c.SpaceDupP > 0
+	for b := Boundary(0); b < boundaryCount; b++ {
+		if c.active(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// Validate rejects a config that cannot be read as a fault schedule: a
+// probability outside [0, 1], a boundary whose kinds sum above 1, or a
+// negative duration. The engine checks a config where it enters the
+// program — the manager's options and a worker's assignment.
+func (c ChaosConfig) Validate() error {
+	for b, ks := range c.kinds() {
+		var sum float64
+		for _, k := range ks {
+			if !(k.p >= 0 && k.p <= 1) {
+				return fmt.Errorf("chaos %s probability %v outside [0, 1]", Boundary(b), k.p)
+			}
+			sum += k.p
+		}
+		if sum > 1 {
+			return fmt.Errorf("chaos %s probabilities sum to %v > 1", Boundary(b), sum)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{
+		{"AgentCrashAfter", c.AgentCrashAfter}, {"MessageDelayMax", c.MessageDelayMax},
+		{"RedeliverDelay", c.RedeliverDelay}, {"InvokeSlowMax", c.InvokeSlowMax},
+		{"JournalSyncDelayMax", c.JournalSyncDelayMax}, {"SocketDelayMax", c.SocketDelayMax},
+	} {
+		if !(d.v >= 0) {
+			return fmt.Errorf("chaos %s %v is negative", d.name, d.v)
+		}
+	}
+	return nil
 }
 
 // withDefaults fills unset durations and caps.
@@ -280,9 +392,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // worst redelivery chain and the largest injected delay to land. Zero
 // when no message faults are configured.
 func (c ChaosConfig) SettleSeconds() float64 {
-	msg := c.MessageDropP > 0 || c.MessageDupP > 0 || c.MessageDelayP > 0 || c.MessageReorderP > 0
-	sock := c.SocketDropP > 0 || c.SocketDupP > 0 || c.SocketDelayP > 0 || c.SocketReorderP > 0
-	space := c.SpaceDropP > 0 || c.SpaceDupP > 0
+	msg, sock, space := c.active(BoundaryMessage), c.active(BoundarySocket), c.active(BoundarySpace)
 	if !msg && !sock && !space {
 		return 0
 	}
@@ -386,6 +496,8 @@ func (s *Schedule) RideOut(dur float64, rc RetryConfig, sleep func(float64) erro
 // injects), so call sites need no guards.
 type Schedule struct {
 	cfg     ChaosConfig
+	active  [boundaryCount]bool
+	kinds   [boundaryCount][maxKinds]faultKind
 	points  [boundaryCount]chaosPoint
 	sleepMu sync.RWMutex
 	sleeper func(seconds float64)
@@ -418,7 +530,7 @@ type chaosPoint struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	consec int
-	counts map[FaultKind]int64
+	faults int64
 }
 
 // NewSchedule builds a schedule from cfg (defaults applied). The
@@ -427,10 +539,10 @@ type chaosPoint struct {
 // stall faults a clock.
 func NewSchedule(cfg ChaosConfig) *Schedule {
 	cfg = cfg.withDefaults()
-	s := &Schedule{cfg: cfg}
+	s := &Schedule{cfg: cfg, kinds: cfg.kinds()}
 	for b := Boundary(0); b < boundaryCount; b++ {
+		s.active[b] = cfg.active(b)
 		s.points[b].rng = rand.New(rand.NewSource(splitmix(cfg.Seed ^ int64(b+1))))
-		s.points[b].counts = map[FaultKind]int64{}
 	}
 	return s
 }
@@ -443,9 +555,12 @@ func splitmix(x int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Enabled reports whether the schedule can inject anything.
-func (s *Schedule) Enabled() bool {
-	return s != nil && s.cfg.Enabled()
+// Active reports whether boundary b can fault under the schedule. A
+// call site with a fault branch takes it only when its boundary is
+// active, so a schedule that faults elsewhere leaves it on its no-chaos
+// path.
+func (s *Schedule) Active(b Boundary) bool {
+	return s != nil && b >= 0 && b < boundaryCount && s.active[b]
 }
 
 // Config returns the schedule's defaults-applied configuration (zero
@@ -491,20 +606,21 @@ func (s *Schedule) Sleep(seconds float64) {
 	}
 }
 
-// Draw returns the next fault of a boundary's stream. After
-// MaxConsecutive consecutive faults on one boundary the next draw is
-// forced to FaultNone, so bounded retries always see a success window.
+// Draw returns the next fault of a boundary's stream; an inactive
+// boundary returns FaultNone without drawing. After MaxConsecutive
+// consecutive faults on one boundary the next draw is forced to
+// FaultNone, so bounded retries always see a success window — except on
+// BoundaryAgentCrash, whose draws stay independent.
 func (s *Schedule) Draw(b Boundary) Fault {
-	if s == nil || b < 0 || b >= boundaryCount {
+	if !s.Active(b) {
 		return Fault{}
 	}
 	p := &s.points[b]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s.obsDraws[b].Inc()
-	if s.cfg.MaxConsecutive > 0 && p.consec >= s.cfg.MaxConsecutive {
+	if b != BoundaryAgentCrash && s.cfg.MaxConsecutive > 0 && p.consec >= s.cfg.MaxConsecutive {
 		p.consec = 0
-		p.counts[FaultNone]++
 		return Fault{}
 	}
 	f := s.drawLocked(b, p.rng)
@@ -512,116 +628,39 @@ func (s *Schedule) Draw(b Boundary) Fault {
 		p.consec = 0
 	} else {
 		p.consec++
+		p.faults++
 		s.obsFaults[b].Inc()
 	}
-	p.counts[f.Kind]++
 	return f
 }
 
 // drawLocked maps one uniform draw onto the boundary's fault intervals.
 func (s *Schedule) drawLocked(b Boundary, rng *rand.Rand) Fault {
 	x := rng.Float64()
-	c := s.cfg
-	switch b {
-	case BoundaryMessage:
-		if x < c.MessageDropP {
-			return Fault{Kind: FaultDrop}
+	for _, k := range s.kinds[b] {
+		if x < k.p {
+			f := Fault{Kind: k.kind, Delay: k.fixed, Err: k.err}
+			if k.spread > 0 {
+				f.Delay += rng.Float64() * k.spread
+			}
+			return f
 		}
-		x -= c.MessageDropP
-		if x < c.MessageDupP {
-			return Fault{Kind: FaultDuplicate}
-		}
-		x -= c.MessageDupP
-		if x < c.MessageDelayP {
-			return Fault{Kind: FaultDelay, Delay: rng.Float64() * c.MessageDelayMax}
-		}
-		x -= c.MessageDelayP
-		if x < c.MessageReorderP {
-			return Fault{Kind: FaultReorder}
-		}
-	case BoundaryInvoke:
-		if x < c.InvokeErrorP {
-			return Fault{Kind: FaultError, Err: errInvoke}
-		}
-		x -= c.InvokeErrorP
-		if x < c.InvokeTimeoutP {
-			return Fault{Kind: FaultTimeout, Err: errTimeout}
-		}
-		x -= c.InvokeTimeoutP
-		if x < c.InvokeSlowP {
-			return Fault{Kind: FaultSlow, Delay: rng.Float64() * c.InvokeSlowMax}
-		}
-	case BoundaryDeploy:
-		if x < c.DeployErrorP {
-			return Fault{Kind: FaultError, Err: errDeploy}
-		}
-	case BoundaryJournalWrite:
-		if x < c.JournalErrorP {
-			return Fault{Kind: FaultError, Err: errJournal}
-		}
-		x -= c.JournalErrorP
-		if x < c.JournalTornP {
-			return Fault{Kind: FaultTorn, Err: errJournalTorn}
-		}
-	case BoundaryJournalSync:
-		if x < c.JournalSlowSyncP {
-			return Fault{Kind: FaultSlow, Delay: rng.Float64() * c.JournalSyncDelayMax}
-		}
-	case BoundarySocket:
-		if x < c.SocketDropP {
-			return Fault{Kind: FaultDrop}
-		}
-		x -= c.SocketDropP
-		if x < c.SocketDupP {
-			return Fault{Kind: FaultDuplicate}
-		}
-		x -= c.SocketDupP
-		if x < c.SocketDelayP {
-			return Fault{Kind: FaultDelay, Delay: rng.Float64() * c.SocketDelayMax}
-		}
-		x -= c.SocketDelayP
-		if x < c.SocketReorderP {
-			return Fault{Kind: FaultReorder}
-		}
-	case BoundarySpace:
-		if x < c.SpaceDropP {
-			return Fault{Kind: FaultDrop}
-		}
-		x -= c.SpaceDropP
-		if x < c.SpaceDupP {
-			return Fault{Kind: FaultDuplicate}
-		}
+		x -= k.p
 	}
 	return Fault{}
 }
 
-// Counts returns a snapshot of the injected-fault tallies, keyed
-// "boundary/kind" (FaultNone and untouched kinds omitted). Nil on a nil
-// schedule.
-func (s *Schedule) Counts() map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	out := map[string]int64{}
-	for b := Boundary(0); b < boundaryCount; b++ {
-		p := &s.points[b]
-		p.mu.Lock()
-		for k, n := range p.counts {
-			if k == FaultNone || n == 0 {
-				continue
-			}
-			out[fmt.Sprintf("%s/%s", b, k)] = n
-		}
-		p.mu.Unlock()
-	}
-	return out
-}
-
 // Faults returns the total number of injected (non-FaultNone) draws.
 func (s *Schedule) Faults() int64 {
+	if s == nil {
+		return 0
+	}
 	var total int64
-	for _, n := range s.Counts() {
-		total += n
+	for b := range s.points {
+		p := &s.points[b]
+		p.mu.Lock()
+		total += p.faults
+		p.mu.Unlock()
 	}
 	return total
 }

@@ -2,6 +2,9 @@ package failure
 
 import (
 	"errors"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -73,16 +76,16 @@ func TestScheduleMaxConsecutive(t *testing.T) {
 
 func TestScheduleNilSafe(t *testing.T) {
 	var s *Schedule
-	if s.Enabled() {
-		t.Fatal("nil schedule reports enabled")
+	if s.Active(BoundaryMessage) {
+		t.Fatal("nil schedule reports an active boundary")
 	}
 	if f := s.Draw(BoundaryMessage); f.Kind != FaultNone {
 		t.Fatalf("nil schedule drew %s", f.Kind)
 	}
 	s.Sleep(1)
 	s.SetSleeper(nil)
-	if s.Counts() != nil {
-		t.Fatal("nil schedule returned counts")
+	if s.Faults() != 0 {
+		t.Fatal("nil schedule counted faults")
 	}
 	if s.SettleSeconds() != 0 {
 		t.Fatal("nil schedule settles")
@@ -91,14 +94,12 @@ func TestScheduleNilSafe(t *testing.T) {
 
 func TestScheduleCountsAndErrors(t *testing.T) {
 	s := NewSchedule(ChaosConfig{Seed: 3, JournalErrorP: 0.5, JournalTornP: 0.5, MaxConsecutive: -1})
-	sawErr, sawTorn := false, false
+	counts := map[FaultKind]int64{}
 	for i := 0; i < 50; i++ {
 		f := s.Draw(BoundaryJournalWrite)
+		counts[f.Kind]++
 		switch f.Kind {
-		case FaultError:
-			sawErr = true
-		case FaultTorn:
-			sawTorn = true
+		case FaultError, FaultTorn:
 		default:
 			t.Fatalf("draw %d: unexpected kind %s with P(error)+P(torn)=1", i, f.Kind)
 		}
@@ -106,16 +107,11 @@ func TestScheduleCountsAndErrors(t *testing.T) {
 			t.Fatalf("draw %d: fault error %v does not wrap ErrInjected", i, f.Err)
 		}
 	}
-	if !sawErr || !sawTorn {
-		t.Fatalf("expected both kinds; err=%v torn=%v", sawErr, sawTorn)
+	if counts[FaultError] == 0 || counts[FaultTorn] == 0 {
+		t.Fatalf("expected both kinds; got %v", counts)
 	}
-	counts := s.Counts()
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total != 50 || s.Faults() != 50 {
-		t.Fatalf("counts total %d, Faults %d, want 50", total, s.Faults())
+	if s.Faults() != 50 {
+		t.Fatalf("Faults = %d, want 50", s.Faults())
 	}
 }
 
@@ -154,4 +150,56 @@ func TestChaosConfigEnabledAndSettle(t *testing.T) {
 	if !c.Enabled() || c.SettleSeconds() <= 0 {
 		t.Fatalf("message chaos must enable and settle; settle=%v", c.SettleSeconds())
 	}
+	crash := ChaosConfig{AgentCrashP: 0.5}
+	if !crash.Enabled() || crash.SettleSeconds() != 0 {
+		t.Fatalf("crash-only chaos must enable without settling; settle=%v", crash.SettleSeconds())
+	}
+}
+
+func TestChaosConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  ChaosConfig
+		bad  string // substring of the error; "" accepts
+	}{
+		{"zero", ChaosConfig{}, ""},
+		{"crash p=1", ChaosConfig{AgentCrashP: 1, AgentCrashAfter: 15}, ""},
+		{"kinds sum to 1", ChaosConfig{JournalErrorP: 0.5, JournalTornP: 0.5}, ""},
+		{"crash p above 1", ChaosConfig{AgentCrashP: 1.5}, "agent-crash"},
+		{"negative crash p", ChaosConfig{AgentCrashP: -0.1}, "agent-crash"},
+		{"NaN probability", ChaosConfig{SpaceDupP: math.NaN()}, "space"},
+		{"message kinds sum above 1", ChaosConfig{MessageDropP: 0.6, MessageDelayP: 0.6}, "message"},
+		{"invoke kinds sum above 1", ChaosConfig{InvokeErrorP: 0.5, InvokeTimeoutP: 0.3, InvokeSlowP: 0.3}, "invoke"},
+		{"negative crash delay", ChaosConfig{AgentCrashP: 0.5, AgentCrashAfter: -1}, "AgentCrashAfter"},
+		{"negative redelivery", ChaosConfig{RedeliverDelay: -4}, "RedeliverDelay"},
+		{"negative socket delay", ChaosConfig{SocketDelayMax: -1}, "SocketDelayMax"},
+	} {
+		err := c.cfg.Validate()
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.bad)
+		}
+	}
+}
+
+// TestChaosConfigValidateConcurrent: worker nodes validate assignments
+// on concurrent read loops, so reading a config's fault table must
+// write no shared memory (run under -race).
+func TestChaosConfigValidateConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := ChaosConfig{AgentCrashP: float64(i) / 200, MessageDelayMax: float64(g)}
+				if err := c.Validate(); err != nil || !c.Enabled() && i > 0 {
+					t.Errorf("config %+v: err %v, enabled %v", c, err, c.Enabled())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,101 +2,90 @@ package failure
 
 import (
 	"math"
-	"math/rand"
 	"testing"
+
+	"ginflow/internal/obs"
 )
 
+// TestZeroValueNeverFails: neither a zero config nor a nil schedule
+// ever crashes an agent.
 func TestZeroValueNeverFails(t *testing.T) {
-	var inj Injector
-	for i := 0; i < 100; i++ {
-		if p := inj.Next(); p.Crash {
-			t.Fatal("zero-value injector crashed")
+	for _, s := range []*Schedule{NewSchedule(ChaosConfig{}), nil} {
+		for i := 0; i < 100; i++ {
+			if f := s.Draw(BoundaryAgentCrash); f.Kind != FaultNone {
+				t.Fatalf("schedule %v drew %s", s, f.Kind)
+			}
+		}
+		if s.Faults() != 0 {
+			t.Errorf("schedule %v counted %d faults", s, s.Faults())
 		}
 	}
-	if inj.Injected() != 0 {
-		t.Error("injected count non-zero")
-	}
-	var nilInj *Injector
-	if nilInj.Injected() != 0 {
-		t.Error("nil injector count non-zero")
-	}
 }
 
-func TestDisabledWithoutRNG(t *testing.T) {
-	inj := New(1.0, 0, nil)
-	if inj.Enabled() {
-		t.Error("injector without RNG must be disabled")
-	}
-	if p := inj.Next(); p.Crash {
-		t.Error("disabled injector crashed")
-	}
-}
-
-func TestInjectionRateMatchesP(t *testing.T) {
+// TestAgentCrashUncapped: agent-crash draws are i.i.d. Bernoulli(p)
+// even under the default MaxConsecutive, which would hold a capped
+// stream to about 0.66 at p = 0.8 and halve Fig. 16's failure count.
+func TestAgentCrashUncapped(t *testing.T) {
 	for _, p := range []float64{0.2, 0.5, 0.8} {
-		inj := New(p, 15, rand.New(rand.NewSource(7)))
-		const n = 20000
+		s := NewSchedule(ChaosConfig{Seed: 7, AgentCrashP: p, AgentCrashAfter: 15})
+		const n = 100000
 		crashes := 0
 		for i := 0; i < n; i++ {
-			plan := inj.Next()
-			if plan.Crash {
+			f := s.Draw(BoundaryAgentCrash)
+			if f.Kind == FaultCrash {
 				crashes++
-				if plan.After != 15 {
-					t.Fatalf("After = %v, want 15", plan.After)
+				if f.Delay != 15 {
+					t.Fatalf("crash delay = %v, want 15", f.Delay)
 				}
 			}
 		}
-		got := float64(crashes) / n
-		if math.Abs(got-p) > 0.02 {
+		if got := float64(crashes) / n; math.Abs(got-p) > 0.01 {
 			t.Errorf("p=%v: empirical rate %v", p, got)
 		}
-		if inj.Injected() != crashes {
-			t.Errorf("Injected() = %d, want %d", inj.Injected(), crashes)
+		if s.Faults() != int64(crashes) {
+			t.Errorf("Faults() = %d, want %d", s.Faults(), crashes)
 		}
-	}
-}
-
-// TestExpectedFailures checks the paper's §V-D estimate against the
-// values it reports: with 118 services and T=0, p = 0.2/0.5/0.8 give
-// about 26/114/487 observed failures (expected ≈ 29.5/118/472).
-func TestExpectedFailures(t *testing.T) {
-	cases := []struct {
-		p        float64
-		nT       int
-		observed float64 // from the paper
-	}{
-		{0.2, 118, 26},
-		{0.5, 118, 114},
-		{0.8, 118, 487},
-	}
-	for _, c := range cases {
-		want := ExpectedFailures(c.p, c.nT)
-		// The paper's observations should lie within ~25% of the model.
-		if math.Abs(want-c.observed)/want > 0.25 {
-			t.Errorf("p=%v: model %v vs paper %v diverge", c.p, want, c.observed)
-		}
-	}
-	if got := ExpectedFailures(0, 100); got != 0 {
-		t.Errorf("p=0: %v", got)
-	}
-	if got := ExpectedFailures(1, 100); got < 1e6 {
-		t.Errorf("p=1 should be divergent, got %v", got)
 	}
 }
 
 // TestGeometricRetries simulates the restart-until-success process and
-// compares total failures to p/(1-p)·N.
+// compares total failures to the paper's p/(1-p)·N.
 func TestGeometricRetries(t *testing.T) {
-	inj := New(0.5, 0, rand.New(rand.NewSource(11)))
-	const services = 2000
-	failures := 0
-	for s := 0; s < services; s++ {
-		for inj.Next().Crash { // restarted agent can fail again
-			failures++
+	for _, p := range []float64{0.5, 0.8} {
+		s := NewSchedule(ChaosConfig{Seed: 11, AgentCrashP: p})
+		const services = 2000
+		failures := 0
+		for i := 0; i < services; i++ {
+			for s.Draw(BoundaryAgentCrash).Kind == FaultCrash { // restarted agent can fail again
+				failures++
+			}
+		}
+		want := p / (1 - p) * services
+		if math.Abs(float64(failures)-want)/want > 0.1 {
+			t.Errorf("p=%v: failures = %d, expected ≈ %v", p, failures, want)
 		}
 	}
-	want := ExpectedFailures(0.5, services)
-	if math.Abs(float64(failures)-want)/want > 0.1 {
-		t.Errorf("failures = %d, expected ≈ %v", failures, want)
+}
+
+// TestCrashOnlyScheduleDrawsNowhereElse: a schedule with only agent
+// crashes configured is active on that boundary alone, and draws made
+// at every other boundary neither fault nor count.
+func TestCrashOnlyScheduleDrawsNowhereElse(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewSchedule(ChaosConfig{Seed: 3, AgentCrashP: 0.5})
+	s.SetMetrics(reg)
+	for b := Boundary(0); b < boundaryCount; b++ {
+		if s.Active(b) != (b == BoundaryAgentCrash) {
+			t.Errorf("%s: Active = %v", b, s.Active(b))
+		}
+		for i := 0; i < 100; i++ {
+			if f := s.Draw(b); b != BoundaryAgentCrash && f.Kind != FaultNone {
+				t.Fatalf("%s drew %s under a crash-only config", b, f.Kind)
+			}
+		}
+		draws := reg.Counter("ginflow_chaos_draws_total", "", obs.L("boundary", b.String())).Value()
+		if want := map[bool]int64{true: 100, false: 0}[b == BoundaryAgentCrash]; draws != want {
+			t.Errorf("%s: %d draws counted, want %d", b, draws, want)
+		}
 	}
 }

@@ -163,9 +163,6 @@ type SessionMeta struct {
 	Workflow json.RawMessage `json:"workflow"`
 	// TimeoutNS is the session's real-time timeout in nanoseconds.
 	TimeoutNS int64 `json:"timeout_ns"`
-	// FailureP / FailureT are the session's fault-injection parameters.
-	FailureP float64 `json:"failure_p,omitempty"`
-	FailureT float64 `json:"failure_t,omitempty"`
 	// CollectTrace records whether the session retains its event
 	// timeline in the report.
 	CollectTrace bool `json:"collect_trace,omitempty"`

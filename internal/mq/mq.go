@@ -542,9 +542,10 @@ func (c *common) deliver(msg Message) {
 
 	tm := timedMsg{msg: msg, due: due}
 	ch := c.chaos.Load()
+	chaos := ch.Active(failure.BoundaryMessage)
 	sh.mu.RLock()
 	for _, sub := range sh.subs[msg.Topic] {
-		if ch == nil {
+		if !chaos {
 			sub.enqueue(tm)
 			continue
 		}

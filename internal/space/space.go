@@ -491,7 +491,7 @@ func (s *Space) SetChaos(sched *failure.Schedule) {
 // the serve path: ApplyBatch itself stays pure for recovery replay.
 func (s *Space) applyBatchChaos(batch []mq.Message) {
 	sched := s.chaos.Load()
-	if !sched.Enabled() {
+	if !sched.Active(failure.BoundarySpace) {
 		s.ApplyBatch(batch)
 		return
 	}

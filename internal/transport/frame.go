@@ -45,8 +45,9 @@ import (
 // protocolVersion is the frame protocol version carried in HELLO and
 // WELCOME; a mismatch fails the handshake. Version 3 made EVENT bodies
 // binary (version 2 carried them as JSON); version 4 dropped DONE's JSON
-// stats body.
-const protocolVersion = 4
+// stats body; version 5 moved the assignment's crash injection into its
+// chaos config.
+const protocolVersion = 5
 
 // readBufSize is the per-connection read buffer: one socket read
 // usually brings in a whole burst of frames.

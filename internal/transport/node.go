@@ -188,6 +188,9 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	if err := json.Unmarshal(blob, &a); err != nil {
 		return nil, fmt.Errorf("bad assignment: %w", err)
 	}
+	if err := a.Chaos.Validate(); err != nil {
+		return nil, fmt.Errorf("bad assignment: %w", err)
+	}
 	def, err := workflow.FromJSON(a.Workflow)
 	if err != nil {
 		return nil, err
@@ -225,12 +228,8 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	if scale <= 0 {
 		scale = time.Millisecond
 	}
-	clus := cluster.New(cluster.Config{Nodes: 1, Scale: scale, Seed: a.Seed})
+	clus := cluster.New(cluster.Config{Nodes: 1, Scale: scale})
 	clock := clus.Clock()
-	var injector *failure.Injector
-	if a.FailureP > 0 {
-		injector = failure.New(a.FailureP, a.FailureT, clus.Rand())
-	}
 	var chaos *failure.Schedule
 	if a.Chaos.Enabled() {
 		chaos = failure.NewSchedule(a.Chaos)
@@ -249,7 +248,6 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 			Broker:      n.rb,
 			Cluster:     clus,
 			Services:    n.services,
-			Injector:    injector,
 			Chaos:       chaos,
 			Retry:       a.Retry,
 			SpaceTopic:  a.SpaceTopic,

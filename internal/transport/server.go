@@ -425,7 +425,7 @@ func (s *Server) forward(n *serverNode, subID uint64, sub *mq.Subscription) {
 // sequence dedup so connection-resume logic is never the thing hiding
 // a fault. Delays sleep on the chaos schedule's clock.
 func (s *Server) deliverPublish(p publishFrame, attempt int) {
-	if s.cfg.Chaos.Enabled() {
+	if s.cfg.Chaos.Active(failure.BoundarySocket) {
 		cfg := s.cfg.Chaos.Config()
 		switch f := s.cfg.Chaos.Draw(failure.BoundarySocket); f.Kind {
 		case failure.FaultDrop:
@@ -485,7 +485,7 @@ func fromWireMsg(topic string, w wireMsg) (mq.Message, error) {
 // workflow (JSON, rebuilt node-side into agent specs — service
 // implementations and generated functions cannot travel), the subset of
 // tasks the worker hosts, and the tuning the in-process engine would
-// have applied (failure injection, restart budget, chaos, clock scale).
+// have applied (restart budget, fault schedule, clock scale).
 type Assignment struct {
 	// SpaceTopic and TopicPrefix scope the agents to the session's
 	// broker namespace, exactly as the in-process supervisor would.
@@ -495,18 +495,14 @@ type Assignment struct {
 	Workflow json.RawMessage `json:"workflow"`
 	// Tasks names the agents this worker hosts.
 	Tasks []string `json:"tasks"`
-	// FailureP / FailureT parameterise §V-D crash injection node-side.
-	FailureP float64 `json:"failure_p,omitempty"`
-	FailureT float64 `json:"failure_t,omitempty"`
 	// RestartDelay / MaxRecoveries tune the node-side supervisor loop.
 	RestartDelay  float64 `json:"restart_delay,omitempty"`
 	MaxRecoveries int     `json:"max_recoveries,omitempty"`
-	// Seed seeds the worker's local RNG (duration draws, crash plans).
-	Seed int64 `json:"seed,omitempty"`
 	// ScaleNS is the model clock scale in nanoseconds per model second.
 	ScaleNS int64 `json:"scale_ns,omitempty"`
-	// Chaos parameterises the worker's invocation-boundary fault
-	// schedule; Retry bounds its retries.
+	// Chaos parameterises the worker's fault schedule (agent crashes
+	// and invocation faults); Retry bounds its retries. The node rejects
+	// an assignment whose config fails ChaosConfig.Validate.
 	Chaos failure.ChaosConfig `json:"chaos,omitempty"`
 	Retry failure.RetryConfig `json:"retry,omitempty"`
 }

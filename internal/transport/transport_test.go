@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,7 +332,6 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 			TopicPrefix: "wt.sa.",
 			Workflow:    blob,
 			Tasks:       []string{"S1", "S2"},
-			Seed:        1,
 			ScaleNS:     int64(50 * time.Microsecond),
 		},
 	}, SessionHooks{
@@ -383,5 +384,44 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 	mu.Unlock()
 	if sp.StateFingerprint() == 0 {
 		t.Fatal("space fingerprint is zero after convergence")
+	}
+}
+
+// TestNodeRejectsInvalidChaosAssignment: a worker checks the fault
+// schedule it is handed off the wire and answers FAIL, not READY, when
+// the config is out of range.
+func TestNodeRejectsInvalidChaosAssignment(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	reg := agent.NewRegistry()
+	reg.RegisterNoop(0.01, "s")
+	node, err := Join(srv.Addr(), NodeConfig{Name: "w1", Services: reg})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	defer node.Close()
+	blob, err := workflow.Sequence(2, "s", "in").JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := make(chan error, 1)
+	rs, err := srv.StartRemote(1, map[uint64]Assignment{
+		node.NodeID(): {
+			SpaceTopic: "wt.space", TopicPrefix: "wt.sa.", Workflow: blob,
+			Tasks: []string{"S1", "S2"},
+			Chaos: failure.ChaosConfig{AgentCrashP: 1.5},
+		},
+	}, SessionHooks{Fail: func(err error) { failed <- err }})
+	if err != nil {
+		t.Fatalf("start remote: %v", err)
+	}
+	defer rs.Close()
+	select {
+	case err := <-failed:
+		var nf *ErrNodeFailed
+		if !errors.As(err, &nf) || !strings.Contains(nf.Msg, "bad assignment") || !strings.Contains(nf.Msg, "agent-crash") {
+			t.Fatalf("failure = %v, want a bad-assignment report naming agent-crash", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker accepted an assignment with AgentCrashP = 1.5")
 	}
 }
