@@ -137,15 +137,6 @@ func (c *Clock) Go(fn func()) {
 	go fn()
 }
 
-// Yield lets every other runnable participant proceed before the caller
-// continues (virtual mode; real mode is a no-op). Model time does not
-// advance: the caller re-queues behind the current ready set.
-func (c *Clock) Yield() {
-	if c.v != nil {
-		c.v.yield()
-	}
-}
-
 // AdvanceTo moves a virtual clock's model time forward by hand without
 // firing timers. It is meaningful only on a clock with no active
 // participants — unit tests driving Now() values directly. Real-mode
@@ -153,6 +144,46 @@ func (c *Clock) Yield() {
 func (c *Clock) AdvanceTo(t float64) {
 	if c.v != nil {
 		c.v.advanceTo(t)
+	}
+}
+
+// WithCancelCause is context.WithCancelCause for a context that
+// participants block on. On a real clock it is exactly that. On a
+// virtual clock, when parent never ends or was made by this clock's
+// WithCancelCause, WithCancel or WithTimeoutCause, the scheduler owns
+// the new context: it hears the cancel func instead of polling the
+// context each time model time advances. Any other parent gives a plain
+// context, polled as before. Call the cancel func once the context is
+// no longer needed: an owned context's bookkeeping lives until then.
+func (c *Clock) WithCancelCause(parent context.Context) (context.Context, context.CancelCauseFunc) {
+	if c.v == nil {
+		return context.WithCancelCause(parent)
+	}
+	return c.v.withCancelCause(parent)
+}
+
+// WithCancel is context.WithCancel made like WithCancelCause.
+func (c *Clock) WithCancel(parent context.Context) (context.Context, context.CancelFunc) {
+	if c.v == nil {
+		return context.WithCancel(parent)
+	}
+	ctx, cancel := c.v.withCancelCause(parent)
+	return ctx, func() { cancel(nil) }
+}
+
+// WithTimeoutCause is context.WithTimeoutCause made like
+// WithCancelCause. On a virtual clock the timeout is real time, as on a
+// real clock, and ends the context through its cancel func with cause:
+// Err then reports context.Canceled, and context.Cause reports cause.
+func (c *Clock) WithTimeoutCause(parent context.Context, timeout time.Duration, cause error) (context.Context, context.CancelFunc) {
+	if c.v == nil {
+		return context.WithTimeoutCause(parent, timeout, cause)
+	}
+	ctx, cancel := c.v.withCancelCause(parent)
+	t := time.AfterFunc(timeout, func() { cancel(cause) })
+	return ctx, func() {
+		t.Stop()
+		cancel(nil)
 	}
 }
 

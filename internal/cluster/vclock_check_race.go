@@ -11,7 +11,8 @@ import (
 // blocking call that finds the run token held must come from the
 // goroutine the token was last granted to. The check costs a
 // runtime.Stack traceback per grant and per block, so only race builds
-// pay it; vclock_nocheck.go compiles it away everywhere else.
+// pay it; vclock_nocheck.go compiles it away everywhere else. So does
+// the owned-context check at the end of this file.
 
 // tokenCheck records which goroutine holds the run token.
 type tokenCheck struct {
@@ -61,4 +62,20 @@ func goid() uint64 {
 		id = id*10 + uint64(c-'0')
 	}
 	return id
+}
+
+// checkOwnedLocked panics when a sweep that skips the owned groups finds
+// one whose context has ended: an owned context ends only through its
+// cancel func, which counts, so an uncounted end would leave its
+// waiters parked while model time moves on.
+func (v *vsched) checkOwnedLocked() {
+	for _, g := range v.owned {
+		select {
+		case <-g.done:
+			v.mu.Unlock()
+			panic("cluster: a context owned by the virtual clock ended without its cancel func; " +
+				"the sweep would have skipped its waiters")
+		default:
+		}
+	}
 }

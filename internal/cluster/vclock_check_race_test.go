@@ -22,7 +22,6 @@ func TestVirtualOutsiderOverlapPanics(t *testing.T) {
 		{"Clock.Sleep", func() { c.Sleep(1) }},
 		{"Clock.SleepCtx", func() { c.SleepCtx(context.Background(), 1) }},
 		{"Cond.Wait", func() { cond.Wait(context.Background()) }},
-		{"Clock.Yield", c.Yield},
 	} {
 		c.Enter()
 		got := make(chan any)
@@ -38,8 +37,8 @@ func TestVirtualOutsiderOverlapPanics(t *testing.T) {
 			t.Errorf("%s from an outsider overlapping a participant: recovered %v, want a panic naming Clock.Enter/Exit", tc.op, r)
 		}
 	}
-	if now := c.Now(); now != 4 {
-		t.Errorf("Now() = %v, want 4: a rejected call must register nothing", now)
+	if now := c.Now(); now != 3 {
+		t.Errorf("Now() = %v, want 3: a rejected call must register nothing", now)
 	}
 }
 
@@ -67,4 +66,27 @@ func TestVirtualExitedParticipantOverlapPanics(t *testing.T) {
 	}()
 	close(release)
 	<-done
+}
+
+// TestVirtualOwnedEndCheckPanics: under the race detector, a sweep that
+// skips the owned groups (no owned cancel since the last one) panics when
+// one of them has ended anyway — here one whose Done is swapped for a
+// closed channel, as an end the scheduler did not hear would look.
+func TestVirtualOwnedEndCheckPanics(t *testing.T) {
+	c := NewVirtualClock()
+	ctx, cancel := c.WithCancel(context.Background())
+	defer cancel()
+	closed := make(chan struct{})
+	close(closed)
+	c.v.mu.Lock()
+	c.v.groups[ctx.Done()].done = closed
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		c.v.sweepCancelledLocked()
+		c.v.mu.Unlock()
+		return ""
+	}()
+	if !strings.Contains(msg, "without its cancel func") {
+		t.Errorf("sweep over an owned context that ended unheard: recovered %q, want the owned-context panic", msg)
+	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -145,7 +146,6 @@ func TestRealModeAPIsAreNoops(t *testing.T) {
 		t.Fatal("real clock reports Virtual()")
 	}
 	c.Enter()
-	c.Yield()
 	c.AdvanceTo(99)
 	if cond := c.NewCond(); cond != nil {
 		t.Fatal("NewCond on a real clock should return nil")
@@ -168,6 +168,29 @@ func TestVirtualAdvanceTo(t *testing.T) {
 	}
 }
 
+// drawCtx makes a cancellable context of a kind drawn from rng: plain
+// (the scheduler polls it), clock-made (owned: the scheduler hears its
+// cancel), clock-made under a plain cancellable parent that the returned
+// cancel ends (polled: the parent's cancel is not the clock's), or
+// clock-made under a clock-made parent that the returned cancel ends
+// (owned, ended by its parent's heard cancel).
+func drawCtx(c *Clock, rng *rand.Rand) (context.Context, context.CancelFunc) {
+	switch rng.Intn(4) {
+	case 0:
+		return context.WithCancel(context.Background())
+	case 1:
+		return c.WithCancel(context.Background())
+	case 2:
+		parent, end := context.WithCancel(context.Background())
+		ctx, cancel := c.WithCancel(parent)
+		return ctx, func() { end(); cancel() }
+	default:
+		parent, end := c.WithCancel(context.Background())
+		ctx, cancel := c.WithCancel(parent)
+		return ctx, func() { end(); cancel() }
+	}
+}
+
 // wakeRec is one observed timer firing.
 type wakeRec struct {
 	id        int
@@ -177,8 +200,9 @@ type wakeRec struct {
 
 // runSchedule runs one randomized schedule of sleepers —
 // including equal deadlines, zero and negative durations, and
-// mid-flight context cancellations — and returns the observed wake
-// sequence. Deterministic in seed.
+// mid-flight cancellations of every kind drawCtx makes — checks each
+// wake against the plan and returns the observed wake sequence.
+// Deterministic in seed.
 func runSchedule(t *testing.T, seed int64, n int) []wakeRec {
 	t.Helper()
 	c := NewVirtualClock()
@@ -216,7 +240,7 @@ func runSchedule(t *testing.T, seed int64, n int) []wakeRec {
 		s := s
 		ctx := context.Context(context.Background())
 		if s.cancel {
-			cctx, cancel := context.WithCancel(ctx)
+			cctx, cancel := drawCtx(c, rng)
 			ctx = cctx
 			c.Go(func() {
 				c.Sleep(s.cat)
@@ -234,6 +258,22 @@ func runSchedule(t *testing.T, seed int64, n int) []wakeRec {
 	}
 	c.Exit()
 	wg.Wait()
+	for _, w := range got {
+		s := plan[w.id]
+		want := wakeRec{id: s.id}
+		switch {
+		case s.cancel && s.cat < s.d:
+			want.at, want.cancelled = s.cat, true
+		case s.d > 0:
+			want.at = s.d
+		}
+		if w != want {
+			t.Errorf("seed %d: sleeper %d woke as %+v, want %+v", seed, s.id, w, want)
+		}
+	}
+	if groups, _, _ := groupStats(c.v); groups != 0 {
+		t.Errorf("seed %d: %d context groups outlived their contexts", seed, groups)
+	}
 	return got
 }
 
@@ -291,11 +331,11 @@ type sharedWake struct {
 }
 
 // runSharedSchedule runs one randomized schedule in which n participants
-// share k ≪ n contexts: a mix of SleepCtx sleepers and Cond waiters (one
-// to three Wait rounds each, woken by three broadcasts), with cancellers
-// that end one to three contexts at a drawn model instant. It returns
-// the observed wakes in order and, per participant, the wakes the plan
-// predicts. Deterministic in seed.
+// share k ≪ n contexts of the kinds drawCtx makes: a mix of SleepCtx
+// sleepers and Cond waiters (one to three Wait rounds each, woken by
+// three broadcasts), with cancellers that end one to three contexts at a
+// drawn model instant. It returns the observed wakes in order and, per
+// participant, the wakes the plan predicts. Deterministic in seed.
 func runSharedSchedule(t *testing.T, seed int64, n int) (got []sharedWake, want map[int][]sharedWake) {
 	t.Helper()
 	c := NewVirtualClock()
@@ -307,7 +347,7 @@ func runSharedSchedule(t *testing.T, seed int64, n int) (got []sharedWake, want 
 	cancels := make([]context.CancelFunc, k)
 	cancelAt := make([]float64, k)
 	for j := range ctxs {
-		ctxs[j], cancels[j] = context.WithCancel(context.Background())
+		ctxs[j], cancels[j] = drawCtx(c, rng)
 	}
 	// Cancellers: each ends the next one to three contexts at one instant,
 	// so a single sweep has to merge the waiters of several groups.
@@ -397,7 +437,9 @@ func runSharedSchedule(t *testing.T, seed int64, n int) (got []sharedWake, want 
 	}
 	for _, set := range cancellers {
 		set := set
+		wg.Add(1) // a context's group may outlive its waiters until the cancel
 		c.Go(func() {
+			defer wg.Done()
 			c.Sleep(cancelAt[set[0]])
 			for _, j := range set {
 				cancels[j]()
@@ -451,8 +493,57 @@ func TestVirtualSharedContextSchedule(t *testing.T) {
 	}
 }
 
-// groupStats reads the scheduler's cancellation bookkeeping.
-func groupStats(v *vsched) (groups, order, longest int) {
+// TestVirtualStaleReferencesAfterReArm: a participant's waiter is
+// re-armed for each block, so the timer entry and Cond entry an
+// interrupted block leaves behind must not wake a later block. The
+// sleeper is interrupted at 1, long before its deadline at 10, and then
+// waits on a Cond broadcast at 20; the Cond waiter is interrupted at 1,
+// then sleeps until 16 across a broadcast of its old Cond at 5.
+func TestVirtualStaleReferencesAfterReArm(t *testing.T) {
+	c := NewVirtualClock()
+	first, later := c.NewCond(), c.NewCond()
+	ctx, cancel := c.WithCancel(context.Background())
+	var sleeperAt, waiterAt float64
+	var wg sync.WaitGroup
+	c.Enter()
+	wg.Add(2)
+	c.Go(func() {
+		defer wg.Done()
+		if err := c.SleepCtx(ctx, 10); err != context.Canceled {
+			t.Errorf("sleeper: %v, want context.Canceled", err)
+		}
+		if err := later.Wait(context.Background()); err != nil {
+			t.Errorf("sleeper's later wait: %v", err)
+		}
+		sleeperAt = c.Now()
+	})
+	c.Go(func() {
+		defer wg.Done()
+		if err := first.Wait(ctx); err != context.Canceled {
+			t.Errorf("waiter: %v, want context.Canceled", err)
+		}
+		c.Sleep(15)
+		waiterAt = c.Now()
+	})
+	c.Go(func() {
+		c.Sleep(1)
+		cancel()
+		c.Sleep(4)
+		first.Broadcast()
+		c.Sleep(15)
+		later.Broadcast()
+	})
+	c.Exit()
+	wg.Wait()
+	if sleeperAt != 20 || waiterAt != 16 {
+		t.Errorf("woke at %v and %v, want 20 (the later broadcast) and 16 (the later deadline)", sleeperAt, waiterAt)
+	}
+}
+
+// groupStats reads the scheduler's cancellation bookkeeping: the groups
+// in the map, the groups on the sweep lists, and the longest waiter
+// slice.
+func groupStats(v *vsched) (groups, listed, longest int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, g := range v.groups {
@@ -460,104 +551,156 @@ func groupStats(v *vsched) (groups, order, longest int) {
 			longest = cap(g.waiters)
 		}
 	}
-	return len(v.groups), len(v.order), longest
+	return len(v.groups), len(v.polled) + len(v.owned), longest
 }
 
 // TestVirtualGroupBookkeepingBounded: neither 10⁵ sleep/wake cycles
 // under one live context nor 10³ short-lived contexts may grow the group
-// map, the sweep list or a group's waiter slice.
+// map, the sweep lists or a group's waiter slice. A plain context's group
+// leaves with its last waiter; a clock-made one's lives until its cancel
+// and is gone right after it.
 func TestVirtualGroupBookkeepingBounded(t *testing.T) {
-	c := NewVirtualClock()
-	cond := c.NewCond()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	c.Enter()
-	wg.Add(2)
-	c.Go(func() { // keeps ctx's group alive throughout
-		defer wg.Done()
-		if err := cond.Wait(ctx); err != context.Canceled {
-			t.Errorf("parked waiter woke with %v, want context.Canceled", err)
-		}
-	})
-	c.Go(func() {
-		defer wg.Done()
-		for i := 0; i < 100_000; i++ {
-			if err := c.SleepCtx(ctx, 1); err != nil {
-				t.Errorf("cycle %d: %v", i, err)
-				return
+	for _, tc := range []struct {
+		name  string
+		owned bool
+	}{{"plain", false}, {"clock-made", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewVirtualClock()
+			withCancel := context.WithCancel
+			if tc.owned {
+				withCancel = c.WithCancel
 			}
-		}
-		if groups, order, longest := groupStats(c.v); groups != 1 || order != 1 || longest > 64 {
-			t.Errorf("after 1e5 cycles: %d groups, %d listed, longest waiter slice %d; want 1, 1, <= 64", groups, order, longest)
-		}
-		// Short-lived contexts whose only waiter leaves by its timer
-		// (even i) or by a Broadcast (odd i): the group must be gone
-		// before the context is even cancelled.
-		short := c.NewCond()
-		for i := 0; i < 1000; i++ {
-			sctx, stop := context.WithCancel(ctx)
-			if i%2 == 0 {
-				if err := c.SleepCtx(sctx, 1); err != nil {
-					t.Errorf("short context %d: %v", i, err)
+			cond := c.NewCond()
+			ctx, cancel := withCancel(context.Background())
+			defer cancel()
+			var wg sync.WaitGroup
+			c.Enter()
+			wg.Add(2)
+			c.Go(func() { // keeps ctx's group alive throughout
+				defer wg.Done()
+				if err := cond.Wait(ctx); err != context.Canceled {
+					t.Errorf("parked waiter woke with %v, want context.Canceled", err)
 				}
-			} else {
-				c.Go(func() {
-					if err := short.Wait(sctx); err != nil {
-						t.Errorf("short context %d: %v", i, err)
+			})
+			c.Go(func() {
+				defer wg.Done()
+				for i := 0; i < 100_000; i++ {
+					if err := c.SleepCtx(ctx, 1); err != nil {
+						t.Errorf("cycle %d: %v", i, err)
+						return
 					}
-				})
-				c.Sleep(1) // the waiter parks
-				short.Broadcast()
-				c.Sleep(1) // the waiter runs and leaves
+				}
+				if groups, listed, longest := groupStats(c.v); groups != 1 || listed != 1 || longest > 64 {
+					t.Errorf("after 1e5 cycles: %d groups, %d listed, longest waiter slice %d; want 1, 1, <= 64", groups, listed, longest)
+				}
+				// Short-lived contexts whose only waiter leaves by its
+				// timer (even i) or by a Broadcast (odd i).
+				short := c.NewCond()
+				for i := 0; i < 1000; i++ {
+					sctx, stop := withCancel(ctx)
+					if i%2 == 0 {
+						if err := c.SleepCtx(sctx, 1); err != nil {
+							t.Errorf("short context %d: %v", i, err)
+						}
+					} else {
+						c.Go(func() {
+							if err := short.Wait(sctx); err != nil {
+								t.Errorf("short context %d: %v", i, err)
+							}
+						})
+						c.Sleep(1) // the waiter parks
+						short.Broadcast()
+						c.Sleep(1) // the waiter runs and leaves
+					}
+					before, _, _ := groupStats(c.v)
+					stop()
+					after, _, _ := groupStats(c.v)
+					want := 1 // a plain group is gone before the context even ends
+					if tc.owned {
+						want = 2
+					}
+					if before != want || after != 1 {
+						t.Errorf("short context %d: %d groups before its cancel and %d after, want %d and 1", i, before, after, want)
+						break
+					}
+				}
+				if groups, listed, longest := groupStats(c.v); groups != 1 || listed > 2 || longest > 64 {
+					t.Errorf("after 1e3 contexts: %d groups, %d listed, longest waiter slice %d; want 1, <= 2, <= 64", groups, listed, longest)
+				}
+				cancel()
+			})
+			c.Exit()
+			wg.Wait()
+			if groups, listed, _ := groupStats(c.v); groups != 0 || listed != 0 {
+				t.Errorf("after the last context ended: %d groups, %d listed; want none", groups, listed)
 			}
-			groups, _, _ := groupStats(c.v)
-			stop()
-			if groups != 1 {
-				t.Errorf("short context %d left %d groups before it ended, want 1", i, groups)
-				break
-			}
-		}
-		if groups, order, longest := groupStats(c.v); groups != 1 || order > 2 || longest > 64 {
-			t.Errorf("after 1e3 contexts: %d groups, %d listed, longest waiter slice %d; want 1, <= 2, <= 64", groups, order, longest)
-		}
-		cancel()
-	})
-	c.Exit()
-	wg.Wait()
-	if groups, order, _ := groupStats(c.v); groups != 0 || order != 0 {
-		t.Errorf("after the last context ended: %d groups, %d listed; want none", groups, order)
+		})
 	}
 }
 
 // TestVirtualIdlePollTearDown: a stalled schedule — every participant
 // parked, no timer pending — is torn down by a context that a real timer
-// ends from outside the schedule.
+// ends from outside the schedule. A plain timeout is found by the idle
+// poll. A clock-made one is heard: its cancel wakes the idle schedule
+// itself, and no idle poll is armed.
 func TestVirtualIdlePollTearDown(t *testing.T) {
-	c := NewVirtualClock()
-	cond := c.NewCond()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	errs := make([]error, 8)
-	var wg sync.WaitGroup
-	c.Enter()
-	for i := range errs {
-		i := i
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			errs[i] = cond.Wait(ctx) // nobody broadcasts
+	errStall := errors.New("stalled")
+	for _, tc := range []struct {
+		name    string
+		owned   bool
+		timeout func(*Clock) (context.Context, context.CancelFunc)
+		err     error // what the waiters' Wait returns
+		cause   error
+	}{
+		{"plain", false, func(*Clock) (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 20*time.Millisecond)
+		}, context.DeadlineExceeded, context.DeadlineExceeded},
+		{"clock-made", true, func(c *Clock) (context.Context, context.CancelFunc) {
+			return c.WithTimeoutCause(context.Background(), 20*time.Millisecond, errStall)
+		}, context.Canceled, errStall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewVirtualClock()
+			cond := c.NewCond()
+			ctx, cancel := tc.timeout(c)
+			defer cancel()
+			errs := make([]error, 8)
+			var wg sync.WaitGroup
+			c.Enter()
+			for i := range errs {
+				i := i
+				wg.Add(1)
+				c.Go(func() {
+					defer wg.Done()
+					errs[i] = cond.Wait(ctx) // nobody broadcasts
+				})
+			}
+			c.Exit()
+			for {
+				c.v.mu.Lock()
+				parked, idleArm := len(cond.waiters) == len(errs) && !c.v.running, c.v.idleArm
+				c.v.mu.Unlock()
+				if parked {
+					if tc.owned && idleArm {
+						t.Error("an idle poll is armed while every waiter is parked on a clock-made context")
+					}
+					break
+				}
+				runtime.Gosched()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != tc.err {
+					t.Errorf("waiter %d woke with %v, want %v", i, err, tc.err)
+				}
+			}
+			if cause := context.Cause(ctx); cause != tc.cause {
+				t.Errorf("context.Cause = %v, want %v", cause, tc.cause)
+			}
+			if now := c.Now(); now != 0 {
+				t.Errorf("model time moved to %v while stalled", now)
+			}
 		})
-	}
-	c.Exit()
-	wg.Wait()
-	for i, err := range errs {
-		if err != context.DeadlineExceeded {
-			t.Errorf("waiter %d woke with %v, want context.DeadlineExceeded", i, err)
-		}
-	}
-	if now := c.Now(); now != 0 {
-		t.Errorf("model time moved to %v while stalled", now)
 	}
 }
 
@@ -621,4 +764,50 @@ func TestVirtualOutsiderWhileTokenFree(t *testing.T) {
 	}
 	c.Enter() // a free token is granted at once
 	c.Exit()
+}
+
+// BenchmarkVirtualBlock is a participant's blocking cycle: one
+// participant alternates SleepCtx and Cond.Wait, and another wakes it
+// with Broadcast and sleeps, all under one clock-made context on which
+// 64 more participants stay parked. An op is one cycle: three blocks
+// and three grants. A participant re-arms its own waiter, and the
+// context's group lives until its cancel, so the cycle allocates
+// nothing.
+func BenchmarkVirtualBlock(b *testing.B) {
+	c := NewVirtualClock()
+	ctx, cancel := c.WithCancel(context.Background())
+	parked, cond := c.NewCond(), c.NewCond()
+	var wg sync.WaitGroup
+	c.Enter()
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			if err := parked.Wait(ctx); err != context.Canceled {
+				b.Errorf("parked participant woke with %v, want context.Canceled", err)
+			}
+		})
+	}
+	wg.Add(1)
+	c.Go(func() {
+		defer wg.Done()
+		for i := 0; i < b.N; i++ {
+			if c.SleepCtx(ctx, 0.5) != nil || cond.Wait(ctx) != nil {
+				b.Error("the cycling participant was interrupted")
+				return
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.SleepCtx(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+		cond.Broadcast()
+	}
+	b.StopTimer()
+	cancel()
+	c.Exit()
+	wg.Wait()
 }

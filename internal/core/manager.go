@@ -401,7 +401,7 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	// The session's cancel func must be in place before the session is
 	// visible in m.active: a concurrent Close cancels whatever it finds
 	// there.
-	runCtx, cancel := context.WithCancelCause(ctx)
+	runCtx, cancel := m.cluster.Clock().WithCancelCause(ctx)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()

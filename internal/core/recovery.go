@@ -121,7 +121,7 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 		return nil, fmt.Errorf("core: journaled session has no distributed executor")
 	}
 
-	runCtx, cancel := context.WithCancelCause(ctx)
+	runCtx, cancel := m.cluster.Clock().WithCancelCause(ctx)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()

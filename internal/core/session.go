@@ -205,7 +205,10 @@ func (s *Session) EventsDropped() int64 { return s.hub.droppedCount() }
 
 // run drives the session to completion and publishes the outcome.
 func (s *Session) run(ctx context.Context) {
-	tctx, cancel := context.WithTimeoutCause(ctx, s.sub.Timeout, ErrStalled)
+	// ctx is the session's own (s.cancel ends it): end it once the run
+	// is over, as any context's maker does.
+	defer s.cancel(nil)
+	tctx, cancel := s.mgr.cluster.Clock().WithTimeoutCause(ctx, s.sub.Timeout, ErrStalled)
 	defer cancel()
 
 	met := s.mgr.met
@@ -438,7 +441,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// defer below.)
 	defer broker.PurgeTopics(s.prefix)
 
-	runCtx, fail := context.WithCancelCause(ctx)
+	runCtx, fail := clock.WithCancelCause(ctx)
 	defer fail(nil)
 
 	// The space consumes status updates; attach before any agent runs.
@@ -570,7 +573,7 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 	sp.SetResyncRequester(func(task string) {
 		_ = broker.PublishAtoms(agent.Topic(topicPrefix, task), []hocl.Atom{hoclflow.ResyncMarker(task)})
 	})
-	spaceCtx, stopSpace := context.WithCancel(context.Background())
+	spaceCtx, stopSpace := s.mgr.cluster.Clock().WithCancel(context.Background())
 	stop = stopSpace
 	// Durability was asked for, so a failing journal fails the session
 	// instead of silently degrading.
@@ -646,7 +649,8 @@ type localHost struct {
 	fail   context.CancelCauseFunc
 
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	live   atomic.Int64 // agents whose supervisor has not returned
+	exited cluster.Wake // signalled when the last supervisor returns
 }
 
 // launchLocal builds and subscribes the first incarnation of every
@@ -657,7 +661,7 @@ func (s *Session) launchLocal(fail context.CancelCauseFunc, spaceTopic, topicPre
 	for _, p := range placements {
 		nodeOf[p.Spec.Task.Name] = p.Node
 	}
-	h := &localHost{clock: clus.Clock(), fail: fail, sup: &agent.Supervisor{
+	h := &localHost{clock: clus.Clock(), fail: fail, exited: cluster.NewWake(clus.Clock()), sup: &agent.Supervisor{
 		Config: agent.Config{
 			Broker:      s.mgr.broker,
 			Cluster:     clus,
@@ -684,11 +688,15 @@ func (s *Session) launchLocal(fail context.CancelCauseFunc, spaceTopic, topicPre
 }
 
 func (h *localHost) start(ctx context.Context) {
-	ctx, h.cancel = context.WithCancel(ctx)
+	ctx, h.cancel = h.clock.WithCancel(ctx)
+	h.live.Store(int64(len(h.firsts)))
 	for _, a := range h.firsts {
-		h.wg.Add(1)
 		h.clock.Go(func() {
-			defer h.wg.Done()
+			defer func() {
+				if h.live.Add(-1) == 0 {
+					h.exited.Signal()
+				}
+			}()
 			if err := h.sup.Run(ctx, a); err != nil && ctx.Err() == nil {
 				h.fail(fmt.Errorf("core: agent failed: %w", err))
 			}
@@ -698,12 +706,12 @@ func (h *localHost) start(ctx context.Context) {
 
 func (h *localHost) stop() {
 	h.cancel()
-	// On a virtual clock the agent participants need the run token to
-	// observe the cancellation and unwind; leave the schedule while they
-	// do, then rejoin for the settle drain and report assembly.
-	h.clock.Exit()
-	h.wg.Wait()
-	h.clock.Enter()
+	// Wait through the clock: on a virtual clock the agents need the run
+	// token to observe the cancellation and unwind, and a wait inside the
+	// schedule resumes the session at a deterministic point of it.
+	for h.live.Load() > 0 {
+		h.exited.Park(context.Background())
+	}
 }
 
 // settle lets the space catch up once the agents have stopped, before

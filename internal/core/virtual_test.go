@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ginflow/internal/cluster"
 	"ginflow/internal/executor"
 	"ginflow/internal/failure"
+	"ginflow/internal/hocl"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
@@ -460,6 +462,113 @@ func TestCrossModeEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(virtChaos.order, virtChaos2.order) {
 				t.Errorf("same-seed chaotic virtual runs ordered completions differently:\n  %v\n  %v",
 					virtChaos.order, virtChaos2.order)
+			}
+		})
+	}
+}
+
+// siblingOutcome is everything a sibling-cancel run reports.
+type siblingOutcome struct {
+	Killer, Victim *Report
+	VictimErr      string
+}
+
+// errSiblingKill is the cause the killer session's service cancels its
+// sibling with.
+var errSiblingKill = errors.New("cancelled by a sibling session")
+
+// runSiblingCancel runs two sessions on one virtual Manager: a 4x4
+// victim whose mesh services take 5 model seconds, and a 2x2 killer
+// whose mesh services cancel the victim when they return. Both are
+// submitted from context.Background() — so the scheduler owns and hears
+// every session context — or, with cancellable, from a caller context
+// that can end, whose descendants the scheduler polls.
+func runSiblingCancel(t *testing.T, cancellable bool) siblingOutcome {
+	t.Helper()
+	m, err := NewManager(Config{
+		Executor:     executor.KindSSH,
+		Broker:       mq.KindQueue,
+		Cluster:      virtualCluster(8, 3),
+		Timeout:      time.Minute,
+		CollectTrace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	if cancellable {
+		var stop context.CancelFunc
+		ctx, stop = context.WithCancel(ctx)
+		defer stop()
+	}
+
+	var victim *Session
+	killerServices := agent.NewRegistry()
+	killerServices.RegisterNoop(0.1, "split", "merge")
+	killerServices.RegisterFunc("work", 0.5, func([]hocl.Atom) (hocl.Atom, error) {
+		victim.Cancel(errSiblingKill)
+		return hocl.Str("out-work"), nil
+	})
+	victimServices := agent.NewRegistry()
+	victimServices.RegisterNoop(0.1, "split", "merge")
+	victimServices.RegisterNoop(5, "work")
+
+	// Both sessions start at the same model instant (see runFan).
+	clock := m.Cluster().Clock()
+	clock.Enter()
+	victim, err = m.Submit(ctx, workflow.Diamond(workflow.DefaultDiamondSpec(4, 4, false)), victimServices)
+	if err != nil {
+		clock.Exit()
+		t.Fatal(err)
+	}
+	killer, err := m.Submit(ctx, workflow.Diamond(workflow.DefaultDiamondSpec(2, 2, false)), killerServices)
+	clock.Exit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out siblingOutcome
+	if out.Killer, err = killer.Wait(context.Background()); err != nil {
+		t.Fatalf("killer session: %v", err)
+	}
+	out.Victim, err = victim.Wait(context.Background())
+	if !errors.Is(err, ErrCancelled) || !errors.Is(err, errSiblingKill) {
+		t.Fatalf("victim session ended with %v, want ErrCancelled wrapping the sibling's cause", err)
+	}
+	out.VictimErr = err.Error()
+	return out
+}
+
+// TestVirtualSiblingCancelDeterminism: a cancel made inside the schedule
+// — here by one session's service, at a fixed model instant, ending a
+// sibling session — lands at the same point of the schedule every run,
+// whether the scheduler hears it or polls for it. The victim's error and
+// both sessions' reports, every model timestamp and event included, are
+// bit-identical across ten runs.
+func TestVirtualSiblingCancelDeterminism(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cancellable bool
+	}{{"heard", false}, {"polled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			first := runSiblingCancel(t, tc.cancellable)
+			if first.Victim == nil || first.Victim.ExecTime >= 5 {
+				t.Fatalf("victim report %v: want a run cut short inside its first mesh row", first.Victim)
+			}
+			for i := 1; i < 10; i++ {
+				got := runSiblingCancel(t, tc.cancellable)
+				if got.VictimErr != first.VictimErr {
+					t.Fatalf("run %d: victim error %q, run 0 %q", i, got.VictimErr, first.VictimErr)
+				}
+				for _, pair := range [][2]*Report{{first.Killer, got.Killer}, {first.Victim, got.Victim}} {
+					a, b := reflect.ValueOf(*pair[0]), reflect.ValueOf(*pair[1])
+					for f := 0; f < a.NumField(); f++ {
+						if !reflect.DeepEqual(a.Field(f).Interface(), b.Field(f).Interface()) {
+							t.Fatalf("run %d: %s report field %s = %v, run 0 %v", i, pair[0].Workflow,
+								a.Type().Field(f).Name, b.Field(f).Interface(), a.Field(f).Interface())
+						}
+					}
+				}
 			}
 		})
 	}
