@@ -24,6 +24,12 @@
 // reconnect replays the outbox — so a dropped connection loses nothing
 // and duplicates are discarded by sequence on the receiver.
 //
+// After the handshake every frame, reliable or control, goes through its
+// link's combining writer: frames that several goroutines send while a
+// socket write is in flight queue behind it and share the next write, so
+// an ACK owed by the read loop rides in the same write as the data queued
+// beside it.
+//
 // # Handshake and reconnect
 //
 // A client opens with HELLO{version, nodeID, lastSeq, name}; nodeID 0
@@ -85,27 +91,34 @@ const (
 	fTypeMax byte = 28
 )
 
-// reliable reports whether a frame type carries a sequence number.
-func reliable(typ byte) bool { return typ >= fSubscribe }
-
 // errFrame is the root of every frame-decode error; the fuzz harness
 // asserts decoding either succeeds or returns an error wrapping it —
 // never panics.
 var errFrame = errors.New("transport: bad frame")
 
-// writeFrame writes one frame as a single Write (header, type byte and
-// payload in one buffer), so concurrent writers serialized by a mutex
-// never interleave partial frames.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// appendFrame appends one encoded frame (length, type byte, payload) to
+// dst.
+func appendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	n := 1 + len(payload)
 	if n > maxFrame {
-		return fmt.Errorf("%w: oversized frame (%d bytes)", errFrame, n)
+		return dst, fmt.Errorf("%w: oversized frame (%d bytes)", errFrame, n)
 	}
-	buf := make([]byte, 0, 5+len(payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = append(buf, typ)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, typ)
+	return append(dst, payload...), nil
+}
+
+// writeFrame writes one frame on its own, as a single Write. Only the
+// handshake (HELLO, WELCOME) writes this way, before the connection is
+// attached to a link; every later frame goes through the link's
+// combining writer.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	buf, err := appendFrame(make([]byte, 0, 5+len(payload)), typ, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	metSocketWrites.Inc()
 	if err == nil {
 		metFramesSent.Inc()
 	}
@@ -433,76 +446,4 @@ func parseEvent(c *cursor) (uint64, NodeEvent, error) {
 		return 0, e, err
 	}
 	return session, e, c.done()
-}
-
-// parseFrame validates a full frame payload of the given type,
-// discarding the result — the shared validation core of FuzzFrameDecode.
-// It exercises every per-type parser exactly as the server and client
-// read loops do.
-func parseFrame(typ byte, payload []byte) error {
-	c := cursor{buf: payload}
-	if reliable(typ) {
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-	}
-	switch typ {
-	case fHello:
-		_, err := parseHello(payload)
-		return err
-	case fWelcome:
-		_, err := parseWelcome(payload)
-		return err
-	case fPing, fPong:
-		return c.done()
-	case fAck:
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-		return c.done()
-	case fSubscribe:
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-		if _, err := c.str(); err != nil {
-			return err
-		}
-		return c.done()
-	case fUnsubscribe:
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-		return c.done()
-	case fPublish:
-		_, err := parsePublish(&c)
-		return err
-	case fBatch, fLogResp:
-		if _, err := c.uvarint(); err != nil { // subID / reqID
-			return err
-		}
-		if _, err := c.msgs(); err != nil {
-			return err
-		}
-		return c.done()
-	case fLogReq:
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-		if _, err := c.str(); err != nil {
-			return err
-		}
-		return c.done()
-	case fAssign, fFail:
-		_, _, err := parseSessionBlob(&c)
-		return err
-	case fEvent:
-		_, _, err := parseEvent(&c)
-		return err
-	case fReady, fStart, fStop, fDone:
-		if _, err := c.uvarint(); err != nil {
-			return err
-		}
-		return c.done()
-	}
-	return fmt.Errorf("%w: unknown type %d", errFrame, typ)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -128,6 +129,81 @@ func TestEventRoundTrip(t *testing.T) {
 	if err := parseFrame(fEvent, append(payload, 0)); !errors.Is(err, errFrame) {
 		t.Errorf("trailing byte: err = %v, want errFrame", err)
 	}
+}
+
+// reliable reports whether a frame type carries a sequence number.
+func reliable(typ byte) bool { return typ >= fSubscribe }
+
+// parseFrame validates a full frame payload of the given type,
+// discarding the result — the shared validation core of FuzzFrameDecode.
+// It exercises every per-type parser exactly as the server and client
+// read loops do.
+func parseFrame(typ byte, payload []byte) error {
+	c := cursor{buf: payload}
+	if reliable(typ) {
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+	}
+	switch typ {
+	case fHello:
+		_, err := parseHello(payload)
+		return err
+	case fWelcome:
+		_, err := parseWelcome(payload)
+		return err
+	case fPing, fPong:
+		return c.done()
+	case fAck:
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+		return c.done()
+	case fSubscribe:
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+		if _, err := c.str(); err != nil {
+			return err
+		}
+		return c.done()
+	case fUnsubscribe:
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+		return c.done()
+	case fPublish:
+		_, err := parsePublish(&c)
+		return err
+	case fBatch, fLogResp:
+		if _, err := c.uvarint(); err != nil { // subID / reqID
+			return err
+		}
+		if _, err := c.msgs(); err != nil {
+			return err
+		}
+		return c.done()
+	case fLogReq:
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+		if _, err := c.str(); err != nil {
+			return err
+		}
+		return c.done()
+	case fAssign, fFail:
+		_, _, err := parseSessionBlob(&c)
+		return err
+	case fEvent:
+		_, _, err := parseEvent(&c)
+		return err
+	case fReady, fStart, fStop, fDone:
+		if _, err := c.uvarint(); err != nil {
+			return err
+		}
+		return c.done()
+	}
+	return fmt.Errorf("%w: unknown type %d", errFrame, typ)
 }
 
 // frameBytesRaw builds a frame with an arbitrary (possibly invalid)

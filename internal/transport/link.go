@@ -9,11 +9,20 @@ import (
 )
 
 // link is one side of a transport connection's reliable layer. It
-// serializes writes, assigns sequence numbers to reliable frames, keeps
-// every unacknowledged frame in an outbox for replay after a reconnect,
-// and dedups incoming reliable frames by sequence number. The link
-// outlives individual connections: a broken socket detaches, a
-// handshake attaches the replacement and replays the outbox.
+// assigns sequence numbers to reliable frames, keeps every
+// unacknowledged frame in an outbox for replay after a reconnect, and
+// dedups incoming reliable frames by sequence number. The link outlives
+// individual connections: a broken socket detaches, a handshake attaches
+// the replacement and replays the outbox.
+//
+// Every frame the link sends, reliable or control, goes through one
+// combining writer. A sender appends its frame to pending under mu; a
+// sender that finds no flush in progress becomes the flusher: it takes
+// the pending buffer, releases mu for a single conn.Write, and repeats
+// until nothing is pending. Senders that arrive meanwhile append and
+// return, and their frames share the flusher's next write. Frames reach
+// the socket in the order they were queued, so reliable frames stay in
+// sequence order.
 type link struct {
 	// dispatching orders dispatch across connections: a read loop on a
 	// dropped socket may still be dispatching when its successor accepts
@@ -28,7 +37,24 @@ type link struct {
 	lastIn  uint64
 	acked   uint64
 	waiters []ackWaiter
+
+	// pending holds the encoded frames queued for conn (pendingN of
+	// them); spare is the buffer the last write used, swapped in when a
+	// flusher takes pending, so the steady state allocates nothing.
+	pending  []byte
+	spare    []byte
+	pendingN int64
+	// flushing is set while a flusher has mu released for its write.
+	// attach and close wait it out on idle; quiescing counts them, and
+	// a flusher takes no further pass while one is waiting.
+	flushing  bool
+	quiescing int
+	idle      sync.Cond
 }
+
+// maxSpare bounds the write buffer the link keeps between flushes: a
+// replay or a large LOGRESP may grow one far past the usual burst.
+const maxSpare = 1 << 20
 
 // ackWaiter signals a sender blocked until its frame's sequence is
 // cumulatively acknowledged (the synchronous-subscribe round trip).
@@ -38,7 +64,7 @@ type ackWaiter struct {
 }
 
 // sentFrame is one reliable frame awaiting acknowledgement. payload
-// includes the sequence prefix, so replay is a plain re-write.
+// includes the sequence prefix, so replay is a plain re-queue.
 type sentFrame struct {
 	seq     uint64
 	typ     byte
@@ -52,16 +78,8 @@ type sentFrame struct {
 func (l *link) send(typ byte, build func(seq uint64) []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextSeq++
-	payload := build(l.nextSeq)
-	l.outbox = append(l.outbox, sentFrame{seq: l.nextSeq, typ: typ, payload: payload})
-	metUnacked.Add(1)
-	if l.conn != nil {
-		if err := writeFrame(l.conn, typ, payload); err != nil {
-			l.conn.Close()
-			l.conn = nil
-		}
-	}
+	l.enqueue(typ, build)
+	l.flush()
 }
 
 // sendWait is send plus a completion signal: the returned channel
@@ -72,20 +90,23 @@ func (l *link) send(typ byte, build func(seq uint64) []byte) {
 func (l *link) sendWait(typ byte, build func(seq uint64) []byte) <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextSeq++
-	seq := l.nextSeq
-	payload := build(seq)
-	l.outbox = append(l.outbox, sentFrame{seq: seq, typ: typ, payload: payload})
-	metUnacked.Add(1)
-	if l.conn != nil {
-		if err := writeFrame(l.conn, typ, payload); err != nil {
-			l.conn.Close()
-			l.conn = nil
-		}
-	}
 	ch := make(chan struct{})
-	l.waiters = append(l.waiters, ackWaiter{seq: seq, ch: ch})
+	// The waiter is registered before flush releases mu for the write:
+	// the peer's ACK may be applied before the write returns.
+	l.waiters = append(l.waiters, ackWaiter{seq: l.enqueue(typ, build), ch: ch})
+	l.flush()
 	return ch
+}
+
+// enqueue assigns the next sequence, keeps the frame in the outbox and
+// queues it for the current connection; l.mu held.
+func (l *link) enqueue(typ byte, build func(seq uint64) []byte) uint64 {
+	l.nextSeq++
+	payload := build(l.nextSeq)
+	l.outbox = append(l.outbox, sentFrame{seq: l.nextSeq, typ: typ, payload: payload})
+	metUnacked.Add(1)
+	l.queue(typ, payload)
+	return l.nextSeq
 }
 
 // sendControl transmits an unsequenced control frame on the current
@@ -94,21 +115,92 @@ func (l *link) sendWait(typ byte, build func(seq uint64) []byte) <-chan struct{}
 func (l *link) sendControl(typ byte, payload []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.queue(typ, payload)
+	l.flush()
+}
+
+// sendAck acknowledges everything received so far. The serve loop calls
+// it after dispatch, so the sequence it reads is processed; if a flush is
+// in flight, that flusher writes the ACK on its next pass, together with
+// the frames queued beside it.
+func (l *link) sendAck() {
+	var buf [binary.MaxVarintLen64]byte
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.queue(fAck, binary.AppendUvarint(buf[:0], l.lastIn))
+	l.flush()
+}
+
+// queue appends one frame to the pending buffer if a connection is
+// attached; l.mu held. A frame too large to encode drops the
+// connection, as a failed write does.
+func (l *link) queue(typ byte, payload []byte) {
 	if l.conn == nil {
 		return
 	}
-	if err := writeFrame(l.conn, typ, payload); err != nil {
+	buf, err := appendFrame(l.pending, typ, payload)
+	if err != nil {
 		l.conn.Close()
 		l.conn = nil
+		return
 	}
+	l.pending = buf
+	l.pendingN++
 }
 
-// sendAck acknowledges everything received so far.
-func (l *link) sendAck() {
-	l.mu.Lock()
-	seq := l.lastIn
-	l.mu.Unlock()
-	l.sendControl(fAck, binary.AppendUvarint(nil, seq))
+// flush writes the pending frames unless another sender is already
+// doing so; that flusher then writes them on its next pass. It is called,
+// and returns, with l.mu held; the lock is released around each write.
+func (l *link) flush() {
+	if l.flushing {
+		return
+	}
+	for len(l.pending) > 0 && l.conn != nil && l.quiescing == 0 {
+		conn, buf, n := l.conn, l.pending, l.pendingN
+		l.pending, l.spare, l.pendingN = l.spare[:0], nil, 0
+		l.flushing = true
+		l.mu.Unlock()
+		_, err := conn.Write(buf)
+		l.mu.Lock()
+		l.flushing = false
+		l.wrote(conn, n, err)
+		if cap(buf) <= maxSpare {
+			l.spare = buf[:0]
+		}
+	}
+	l.idle.Broadcast()
+}
+
+// wrote accounts for one socket write of n frames on conn; a failed
+// write closes that conn only. Its reliable frames stay in the outbox.
+// l.mu held.
+func (l *link) wrote(conn net.Conn, n int64, err error) {
+	metSocketWrites.Inc()
+	if err != nil {
+		conn.Close()
+		if l.conn == conn {
+			l.conn = nil
+		}
+		return
+	}
+	metFramesSent.Add(n)
+}
+
+// quiesce waits out an in-flight flush; l.mu held. While it waits the
+// flusher takes no further pass, so a stream of senders cannot hold it
+// off, and whatever they queue is left pending for the caller.
+func (l *link) quiesce() {
+	if !l.flushing {
+		return
+	}
+	if l.idle.L == nil {
+		l.idle.L = &l.mu
+	}
+	l.quiescing++
+	for l.flushing {
+		l.idle.Wait()
+	}
+	l.quiescing--
 }
 
 // serve reads one connection until it breaks or the peer violates the
@@ -117,13 +209,16 @@ func (l *link) sendAck() {
 // reconnect is dropped by sequence).
 //
 // ACKs are cumulative and sent once per read burst. Dispatching a
-// reliable frame leaves an ACK owed; the loop writes it as soon as the
+// reliable frame leaves an ACK owed; the loop queues it as soon as the
 // buffer holds no whole frame, i.e. before the next readFrame could block
-// on the socket. That holds whatever frame type ended the burst: a burst
-// that ends on PING, PONG or the peer's own ACK still pays what it owes.
-// The ACK follows dispatch, so it certifies processing: a sendWait on the
-// peer (the synchronous Subscribe the READY barrier builds on) returns
-// only after the frame's dispatch here has returned.
+// on the socket, and writes it unless a flush is in flight, whose next
+// write then carries it. That holds whatever frame type ended the burst:
+// a burst that ends on PING, PONG or the peer's own ACK still pays what
+// it owes. The ACK is built after dispatch, never from lastIn at write
+// time (accept advances lastIn before dispatch), so it certifies
+// processing: a sendWait on the peer (the synchronous Subscribe the READY
+// barrier builds on) returns only after the frame's dispatch here has
+// returned.
 //
 // Batching is deadlock-free because no dispatch path waits on the peer:
 // dispatch hands work to the broker, to an unbounded queue, to a
@@ -199,7 +294,11 @@ func (l *link) onAck(seq uint64) {
 		i++
 	}
 	if i > 0 {
-		l.outbox = append(l.outbox[:0:0], l.outbox[i:]...)
+		// Compact in place: the array is reused, and the cleared tail
+		// lets the acknowledged payloads go.
+		n := copy(l.outbox, l.outbox[i:])
+		clear(l.outbox[n:])
+		l.outbox = l.outbox[:n]
 		metUnacked.Add(-float64(i))
 	}
 	if seq > l.acked {
@@ -243,21 +342,23 @@ func (l *link) received() uint64 {
 
 // attach installs a (re)connected socket and replays the outbox. The
 // caller has already trimmed it via onAck with the peer's handshake
-// lastSeq, so only genuinely unacknowledged frames go out again.
+// lastSeq, so only genuinely unacknowledged frames go out again. It waits
+// out an in-flight flush and drops what is pending: the reliable frames
+// among it are in the outbox, and control frames belong to the old
+// connection.
 func (l *link) attach(conn net.Conn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.quiesce()
 	if l.conn != nil {
 		l.conn.Close()
 	}
 	l.conn = conn
+	l.pending, l.pendingN = l.pending[:0], 0
 	for _, f := range l.outbox {
-		if err := writeFrame(conn, f.typ, f.payload); err != nil {
-			conn.Close()
-			l.conn = nil
-			return
-		}
+		l.queue(f.typ, f.payload)
 	}
+	l.flush()
 }
 
 // detach clears the connection if it is still the given one (a stale
@@ -271,12 +372,23 @@ func (l *link) detach(conn net.Conn) {
 	}
 }
 
-// close tears the current connection down unconditionally.
+// close tears the current connection down unconditionally. Like a write
+// in flight, an in-flight flush is waited out, and what senders queued
+// behind it is written first, so a frame sent before close reaches the
+// socket.
 func (l *link) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
+	l.quiesce()
+	conn := l.conn
+	if conn == nil {
+		return
 	}
+	if len(l.pending) > 0 {
+		_, err := conn.Write(l.pending)
+		l.wrote(conn, l.pendingN, err)
+		l.pending, l.pendingN = l.pending[:0], 0
+	}
+	conn.Close()
+	l.conn = nil
 }

@@ -10,6 +10,8 @@ import "ginflow/internal/obs"
 var (
 	metFramesSent = obs.Default().Counter("ginflow_transport_frames_sent_total",
 		"Frames written to transport sockets (both directions' writers).")
+	metSocketWrites = obs.Default().Counter("ginflow_transport_socket_writes_total",
+		"Socket writes by transport endpoints; one write carries every frame queued on its link since the last.")
 	metFramesReceived = obs.Default().Counter("ginflow_transport_frames_received_total",
 		"Frames read from transport sockets.")
 	metReconnects = obs.Default().Counter("ginflow_transport_reconnects_total",

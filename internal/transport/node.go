@@ -165,6 +165,10 @@ func (n *Node) handleAssign(session uint64, blob []byte) {
 type nodeSession struct {
 	node *Node
 	id   uint64
+	// topics are the session's topic namespaces (its agents' inbox
+	// prefix and its space topic), purged from the client's publish
+	// counts when the session stops.
+	topics [2]string
 
 	sup    *agent.Supervisor
 	agents []*agent.Agent // first incarnations, subscribed at build time
@@ -243,7 +247,7 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 			Incarnation: e.Incarnation, Info: e.Info,
 		})
 	})
-	ns := &nodeSession{node: n, id: session, sup: &agent.Supervisor{
+	ns := &nodeSession{node: n, id: session, topics: [2]string{a.TopicPrefix, a.SpaceTopic}, sup: &agent.Supervisor{
 		Config: agent.Config{
 			Broker:      n.rb,
 			Cluster:     clus,
@@ -304,9 +308,11 @@ func (ns *nodeSession) fail(err error) {
 	})
 }
 
-// stop cancels the agents and waits for them to unwind. A session
-// stopped before start releases its subscriptions by running each
-// agent once under an already-cancelled context.
+// stop cancels the agents and waits for them to unwind, then forgets
+// the session's topics: they are named per session, so a long-lived
+// worker would otherwise keep a publish count for every topic it ever
+// served. A session stopped before start releases its subscriptions by
+// running each agent once under an already-cancelled context.
 func (ns *nodeSession) stop() {
 	ns.mu.Lock()
 	started := ns.started
@@ -315,12 +321,17 @@ func (ns *nodeSession) stop() {
 	if started {
 		ns.cancel()
 		ns.wg.Wait()
-		return
+	} else {
+		done, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, a := range ns.agents {
+			_ = a.Run(done)
+		}
 	}
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, a := range ns.agents {
-		_ = a.Run(done)
+	for _, prefix := range ns.topics {
+		if prefix != "" {
+			ns.node.rb.PurgeTopics(prefix)
+		}
 	}
 }
 
