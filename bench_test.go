@@ -67,30 +67,6 @@ func BenchmarkFig15MontageGeneration(b *testing.B) {
 
 // --- Ablation benchmarks ----------------------------------------------------
 
-// BenchmarkAblationMatchCost supports the §V-A claim that "the
-// complexity of the pattern matching process depends on the size of the
-// solution": one getMax firing over solutions of growing size.
-func BenchmarkAblationMatchCost(b *testing.B) {
-	for _, size := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("atoms-%d", size), func(b *testing.B) {
-			rule := hocl.MustParseRuleBody("max", "replace x, y by x if x >= y", nil)
-			atoms := make([]hocl.Atom, size+1)
-			for i := 0; i < size; i++ {
-				atoms[i] = hocl.Int(i)
-			}
-			atoms[size] = rule
-			funcs := hocl.NewFuncs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol := hocl.NewSolution(atoms...)
-				if m := hocl.MatchRule(rule, sol, size, funcs, nil); m == nil {
-					b.Fatal("no match")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationReduceGetMax measures full reductions of the paper's
 // §III-A program at growing multiset sizes.
 func BenchmarkAblationReduceGetMax(b *testing.B) {
@@ -124,11 +100,11 @@ func BenchmarkAblationBrokerThroughput(b *testing.B) {
 			var broker mq.Broker
 			switch kind {
 			case mq.KindQueue:
-				qb := mq.NewQueueBroker(clock, 1e-9)
+				qb := mq.NewQueueBrokerSharded(clock, 1e-9, 0)
 				qb.SetServiceTime(0)
 				broker = qb
 			default:
-				lb := mq.NewLogBroker(clock, 1e-9)
+				lb := mq.NewLogBrokerSharded(clock, 1e-9, 0)
 				lb.SetServiceTime(0)
 				broker = lb
 			}
@@ -309,7 +285,7 @@ func nextOne(b *testing.B, sub *mq.Subscription) mq.Message {
 // (agent -> broker -> peer agent ingest).
 func BenchmarkMessageRoundTrip(b *testing.B) {
 	clock := cluster.NewClock(time.Nanosecond)
-	broker := mq.NewQueueBroker(clock, 1e-9)
+	broker := mq.NewQueueBrokerSharded(clock, 1e-9, 0)
 	broker.SetServiceTime(0)
 	sp := space.New()
 	spaceSub, err := broker.Subscribe(space.DefaultTopic)
@@ -355,7 +331,7 @@ func BenchmarkMessageRoundTrip(b *testing.B) {
 // must cost atomics, never allocations.
 func BenchmarkInstrumentedMessageRoundTrip(b *testing.B) {
 	clock := cluster.NewClock(time.Nanosecond)
-	broker := mq.NewQueueBroker(clock, 1e-9)
+	broker := mq.NewQueueBrokerSharded(clock, 1e-9, 0)
 	broker.SetServiceTime(0)
 	broker.SetMetrics(obs.NewRegistry())
 	sp := space.New()

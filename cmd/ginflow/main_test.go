@@ -42,8 +42,10 @@ func TestBuildWorkloadMontage(t *testing.T) {
 	if def.TaskCount() != 118 {
 		t.Errorf("tasks = %d", def.TaskCount())
 	}
-	if len(services.Names()) != 118 {
-		t.Errorf("services = %d", len(services.Names()))
+	for _, task := range def.Tasks {
+		if _, ok := services.Lookup(task.Service); !ok {
+			t.Errorf("task %s: service %q not registered", task.ID, task.Service)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ginflow/internal/cluster"
@@ -80,8 +79,9 @@ func (e *EscalationError) Is(target error) bool {
 // Config wires one agent incarnation.
 type Config struct {
 	Spec workflow.AgentSpec
-	// Broker carries inter-agent messages and space updates.
-	Broker mq.Broker
+	// Broker carries inter-agent messages and space updates. A respawned
+	// incarnation replays its inbox when the broker is mq.Replayable.
+	Broker mq.PubSub
 	// Cluster provides the clock and the link-latency model; Node is the
 	// machine hosting this agent.
 	Cluster *cluster.Cluster
@@ -136,8 +136,6 @@ type Agent struct {
 	statusEnc     hoclflow.StatusEncoder
 	statusScratch []hocl.Atom
 	completedSeen bool
-	sends         atomic.Int64
-	reductions    atomic.Int64
 
 	// sendSeq numbers this incarnation's outgoing messages per topic;
 	// each direct message is prefixed with a SEQ header so the receiver
@@ -178,19 +176,6 @@ func New(cfg Config) *Agent {
 
 // Name returns the task this agent executes.
 func (a *Agent) Name() string { return a.name }
-
-// Incarnation returns the agent's incarnation number.
-func (a *Agent) Incarnation() int { return a.cfg.Incarnation }
-
-// Sends returns the number of direct messages this incarnation sent.
-func (a *Agent) Sends() int64 { return a.sends.Load() }
-
-// Reductions returns the number of reduction passes performed.
-func (a *Agent) Reductions() int64 { return a.reductions.Load() }
-
-// Local exposes the agent's local solution for inspection in tests and
-// reports. The caller must not mutate it while Run is active.
-func (a *Agent) Local() *hocl.Solution { return a.local }
 
 func (a *Agent) clock() *cluster.Clock { return a.cfg.Cluster.Clock() }
 
@@ -330,7 +315,6 @@ func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	topic := Topic(a.cfg.TopicPrefix, string(dst))
 	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, hocl.SnapshotAtoms(args[1:])))
 	a.publishWithLatency(topic, payload, a.linkLatencyTo(string(dst)))
-	a.sends.Add(1)
 	a.cfg.Trace.Record(trace.ResultSent, a.name, a.cfg.Incarnation, string(dst))
 	return nil, nil
 }
@@ -345,7 +329,6 @@ func (a *Agent) fireTrigger(trig workflow.TriggerSpec) error {
 	for _, peer := range trig.Notify {
 		t := Topic(a.cfg.TopicPrefix, peer)
 		a.publishWithLatency(t, a.stampSeq(t, marker), a.linkLatencyTo(peer))
-		a.sends.Add(1)
 	}
 	a.publishWithLatency(a.spaceTopic(), []hocl.Atom{hoclflow.TriggerMarker(trig.AdaptationID)}, 0)
 	return nil
@@ -435,7 +418,6 @@ func (a *Agent) pushStatus() {
 
 // reduce runs the interpreter over the local solution and pushes status.
 func (a *Agent) reduce() error {
-	a.reductions.Add(1)
 	if err := a.engine.Reduce(a.local); err != nil {
 		return err
 	}
@@ -530,7 +512,11 @@ func (a *Agent) Run(ctx context.Context) error {
 	a.cfg.Trace.Record(trace.AgentStarted, a.name, a.cfg.Incarnation, "")
 	if a.cfg.Incarnation > 0 {
 		if replayable, ok := a.cfg.Broker.(mq.Replayable); ok {
-			for _, msg := range replayable.Log(a.inboxTopic()) {
+			log, err := replayable.Log(a.inboxTopic())
+			if err != nil {
+				return fmt.Errorf("agent %s: inbox replay: %w", a.name, err)
+			}
+			for _, msg := range log {
 				a.ingest(msg)
 			}
 		}

@@ -69,7 +69,7 @@ func startSpace(t *testing.T, ctx context.Context, broker mq.Broker) *space.Spac
 // producer invokes, sends P2P, consumer receives, invokes, reports.
 func TestTwoAgentPipeline(t *testing.T) {
 	clus := testCluster()
-	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	sp := startSpace(t, ctx, broker)
@@ -106,7 +106,7 @@ func TestTwoAgentPipeline(t *testing.T) {
 // inbox and completes.
 func TestAgentCrashAndReplayRecovery(t *testing.T) {
 	clus := testCluster()
-	broker := mq.NewLogBroker(clus.Clock(), 0.0001)
+	broker := mq.NewLogBrokerSharded(clus.Clock(), 0.0001, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	sp := startSpace(t, ctx, broker)
@@ -165,7 +165,7 @@ func TestAgentCrashAndReplayRecovery(t *testing.T) {
 // — the behaviour that justifies Kafka for resilience (§IV-B).
 func TestAgentRecoveryImpossibleOnQueueBroker(t *testing.T) {
 	clus := testCluster()
-	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	sp := startSpace(t, ctx, broker)
@@ -216,7 +216,7 @@ func TestAgentDistributedAdaptation(t *testing.T) {
 	}
 
 	clus := testCluster()
-	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	sp := startSpace(t, ctx, broker)
@@ -253,8 +253,10 @@ func TestServiceRegistry(t *testing.T) {
 	})
 	r.RegisterFailing("f", 0.1)
 
-	if len(r.Names()) != 4 {
-		t.Errorf("names = %v", r.Names())
+	for _, name := range []string{"a", "b", "c", "f"} {
+		if _, ok := r.Lookup(name); !ok {
+			t.Errorf("service %q not registered", name)
+		}
 	}
 	svc, ok := r.Lookup("a")
 	if !ok || svc.Duration != 0.5 {
@@ -299,17 +301,17 @@ func TestAgentIngestEmptyMessageIsNoop(t *testing.T) {
 	clus := testCluster()
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
-		Spec: p, Broker: mq.NewQueueBroker(clus.Clock(), 0.0001),
+		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
 		Cluster: clus, Node: clus.Node(0), Services: noopRegistry(0, "s1"),
 	})
-	before := a.Local().Len()
+	before := a.local.Len()
 	a.ingest(mq.Message{})
 	a.ingest(mq.Message{Atoms: []hocl.Atom{}})
-	if a.Local().Len() != before {
+	if a.local.Len() != before {
 		t.Error("empty message mutated the local solution")
 	}
 	a.ingest(mq.Message{Atoms: []hocl.Atom{hocl.Ident("GOODATOM")}})
-	if a.Local().Len() != before+1 {
+	if a.local.Len() != before+1 {
 		t.Error("atoms not ingested")
 	}
 }
@@ -318,7 +320,7 @@ func TestInvokeUnknownServiceIsFatal(t *testing.T) {
 	clus := testCluster()
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
-		Spec: p, Broker: mq.NewQueueBroker(clus.Clock(), 0.0001),
+		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
 		Cluster: clus, Node: clus.Node(0), Services: NewRegistry(), // empty!
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -350,23 +352,23 @@ func TestCrashErrorFormatting(t *testing.T) {
 // and a state change publishes again.
 func TestPushStatusDeduplicatesByFingerprint(t *testing.T) {
 	clus := testCluster()
-	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
 		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
 		Services: noopRegistry(0, "s1"),
 	})
 	a.pushStatus()
-	if got := broker.Published(); got != 1 {
+	if got := broker.PublishedPrefix(""); got != 1 {
 		t.Fatalf("first push published %d messages, want 1", got)
 	}
 	a.pushStatus() // unchanged state: deduplicated
-	if got := broker.Published(); got != 1 {
+	if got := broker.PublishedPrefix(""); got != 1 {
 		t.Errorf("unchanged push published %d messages, want 1", got)
 	}
 	a.local.Add(hocl.Ident("NEWSTATE"))
 	a.pushStatus()
-	if got := broker.Published(); got != 2 {
+	if got := broker.PublishedPrefix(""); got != 2 {
 		t.Errorf("changed push published %d messages, want 2", got)
 	}
 }
@@ -378,7 +380,7 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 	clus := testCluster()
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
-		Spec: p, Broker: mq.NewQueueBroker(clus.Clock(), 0.0001),
+		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
 		Cluster: clus, Node: clus.Node(0), Services: noopRegistry(0, "s1"),
 	})
 
@@ -405,7 +407,7 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 // local state is unchanged — and never enters the local solution.
 func TestResyncMarkerForcesFullPush(t *testing.T) {
 	clus := testCluster()
-	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
 		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
@@ -413,7 +415,7 @@ func TestResyncMarkerForcesFullPush(t *testing.T) {
 	})
 	a.pushStatus()
 	a.pushStatus() // unchanged: deduplicated
-	if got := broker.Published(); got != 1 {
+	if got := broker.PublishedPrefix(""); got != 1 {
 		t.Fatalf("setup: published %d, want 1", got)
 	}
 
@@ -423,7 +425,7 @@ func TestResyncMarkerForcesFullPush(t *testing.T) {
 		t.Fatal("RESYNC marker leaked into the local solution")
 	}
 	a.pushStatus() // same state, but the encoder was reset: full push
-	if got := broker.Published(); got != 2 {
+	if got := broker.PublishedPrefix(""); got != 2 {
 		t.Fatalf("post-resync push published %d total, want 2", got)
 	}
 }

@@ -55,7 +55,7 @@ func TestChaosAgentCrashOnly(t *testing.T) {
 	if rep.Failures == 0 || rep.Failures != rep.Recoveries {
 		t.Errorf("failures = %d, recoveries = %d: want equal and non-zero", rep.Failures, rep.Recoveries)
 	}
-	if got := m.Chaos().SettleSeconds(); got != 0 {
+	if got := m.chaos.SettleSeconds(); got != 0 {
 		t.Errorf("crash-only schedule settles for %v model seconds", got)
 	}
 	for b := failure.BoundaryMessage; b <= failure.BoundaryAgentCrash; b++ {
@@ -313,11 +313,11 @@ func TestRecoverRestoresReplayLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	ids, err := m2.Journal().SessionIDs()
+	ids, err := m2.journal.SessionIDs()
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("journaled sessions: %v (%v)", ids, err)
 	}
-	st, err := m2.Journal().ReadSession(ids[0])
+	st, err := m2.journal.ReadSession(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,11 @@ func TestRecoverRestoresReplayLogs(t *testing.T) {
 		t.Fatal("log broker is not replayable")
 	}
 	for topic, n := range perTopic {
-		if got := len(rep.Log(topic)); got < n {
+		log, err := rep.Log(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(log); got < n {
 			t.Errorf("topic %s replay log holds %d messages, journal had %d", topic, got, n)
 		}
 	}

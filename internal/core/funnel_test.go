@@ -179,7 +179,7 @@ func TestSessionFailureFunnel(t *testing.T) {
 					t.Fatalf("session completed: %v", rep)
 				}
 				tc.check(t, rep, err)
-				if got := m.Broker().Topics(s.TopicNamespace()); len(got) != 0 {
+				if got := m.broker.Topics(s.prefix); len(got) != 0 {
 					t.Errorf("broker retains the session's topics: %v", got)
 				}
 				for _, n := range m.Cluster().Nodes() {

@@ -140,14 +140,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 		m.exec = exec
 		m.broker = broker
-		if bm, ok := broker.(interface{ SetMetrics(*obs.Registry) }); ok {
-			bm.SetMetrics(reg)
-		}
-		if chaos != nil {
-			if ch, ok := broker.(mq.ChaosHost); ok {
-				ch.SetChaos(chaos)
-			}
-		}
+		broker.SetMetrics(reg)
+		broker.SetChaos(chaos)
 	}
 	if cfg.Listen != "" {
 		if m.broker == nil {
@@ -226,10 +220,6 @@ func (m *Manager) unregisterInboxJournal(id int64) {
 	m.inboxMu.Unlock()
 }
 
-// Chaos exposes the manager's fault schedule (nil when Config.Chaos is
-// disabled); tests and tooling read its per-boundary injection counts.
-func (m *Manager) Chaos() *failure.Schedule { return m.chaos }
-
 // Metrics exposes the manager's metrics registry (Config.Metrics, or
 // the process-wide default when none was configured).
 func (m *Manager) Metrics() *obs.Registry { return m.reg }
@@ -291,16 +281,9 @@ func (m *Manager) Events() <-chan SessionEvent {
 	return m.events.subscribe()
 }
 
-// Journal exposes the manager's journal (nil when journaling is
-// disabled); tests and tooling inspect it.
-func (m *Manager) Journal() *journal.Journal { return m.journal }
-
 // Cluster exposes the shared platform (tests and benchmarks assert on
 // slot accounting).
 func (m *Manager) Cluster() *cluster.Cluster { return m.cluster }
-
-// Broker exposes the shared broker (nil for centralized managers).
-func (m *Manager) Broker() mq.Broker { return m.broker }
 
 // Active returns the number of sessions currently running.
 func (m *Manager) Active() int {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"ginflow/internal/executor"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/mq"
+	"ginflow/internal/obs"
 	"ginflow/internal/trace"
 	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
@@ -122,7 +124,7 @@ func TestManagerConcurrentMixedSessions(t *testing.T) {
 			for _, id := range c.def.AllTaskIDs() {
 				own[id] = true
 			}
-			for _, name := range s.space.Names() {
+			for name := range s.space.TaskStates() {
 				if !own[name] {
 					t.Errorf("%s: foreign task %q leaked into session space", c.name, name)
 				}
@@ -137,7 +139,7 @@ func TestManagerConcurrentMixedSessions(t *testing.T) {
 	// All sessions purged their namespaces: the shared broker retains no
 	// per-session topic state.
 	for _, s := range sessions {
-		if topics := m.Broker().Topics(s.TopicNamespace()); len(topics) != 0 {
+		if topics := m.broker.Topics(s.prefix); len(topics) != 0 {
 			t.Errorf("session %d left topics behind: %v", s.ID(), topics)
 		}
 	}
@@ -151,6 +153,7 @@ func TestManagerSessionIsolationMessages(t *testing.T) {
 		Executor: executor.KindSSH,
 		Broker:   mq.KindQueue,
 		Cluster:  fastCluster(6),
+		Metrics:  obs.NewRegistry(),
 	})
 	var handles []*Session
 	for i := 0; i < 2; i++ {
@@ -168,7 +171,7 @@ func TestManagerSessionIsolationMessages(t *testing.T) {
 		}
 		counts = append(counts, rep.Messages)
 	}
-	total := m.Broker().Published()
+	total := m.reg.Counter("ginflow_mq_published_total", "").Value()
 	if counts[0]+counts[1] != total {
 		t.Errorf("per-session messages %v do not sum to broker total %d", counts, total)
 	}
@@ -193,7 +196,7 @@ func TestManagerCancelReleasesResources(t *testing.T) {
 	}
 	// Let deployment finish and the first agent start.
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Broker().PublishedPrefix(s.TopicNamespace()) == 0 {
+	for m.broker.PublishedPrefix(s.prefix) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never published")
 		}
@@ -218,7 +221,7 @@ func TestManagerCancelReleasesResources(t *testing.T) {
 			t.Errorf("node %v still holds %d slots after cancel", n, n.InUse())
 		}
 	}
-	if topics := m.Broker().Topics(s.TopicNamespace()); len(topics) != 0 {
+	if topics := m.broker.Topics(s.prefix); len(topics) != 0 {
 		t.Errorf("topics not purged after cancel: %v", topics)
 	}
 	if got := m.Active(); got != 0 {
@@ -460,10 +463,17 @@ func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 		Broker:       mq.KindLog, // retained logs are the easiest state to leak
 		BrokerShards: 4,
 		Cluster:      virtualCluster(8, 1),
+		Metrics:      obs.NewRegistry(),
 	})
-	broker := m.Broker()
-	if broker.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", broker.ShardCount())
+	broker := m.broker
+	// BrokerShards reaches the manager's broker: its per-shard gauges
+	// run from shard 0 to shard 3.
+	var expo strings.Builder
+	if err := m.reg.WriteProm(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), `ginflow_mq_pending_messages{shard="3"}`) || strings.Contains(expo.String(), `shard="4"`) {
+		t.Fatalf("broker is not 4-sharded:\n%s", expo.String())
 	}
 
 	clock := m.Cluster().Clock()
@@ -481,10 +491,10 @@ func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 	}
 	// Let traffic flow so every session has created topics on its shard.
 	for _, s := range sessions {
-		for broker.PublishedPrefix(s.TopicNamespace()) == 0 {
+		for broker.PublishedPrefix(s.prefix) == 0 {
 			if clock.Now() > 1000 {
 				clock.Exit()
-				t.Fatalf("session %s produced no traffic in %v model seconds", s.TopicNamespace(), clock.Now())
+				t.Fatalf("session %s produced no traffic in %v model seconds", s.prefix, clock.Now())
 			}
 			clock.SleepCtx(context.Background(), 0.1)
 		}
@@ -499,12 +509,7 @@ func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 		}
 	}
 	for _, s := range sessions {
-		ns := s.TopicNamespace()
-		for shard := 0; shard < broker.ShardCount(); shard++ {
-			if got := broker.ShardTopics(shard, ns); len(got) != 0 {
-				t.Errorf("shard %d retains topics of cancelled session %s: %v", shard, ns, got)
-			}
-		}
+		ns := s.prefix
 		if got := broker.Topics(ns); len(got) != 0 {
 			t.Errorf("broker retains topics of cancelled session %s: %v", ns, got)
 		}
@@ -571,14 +576,14 @@ func TestManagerCloseLeavesNothing(t *testing.T) {
 				t.Fatalf("completed session: %v", err)
 			}
 			// Cancel the second session once its agents are publishing.
-			clock, broker := m.Cluster().Clock(), m.Broker()
+			clock, broker := m.Cluster().Clock(), m.broker
 			clock.Enter()
 			cancelled, err := m.Submit(context.Background(), workflow.Diamond(workflow.DefaultDiamondSpec(2, 3, false)), services)
 			if err != nil {
 				clock.Exit()
 				t.Fatal(err)
 			}
-			for broker.PublishedPrefix(cancelled.TopicNamespace()) == 0 && clock.Now() < 1000 {
+			for broker.PublishedPrefix(cancelled.prefix) == 0 && clock.Now() < 1000 {
 				clock.SleepCtx(context.Background(), 0.1)
 			}
 			cancelled.Cancel(nil)

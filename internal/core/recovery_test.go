@@ -59,7 +59,7 @@ func journaledStatuses(t *testing.T, j *journal.Journal, id int64) map[string]ho
 		sp.ApplyMessage(mq.Message{Atoms: payload})
 	}
 	out := map[string]hoclflow.Status{}
-	for _, name := range sp.Names() {
+	for name := range sp.TaskStates() {
 		out[name] = sp.Status(name)
 	}
 	return out
@@ -93,14 +93,14 @@ func crashAndRecover(t *testing.T, def *workflow.Definition, services *agent.Reg
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	ids, err := m2.Journal().SessionIDs()
+	ids, err := m2.journal.SessionIDs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) == 0 {
 		return nil, nil, false // crash point beyond the run: journal finished clean
 	}
-	journaled = journaledStatuses(t, m2.Journal(), ids[0])
+	journaled = journaledStatuses(t, m2.journal, ids[0])
 
 	sessions, err := m2.Recover(ctx, services, SubmitTrace())
 	if err != nil {

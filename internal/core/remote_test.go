@@ -18,6 +18,7 @@ import (
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
+	"ginflow/internal/obs"
 	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
 )
@@ -262,6 +263,7 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 		}
 		cfg.Retry = failure.RetryConfig{MaxAttempts: 8, BackoffBase: 0.25}
 		cfg.Listen = "127.0.0.1:0"
+		cfg.Metrics = obs.NewRegistry()
 		m, err := NewManager(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +279,7 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 		}
 		fp := s.space.StateFingerprint()
 		requireSameOutcome(t, baseRep, rep, baseFP, fp)
-		if m.Chaos().Faults() == 0 {
+		if m.reg.Counter("ginflow_chaos_faults_total", "", obs.L("boundary", failure.BoundarySocket.String())).Value() == 0 {
 			t.Errorf("seed %d: no socket fault ever fired; chaos run is vacuous", seed)
 		}
 		dups += rep.DuplicatesSuppressed

@@ -133,9 +133,6 @@ func eventBuffer(def *workflow.Definition) int {
 // ID returns the session's manager-unique identifier.
 func (s *Session) ID() int64 { return s.id }
 
-// TopicNamespace returns the session's broker topic prefix.
-func (s *Session) TopicNamespace() string { return s.prefix }
-
 // Cancel stops the session. Wait returns an error matching ErrCancelled
 // (also wrapping cause, when non-nil). Cancelling a finished session is
 // a no-op.
@@ -613,7 +610,8 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 			s.jw.SetInboxSource(func() []journal.InboxRecord {
 				var recs []journal.InboxRecord
 				for _, topic := range broker.Topics(topicPrefix) {
-					for _, m := range rep.Log(topic) {
+					log, _ := rep.Log(topic) // an in-process log read never fails
+					for _, m := range log {
 						recs = append(recs, journal.InboxRecord{Topic: topic, Atoms: m.Atoms})
 					}
 				}

@@ -55,22 +55,6 @@ func (v *evalVM) evalGuard(prog []einstr, env *Binding, funcs *Funcs) bool {
 	return ok && bool(b)
 }
 
-// evalProducts runs a compiled product program and returns the produced
-// atoms in a fresh exact-size slice (nil when the program produces
-// nothing, matching EvalElems). The engine's firing path skips the copy
-// by reading vm.stack directly after run — see Rule.applyVM.
-func (v *evalVM) evalProducts(prog []einstr, env *Binding, funcs *Funcs) ([]Atom, error) {
-	if err := v.run(prog, env, funcs); err != nil {
-		return nil, err
-	}
-	if len(v.stack) == 0 {
-		return nil, nil
-	}
-	out := make([]Atom, len(v.stack))
-	copy(out, v.stack)
-	return out, nil
-}
-
 // run executes a compiled program, leaving its results on v.stack. Error
 // construction is gated on v.quiet at every site (rather than through a
 // helper) so the quiet path provably never reaches an allocating

@@ -1,16 +1,12 @@
-package bench
+package hocl
 
-// Micro-benchmarks for the compiled expression machine (internal/hocl
-// ecompile.go / evm.go), guarded by cmd/benchguard alongside the
+// Micro-benchmarks for the compiled expression machine (ecompile.go /
+// evm.go), guarded by cmd/benchguard alongside the
 // end-to-end reduction benchmark: the guard path must stay allocation-
 // free per failed candidate, and the product path must not regress to
 // tree-walker slice churn.
 
-import (
-	"testing"
-
-	"ginflow/internal/hocl"
-)
+import "testing"
 
 // BenchmarkEvalGuard measures the cost of guard rejection, the dominant
 // operation of chemical matching: getMax's `x >= y` over a solution of
@@ -18,21 +14,21 @@ import (
 // evaluation fails with a comparison type error (eval-error-means-false).
 // Under the tree-walker each failure allocated an error chain; compiled
 // quiet-mode guards fail without touching the heap, so the per-call
-// allocations are the constant matcher setup of the public MatchRule
-// path, independent of the quadratic number of guard attempts.
+// allocations are the constant matcher setup of the MatchRule test
+// entry, independent of the quadratic number of guard attempts.
 func BenchmarkEvalGuard(b *testing.B) {
-	rule := hocl.MustParseRuleBody("max", "replace x, y by x if x >= y", nil)
-	atoms := make([]hocl.Atom, 9)
+	rule := MustParseRuleBody("max", "replace x, y by x if x >= y", nil)
+	atoms := make([]Atom, 9)
 	for i := 0; i < 8; i++ {
-		atoms[i] = hocl.Ident("A" + string(rune('0'+i)))
+		atoms[i] = Ident("A" + string(rune('0'+i)))
 	}
 	atoms[8] = rule
-	sol := hocl.NewSolution(atoms...)
-	funcs := hocl.NewFuncs()
+	sol := NewSolution(atoms...)
+	funcs := NewFuncs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := hocl.MatchRule(rule, sol, 8, funcs, nil); m != nil {
+		if m := MatchRule(rule, sol, 8, funcs, nil); m != nil {
 			b.Fatal("idents must not satisfy x >= y")
 		}
 	}
@@ -45,13 +41,13 @@ func BenchmarkEvalGuard(b *testing.B) {
 // is snapshotted (the agent instantiation path) and reduced to inertness,
 // which fires the rule exactly once.
 func BenchmarkEvalProducts(b *testing.B) {
-	tmpl, err := hocl.Parse(
+	tmpl, err := Parse(
 		`let gw = replace-one IN:<*w> by OUT:list(*w), PAIR:(1:2), <DONE, *w>
 		 in <gw, IN:<"a", "b", "c", "d">>`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := hocl.NewEngine()
+	engine := NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -150,20 +150,6 @@ type Match struct {
 	Consumed []int // indices into the solution, ascending
 }
 
-// MatchRule searches sol for atoms satisfying r's pattern and guard. The
-// rule's own atom (at index selfIdx, -1 if not applicable) is excluded
-// from candidates: a rule does not consume itself. Candidates are tried
-// in the order given by order (a permutation of sol indices; nil means
-// natural order), which is how the engine injects chemical
-// non-determinism. Returns nil when no match exists.
-func MatchRule(r *Rule, sol *Solution, selfIdx int, funcs *Funcs, order []int) *Match {
-	var m matcher
-	m.reset(sol, funcs, order, nil)
-	res := m.matchRule(r, selfIdx)
-	metGuardRejections.Add(m.guardRejects)
-	return res
-}
-
 type matcher struct {
 	sol   *Solution
 	used  []bool // top-level reservation flags (context 0)

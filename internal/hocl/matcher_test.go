@@ -1,6 +1,7 @@
 package hocl
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -288,5 +289,29 @@ func TestMatcherOrderPermutationStillFindsMatch(t *testing.T) {
 	}
 	if m := MatchRule(r, sol, sol.Len()-1, NewFuncs(), order); m == nil {
 		t.Fatal("no match under permuted order")
+	}
+}
+
+// BenchmarkAblationMatchCost supports the §V-A claim that "the
+// complexity of the pattern matching process depends on the size of the
+// solution": one getMax firing over solutions of growing size.
+func BenchmarkAblationMatchCost(b *testing.B) {
+	for _, size := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("atoms-%d", size), func(b *testing.B) {
+			rule := MustParseRuleBody("max", "replace x, y by x if x >= y", nil)
+			atoms := make([]Atom, size+1)
+			for i := 0; i < size; i++ {
+				atoms[i] = Int(i)
+			}
+			atoms[size] = rule
+			funcs := NewFuncs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sol := NewSolution(atoms...)
+				if m := MatchRule(rule, sol, size, funcs, nil); m == nil {
+					b.Fatal("no match")
+				}
+			}
+		})
 	}
 }

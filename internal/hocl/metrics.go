@@ -5,8 +5,8 @@ import "ginflow/internal/obs"
 // Chemical-engine instrumentation. The reduction loop is the hottest
 // code in the repo (BenchmarkReduceDiamondRules guards its allocation
 // budget), so counts accumulate in plain engine-local integers and are
-// flushed to these process-wide counters once per Reduce / MatchRule
-// call — the hot loop itself never touches an atomic.
+// flushed to these process-wide counters once per Reduce call — the
+// hot loop itself never touches an atomic.
 var (
 	metReduceCalls = obs.Default().Counter("ginflow_hocl_reduce_calls_total",
 		"Engine.Reduce invocations (one per agent reaction pass).")

@@ -24,49 +24,6 @@ func Parse(src string) (*Solution, error) {
 	return p.parseProgram()
 }
 
-// ParseMolecules parses a comma-separated list of ground molecules — the
-// wire format of inter-agent messages. No variables or external scope are
-// allowed; rule literals `(rule name = replace ... by ...)` are.
-func ParseMolecules(src string) ([]Atom, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	var atoms []Atom
-	if p.tok.kind == tokEOF {
-		return nil, nil
-	}
-	for {
-		a, err := p.parseGround()
-		if err != nil {
-			return nil, err
-		}
-		atoms = append(atoms, a)
-		if p.tok.kind != tokComma {
-			break
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errf("unexpected %s after molecules", p.tok)
-	}
-	return atoms, nil
-}
-
-// ParseGround parses a single ground molecule.
-func ParseGround(src string) (Atom, error) {
-	atoms, err := ParseMolecules(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(atoms) != 1 {
-		return nil, fmt.Errorf("hocl: want exactly 1 molecule, got %d", len(atoms))
-	}
-	return atoms[0], nil
-}
-
 // ParseRuleBody parses a rule definition body such as
 // "replace x, y by x if x >= y" under the given named-rule scope (which
 // may be nil). This is how HOCLflow generates the gw_* and adaptation

@@ -43,16 +43,6 @@ func writeSolution(b *strings.Builder, s *Solution) {
 	b.WriteByte('>')
 }
 
-// FormatMolecules renders atoms as a comma-separated molecule list — the
-// inverse of ParseMolecules and the wire format for inter-agent messages.
-func FormatMolecules(atoms []Atom) string {
-	parts := make([]string, len(atoms))
-	for i, a := range atoms {
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, ", ")
-}
-
 // Pretty renders a solution with indentation for human consumption (logs,
 // CLI output). The output is still parseable.
 func Pretty(a Atom) string {

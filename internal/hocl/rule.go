@@ -53,16 +53,6 @@ func (r *Rule) eprograms() (guard, products []einstr) {
 	return r.guardProg, r.productProg
 }
 
-// NewRule builds a named catalyst rule.
-func NewRule(name string, pattern []Pattern, guard Expr, product []Expr) *Rule {
-	return &Rule{Name: name, Pattern: pattern, Guard: guard, Product: product}
-}
-
-// NewOneShotRule builds a named replace-one rule.
-func NewOneShotRule(name string, pattern []Pattern, guard Expr, product []Expr) *Rule {
-	return &Rule{Name: name, Pattern: pattern, Guard: guard, Product: product, OneShot: true}
-}
-
 // Equal compares rules structurally: same name and same rendered
 // definition. Rules received over the wire must compare equal to the
 // rules they were printed from, anonymous ones included.

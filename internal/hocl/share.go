@@ -178,9 +178,6 @@ func (m *MultisetHash) Remove(h uint64) {
 	m.n--
 }
 
-// Count returns the number of atoms currently folded in.
-func (m *MultisetHash) Count() int { return int(m.n) }
-
 // Fingerprint returns the combined fingerprint, equal to Fingerprint
 // over the same multiset of atoms.
 func (m *MultisetHash) Fingerprint() uint64 {

@@ -224,9 +224,6 @@ func TestAtomHashMatchesFingerprint(t *testing.T) {
 	if got, want := m.Fingerprint(), Fingerprint(atoms...); got != want {
 		t.Errorf("MultisetHash fingerprint %#x != Fingerprint %#x", got, want)
 	}
-	if m.Count() != len(atoms) {
-		t.Errorf("Count = %d, want %d", m.Count(), len(atoms))
-	}
 
 	// Removing one atom lands on the fingerprint of the rest.
 	m.Remove(AtomHash(atoms[0]))

@@ -65,9 +65,6 @@ func Results(sol *hocl.Solution) []hocl.Atom {
 	return rs.Atoms()
 }
 
-// HasError reports whether the task's RES holds the ERROR marker.
-func HasError(sol *hocl.Solution) bool { return containsError(Results(sol)) }
-
 func containsError(atoms []hocl.Atom) bool {
 	for _, a := range atoms {
 		if a.Equal(AtomERROR) {
@@ -80,11 +77,6 @@ func containsError(atoms []hocl.Atom) bool {
 // PendingSources returns the task names still expected in SRC.
 func PendingSources(sol *hocl.Solution) []string {
 	return identNames(sol, KeySRC)
-}
-
-// PendingDestinations returns the task names still to be served in DST.
-func PendingDestinations(sol *hocl.Solution) []string {
-	return identNames(sol, KeyDST)
 }
 
 func identNames(sol *hocl.Solution, key hocl.Ident) []string {
@@ -103,18 +95,6 @@ func identNames(sol *hocl.Solution, key hocl.Ident) []string {
 		}
 	}
 	return names
-}
-
-// TaskName returns the NAME of an agent-local solution ("" when absent).
-func TaskName(sol *hocl.Solution) string {
-	tp, idx := sol.FindTuple(KeyNAME)
-	if idx < 0 || len(tp) != 2 {
-		return ""
-	}
-	if id, ok := tp[1].(hocl.Ident); ok {
-		return string(id)
-	}
-	return ""
 }
 
 // FindTaskSub locates a task's sub-solution inside a centralized global

@@ -190,9 +190,6 @@ func Open(cfg Config) (*Journal, error) {
 	return &Journal{cfg: cfg, met: newJMetrics(cfg.Metrics)}, nil
 }
 
-// Dir returns the journal root directory.
-func (j *Journal) Dir() string { return j.cfg.Dir }
-
 func (j *Journal) sessionDir(id int64) string {
 	return filepath.Join(j.cfg.Dir, fmt.Sprintf("wf-%d", id))
 }
@@ -281,17 +278,16 @@ type SessionWriter struct {
 	// so writers always get the owning Journal's non-nil met in practice.
 	met *jmetrics
 
-	mu           sync.Mutex
-	f            *os.File
-	segIndex     int
-	size         int64
-	sinceSnap    int   // status records since the last snapshot
-	records      int64 // total records appended (crash-hook counter)
-	crashed      bool  // test hook tripped: drop all writes
-	closed       bool
-	scratch      []byte // frame assembly buffer, reused per record
-	enc          []byte // atom-encoding buffer, reused per record
-	statusFrames int64
+	mu        sync.Mutex
+	f         *os.File
+	segIndex  int
+	size      int64
+	sinceSnap int   // status records since the last snapshot
+	records   int64 // total records appended (crash-hook counter)
+	crashed   bool  // test hook tripped: drop all writes
+	closed    bool
+	scratch   []byte // frame assembly buffer, reused per record
+	enc       []byte // atom-encoding buffer, reused per record
 	// inboxSource, when set, supplies the session's full direct-message
 	// history at rotation time so each new segment carries the complete
 	// inbox replay stream (older segments are pruned).
@@ -356,14 +352,6 @@ func (w *SessionWriter) Crashed() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.crashed
-}
-
-// StatusRecords returns the number of status records appended so far
-// (checkpoint and bookkeeping records excluded).
-func (w *SessionWriter) StatusRecords() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.statusFrames
 }
 
 // appendFrame writes one framed record; callers hold w.mu. Under chaos,
@@ -491,7 +479,6 @@ func (w *SessionWriter) AppendStatus(atoms []hocl.Atom) error {
 		return err
 	}
 	w.sinceSnap++
-	w.statusFrames++
 	return nil
 }
 

@@ -70,20 +70,13 @@ type Master struct {
 	cfg     Config
 	cluster *cluster.Cluster
 
-	rounds   int
-	launched int
+	rounds int
 }
 
 // NewMaster builds a master over the given cluster.
 func NewMaster(c *cluster.Cluster, cfg Config) *Master {
 	return &Master{cfg: cfg.withDefaults(), cluster: c}
 }
-
-// Rounds returns the number of offer rounds driven so far.
-func (m *Master) Rounds() int { return m.rounds }
-
-// Launched returns the number of tasks launched so far.
-func (m *Master) Launched() int { return m.launched }
 
 // RunFramework registers the framework and drives offer rounds until the
 // framework is done or the context is cancelled. It returns the launches
@@ -122,7 +115,6 @@ func (m *Master) RunFramework(ctx context.Context, f Framework) ([]Launch, error
 			if !l.Node.Allocate() {
 				return all, fmt.Errorf("mesos: node %v over-committed launching %q", l.Node, l.TaskID)
 			}
-			m.launched++
 			all = append(all, l)
 		}
 	}
@@ -156,6 +148,3 @@ func (f *OnePerNodeFramework) OnOffers(offers []Offer) []Launch {
 
 // Done reports whether every task has been placed.
 func (f *OnePerNodeFramework) Done() bool { return len(f.pending) == 0 }
-
-// Pending returns the not-yet-placed task count.
-func (f *OnePerNodeFramework) Pending() int { return len(f.pending) }

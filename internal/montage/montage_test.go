@@ -120,8 +120,15 @@ func TestCDFMonotone(t *testing.T) {
 func TestKernelsAreDeterministicAndIdempotent(t *testing.T) {
 	reg := agent.NewRegistry()
 	RegisterServices(reg)
-	if got := len(reg.Names()); got != TotalTasks {
-		t.Fatalf("registered %d services, want %d", got, TotalTasks)
+	services := map[string]bool{}
+	for _, task := range Workflow().Tasks {
+		if _, ok := reg.Lookup(task.Service); !ok {
+			t.Fatalf("task %s: service %q not registered", task.ID, task.Service)
+		}
+		services[task.Service] = true
+	}
+	if len(services) != TotalTasks {
+		t.Fatalf("%d distinct services, want %d", len(services), TotalTasks)
 	}
 	svc, ok := reg.Lookup(serviceName("MADD"))
 	if !ok {

@@ -11,13 +11,6 @@ import (
 // history while live consumers experience drops, duplicates, delays and
 // reorders.
 
-// ChaosHost is implemented by brokers that accept a fault-injection
-// schedule perturbing delivery. Install the schedule before traffic
-// flows; nil uninstalls.
-type ChaosHost interface {
-	SetChaos(*failure.Schedule)
-}
-
 // ObserverHost is implemented by brokers that can report every accepted
 // publish to a synchronous observer (the journal's inbox write-through
 // point).
@@ -32,8 +25,6 @@ type LogRestorer interface {
 }
 
 var (
-	_ ChaosHost    = (*QueueBroker)(nil)
-	_ ChaosHost    = (*LogBroker)(nil)
 	_ ObserverHost = (*LogBroker)(nil)
 	_ LogRestorer  = (*LogBroker)(nil)
 )

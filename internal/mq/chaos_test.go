@@ -36,7 +36,7 @@ func chaosClock(t *testing.T) *cluster.Clock {
 // loss: even at 100% drop probability every message arrives, because
 // the redelivery budget forces it through.
 func TestChaosDropStillDelivers(t *testing.T) {
-	b := NewQueueBroker(chaosClock(t), 0.1)
+	b := NewQueueBrokerSharded(chaosClock(t), 0.1, 0)
 	b.SetChaos(failure.NewSchedule(failure.ChaosConfig{
 		Seed: 1, MessageDropP: 1, RedeliverDelay: 0.2, MaxConsecutive: -1,
 	}))
@@ -64,7 +64,7 @@ func TestChaosDropStillDelivers(t *testing.T) {
 // TestChaosDuplicateDelivers proves duplication multiplies deliveries
 // without touching the retained log.
 func TestChaosDuplicateDelivers(t *testing.T) {
-	b := NewLogBroker(chaosClock(t), 0.1)
+	b := NewLogBrokerSharded(chaosClock(t), 0.1, 0)
 	b.SetChaos(failure.NewSchedule(failure.ChaosConfig{
 		Seed: 2, MessageDupP: 1, RedeliverDelay: 0.2, MaxConsecutive: -1,
 	}))
@@ -83,7 +83,7 @@ func TestChaosDuplicateDelivers(t *testing.T) {
 	if len(got) != 2*n {
 		t.Fatalf("got %d deliveries, want %d", len(got), 2*n)
 	}
-	if log := b.Log("t"); len(log) != n {
+	if log := logOf(b, "t"); len(log) != n {
 		t.Fatalf("log holds %d messages, want %d — chaos must not touch the log", len(log), n)
 	}
 }
@@ -91,7 +91,7 @@ func TestChaosDuplicateDelivers(t *testing.T) {
 // TestChaosReorderSwaps drives the reorder fault and checks content
 // survives even when order does not.
 func TestChaosReorderSwaps(t *testing.T) {
-	b := NewQueueBroker(chaosClock(t), 0.5)
+	b := NewQueueBrokerSharded(chaosClock(t), 0.5, 0)
 	b.SetChaos(failure.NewSchedule(failure.ChaosConfig{
 		Seed: 3, MessageReorderP: 1, MaxConsecutive: -1,
 	}))
@@ -127,7 +127,7 @@ func TestChaosReorderSwaps(t *testing.T) {
 // offsets renumber, content replaces, and replay returns the restored
 // history.
 func TestRestoreLogReplacesHistory(t *testing.T) {
-	b := NewLogBroker(chaosClock(t), 0.1)
+	b := NewLogBrokerSharded(chaosClock(t), 0.1, 0)
 	if err := b.PublishAtoms("wf1.sa.T1", strAtoms("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRestoreLogReplacesHistory(t *testing.T) {
 		{Atoms: []hocl.Atom{hocl.Int(1)}},
 		{Atoms: []hocl.Atom{hocl.Int(2)}},
 	})
-	log := b.Log("wf1.sa.T1")
+	log := logOf(b, "wf1.sa.T1")
 	if len(log) != 2 {
 		t.Fatalf("restored log holds %d messages, want 2", len(log))
 	}
@@ -149,7 +149,7 @@ func TestRestoreLogReplacesHistory(t *testing.T) {
 // TestPublishObserverSeesEveryPublish checks the write-through hook
 // fires once per accepted publish, including for textual payloads.
 func TestPublishObserverSeesEveryPublish(t *testing.T) {
-	b := NewLogBroker(chaosClock(t), 0.1)
+	b := NewLogBrokerSharded(chaosClock(t), 0.1, 0)
 	var seen []Message
 	b.SetPublishObserver(func(m Message) { seen = append(seen, m) })
 	if err := b.PublishAtoms("a", strAtoms("x")); err != nil {

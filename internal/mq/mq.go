@@ -56,7 +56,7 @@ import (
 
 // Message is one published datum: HOCL molecules, pre-built and shared by
 // reference from publisher to every subscriber (the zero-reparse path,
-// DESIGN.md). hocl.FormatMolecules renders them for a log line.
+// DESIGN.md). Each atom's String method renders it for a log line.
 //
 // The atoms are frozen: the publisher hands over atoms it will no longer
 // mutate, and consumers must not mutate them either (the same atoms may
@@ -73,8 +73,9 @@ type Message struct {
 	Offset int
 }
 
-// Broker is the pub/sub surface agents use.
-type Broker interface {
+// PubSub is the pub/sub surface agents, the space and the transport
+// server use: publish and subscribe, nothing else.
+type PubSub interface {
 	// PublishAtoms sends atoms to every current subscriber of topic
 	// after the broker's modelled latency. The molecules are delivered
 	// (and, on a log broker, retained) by reference, never rendered or
@@ -84,9 +85,12 @@ type Broker interface {
 	// subscription come out of its Next/TryNext calls in due-order
 	// batches, in per-topic publication order.
 	Subscribe(topic string) (*Subscription, error)
-	// Published returns the total number of messages accepted, an
-	// instrumentation counter for the experiment reports.
-	Published() int64
+}
+
+// Broker is the surface the Manager holds: the in-process brokers,
+// which it meters, perturbs with chaos and purges per session.
+type Broker interface {
+	PubSub
 	// PublishedPrefix returns the number of messages accepted for topics
 	// sharing the given prefix — the per-session message count of a
 	// long-lived broker multiplexing namespaced workflow runs.
@@ -102,13 +106,12 @@ type Broker interface {
 	// state for every workflow ever run. Purging does not cancel
 	// subscriptions; consumers still own their Subscription lifecycles.
 	PurgeTopics(prefix string) int
-	// ShardCount returns the number of independent shards the broker
-	// routes topics through.
-	ShardCount() int
-	// ShardTopics returns the topics under prefix that hold state on one
-	// specific shard, sorted — the per-shard view of Topics, for
-	// observability and leak checks.
-	ShardTopics(shard int, prefix string) []string
+	// SetChaos installs (or, with nil, removes) the fault schedule
+	// perturbing deliveries. Install it before traffic flows.
+	SetChaos(*failure.Schedule)
+	// SetMetrics registers the broker's observability series on reg
+	// (nil takes the process default). Call before traffic flows.
+	SetMetrics(reg *obs.Registry)
 	// Close shuts the broker down; subsequent publishes fail.
 	Close() error
 }
@@ -118,10 +121,11 @@ type Broker interface {
 // ("we exploit the ability of Kafka to persist the messages ... and to
 // replay them on demand", §IV-B).
 type Replayable interface {
-	Broker
+	PubSub
 	// Log returns a copy of every message ever published to topic, in
-	// publication order.
-	Log(topic string) []Message
+	// publication order. An error means the history could not be read,
+	// which is not the same as an empty log.
+	Log(topic string) ([]Message, error)
 }
 
 // DefaultShards is the default number of broker shards. A session's
@@ -217,8 +221,7 @@ type common struct {
 	mu     sync.RWMutex
 	closed bool
 
-	nextID    atomic.Int64
-	published atomic.Int64
+	nextID atomic.Int64
 
 	// metPublished / metBatchSize mirror the broker counters into an obs
 	// registry once SetMetrics runs. Atomic pointers: installation needs
@@ -259,9 +262,6 @@ func (c *common) shardIndex(topic string) int {
 	}
 	return int(h % uint64(len(c.shards)))
 }
-
-// ShardCount returns the number of shards.
-func (c *common) ShardCount() int { return len(c.shards) }
 
 // SetMetrics registers the broker's observability series on reg (nil
 // takes the process default registry): total publishes, per-shard
@@ -560,9 +560,6 @@ func (c *common) SetServiceTime(s float64) {
 	c.svcTime.Store(math.Float64bits(s))
 }
 
-// Published returns the total number of messages accepted.
-func (c *common) Published() int64 { return c.published.Load() }
-
 // PublishedPrefix sums the per-topic publish counters over topics with
 // the given prefix, across all shards. An empty prefix matches everything
 // still counted (purged topics no longer contribute).
@@ -606,13 +603,6 @@ func (c *common) Topics(prefix string) []string {
 	for _, sh := range c.shards {
 		c.shardTopics(sh, prefix, seen)
 	}
-	return sortedKeys(seen)
-}
-
-// ShardTopics lists topics under prefix holding state on the given shard.
-func (c *common) ShardTopics(shard int, prefix string) []string {
-	seen := map[string]bool{}
-	c.shardTopics(c.shards[shard], prefix, seen)
 	return sortedKeys(seen)
 }
 
@@ -698,14 +688,9 @@ const DefaultQueueLatency = 2.0
 // partition).
 const DefaultQueueServiceTime = 0.01
 
-// NewQueueBroker builds a queue broker on the given clock with
-// DefaultShards shards. latency <= 0 takes DefaultQueueLatency.
-func NewQueueBroker(clock *cluster.Clock, latency float64) *QueueBroker {
-	return NewQueueBrokerSharded(clock, latency, DefaultShards)
-}
-
-// NewQueueBrokerSharded builds a queue broker with an explicit shard
-// count (<= 0 takes DefaultShards; 1 reproduces the unsharded broker).
+// NewQueueBrokerSharded builds a queue broker on the given clock with an
+// explicit shard count (<= 0 takes DefaultShards; 1 reproduces the
+// unsharded broker). latency <= 0 takes DefaultQueueLatency.
 func NewQueueBrokerSharded(clock *cluster.Clock, latency float64, shards int) *QueueBroker {
 	if latency <= 0 {
 		latency = DefaultQueueLatency
@@ -718,7 +703,6 @@ func (b *QueueBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
-	b.published.Add(1)
 	b.deliver(Message{Topic: topic, Atoms: atoms, Offset: -1})
 	return nil
 }
@@ -753,14 +737,9 @@ const DefaultLogLatency = 4 * DefaultQueueLatency // 8.0
 // carries over (Fig. 14).
 const DefaultLogServiceTime = 4 * DefaultQueueServiceTime // 0.04
 
-// NewLogBroker builds a log broker on the given clock with DefaultShards
-// shards. latency <= 0 takes DefaultLogLatency.
-func NewLogBroker(clock *cluster.Clock, latency float64) *LogBroker {
-	return NewLogBrokerSharded(clock, latency, DefaultShards)
-}
-
-// NewLogBrokerSharded builds a log broker with an explicit shard count
-// (<= 0 takes DefaultShards; 1 reproduces the unsharded broker).
+// NewLogBrokerSharded builds a log broker on the given clock with an
+// explicit shard count (<= 0 takes DefaultShards; 1 reproduces the
+// unsharded broker). latency <= 0 takes DefaultLogLatency.
 func NewLogBrokerSharded(clock *cluster.Clock, latency float64, shards int) *LogBroker {
 	if latency <= 0 {
 		latency = DefaultLogLatency
@@ -780,7 +759,6 @@ func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
-	b.published.Add(1)
 	msg := Message{Topic: topic, Atoms: atoms}
 	ls := b.logShards[b.shardIndex(msg.Topic)]
 	ls.mu.Lock()
@@ -838,15 +816,6 @@ func (b *LogBroker) Topics(prefix string) []string {
 	return sortedKeys(seen)
 }
 
-// ShardTopics lists topics under prefix holding subscriber, counter or
-// log state on the given shard.
-func (b *LogBroker) ShardTopics(shard int, prefix string) []string {
-	seen := map[string]bool{}
-	b.shardTopics(b.shards[shard], prefix, seen)
-	b.logTopics(shard, prefix, seen)
-	return sortedKeys(seen)
-}
-
 func (b *LogBroker) logTopics(shard int, prefix string, seen map[string]bool) {
 	ls := b.logShards[shard]
 	ls.mu.RLock()
@@ -876,10 +845,11 @@ func (b *LogBroker) PurgeTopics(prefix string) int {
 	return len(purged)
 }
 
-// Log returns a copy of the topic's full history. Atom slices are copied
-// per message so a caller cannot swap molecules inside the log; the atoms
-// themselves are shared (they are frozen by the publish contract).
-func (b *LogBroker) Log(topic string) []Message {
+// Log returns a copy of the topic's full history; it never fails. Atom
+// slices are copied per message so a caller cannot swap molecules inside
+// the log; the atoms themselves are shared (they are frozen by the
+// publish contract).
+func (b *LogBroker) Log(topic string) ([]Message, error) {
 	ls := b.logShards[b.shardIndex(topic)]
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
@@ -887,11 +857,12 @@ func (b *LogBroker) Log(topic string) []Message {
 	for i := range out {
 		out[i].Atoms = append([]hocl.Atom(nil), out[i].Atoms...)
 	}
-	return out
+	return out, nil
 }
 
 var (
 	_ Broker     = (*QueueBroker)(nil)
+	_ Broker     = (*LogBroker)(nil)
 	_ Replayable = (*LogBroker)(nil)
 )
 

@@ -48,10 +48,16 @@ func strOf(m Message) string {
 	return string(s)
 }
 
+// logOf reads a log broker's history, which never fails.
+func logOf(b *LogBroker, topic string) []Message {
+	log, _ := b.Log(topic)
+	return log
+}
+
 func brokers(t *testing.T) map[string]Broker {
 	return map[string]Broker{
-		"queue": NewQueueBroker(testClock(), 0.001),
-		"log":   NewLogBroker(testClock(), 0.001),
+		"queue": NewQueueBrokerSharded(testClock(), 0.001, 0),
+		"log":   NewLogBrokerSharded(testClock(), 0.001, 0),
 	}
 }
 
@@ -69,8 +75,8 @@ func TestPublishSubscribe(t *testing.T) {
 			if strOf(m) != "RES:<42>" || m.Topic != "sa.T1" {
 				t.Errorf("got %+v", m)
 			}
-			if b.Published() != 1 {
-				t.Errorf("Published = %d", b.Published())
+			if b.PublishedPrefix("") != 1 {
+				t.Errorf("Published = %d", b.PublishedPrefix(""))
 			}
 		})
 	}
@@ -136,7 +142,7 @@ type pullCase struct {
 func pullCases(t *testing.T) []pullCase {
 	t.Helper()
 	brokerFed := func(name string, clock *cluster.Clock) pullCase {
-		b := NewQueueBroker(clock, 0.001)
+		b := NewQueueBrokerSharded(clock, 0.001, 0)
 		sub, err := b.Subscribe("t")
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +213,7 @@ func TestCancelWakesParkedNext(t *testing.T) {
 // TestSubscriptionsOwnNoGoroutine: opening subscriptions must not start
 // goroutines, and cancelling them must leave none behind.
 func TestSubscriptionsOwnNoGoroutine(t *testing.T) {
-	b := NewQueueBroker(cluster.NewClock(time.Microsecond), 0.001)
+	b := NewQueueBrokerSharded(cluster.NewClock(time.Microsecond), 0.001, 0)
 	before := runtime.NumGoroutine()
 	subs := make([]*Subscription, 256)
 	for i := range subs {
@@ -247,7 +253,7 @@ func TestCloseRejectsPublish(t *testing.T) {
 // TestQueueBrokerIsVolatile: messages published while nobody listens are
 // lost — the ActiveMQ-mode behaviour that rules out crash recovery.
 func TestQueueBrokerIsVolatile(t *testing.T) {
-	b := NewQueueBroker(testClock(), 0.001)
+	b := NewQueueBrokerSharded(testClock(), 0.001, 0)
 	if err := b.PublishAtoms("t", strAtoms("lost")); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +266,7 @@ func TestQueueBrokerIsVolatile(t *testing.T) {
 // TestLogBrokerPersistsAndReplays: the Kafka-mode capability §IV-B
 // recovery relies on.
 func TestLogBrokerPersistsAndReplays(t *testing.T) {
-	b := NewLogBroker(testClock(), 0.001)
+	b := NewLogBrokerSharded(testClock(), 0.001, 0)
 	for i := 0; i < 3; i++ {
 		if err := b.PublishAtoms("sa.T1", strAtoms(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
@@ -268,7 +274,7 @@ func TestLogBrokerPersistsAndReplays(t *testing.T) {
 	}
 	b.PublishAtoms("sa.T2", strAtoms("other"))
 
-	log := b.Log("sa.T1")
+	log := logOf(b, "sa.T1")
 	if len(log) != 3 {
 		t.Fatalf("log has %d messages", len(log))
 	}
@@ -282,17 +288,17 @@ func TestLogBrokerPersistsAndReplays(t *testing.T) {
 	}
 	// Log returns a copy: mutating it must not corrupt the broker.
 	log[0].Atoms[0] = hocl.Str("tampered")
-	if strOf(b.Log("sa.T1")[0]) != "m0" {
+	if strOf(logOf(b, "sa.T1")[0]) != "m0" {
 		t.Error("Log exposed internal state")
 	}
-	if got := b.Log("nosuch"); len(got) != 0 {
+	if got := logOf(b, "nosuch"); len(got) != 0 {
 		t.Errorf("unknown topic log: %v", got)
 	}
 }
 
 func TestLatencyIsModelled(t *testing.T) {
 	clock := cluster.NewClock(time.Millisecond)
-	b := NewQueueBroker(clock, 20) // 20 model seconds = 20 ms real
+	b := NewQueueBrokerSharded(clock, 20, 0) // 20 model seconds = 20 ms real
 	sub, _ := b.Subscribe("t")
 	start := time.Now()
 	b.PublishAtoms("t", strAtoms("m"))
@@ -332,7 +338,7 @@ func TestConcurrentPublishersAndSubscribers(t *testing.T) {
 	// A real clock on purpose: this soaks concurrent publishers against
 	// the subscriber queues, which a virtual clock's one-at-a-time
 	// schedule would serialise.
-	b := NewLogBroker(cluster.NewClock(10*time.Microsecond), 0.0001)
+	b := NewLogBrokerSharded(cluster.NewClock(10*time.Microsecond), 0.0001, 0)
 	const (
 		topics     = 8
 		publishers = 4
@@ -378,7 +384,7 @@ func TestConcurrentPublishersAndSubscribers(t *testing.T) {
 			}
 		}
 	}
-	if got := b.Published(); got != int64(publishers*perPub) {
+	if got := b.PublishedPrefix(""); got != int64(publishers*perPub) {
 		t.Errorf("Published = %d", got)
 	}
 }
@@ -398,11 +404,11 @@ func TestPublishAtomsDeliversStructurally(t *testing.T) {
 			if len(m.Atoms) != 1 || !m.Atoms[0].Equal(payload[0]) {
 				t.Errorf("atoms = %v", m.Atoms)
 			}
-			if got := hocl.FormatMolecules(m.Atoms); got != "RES:<42>" {
-				t.Errorf("FormatMolecules = %q, want RES:<42>", got)
+			if got := m.Atoms[0].String(); got != "RES:<42>" {
+				t.Errorf("String = %q, want RES:<42>", got)
 			}
-			if b.Published() != 1 {
-				t.Errorf("published = %d", b.Published())
+			if b.PublishedPrefix("") != 1 {
+				t.Errorf("published = %d", b.PublishedPrefix(""))
 			}
 		})
 	}
@@ -412,7 +418,7 @@ func TestPublishAtomsDeliversStructurally(t *testing.T) {
 // shared broker's traffic to the session namespace that produced it.
 func TestTopicNamespaceAccounting(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
-	b := NewQueueBroker(clock, 1e-9)
+	b := NewQueueBrokerSharded(clock, 1e-9, 0)
 	for i := 0; i < 3; i++ {
 		if err := b.PublishAtoms("wf1.sa.T1", strAtoms("X")); err != nil {
 			t.Fatal(err)
@@ -430,9 +436,6 @@ func TestTopicNamespaceAccounting(t *testing.T) {
 	if got := b.PublishedPrefix(""); got != 4 {
 		t.Errorf("all = %d, want 4", got)
 	}
-	if b.Published() != 4 {
-		t.Errorf("global = %d, want 4", b.Published())
-	}
 }
 
 // TestPurgeTopicsDropsNamespaceState: purging a prefix removes
@@ -440,7 +443,7 @@ func TestTopicNamespaceAccounting(t *testing.T) {
 // that namespace only.
 func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
-	b := NewLogBroker(clock, 1e-9)
+	b := NewLogBrokerSharded(clock, 1e-9, 0)
 	sub1, err := b.Subscribe("wf1.sa.T1")
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +469,7 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	if got := b.Topics("wf1."); len(got) != 0 {
 		t.Errorf("wf1 topics survive purge: %v", got)
 	}
-	if got := b.Log("wf1.sa.T1"); len(got) != 0 {
+	if got := logOf(b, "wf1.sa.T1"); len(got) != 0 {
 		t.Errorf("wf1 log survives purge: %v", got)
 	}
 	if got := b.PublishedPrefix("wf1."); got != 0 {
@@ -476,7 +479,7 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 	if got := b.Topics("wf2."); len(got) != 1 {
 		t.Errorf("wf2 topics = %v", got)
 	}
-	if got := b.Log("wf2.sa.T1"); len(got) != 1 {
+	if got := logOf(b, "wf2.sa.T1"); len(got) != 1 {
 		t.Errorf("wf2 log = %v", got)
 	}
 	// A purged consumer's Subscription remains safe to cancel.
@@ -494,7 +497,7 @@ func TestPurgeTopicsDropsNamespaceState(t *testing.T) {
 
 func TestLogBrokerReplaysStructuralMessages(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
-	b := NewLogBroker(clock, 1e-9)
+	b := NewLogBrokerSharded(clock, 1e-9, 0)
 	payload := []hocl.Atom{hocl.Ident("GOODATOM")}
 	if err := b.PublishAtoms("sa.T1", payload); err != nil {
 		t.Fatal(err)
@@ -502,7 +505,7 @@ func TestLogBrokerReplaysStructuralMessages(t *testing.T) {
 	if err := b.PublishAtoms("sa.T1", strAtoms("SECOND")); err != nil {
 		t.Fatal(err)
 	}
-	log := b.Log("sa.T1")
+	log := logOf(b, "sa.T1")
 	if len(log) != 2 {
 		t.Fatalf("log length = %d", len(log))
 	}
@@ -518,7 +521,7 @@ func TestLogBrokerReplaysStructuralMessages(t *testing.T) {
 	// Tampering with a returned log's atom slice must not corrupt the
 	// broker's retained history.
 	log[0].Atoms[0] = hocl.Ident("TAMPERED")
-	if got := b.Log("sa.T1")[0].Atoms[0]; !got.Equal(hocl.Ident("GOODATOM")) {
+	if got := logOf(b, "sa.T1")[0].Atoms[0]; !got.Equal(hocl.Ident("GOODATOM")) {
 		t.Errorf("log atom slice is not isolated: %v", got)
 	}
 }

@@ -37,8 +37,8 @@ func TestShardKey(t *testing.T) {
 // spreads over the shard set instead of serializing on one shard.
 func TestSessionTopicsShareAShard(t *testing.T) {
 	b := NewQueueBrokerSharded(testClock(), 0.001, 8)
-	if b.ShardCount() != 8 {
-		t.Fatalf("ShardCount = %d", b.ShardCount())
+	if len(b.shards) != 8 {
+		t.Fatalf("%d shards, want 8", len(b.shards))
 	}
 	s1 := b.shardIndex("wf7.sa.T1")
 	if got := b.shardIndex("wf7.sa.T99"); got != s1 {
@@ -158,35 +158,29 @@ func TestPurgeTopicsAcrossShards(t *testing.T) {
 	if n := b.PurgeTopics("wf1."); n != 2 {
 		t.Errorf("purged %d topics, want 2", n)
 	}
-	// No shard may retain any state for the purged namespace.
-	for shard := 0; shard < b.ShardCount(); shard++ {
-		if got := b.ShardTopics(shard, "wf1."); len(got) != 0 {
-			t.Errorf("shard %d retains purged topics: %v", shard, got)
-		}
-	}
 	if got := b.Topics("wf1."); len(got) != 0 {
 		t.Errorf("Topics(wf1.) = %v after purge", got)
 	}
-	if got := b.Log("wf1.sa.T1"); len(got) != 0 {
+	if got := logOf(b, "wf1.sa.T1"); len(got) != 0 {
 		t.Errorf("purged log survives: %v", got)
 	}
 	if got := b.PublishedPrefix("wf1."); got != 0 {
 		t.Errorf("purged counters survive: %d", got)
 	}
-	// Every other session keeps its two topics, and the per-shard views
-	// union back to the global view.
-	union := map[string]bool{}
-	for shard := 0; shard < b.ShardCount(); shard++ {
-		for _, topic := range b.ShardTopics(shard, "") {
-			if union[topic] {
-				t.Errorf("topic %s appears on more than one shard", topic)
+	// Every other session keeps its two topics, each holding state only
+	// on the shard it routes to.
+	for i, sh := range b.shards {
+		seen := map[string]bool{}
+		b.shardTopics(sh, "", seen)
+		b.logTopics(i, "", seen)
+		for topic := range seen {
+			if want := b.shardIndex(topic); want != i {
+				t.Errorf("topic %s holds state on shard %d, routes to %d", topic, i, want)
 			}
-			union[topic] = true
 		}
 	}
-	all := b.Topics("")
-	if len(all) != 2*(sessions-1) || len(union) != len(all) {
-		t.Errorf("topics after purge: global %d, shard union %d, want %d", len(all), len(union), 2*(sessions-1))
+	if all := b.Topics(""); len(all) != 2*(sessions-1) {
+		t.Errorf("topics after purge: %d, want %d", len(all), 2*(sessions-1))
 	}
 }
 
@@ -235,7 +229,7 @@ func TestShardsIsolateOccupancy(t *testing.T) {
 // publication order.
 func TestBatchDelivery(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
-	b := NewQueueBroker(clock, 1e-9)
+	b := NewQueueBrokerSharded(clock, 1e-9, 0)
 	b.SetServiceTime(0)
 	sub, err := b.Subscribe("t")
 	if err != nil {
@@ -280,7 +274,7 @@ func TestBatchDelivery(t *testing.T) {
 // queue and the batches Next cuts from it.
 func TestBatchDeliveryConcurrentPublishers(t *testing.T) {
 	clock := cluster.NewClock(time.Nanosecond)
-	b := NewQueueBroker(clock, 1e-9)
+	b := NewQueueBrokerSharded(clock, 1e-9, 0)
 	b.SetServiceTime(0)
 	sub, err := b.Subscribe("t")
 	if err != nil {

@@ -167,18 +167,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinBuckets returns n linear bucket bounds: start, start+width, ...
-func LinBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Default bucket layouts of the engine's two timing axes and the
 // broker's batch sizes.
 var (

@@ -28,8 +28,22 @@ func fullSnapshotPayload(task string, atoms []hocl.Atom, inert bool) []hocl.Atom
 	return []hocl.Atom{hocl.Tuple{hocl.Ident(task), sub}}
 }
 
+// resyncLog installs a resync requester on s and returns the tasks it
+// was asked for: a delta that fails to anchor asks once per task.
+func resyncLog(s *Space) *[]string {
+	var mu sync.Mutex
+	asked := &[]string{}
+	s.SetResyncRequester(func(task string) {
+		mu.Lock()
+		*asked = append(*asked, task)
+		mu.Unlock()
+	})
+	return asked
+}
+
 func TestSpaceAppliesDelta(t *testing.T) {
 	s := New()
+	asked := resyncLog(s)
 	enc := &hoclflow.StatusEncoder{Task: "T1"}
 	state1 := []hocl.Atom{
 		hocl.Tuple{hoclflow.KeySRC, hocl.NewSolution(hocl.Ident("T0"))},
@@ -61,17 +75,17 @@ func TestSpaceAppliesDelta(t *testing.T) {
 	if len(res) != 1 || !res[0].Equal(hocl.Str("out")) {
 		t.Errorf("results after delta = %v", res)
 	}
-	applied, fallbacks := s.DeltaStats()
-	if applied != 1 || fallbacks != 0 {
-		t.Errorf("delta stats = %d applied, %d fallbacks", applied, fallbacks)
+	if len(*asked) != 0 {
+		t.Errorf("anchored delta requested a resync: %v", *asked)
 	}
 }
 
 // TestSpaceDeltaMismatchKeepsLastGoodState: a delta that does not anchor
-// (wrong base, unknown task) is dropped and counted, never corrupting
-// the recorded state.
+// (wrong base, unknown task) is dropped and asks for a full push, never
+// corrupting the recorded state.
 func TestSpaceDeltaMismatchKeepsLastGoodState(t *testing.T) {
 	s := New()
+	asked := resyncLog(s)
 	state := []hocl.Atom{hocl.Tuple{hoclflow.KeyRES, hocl.NewSolution(hocl.Str("good"))}}
 	applyPayload(s, fullSnapshotPayload("T1", state, true))
 
@@ -91,8 +105,8 @@ func TestSpaceDeltaMismatchKeepsLastGoodState(t *testing.T) {
 	}
 	applyPayload(s, []hocl.Atom{d.Atom()})
 
-	if applied, fallbacks := s.DeltaStats(); applied != 0 || fallbacks != 3 {
-		t.Errorf("delta stats = %d applied, %d fallbacks, want 0/3", applied, fallbacks)
+	if got := *asked; len(got) != 2 || got[0] != "GHOST" || got[1] != "T1" {
+		t.Errorf("resyncs asked = %v, want [GHOST T1]", got)
 	}
 	res := s.Results("T1")
 	if len(res) != 1 || !res[0].Equal(hocl.Str("good")) {
@@ -111,9 +125,16 @@ func TestSpaceDeltaMismatchKeepsLastGoodState(t *testing.T) {
 		hocl.Tuple{hoclflow.KeyDST, hocl.NewSolution()},
 		hocl.Tuple{hoclflow.KeyRES, hocl.NewSolution(hocl.Str("better"))},
 	}
-	applyPayload(s, enc.Encode(wide2, true))
-	if applied, _ := s.DeltaStats(); applied != 1 {
-		t.Error("delta after resync full snapshot did not apply")
+	payload := enc.Encode(wide2, true)
+	if _, ok := hoclflow.DecodeStatusDelta(payload[1]); !ok {
+		t.Fatalf("expected delta payload, got %v", payload[1])
+	}
+	applyPayload(s, payload)
+	if res := s.Results("T1"); len(res) != 1 || !res[0].Equal(hocl.Str("better")) {
+		t.Errorf("delta after resync full snapshot did not apply: %v", res)
+	}
+	if len(*asked) != 2 {
+		t.Errorf("anchored delta requested a resync: %v", *asked)
 	}
 }
 
@@ -205,6 +226,7 @@ func TestDeltaAndFullReplayConverge(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			deltaSpace, fullSpace := New(), New()
+			asked := resyncLog(deltaSpace)
 			const tasks = 6
 			const steps = 40
 			var wg sync.WaitGroup
@@ -236,8 +258,8 @@ func TestDeltaAndFullReplayConverge(t *testing.T) {
 					t.Errorf("task %s status: delta %v vs full %v", task, ds, fs)
 				}
 			}
-			if _, fallbacks := deltaSpace.DeltaStats(); fallbacks != 0 {
-				t.Errorf("in-order delta stream fell back %d times", fallbacks)
+			if len(*asked) != 0 {
+				t.Errorf("in-order delta stream asked for resyncs: %v", *asked)
 			}
 		})
 	}

@@ -8,9 +8,9 @@
 // replacing the task's recorded sub-solution) or as deltas
 // (hoclflow.StatusDelta: only the top-level atoms that differ), which the
 // space folds into its stored copy. Deltas are anchored by fingerprints;
-// one that does not anchor — unknown task, base mismatch — is dropped
-// and counted, and the last good state is kept (DESIGN.md "Broker
-// internals").
+// one that does not anchor — unknown task, base mismatch — is dropped,
+// the last good state is kept and a full push is requested (DESIGN.md
+// "Broker internals").
 package space
 
 import (
@@ -81,18 +81,13 @@ type Space struct {
 	// folded wakes the WaitCompleted waiter after every fold. Attach
 	// puts it on the subscription's clock, so a virtual-clock waiter
 	// parks on the scheduler.
-	folded  cluster.Wake
-	updates int64
-
-	deltasApplied  int64
-	deltaFallbacks int64
+	folded cluster.Wake
 
 	// versions records, per task, the highest (incarnation, push) VER
 	// header folded in; a payload that does not advance it is stale —
 	// a delayed or redelivered push — and is dropped whole, so chaos on
 	// the status topic can never roll a task's recorded state back.
-	versions   map[string]taskVersion
-	staleDrops int64
+	versions map[string]taskVersion
 
 	// resync, when set, is invoked (outside the lock) with the name of a
 	// task whose delta-encoded status push failed to anchor: the space
@@ -102,7 +97,6 @@ type Space struct {
 	resync        func(task string)
 	resyncPending map[string]bool
 	resyncWant    []string // requests accumulated under the current fold
-	resyncSent    int64
 
 	sub *mq.Subscription
 	// consumed counts the messages the serve loop has taken off the
@@ -149,14 +143,6 @@ func (s *Space) ResetVersions() {
 	s.mu.Unlock()
 }
 
-// StaleDrops reports how many versioned status payloads were dropped as
-// stale (delayed or redelivered pushes overtaken by a newer one).
-func (s *Space) StaleDrops() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.staleDrops
-}
-
 // SetResyncRequester installs the space-to-agent resync channel: fn is
 // called with a task name whenever a delta for it could not be applied
 // (unknown task or fingerprint mismatch), at most once per task until a
@@ -178,7 +164,6 @@ func (s *Space) RequestResync(task string) {
 	pending := s.resyncPending[task]
 	if fn != nil && !pending {
 		s.resyncPending[task] = true
-		s.resyncSent++
 	}
 	s.mu.Unlock()
 	if fn != nil && !pending {
@@ -186,22 +171,8 @@ func (s *Space) RequestResync(task string) {
 	}
 }
 
-// ResyncRequests reports how many resync requests the space has issued.
-func (s *Space) ResyncRequests() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resyncSent
-}
-
-// UpdateTask stores the latest sub-solution pushed by a task's agent,
-// replacing any recorded state (the full-snapshot path).
-func (s *Space) UpdateTask(name string, sub *hocl.Solution) {
-	s.mu.Lock()
-	s.updateTaskLocked(name, sub)
-	s.finishApplyLocked(1)
-	s.mu.Unlock()
-}
-
+// updateTaskLocked stores the latest sub-solution pushed by a task's
+// agent, replacing any recorded state (the full-snapshot path).
 func (s *Space) updateTaskLocked(name string, sub *hocl.Solution) {
 	st := s.tasks[name]
 	if st == nil {
@@ -213,43 +184,6 @@ func (s *Space) updateTaskLocked(name string, sub *hocl.Solution) {
 	st.hashed = false
 	// A full snapshot heals whatever staleness a refused delta left.
 	delete(s.resyncPending, name)
-}
-
-// AddMarker records a global molecule (e.g. TRIGGER:"id").
-func (s *Space) AddMarker(a hocl.Atom) {
-	s.mu.Lock()
-	s.markers = append(s.markers, a)
-	s.finishApplyLocked(1)
-	s.mu.Unlock()
-}
-
-// Updates returns the number of updates applied so far.
-func (s *Space) Updates() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.updates
-}
-
-// DeltaStats reports how many delta-encoded status pushes were folded in
-// and how many were refused (unknown task, fingerprint mismatch) — the
-// observability hook for the delta protocol's fallback path.
-func (s *Space) DeltaStats() (applied, fallbacks int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltasApplied, s.deltaFallbacks
-}
-
-// Names returns the task names that have reported into this space, in
-// no particular order — the observable footprint of a session, used to
-// assert that concurrent runs' molecules never cross.
-func (s *Space) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.tasks))
-	for name := range s.tasks {
-		out = append(out, name)
-	}
-	return out
 }
 
 // Status derives the recorded status of a task (StatusIdle when the task
@@ -279,14 +213,6 @@ func (s *Space) Results(name string) []hocl.Atom {
 		return nil
 	}
 	return append([]hocl.Atom(nil), res...)
-}
-
-// Markers returns the recorded global molecules, shared by reference;
-// the caller must not mutate them.
-func (s *Space) Markers() []hocl.Atom {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]hocl.Atom(nil), s.markers...)
 }
 
 // Triggered returns the adaptation IDs whose TRIGGER markers have been
@@ -382,7 +308,7 @@ func (s *Space) allCompletedLocked(names []string) bool {
 // WaitCompleted wake-up onto the subscription's clock. Attaching before
 // any agent starts guarantees no status update is published into the
 // void. Attach is idempotent.
-func (s *Space) Attach(broker mq.Broker, topic string) error {
+func (s *Space) Attach(broker mq.PubSub, topic string) error {
 	if topic == "" {
 		topic = DefaultTopic
 	}
@@ -409,9 +335,9 @@ func (s *Space) Attach(broker mq.Broker, topic string) error {
 // batch. Message payloads are HOCL molecule lists: task tuples
 // (Name:<...>) replace the task's sub-solution, STATDELTA tuples patch
 // it, anything else is recorded as a marker. Malformed payloads are
-// counted and skipped — a resilient space does not die on a corrupt
+// skipped — a resilient space does not die on a corrupt
 // message.
-func (s *Space) Serve(ctx context.Context, broker mq.Broker, topic string) error {
+func (s *Space) Serve(ctx context.Context, broker mq.PubSub, topic string) error {
 	return s.ServeHooked(ctx, broker, topic, nil, nil)
 }
 
@@ -427,7 +353,7 @@ func (s *Space) Serve(ctx context.Context, broker mq.Broker, topic string) error
 // the hooks is perturbed: messages may be held back or folded twice.
 // The hooks still see raw batches in arrival order, so a journal
 // records truth while the chaos exercises the version gate beneath it.
-func (s *Space) ServeHooked(ctx context.Context, broker mq.Broker, topic string, before func([]mq.Message), after func()) error {
+func (s *Space) ServeHooked(ctx context.Context, broker mq.PubSub, topic string, before func([]mq.Message), after func()) error {
 	if err := s.Attach(broker, topic); err != nil {
 		return err
 	}
@@ -593,16 +519,14 @@ func fireResync(fn func(task string), tasks []string) {
 	}
 }
 
-// finishApplyLocked records applied updates and wakes waiters once —
+// finishApplyLocked wakes waiters once when the fold changed anything —
 // waiters re-check state anyway, so one wakeup per apply call suffices
 // no matter how many updates it folded in. Refused deltas count as
 // nothing.
 func (s *Space) finishApplyLocked(applied int64) {
-	if applied == 0 {
-		return
+	if applied > 0 {
+		s.folded.Signal()
 	}
-	s.updates += applied
-	s.folded.Signal()
 }
 
 // applyAtomsLocked routes each molecule: task tuples (Name:<...>)
@@ -619,7 +543,6 @@ func (s *Space) applyAtomsLocked(atoms []hocl.Atom, applied *int64) {
 			// delayed or redelivered push, dropped whole.
 			v := taskVersion{inc: inc, push: push}
 			if prev, seen := s.versions[task]; seen && v.before(prev) {
-				s.staleDrops++
 				return
 			}
 			s.versions[task] = v
@@ -665,7 +588,7 @@ func (s *Space) hasMarkerLocked(a hocl.Atom) bool {
 // reporting whether it applied. A delta that does not anchor — unknown
 // task, base fingerprint mismatch, a removal hash the recorded state
 // does not hold, or a Next fingerprint the patch would not produce — is
-// dropped wholly before anything mutates, and counted; the last good
+// dropped wholly before anything mutates; the last good
 // state is kept. In-order per-topic delivery makes those cases
 // unreachable in normal operation (the agent's first push of an
 // incarnation is always a full snapshot), so a fallback here indicates a
@@ -685,7 +608,7 @@ func (s *Space) applyDeltaLocked(d *hoclflow.StatusDelta) bool {
 	// of the multiset combine before mutating anything: the drop is
 	// genuinely atomic, including the Next verification (whose failure
 	// is only reachable through an AtomHash collision inside one status
-	// multiset — counted so divergence is observable).
+	// multiset).
 	var removeIdx []int
 	var taken []bool
 	next := st.msh
@@ -743,18 +666,15 @@ func (s *Space) applyDeltaLocked(d *hoclflow.StatusDelta) bool {
 	}
 	st.msh = next
 	st.sub.SetInert(d.Inert)
-	s.deltasApplied++
 	return true
 }
 
-// deltaFallbackLocked counts a refused delta and queues a resync
-// request for the task (once per task until a full snapshot heals it).
+// deltaFallbackLocked queues a resync request for the task of a refused
+// delta (once per task until a full snapshot heals it).
 func (s *Space) deltaFallbackLocked(task string) {
-	s.deltaFallbacks++
 	if s.resync == nil || s.resyncPending[task] {
 		return
 	}
 	s.resyncPending[task] = true
-	s.resyncSent++
 	s.resyncWant = append(s.resyncWant, task)
 }

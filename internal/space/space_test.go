@@ -13,11 +13,16 @@ import (
 
 func completedSub(t *testing.T, result string) *hocl.Solution {
 	t.Helper()
-	a, err := hocl.ParseGround(`<SRC:<>, DST:<>, RES:<"` + result + `">>`)
+	sol, err := hocl.Parse(`<SRC:<>, DST:<>, RES:<"` + result + `">>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.(*hocl.Solution)
+	return sol
+}
+
+// pushTask publishes a task's full status the way an agent does.
+func pushTask(s *Space, name string, sub *hocl.Solution) {
+	s.ApplyMessage(mq.Message{Atoms: []hocl.Atom{hocl.Tuple{hocl.Ident(name), sub}}})
 }
 
 func TestStatusAndResults(t *testing.T) {
@@ -25,7 +30,7 @@ func TestStatusAndResults(t *testing.T) {
 	if got := s.Status("T1"); got != hoclflow.StatusIdle {
 		t.Errorf("unknown task status = %v", got)
 	}
-	s.UpdateTask("T1", completedSub(t, "out"))
+	pushTask(s, "T1", completedSub(t, "out"))
 	if got := s.Status("T1"); got != hoclflow.StatusCompleted {
 		t.Errorf("status = %v", got)
 	}
@@ -36,29 +41,30 @@ func TestStatusAndResults(t *testing.T) {
 	if s.Results("T9") != nil {
 		t.Error("unknown task has results")
 	}
-	if s.Updates() != 1 {
-		t.Errorf("updates = %d", s.Updates())
-	}
 }
 
 func TestMarkersAndTriggered(t *testing.T) {
 	s := New()
-	s.AddMarker(hoclflow.TriggerMarker("a1"))
-	s.AddMarker(hoclflow.TriggerMarker("a1")) // duplicate collapses
-	s.AddMarker(hoclflow.TriggerMarker("a2"))
-	s.AddMarker(hocl.Ident("NOISE"))
+	for _, m := range []hocl.Atom{
+		hoclflow.TriggerMarker("a1"),
+		hoclflow.TriggerMarker("a1"), // duplicate collapses
+		hoclflow.TriggerMarker("a2"),
+		hocl.Ident("NOISE"),
+	} {
+		s.ApplyMessage(mq.Message{Atoms: []hocl.Atom{m}})
+	}
 	got := s.Triggered()
 	if len(got) != 2 || got[0] != "a1" || got[1] != "a2" {
 		t.Errorf("Triggered = %v", got)
 	}
-	if len(s.Markers()) != 4 {
-		t.Errorf("markers = %v", s.Markers())
+	if snap := s.Snapshot(); snap.Len() != 3 {
+		t.Errorf("markers = %v", snap)
 	}
 }
 
 func TestSnapshotIsDetached(t *testing.T) {
 	s := New()
-	s.UpdateTask("T1", completedSub(t, "x"))
+	pushTask(s, "T1", completedSub(t, "x"))
 	snap := s.Snapshot()
 	if snap.Len() != 1 {
 		t.Fatalf("snapshot = %v", snap)
@@ -73,11 +79,11 @@ func TestSnapshotIsDetached(t *testing.T) {
 // molecules parses a literal status payload.
 func molecules(t *testing.T, src string) []hocl.Atom {
 	t.Helper()
-	atoms, err := hocl.ParseMolecules(src)
+	sol, err := hocl.Parse("<" + src + ">")
 	if err != nil {
-		t.Fatalf("ParseMolecules(%q): %v", src, err)
+		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	return atoms
+	return sol.Atoms()
 }
 
 func TestApplyPayloads(t *testing.T) {
@@ -91,13 +97,12 @@ func TestApplyPayloads(t *testing.T) {
 	if got := s.Triggered(); len(got) != 1 || got[0] != "a1" {
 		t.Errorf("triggered = %v", got)
 	}
-	// A message without atoms is a no-op: nothing folds in, no waiter
-	// wakes.
-	before, updates := s.Snapshot(), s.Updates()
+	// A message without atoms is a no-op: nothing folds in.
+	before := s.Snapshot()
 	if s.ApplyMessage(mq.Message{}) {
 		t.Error("message without atoms reported as applied")
 	}
-	if !s.Snapshot().Equal(before) || s.Updates() != updates {
+	if !s.Snapshot().Equal(before) {
 		t.Error("message without atoms changed the space")
 	}
 }
@@ -109,13 +114,13 @@ func TestWaitCompleted(t *testing.T) {
 	defer cancel()
 	go func() { done <- s.WaitCompleted(ctx, []string{"T1", "T2"}) }()
 
-	s.UpdateTask("T1", completedSub(t, "a"))
+	pushTask(s, "T1", completedSub(t, "a"))
 	select {
 	case err := <-done:
 		t.Fatalf("WaitCompleted returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	s.UpdateTask("T2", completedSub(t, "b"))
+	pushTask(s, "T2", completedSub(t, "b"))
 	select {
 	case err := <-done:
 		if err != nil {
@@ -137,7 +142,7 @@ func TestWaitCompletedHonoursContext(t *testing.T) {
 
 func TestServeConsumesBrokerTopic(t *testing.T) {
 	clock := cluster.NewClock(10 * time.Microsecond)
-	broker := mq.NewQueueBroker(clock, 0.001)
+	broker := mq.NewQueueBrokerSharded(clock, 0.001, 0)
 	s := New()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -164,7 +169,7 @@ func TestServeConsumesBrokerTopic(t *testing.T) {
 // what a session waits on before it reads the final state.
 func TestConsumedCountsEveryMessage(t *testing.T) {
 	clock := cluster.NewClock(10 * time.Microsecond)
-	broker := mq.NewQueueBroker(clock, 0.001)
+	broker := mq.NewQueueBrokerSharded(clock, 0.001, 0)
 	s := New()
 	if err := s.Attach(broker, ""); err != nil {
 		t.Fatal(err)

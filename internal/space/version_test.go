@@ -30,8 +30,9 @@ func TestSpaceDropsStaleVersions(t *testing.T) {
 	s := New()
 	applyPayload(s, versioned("T1", 0, 1, resState("v1")))
 	applyPayload(s, versioned("T1", 0, 3, resState("v3")))
+	fp := s.StateFingerprint()
 
-	// Redelivered duplicate of push 3, delayed push 2, stale incarnation.
+	// Redelivered duplicate of push 3, delayed push 2: both dropped whole.
 	applyPayload(s, versioned("T1", 0, 3, resState("dup")))
 	applyPayload(s, versioned("T1", 0, 2, resState("v2")))
 
@@ -39,8 +40,8 @@ func TestSpaceDropsStaleVersions(t *testing.T) {
 	if len(res) != 1 || !res[0].Equal(hocl.Str("v3")) {
 		t.Fatalf("stale push overwrote state: %v", res)
 	}
-	if got := s.StaleDrops(); got != 2 {
-		t.Fatalf("StaleDrops = %d, want 2", got)
+	if got := s.StateFingerprint(); got != fp {
+		t.Fatalf("stale pushes changed the state: %#x -> %#x", fp, got)
 	}
 
 	// A later incarnation outranks any push count of an earlier one.
@@ -83,12 +84,12 @@ func TestSpaceDeduplicatesMarkers(t *testing.T) {
 	if got := s.StateFingerprint(); got != fp {
 		t.Fatalf("duplicate marker changed the fingerprint: %#x -> %#x", fp, got)
 	}
-	if n := len(s.Markers()); n != 1 {
+	if n := s.Snapshot().Len(); n != 1 {
 		t.Fatalf("marker multiset grew to %d", n)
 	}
 	other := hocl.Tuple{hoclflow.KeyTRIGGER, hocl.Str("a2")}
 	s.ApplyMessage(msgWith(other))
-	if n := len(s.Markers()); n != 2 {
+	if n := s.Snapshot().Len(); n != 2 {
 		t.Fatalf("distinct marker not recorded: %d", n)
 	}
 }

@@ -32,13 +32,6 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders the recorder's timeline as Chrome
-// trace_event JSON — openable in about:tracing or Perfetto. See the
-// package-level WriteChromeTrace for the mapping.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, r.Events())
-}
-
 // WriteChromeTrace renders an event timeline (e.g. Report.Events) as
 // Chrome trace_event JSON. Each task becomes one named thread; matched
 // service-invoked → service-completed/errored pairs become complete

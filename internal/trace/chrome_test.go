@@ -15,6 +15,7 @@ func TestSetCapRing(t *testing.T) {
 	clock := cluster.NewVirtualClock()
 	r := NewRecorder(clock)
 	r.SetCap(3)
+	dropped0 := obsDropped.Value()
 	for i := 1; i <= 5; i++ {
 		clock.AdvanceTo(float64(i))
 		r.Record(ResultSent, "T", i, "")
@@ -22,8 +23,8 @@ func TestSetCapRing(t *testing.T) {
 	if n := len(r.Events()); n != 3 {
 		t.Fatalf("len = %d, want 3", n)
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", r.Dropped())
+	if got := obsDropped.Value() - dropped0; got != 2 {
+		t.Errorf("dropped = %d, want 2", got)
 	}
 	events := r.Events()
 	for i, want := range []float64{3, 4, 5} {
@@ -37,8 +38,8 @@ func TestSetCapRing(t *testing.T) {
 	if events := r.Events(); len(events) != 1 || events[0].At != 5 {
 		t.Errorf("after shrink: events=%v, want only the newest", events)
 	}
-	if r.Dropped() != 4 {
-		t.Errorf("dropped = %d, want 4", r.Dropped())
+	if got := obsDropped.Value() - dropped0; got != 4 {
+		t.Errorf("dropped = %d, want 4", got)
 	}
 
 	// Restoring unbounded retention grows again.
@@ -54,9 +55,6 @@ func TestSetCapRing(t *testing.T) {
 	// Nil recorder stays safe.
 	var nilRec *Recorder
 	nilRec.SetCap(2)
-	if nilRec.Dropped() != 0 {
-		t.Error("nil recorder dropped != 0")
-	}
 }
 
 // TestSetCapMidRing re-bounds a recorder whose ring has already
@@ -102,7 +100,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	r.Record(AgentCrashed, "T2", 1, "boom")
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -90,11 +90,11 @@ type Recorder struct {
 	events []Event
 	// cap bounds the retained timeline (0 = unbounded, the default).
 	// When full, the ring overwrites the oldest event — start is the
-	// ring head — and dropped counts the overwritten events.
-	cap     int
-	start   int
-	dropped int64
-	sinks   []func(Event)
+	// ring head — and ginflow_trace_events_dropped_total counts the
+	// overwritten events.
+	cap   int
+	start int
+	sinks []func(Event)
 	// counts tallies every recorded event per kind, retained or not.
 	counts map[Kind]int
 }
@@ -141,7 +141,6 @@ func (r *Recorder) Record(kind Kind, task string, incarnation int, info string) 
 			// Ring full: overwrite the oldest event.
 			r.events[r.start] = e
 			r.start = (r.start + 1) % r.cap
-			r.dropped++
 			obsDropped.Inc()
 		} else {
 			r.events = append(r.events, e)
@@ -156,7 +155,7 @@ func (r *Recorder) Record(kind Kind, task string, incarnation int, info string) 
 
 // SetCap bounds the retained timeline to the newest n events, turning
 // the retention buffer into a ring: once full, each new event
-// overwrites the oldest and counts into Dropped. n <= 0 restores
+// overwrites the oldest and counts as dropped. n <= 0 restores
 // unbounded retention (the default). Shrinking below the current
 // length discards the oldest surplus immediately.
 func (r *Recorder) SetCap(n int) {
@@ -177,20 +176,8 @@ func (r *Recorder) SetCap(n int) {
 	r.cap = n
 	if surplus := len(r.events) - n; surplus > 0 {
 		r.events = append([]Event(nil), r.events[surplus:]...)
-		r.dropped += int64(surplus)
 		obsDropped.Add(int64(surplus))
 	}
-}
-
-// Dropped reports how many retained events the ring-buffer cap
-// (SetCap) has overwritten or discarded.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Events returns a copy of the timeline, sorted by model time (record

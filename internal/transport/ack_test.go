@@ -135,7 +135,7 @@ func TestAckOnePerBurst(t *testing.T) {
 // gatedBroker holds every Subscribe until release is closed and records
 // when the inner Subscribe has returned.
 type gatedBroker struct {
-	mq.Broker
+	mq.PubSub
 	entered  chan struct{}
 	release  chan struct{}
 	returned atomic.Bool
@@ -144,7 +144,7 @@ type gatedBroker struct {
 func (g *gatedBroker) Subscribe(topic string) (*mq.Subscription, error) {
 	close(g.entered)
 	<-g.release
-	sub, err := g.Broker.Subscribe(topic)
+	sub, err := g.PubSub.Subscribe(topic)
 	g.returned.Store(true)
 	return sub, err
 }
@@ -155,7 +155,7 @@ func (g *gatedBroker) Subscribe(topic string) (*mq.Subscription, error) {
 func TestAckFollowsSubscribeDispatch(t *testing.T) {
 	clock := cluster.NewClock(50 * time.Microsecond)
 	inner := mq.NewLogBrokerSharded(clock, 0.001, 4)
-	g := &gatedBroker{Broker: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	g := &gatedBroker{PubSub: inner, entered: make(chan struct{}), release: make(chan struct{})}
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Broker: g})
 	if err != nil {
 		t.Fatal(err)

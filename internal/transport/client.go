@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,36 +20,34 @@ type DialConfig struct {
 	// PingInterval is the keepalive cadence; zero disables pings
 	// (benchmarks measure round-trips, not keepalive noise).
 	PingInterval time.Duration
-	// LogTimeout bounds a Log replay round-trip (default 10s).
-	LogTimeout time.Duration
 }
 
+// logTimeout bounds a Log replay round-trip.
+const logTimeout = 10 * time.Second
+
 // RemoteBroker is the client side of the network transport: an
-// mq.Broker (and mq.Replayable) whose publishes and subscriptions ride
-// length-prefixed frames to a Server fronting the real broker. Agents,
-// the space client and the journal run against it unchanged.
+// mq.Replayable whose publishes, subscriptions and log reads ride
+// length-prefixed frames to a Server fronting the real broker. Agents
+// run against it unchanged. It holds no per-topic state: counting,
+// listing and purging topics is the serving broker's job.
 //
 // The connection self-heals: a broken socket triggers a background
 // reconnect loop (capped exponential backoff) that re-handshakes with
 // the server-assigned node ID, and the reliable link replays every
 // unacknowledged frame in order — publishes and subscriptions issued
-// during an outage are queued, never lost. Counters and the topic view
-// (Published, Topics, PurgeTopics, ShardTopics) are local to this
-// client's own traffic; cluster-wide accounting lives on the serving
-// broker.
+// during an outage are queued, never lost.
 type RemoteBroker struct {
 	addr string
 	cfg  DialConfig
 	link link
 
-	mu        sync.Mutex
-	closed    bool
-	nodeID    uint64
-	nextSub   uint64
-	subs      map[uint64]*clientSub
-	published map[string]int64
-	nextReq   uint64
-	logWaits  map[uint64]*logWait
+	mu       sync.Mutex
+	closed   bool
+	nodeID   uint64
+	nextSub  uint64
+	subs     map[uint64]*clientSub
+	nextReq  uint64
+	logWaits map[uint64]*logWait
 	// ctrlQ queues session-control frames for the node runtime, and
 	// ctrlSig (capacity 1) wakes it. The queue is unbounded so the read
 	// loop never waits on the runtime, which may itself be waiting on
@@ -90,17 +86,13 @@ type controlFrame struct {
 // handshake (receiving a server-assigned node ID) and starts the
 // keepalive and reconnect machinery.
 func Dial(addr string, cfg DialConfig) (*RemoteBroker, error) {
-	if cfg.LogTimeout <= 0 {
-		cfg.LogTimeout = 10 * time.Second
-	}
 	rb := &RemoteBroker{
-		addr:      addr,
-		cfg:       cfg,
-		subs:      map[uint64]*clientSub{},
-		published: map[string]int64{},
-		logWaits:  map[uint64]*logWait{},
-		ctrlSig:   make(chan struct{}, 1),
-		closedCh:  make(chan struct{}),
+		addr:     addr,
+		cfg:      cfg,
+		subs:     map[uint64]*clientSub{},
+		logWaits: map[uint64]*logWait{},
+		ctrlSig:  make(chan struct{}, 1),
+		closedCh: make(chan struct{}),
 	}
 	conn, r, err := rb.connect()
 	if err != nil {
@@ -338,13 +330,9 @@ func (rb *RemoteBroker) sendEvent(session uint64, e NodeEvent) {
 // PublishAtoms sends a message, encoded with the hocl wire codec, to
 // the serving broker.
 func (rb *RemoteBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
-	rb.mu.Lock()
-	if rb.closed {
-		rb.mu.Unlock()
+	if rb.isClosed() {
 		return mq.ErrClosed
 	}
-	rb.published[topic]++
-	rb.mu.Unlock()
 	p := publishFrame{topic: topic, data: hocl.EncodeAtoms(atoms)}
 	rb.link.send(fPublish, func(seq uint64) []byte { return encodePublish(seq, p) })
 	return nil
@@ -398,84 +386,16 @@ func (rb *RemoteBroker) unsubscribe(id uint64) {
 	})
 }
 
-// Published counts this client's own publishes (the serving broker
-// holds the cluster-wide count).
-func (rb *RemoteBroker) Published() int64 {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	var n int64
-	for _, c := range rb.published {
-		n += c
-	}
-	return n
-}
-
-// PublishedPrefix counts this client's own publishes to topics with the
-// given prefix.
-func (rb *RemoteBroker) PublishedPrefix(prefix string) int64 {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	var n int64
-	for t, c := range rb.published {
-		if strings.HasPrefix(t, prefix) {
-			n += c
-		}
-	}
-	return n
-}
-
-// Topics lists the topics this client has published to under the
-// prefix, sorted (a local view; remote publishers are not visible).
-func (rb *RemoteBroker) Topics(prefix string) []string {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	var out []string
-	for t := range rb.published {
-		if strings.HasPrefix(t, prefix) {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PurgeTopics forgets this client's local record of matching topics and
-// returns how many were dropped. Server-side retention is owned by the
-// session manager, which purges the real broker directly.
-func (rb *RemoteBroker) PurgeTopics(prefix string) int {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	n := 0
-	for t := range rb.published {
-		if strings.HasPrefix(t, prefix) {
-			delete(rb.published, t)
-			n++
-		}
-	}
-	return n
-}
-
-// ShardCount reports 1: the wire is a single ordered stream; real
-// sharding happens on the serving broker.
-func (rb *RemoteBroker) ShardCount() int { return 1 }
-
-// ShardTopics lists the local topic view for shard 0 (nil otherwise).
-func (rb *RemoteBroker) ShardTopics(shard int, prefix string) []string {
-	if shard != 0 {
-		return nil
-	}
-	return rb.Topics(prefix)
-}
-
 // Log fetches a topic's retained log from the serving broker (the
-// mq.Replayable contract agents use for inbox replay after a crash).
-// Returns nil if the serving broker is not replayable or the round trip
-// times out.
-func (rb *RemoteBroker) Log(topic string) []mq.Message {
+// mq.Replayable contract agents use for inbox replay after a crash). A
+// serving broker that is not replayable answers with an empty log. Log
+// fails with mq.ErrClosed when the client closes first, and with a
+// timeout error when no answer comes within logTimeout.
+func (rb *RemoteBroker) Log(topic string) ([]mq.Message, error) {
 	rb.mu.Lock()
 	if rb.closed {
 		rb.mu.Unlock()
-		return nil
+		return nil, mq.ErrClosed
 	}
 	rb.nextReq++
 	id := rb.nextReq
@@ -487,16 +407,21 @@ func (rb *RemoteBroker) Log(topic string) []mq.Message {
 		buf = binary.AppendUvarint(buf, id)
 		return appendString(buf, topic)
 	})
+	t := time.NewTimer(logTimeout)
+	defer t.Stop()
+	var err error
 	select {
 	case msgs := <-lw.ch:
-		return msgs
-	case <-time.After(rb.cfg.LogTimeout):
+		return msgs, nil
+	case <-t.C:
+		err = fmt.Errorf("transport: log of %s: no answer within %v", topic, logTimeout)
 	case <-rb.closedCh:
+		err = mq.ErrClosed
 	}
 	rb.mu.Lock()
 	delete(rb.logWaits, id)
 	rb.mu.Unlock()
-	return nil
+	return nil, err
 }
 
 func (rb *RemoteBroker) isClosed() bool {

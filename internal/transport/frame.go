@@ -1,7 +1,7 @@
 // Package transport puts the GinFlow broker on a real network: a TCP
 // listener (Server) fronts the in-process sharded broker, and a
-// client-side RemoteBroker satisfies the mq.Broker interface so agents,
-// the space and the journal code run unchanged in a separate OS process.
+// client-side RemoteBroker is an mq.Replayable (publish, subscribe, log
+// replay) so agents run unchanged in a separate OS process.
 // A worker process hosts agents through the Node runtime (Join), which
 // receives its task assignments, workflow definition and tuning over the
 // same connection.

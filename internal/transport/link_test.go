@@ -295,11 +295,15 @@ func TestLinkDropMidFlush(t *testing.T) {
 	wg.Wait()
 
 	deadline := time.Now().Add(20 * time.Second)
-	for len(br.Log("hammer")) < total && time.Now().Before(deadline) {
+	hammerLog := func() []mq.Message {
+		log, _ := br.Log("hammer") // an in-process log read never fails
+		return log
+	}
+	for len(hammerLog()) < total && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(100 * time.Millisecond) // a replayed duplicate would land by now
-	log := br.Log("hammer")
+	log := hammerLog()
 	if len(log) != total {
 		t.Fatalf("server dispatched %d publishes, want %d", len(log), total)
 	}
@@ -350,8 +354,8 @@ func TestLinkCloseWritesQueuedFrame(t *testing.T) {
 }
 
 // TestNodeForgetsSessionTopics: a worker that has served 50 sessions
-// holds no publish count for any of their topics, and closing it leaves
-// no goroutine behind.
+// leaves no goroutine behind when it closes. Its RemoteBroker keeps no
+// per-topic state, so there is no topic record to forget.
 func TestNodeForgetsSessionTopics(t *testing.T) {
 	before := runtime.NumGoroutine()
 	clock := cluster.NewClock(50 * time.Microsecond)
@@ -414,9 +418,6 @@ func TestNodeForgetsSessionTopics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %d: %v", id, err)
 		}
-	}
-	if topics := node.rb.Topics(""); len(topics) != 0 {
-		t.Fatalf("worker holds %d topic records after 50 sessions: %v", len(topics), topics)
 	}
 
 	node.Close()

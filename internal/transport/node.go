@@ -165,10 +165,6 @@ func (n *Node) handleAssign(session uint64, blob []byte) {
 type nodeSession struct {
 	node *Node
 	id   uint64
-	// topics are the session's topic namespaces (its agents' inbox
-	// prefix and its space topic), purged from the client's publish
-	// counts when the session stops.
-	topics [2]string
 
 	sup    *agent.Supervisor
 	agents []*agent.Agent // first incarnations, subscribed at build time
@@ -247,7 +243,7 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 			Incarnation: e.Incarnation, Info: e.Info,
 		})
 	})
-	ns := &nodeSession{node: n, id: session, topics: [2]string{a.TopicPrefix, a.SpaceTopic}, sup: &agent.Supervisor{
+	ns := &nodeSession{node: n, id: session, sup: &agent.Supervisor{
 		Config: agent.Config{
 			Broker:      n.rb,
 			Cluster:     clus,
@@ -308,11 +304,9 @@ func (ns *nodeSession) fail(err error) {
 	})
 }
 
-// stop cancels the agents and waits for them to unwind, then forgets
-// the session's topics: they are named per session, so a long-lived
-// worker would otherwise keep a publish count for every topic it ever
-// served. A session stopped before start releases its subscriptions by
-// running each agent once under an already-cancelled context.
+// stop cancels the agents and waits for them to unwind. A session
+// stopped before start releases its subscriptions by running each agent
+// once under an already-cancelled context.
 func (ns *nodeSession) stop() {
 	ns.mu.Lock()
 	started := ns.started
@@ -326,11 +320,6 @@ func (ns *nodeSession) stop() {
 		cancel()
 		for _, a := range ns.agents {
 			_ = a.Run(done)
-		}
-	}
-	for _, prefix := range ns.topics {
-		if prefix != "" {
-			ns.node.rb.PurgeTopics(prefix)
 		}
 	}
 }

@@ -30,7 +30,8 @@ const maxSocketRedeliveries = 2
 type ServerConfig struct {
 	// Broker is the in-process broker the listener fronts; remote
 	// publishes land here and remote subscriptions are served from it.
-	Broker mq.Broker
+	// Log requests are answered from it when it is mq.Replayable.
+	Broker mq.PubSub
 	// Chaos, when enabled, perturbs the socket boundary: each remote
 	// publish dispatch may be dropped (bounded redelivery), duplicated,
 	// delayed or held for reordering before it reaches the broker. Nil
@@ -332,7 +333,7 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 		}
 		var msgs []wireMsg
 		if rep, ok := s.cfg.Broker.(mq.Replayable); ok {
-			log := rep.Log(topic)
+			log, _ := rep.Log(topic) // an in-process log read never fails
 			msgs = make([]wireMsg, len(log))
 			for i := range log {
 				msgs[i] = toWireMsg(log[i])
@@ -635,11 +636,6 @@ func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment, hook
 		})
 	}
 	return rs, nil
-}
-
-// Nodes returns the session's assigned worker IDs, sorted.
-func (rs *RemoteSession) Nodes() []uint64 {
-	return append([]uint64(nil), rs.nodes...)
 }
 
 func (rs *RemoteSession) hasNode(id uint64) bool {

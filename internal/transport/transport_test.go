@@ -57,7 +57,7 @@ type feed struct {
 	pending []mq.Message
 }
 
-func subscribe(t *testing.T, b mq.Broker, topic string) *feed {
+func subscribe(t *testing.T, b mq.PubSub, topic string) *feed {
 	t.Helper()
 	sub, err := b.Subscribe(topic)
 	if err != nil {
@@ -174,8 +174,8 @@ func TestRemotePublishReachesBroker(t *testing.T) {
 	if len(m.Atoms) != 2 || !m.Atoms[0].Equal(hocl.Str("res")) || !m.Atoms[1].Equal(hocl.Int(7)) {
 		t.Fatalf("two-atom publish arrived as %+v", m)
 	}
-	if rb.Published() != 2 || rb.PublishedPrefix("sa.") != 2 {
-		t.Fatalf("local counters: %d / %d", rb.Published(), rb.PublishedPrefix("sa."))
+	if got := br.PublishedPrefix("sa."); got != 2 {
+		t.Fatalf("serving broker counted %d publishes, want 2", got)
 	}
 }
 
@@ -250,7 +250,10 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := br.PublishAtoms("sa.log", []hocl.Atom{hocl.Str("one")}); err != nil {
 		t.Fatal(err)
 	}
-	msgs := rb.Log("sa.log")
+	msgs, err := rb.Log("sa.log")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(msgs) != 2 {
 		t.Fatalf("Log returned %d messages, want 2", len(msgs))
 	}
@@ -259,6 +262,51 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if strOf(msgs[1]) != "one" || msgs[1].Offset != 1 {
 		t.Fatalf("second: %+v", msgs[1])
+	}
+}
+
+// TestLogFailsWhenClosed: a Log round trip cut short by Close reports
+// mq.ErrClosed, not an empty history, and a respawned agent whose inbox
+// replay fails returns that error from Run instead of starting over
+// from the pristine template.
+func TestLogFailsWhenClosed(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	rb := dialTest(t, srv, "log-close")
+	specs, err := workflow.Sequence(1, "s", "in").TranslateAgents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := agent.New(agent.Config{
+		Spec: specs[0], Broker: rb, Cluster: cluster.New(cluster.Config{Nodes: 1}),
+		Services: agent.NewRegistry(), Incarnation: 1,
+	})
+	if err := a.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() // from here on, nobody answers a log request
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := rb.Log("sa.T1")
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rb.mu.Lock()
+		pending := len(rb.logWaits)
+		rb.mu.Unlock()
+		if pending > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("log request never became pending")
+		}
+	}
+	rb.Close()
+	if err := <-errc; !errors.Is(err, mq.ErrClosed) {
+		t.Fatalf("pending Log after Close: %v, want mq.ErrClosed", err)
+	}
+	if err := a.Run(context.Background()); !errors.Is(err, mq.ErrClosed) {
+		t.Fatalf("respawned agent Run: %v, want its replay's mq.ErrClosed", err)
 	}
 }
 

@@ -41,13 +41,9 @@ func TestHOCLSourceIsParseable(t *testing.T) {
 	}
 	// The exported source must parse back into a solution with one
 	// sub-solution per task (main + replacement) and the global rules.
-	atom, err := hocl.ParseGround(src)
+	sol, err := hocl.Parse(src)
 	if err != nil {
 		t.Fatalf("exported HOCL does not parse: %v\n%s", err, src)
-	}
-	sol, ok := atom.(*hocl.Solution)
-	if !ok {
-		t.Fatalf("exported source is %T", atom)
 	}
 	tasks := 0
 	for _, a := range sol.Atoms() {
