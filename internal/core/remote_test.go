@@ -3,22 +3,27 @@ package core
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ginflow/internal/agent"
 	"ginflow/internal/executor"
 	"ginflow/internal/failure"
+	"ginflow/internal/hocl"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/montage"
 	"ginflow/internal/mq"
 	"ginflow/internal/obs"
+	"ginflow/internal/trace"
 	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
 )
@@ -248,11 +253,14 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 	baseRep, baseFP := runWithFingerprint(t, def, services, remoteBaseConfig())
 
 	// Duplicated publishes reach the workers' agents, whose dedup events
-	// cross the wire into the report. One seed may duplicate no direct
-	// message (the socket draws follow the real-time interleaving of the
-	// workers' frames), so the suppressions are summed over the seeds.
+	// cross the wire into the report. One seed may duplicate no inbox
+	// message: the socket draws follow the real-time interleaving of the
+	// workers' frames, and results between co-located agents never cross
+	// the socket. So the suppressions are summed over the seeds, and
+	// seeds past the first three run until one has been seen. Every
+	// suppression must answer an inbox message the broker received twice.
 	var dups int64
-	for _, seed := range []int64{400, 401, 402} {
+	for seed := int64(400); seed < 403 || dups == 0 && seed < 410; seed++ {
 		cfg := remoteBaseConfig()
 		cfg.Chaos = failure.ChaosConfig{
 			Seed:           seed,
@@ -268,6 +276,7 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		injected := countInboxDuplicates(m)
 		spawnWorkers(t, m.ListenerAddr(), "diamond", 2)
 		s, err := m.Submit(context.Background(), def, services)
 		if err != nil {
@@ -284,9 +293,43 @@ func TestRemoteSocketChaosConverges(t *testing.T) {
 		}
 		dups += rep.DuplicatesSuppressed
 		m.Close()
+		if n := injected(); rep.DuplicatesSuppressed > n {
+			t.Errorf("seed %d: %d duplicates suppressed, but the broker received only %d inbox messages twice",
+				seed, rep.DuplicatesSuppressed, n)
+		}
 	}
 	if dups == 0 {
 		t.Error("no duplicated delivery was suppressed on any seed: MessageDeduped did not reach the report")
+	}
+}
+
+// countInboxDuplicates observes every publish and record on m's log
+// broker and returns a func reporting how many inbox messages arrived
+// again after their first copy, identified by topic and SEQ header.
+func countInboxDuplicates(m *Manager) func() int64 {
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	var n int64
+	m.broker.(mq.ObserverHost).SetPublishObserver(func(msg mq.Message) {
+		if !strings.Contains(msg.Topic, agent.DefaultTopicPrefix) || len(msg.Atoms) == 0 {
+			return
+		}
+		origin, seq, ok := hoclflow.DecodeSeq(msg.Atoms[0])
+		if !ok {
+			return
+		}
+		key := fmt.Sprintf("%s|%s|%d", msg.Topic, origin, seq)
+		mu.Lock()
+		if seen[key] {
+			n++
+		}
+		seen[key] = true
+		mu.Unlock()
+	})
+	return func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
 	}
 }
 
@@ -380,5 +423,209 @@ func TestListenRequiresBroker(t *testing.T) {
 	_, err := NewManager(Config{Executor: executor.KindCentralized, Listen: "127.0.0.1:0"})
 	if !errors.Is(err, ErrNoBroker) {
 		t.Fatalf("err = %v, want ErrNoBroker", err)
+	}
+}
+
+// frameTap relays one worker's connection to the manager's listener and
+// tallies the frames it carries. It reads the transport's wire layout
+// (internal/transport/frame.go, protocol version 6): a 4-byte big-endian
+// length, a type byte, then a payload whose reliable frames start with
+// a uvarint sequence number.
+type frameTap struct {
+	ln     net.Listener
+	target string
+
+	mu sync.Mutex
+	// inboxPublishes counts the worker's PUBLISH frames to an inbox
+	// topic, records its RECORD frames and logReqs its LOGREQ frames;
+	// passBatches counts the manager's BATCH frames that carry a PASS.
+	inboxPublishes, records, logReqs, passBatches int
+}
+
+const (
+	wirePublish byte = 18
+	wireBatch   byte = 19
+	wireLogReq  byte = 27
+	wireRecord  byte = 29
+)
+
+func newFrameTap(t *testing.T, target string) *frameTap {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &frameTap{ln: ln, target: target}
+	t.Cleanup(func() { ln.Close() })
+	go tap.serve()
+	return tap
+}
+
+func (tap *frameTap) addr() string { return tap.ln.Addr().String() }
+
+func (tap *frameTap) serve() {
+	worker, err := tap.ln.Accept()
+	if err != nil {
+		return
+	}
+	manager, err := net.Dial("tcp", tap.target)
+	if err != nil {
+		worker.Close()
+		return
+	}
+	go tap.relay(manager, worker, tap.fromManager)
+	tap.relay(worker, manager, tap.fromWorker)
+}
+
+// relay copies frames from src to dst, showing each to look, until
+// either side closes.
+func (tap *frameTap) relay(src, dst net.Conn, look func(typ byte, payload []byte)) {
+	defer src.Close()
+	defer dst.Close()
+	r := bufio.NewReader(src)
+	var hdr [5]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[:4])-1)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return
+		}
+		look(hdr[4], payload)
+		if _, err := dst.Write(append(hdr[:], payload...)); err != nil {
+			return
+		}
+	}
+}
+
+func (tap *frameTap) fromWorker(typ byte, payload []byte) {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	switch typ {
+	case wirePublish:
+		_, n := binary.Uvarint(payload) // sequence
+		l, m := binary.Uvarint(payload[n:])
+		if topic := string(payload[n+m : n+m+int(l)]); strings.Contains(topic, "."+agent.DefaultTopicPrefix) {
+			tap.inboxPublishes++
+		}
+	case wireRecord:
+		tap.records++
+	case wireLogReq:
+		tap.logReqs++
+	}
+}
+
+func (tap *frameTap) fromManager(typ byte, payload []byte) {
+	if typ != wireBatch {
+		return
+	}
+	off := 0
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(payload[off:])
+		off += n
+		return v
+	}
+	uvarint() // sequence
+	uvarint() // subscription
+	for count := uvarint(); count > 0; count-- {
+		_, n := binary.Varint(payload[off:]) // offset
+		off += n
+		l := int(uvarint())
+		atoms, _ := hocl.DecodeAtoms(payload[off : off+l])
+		off += l
+		for _, a := range atoms {
+			if tp, ok := a.(hocl.Tuple); ok && len(tp) > 0 && tp[0].Equal(hoclflow.KeyPASS) {
+				tap.mu.Lock()
+				tap.passBatches++
+				tap.mu.Unlock()
+				return
+			}
+		}
+	}
+}
+
+func (tap *frameTap) counts() (inboxPublishes, records, logReqs, passBatches int) {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	return tap.inboxPublishes, tap.records, tap.logReqs, tap.passBatches
+}
+
+// tappedRun runs def on a listener-hosting manager with one worker
+// process joined through a frameTap.
+func tappedRun(t *testing.T, def *workflow.Definition, services *agent.Registry, cfg Config) (*Manager, *Session, *Report, *frameTap) {
+	t.Helper()
+	cfg.Listen = "127.0.0.1:0"
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	tap := newFrameTap(t, m.ListenerAddr())
+	spawnWorkers(t, tap.addr(), "diamond", 1)
+	s, err := m.Submit(context.Background(), def, services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("remote run failed: %v (report %v)", err, rep)
+	}
+	return m, s, rep, tap
+}
+
+// TestRemoteSingleWorkerCrashesRecover: with one worker every edge is
+// co-located, so every result is delivered in process and reaches the
+// manager's log as a RECORD. Agents crash with p = 0.5 on the log
+// broker; their respawns replay those records and the run reaches the
+// in-process fault-free outcome.
+func TestRemoteSingleWorkerCrashesRecover(t *testing.T) {
+	def := workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false))
+	services := diamondServices(nil)
+	baseRep, baseFP := runWithFingerprint(t, def, services, remoteBaseConfig())
+
+	cfg := remoteBaseConfig()
+	cfg.Chaos = failure.ChaosConfig{AgentCrashP: 0.5, AgentCrashAfter: 0.05}
+	_, s, rep, tap := tappedRun(t, def, services, cfg)
+	requireSameOutcome(t, baseRep, rep, baseFP, s.space.StateFingerprint())
+	if rep.Failures == 0 || rep.Failures != rep.Recoveries {
+		t.Errorf("failures = %d, recoveries = %d: want equal and non-zero", rep.Failures, rep.Recoveries)
+	}
+	inboxPublishes, records, logReqs, _ := tap.counts()
+	if inboxPublishes != 0 {
+		t.Errorf("%d results crossed as PUBLISH; every one should be a RECORD", inboxPublishes)
+	}
+	if records == 0 || logReqs == 0 {
+		t.Errorf("records = %d, log requests = %d: want both non-zero", records, logReqs)
+	}
+}
+
+// TestRemoteRecordsColocatedResults: on one worker over the queue
+// broker, a fully connected 3×3 diamond's results never come back from
+// the manager, yet the manager counts each exactly once.
+func TestRemoteRecordsColocatedResults(t *testing.T) {
+	def := workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, true))
+	cfg := remoteBaseConfig()
+	cfg.Broker = mq.KindQueue
+	cfg.Metrics = obs.NewRegistry()
+	m, s, rep, tap := tappedRun(t, def, diamondServices(nil), cfg)
+	if rep.Statuses[workflow.DiamondMergeName] != hoclflow.StatusCompleted {
+		t.Fatalf("merge = %v", rep.Statuses[workflow.DiamondMergeName])
+	}
+	inboxPublishes, records, _, passBatches := tap.counts()
+	if passBatches != 0 {
+		t.Errorf("the manager sent %d BATCH frames carrying a PASS", passBatches)
+	}
+	sent := int64(s.recorder.Count(trace.ResultSent))
+	if int64(records) != sent || inboxPublishes != 0 {
+		t.Errorf("worker sent %d RECORD and %d inbox PUBLISH frames for %d results", records, inboxPublishes, sent)
+	}
+	// The session's count less its space topic's, which the space
+	// consumed in full before the report was read, is its inbox count.
+	if inbox := rep.Messages - s.space.Consumed(); inbox != sent {
+		t.Errorf("manager counted %d inbox messages, want one per result-sent event (%d)", inbox, sent)
+	}
+	if published := m.reg.Counter("ginflow_mq_published_total", "").Value(); rep.Messages != published {
+		t.Errorf("Report.Messages = %d, manager published %d", rep.Messages, published)
 	}
 }

@@ -554,6 +554,23 @@ func (c *common) deliver(msg Message) {
 	sh.mu.RUnlock()
 }
 
+// Record accounts for a message its publisher delivered without the
+// broker (a worker's in-process delivery between co-located agents): it
+// is counted as a publish, in ginflow_mq_published_total and in its
+// topic's PublishedPrefix count, but takes no shard occupancy, draws no
+// chaos and is delivered to no one. The queue broker needs no atoms.
+func (c *common) Record(topic string, _ []hocl.Atom) error {
+	if err := c.checkOpen(); err != nil {
+		return err
+	}
+	c.metPublished.Load().Inc()
+	sh := c.shardFor(topic)
+	sh.qmu.Lock()
+	sh.perTopic[topic]++
+	sh.qmu.Unlock()
+	return nil
+}
+
 // SetServiceTime overrides the per-message broker occupancy (model
 // seconds). Call before any traffic flows; 0 disables queueing.
 func (c *common) SetServiceTime(s float64) {
@@ -722,8 +739,8 @@ type LogBroker struct {
 	*common
 	logShards []*logShard
 
-	// observer, when set, sees every accepted publish — the journal's
-	// inbox write-through point (DESIGN.md "Fault model & chaos
+	// observer, when set, sees every accepted publish and record — the
+	// journal's inbox write-through point (DESIGN.md "Fault model & chaos
 	// harness").
 	observer atomic.Pointer[func(Message)]
 }
@@ -759,6 +776,25 @@ func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
+	b.deliver(b.retain(topic, atoms))
+	return nil
+}
+
+// Record retains and observes a message exactly as PublishAtoms does,
+// and counts it, but delivers it to no one (see common.Record): its
+// publisher has delivered it already. The log still replays it to a
+// respawned consumer, and the observer journals it.
+func (b *LogBroker) Record(topic string, atoms []hocl.Atom) error {
+	if err := b.common.Record(topic, atoms); err != nil {
+		return err
+	}
+	b.retain(topic, atoms)
+	return nil
+}
+
+// retain appends a message to its topic's log and hands it to the
+// observer.
+func (b *LogBroker) retain(topic string, atoms []hocl.Atom) Message {
 	msg := Message{Topic: topic, Atoms: atoms}
 	ls := b.logShards[b.shardIndex(msg.Topic)]
 	ls.mu.Lock()
@@ -771,14 +807,14 @@ func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if obs := b.observer.Load(); obs != nil {
 		(*obs)(msg)
 	}
-	b.deliver(msg)
-	return nil
+	return msg
 }
 
 // SetPublishObserver registers fn, invoked synchronously for every
-// accepted publish, after the message is appended to the log and before
-// it is delivered. One observer at a time; install it before traffic
-// flows. The Manager uses it to journal agent inboxes write-through.
+// accepted publish or record, after the message is appended to the log
+// and before it is delivered. One observer at a time; install it before
+// traffic flows. The Manager uses it to journal agent inboxes
+// write-through.
 func (b *LogBroker) SetPublishObserver(fn func(Message)) {
 	if fn == nil {
 		b.observer.Store(nil)

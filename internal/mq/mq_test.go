@@ -10,6 +10,7 @@ import (
 
 	"ginflow/internal/cluster"
 	"ginflow/internal/hocl"
+	"ginflow/internal/obs"
 )
 
 // testClock is the discrete-event virtual clock: latency modelling
@@ -523,5 +524,56 @@ func TestLogBrokerReplaysStructuralMessages(t *testing.T) {
 	log[0].Atoms[0] = hocl.Ident("TAMPERED")
 	if got := logOf(b, "sa.T1")[0].Atoms[0]; !got.Equal(hocl.Ident("GOODATOM")) {
 		t.Errorf("log atom slice is not isolated: %v", got)
+	}
+}
+
+// TestRecordCountsWithoutDelivering: a recorded message counts as a
+// publish (the registry total and its topic's PublishedPrefix), is
+// retained and observed on the log broker, and reaches no subscriber:
+// the next message out of the subscription is the one published after
+// it.
+func TestRecordCountsWithoutDelivering(t *testing.T) {
+	for name, b := range brokers(t) {
+		reg := obs.NewRegistry()
+		b.SetMetrics(reg)
+		var observed []string
+		if oh, ok := b.(ObserverHost); ok {
+			oh.SetPublishObserver(func(m Message) { observed = append(observed, strOf(m)) })
+		}
+		sub, err := b.Subscribe("wf1.sa.T1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := b.(interface {
+			Record(string, []hocl.Atom) error
+		})
+		if err := rec.Record("wf1.sa.T1", strAtoms("recorded")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.PublishAtoms("wf1.sa.T1", strAtoms("published")); err != nil {
+			t.Fatal(err)
+		}
+		if got := strOf(recvOne(t, sub)); got != "published" {
+			t.Errorf("%s: first delivery = %q, want the published message", name, got)
+		}
+		if got := b.PublishedPrefix("wf1."); got != 2 {
+			t.Errorf("%s: PublishedPrefix = %d, want 2", name, got)
+		}
+		if got := reg.Counter("ginflow_mq_published_total", "").Value(); got != 2 {
+			t.Errorf("%s: ginflow_mq_published_total = %v, want 2", name, got)
+		}
+		if lb, ok := b.(*LogBroker); ok {
+			log := logOf(lb, "wf1.sa.T1")
+			if len(log) != 2 || strOf(log[0]) != "recorded" || log[0].Offset != 0 {
+				t.Errorf("log: %v, want the record first at offset 0", log)
+			}
+			if len(observed) != 2 || observed[0] != "recorded" {
+				t.Errorf("observer saw %v, want the record first", observed)
+			}
+		}
+		b.Close()
+		if err := rec.Record("wf1.sa.T1", strAtoms("late")); err != ErrClosed {
+			t.Errorf("%s: Record after Close = %v, want ErrClosed", name, err)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func expectSilence(t *testing.T, conn net.Conn, d time.Duration, what string) {
 
 // TestAckAfterControlFrameEndsBurst: a reliable frame followed by a
 // control frame in the same read burst is still acknowledged, so the
-// sender's sendWait completes. A receiver that ACKs only when the
+// sender's wait for it completes. A receiver that ACKs only when the
 // burst's last frame is reliable owes this ACK forever.
 func TestAckAfterControlFrameEndsBurst(t *testing.T) {
 	srv, _, _ := newTestServer(t, nil)
@@ -86,7 +86,7 @@ func TestAckAfterControlFrameEndsBurst(t *testing.T) {
 	// The sending link has no connection: its frame goes to the outbox
 	// only, and the test writes the bytes itself.
 	var l link
-	acked := l.sendWait(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "wf1.sa.T1") })
+	acked := l.whenAcked(l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "wf1.sa.T1") }))
 	burst := append(frameBytes(t, fSubscribe, l.outbox[0].payload), frameBytes(t, fPing, nil)...)
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestAckAfterControlFrameEndsBurst(t *testing.T) {
 	select {
 	case <-acked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("sendWait never completed: the SUBSCRIBE was not acknowledged")
+		t.Fatal("the SUBSCRIBE was never acknowledged")
 	}
 }
 

@@ -330,45 +330,80 @@ func (rb *RemoteBroker) sendEvent(session uint64, e NodeEvent) {
 // PublishAtoms sends a message, encoded with the hocl wire codec, to
 // the serving broker.
 func (rb *RemoteBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
+	return rb.sendMessage(fPublish, topic, atoms)
+}
+
+// record tells the serving broker about a message this worker delivered
+// in process: the broker counts and retains it but delivers it to no
+// one.
+func (rb *RemoteBroker) record(topic string, atoms []hocl.Atom) error {
+	return rb.sendMessage(fRecord, topic, atoms)
+}
+
+// sendMessage sends one message frame (PUBLISH or RECORD).
+func (rb *RemoteBroker) sendMessage(typ byte, topic string, atoms []hocl.Atom) error {
 	if rb.isClosed() {
 		return mq.ErrClosed
 	}
 	p := publishFrame{topic: topic, data: hocl.EncodeAtoms(atoms)}
-	rb.link.send(fPublish, func(seq uint64) []byte { return encodePublish(seq, p) })
+	rb.link.send(typ, func(seq uint64) []byte { return encodePublish(seq, p) })
 	return nil
 }
 
 // Subscribe opens a remote subscription on the serving broker and
 // returns a push-fed local Subscription; cancelling it unsubscribes
 // remotely.
+//
+// Subscribe is synchronous like the in-process broker: it waits for the
+// server's post-dispatch ACK, so a publish issued right after Subscribe
+// returns, from any process, can never beat the subscription to the
+// broker. During an outage this waits for the reconnect to replay the
+// frame.
 func (rb *RemoteBroker) Subscribe(topic string) (*mq.Subscription, error) {
+	var id uint64
+	sub, push := mq.NewPushSubscription(func() { rb.unsubscribe(id) })
+	id, seq, err := rb.subscribe(topic, push)
+	if err != nil {
+		return nil, err
+	}
+	rb.link.release()
+	if err := rb.awaitAck(seq); err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// subscribe registers push as the receiver of topic's remote deliveries
+// and queues the SUBSCRIBE on the link without writing it: the caller
+// releases it, alone or with a burst of others. It returns the
+// subscription's ID (for unsubscribe) and the frame's sequence (for
+// awaitAck).
+func (rb *RemoteBroker) subscribe(topic string, push func([]mq.Message)) (id, seq uint64, err error) {
 	rb.mu.Lock()
 	if rb.closed {
 		rb.mu.Unlock()
-		return nil, mq.ErrClosed
+		return 0, 0, mq.ErrClosed
 	}
 	rb.nextSub++
-	id := rb.nextSub
-	rb.mu.Unlock()
-	sub, push := mq.NewPushSubscription(func() { rb.unsubscribe(id) })
-	rb.mu.Lock()
+	id = rb.nextSub
 	rb.subs[id] = &clientSub{topic: topic, push: push}
 	rb.mu.Unlock()
-	// Synchronous like the in-process broker: wait for the server's
-	// post-dispatch ACK, so a publish issued right after Subscribe
-	// returns can never beat the subscription to the broker. During an
-	// outage this waits for the reconnect to replay the frame.
-	acked := rb.link.sendWait(fSubscribe, func(seq uint64) []byte {
+	seq = rb.link.hold(fSubscribe, func(seq uint64) []byte {
 		buf := binary.AppendUvarint(nil, seq)
 		buf = binary.AppendUvarint(buf, id)
 		return appendString(buf, topic)
 	})
+	return id, seq, nil
+}
+
+// awaitAck waits until the server has processed every frame up to seq.
+func (rb *RemoteBroker) awaitAck(seq uint64) error {
 	select {
-	case <-acked:
+	case <-rb.link.whenAcked(seq):
+		return nil
 	case <-rb.closedCh:
-		return nil, mq.ErrClosed
+		return mq.ErrClosed
 	}
-	return sub, nil
 }
 
 func (rb *RemoteBroker) unsubscribe(id uint64) {

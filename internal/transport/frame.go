@@ -13,6 +13,8 @@
 // the payload. Payload integers are varints (uvarint unless noted),
 // strings and byte blobs are uvarint-length-prefixed. Molecule payloads
 // travel in the hocl wire codec (hocl.EncodeAtoms / hocl.DecodeAtoms).
+// A RECORD has a PUBLISH's body: a message the worker delivered in
+// process, which the server counts and retains but delivers to no one.
 // Trace events are binary too (see encodeEvent); only the once-per-session
 // ASSIGN and FAIL bodies are JSON documents. READY, START, STOP and DONE
 // carry the session ID alone.
@@ -52,8 +54,8 @@ import (
 // WELCOME; a mismatch fails the handshake. Version 3 made EVENT bodies
 // binary (version 2 carried them as JSON); version 4 dropped DONE's JSON
 // stats body; version 5 moved the assignment's crash injection into its
-// chaos config.
-const protocolVersion = 5
+// chaos config; version 6 added RECORD.
+const protocolVersion = 6
 
 // readBufSize is the per-connection read buffer: one socket read
 // usually brings in a whole burst of frames.
@@ -87,8 +89,9 @@ const (
 	fEvent       byte = 26 // client→server: session, binary trace event
 	fLogReq      byte = 27 // client→server: reqID, topic
 	fLogResp     byte = 28 // server→client: reqID, count, messages
+	fRecord      byte = 29 // client→server: topic, data (as PUBLISH; delivered by the worker)
 
-	fTypeMax byte = 28
+	fTypeMax byte = 29
 )
 
 // errFrame is the root of every frame-decode error; the fuzz harness
@@ -323,7 +326,7 @@ func (c *cursor) wireMsg() (wireMsg, error) {
 }
 
 // publishFrame is a client publish: one topic, one message's atoms in
-// the hocl wire codec.
+// the hocl wire codec. A RECORD has the same body.
 type publishFrame struct {
 	topic string
 	data  []byte
@@ -335,7 +338,8 @@ func encodePublish(seq uint64, p publishFrame) []byte {
 	return appendBytes(buf, p.data)
 }
 
-// parsePublish parses a PUBLISH body (sequence already consumed).
+// parsePublish parses a PUBLISH or RECORD body (sequence already
+// consumed).
 func parsePublish(c *cursor) (publishFrame, error) {
 	var p publishFrame
 	var err error

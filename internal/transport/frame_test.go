@@ -65,6 +65,30 @@ func TestPublishRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTrip: a RECORD carries a PUBLISH's body under its own
+// type byte, and every truncation of it is a decode error.
+func TestRecordRoundTrip(t *testing.T) {
+	atoms := []hocl.Atom{hocl.Ident("PASS"), hocl.Int(7)}
+	p := publishFrame{topic: "wf3.sa.T2", data: hocl.EncodeAtoms(atoms)}
+	typ, payload, err := readFrame(bytes.NewReader(frameBytes(t, fRecord, encodePublish(12, p))))
+	if err != nil || typ != fRecord {
+		t.Fatalf("readFrame: type %d err %v", typ, err)
+	}
+	c := cursor{buf: payload}
+	if seq, err := c.uvarint(); err != nil || seq != 12 {
+		t.Fatalf("seq %d err %v", seq, err)
+	}
+	got, err := parsePublish(&c)
+	if err != nil || got.topic != p.topic || !bytes.Equal(got.data, p.data) {
+		t.Fatalf("parsePublish: %+v err %v", got, err)
+	}
+	for n := 0; n < len(payload); n++ {
+		if err := parseFrame(fRecord, payload[:n]); !errors.Is(err, errFrame) {
+			t.Errorf("truncated to %d of %d bytes: err = %v, want errFrame", n, len(payload), err)
+		}
+	}
+}
+
 func TestMsgsRoundTrip(t *testing.T) {
 	msgs := []wireMsg{
 		{offset: -1, data: hocl.EncodeAtoms([]hocl.Atom{hocl.Ident("DONE")})},
@@ -172,7 +196,7 @@ func parseFrame(typ byte, payload []byte) error {
 			return err
 		}
 		return c.done()
-	case fPublish:
+	case fPublish, fRecord:
 		_, err := parsePublish(&c)
 		return err
 	case fBatch, fLogResp:
@@ -274,6 +298,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(wire(fSubscribe, appendString(binary.AppendUvarint(seq(nil), 1), "wf1.space")))
 	f.Add(wire(fUnsubscribe, binary.AppendUvarint(seq(nil), 1)))
 	f.Add(wire(fPublish, encodePublish(1, publishFrame{topic: "sa.t", data: atoms})))
+	f.Add(wire(fRecord, encodePublish(1, publishFrame{topic: "wf1.sa.t", data: atoms})))
 	f.Add(wire(fBatch, msgsBody))
 	f.Add(wire(fLogResp, msgsBody))
 	f.Add(wire(fLogReq, appendString(binary.AppendUvarint(seq(nil), 9), "sa.t")))

@@ -72,29 +72,49 @@ type sentFrame struct {
 }
 
 // send transmits a reliable frame whose payload was built by an
-// encode* helper around the sequence seq returns. Reliable sends never
-// fail: if the connection is down (or breaks mid-write) the frame stays
-// in the outbox and the next attach replays it.
-func (l *link) send(typ byte, build func(seq uint64) []byte) {
+// encode* helper around the sequence seq, and returns seq. Reliable
+// sends never fail: if the connection is down (or breaks mid-write) the
+// frame stays in the outbox and the next attach replays it.
+func (l *link) send(typ byte, build func(seq uint64) []byte) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.enqueue(typ, build)
+	seq := l.enqueue(typ, build)
+	l.flush()
+	return seq
+}
+
+// hold queues a reliable frame like send but does not write it: the
+// next flush carries it, whichever sender makes it, and release makes
+// one. A burst of held frames costs one socket write.
+func (l *link) hold(typ byte, build func(seq uint64) []byte) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.enqueue(typ, build)
+}
+
+// release writes whatever frames are held (see hold).
+func (l *link) release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.flush()
 }
 
-// sendWait is send plus a completion signal: the returned channel
-// closes when the peer's cumulative ACK passes this frame — i.e. the
-// peer has processed it, since acks are sent post-dispatch. Used where
-// the caller needs synchronous semantics (Subscribe must not return
-// before the subscription is live on the serving broker).
-func (l *link) sendWait(typ byte, build func(seq uint64) []byte) <-chan struct{} {
+// whenAcked returns a channel that closes once the peer's cumulative ACK
+// covers seq — i.e. the peer has processed every frame up to it, since
+// acks are sent post-dispatch. Used where the caller needs synchronous
+// semantics (Subscribe must not return before the subscription is live
+// on the serving broker). An ACK applied before the call, even while
+// the frame's own write was still in flight, is seen: l.acked only
+// grows, under the lock the waiter list shares.
+func (l *link) whenAcked(seq uint64) <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ch := make(chan struct{})
-	// The waiter is registered before flush releases mu for the write:
-	// the peer's ACK may be applied before the write returns.
-	l.waiters = append(l.waiters, ackWaiter{seq: l.enqueue(typ, build), ch: ch})
-	l.flush()
+	if seq <= l.acked {
+		close(ch)
+		return ch
+	}
+	l.waiters = append(l.waiters, ackWaiter{seq: seq, ch: ch})
 	return ch
 }
 
@@ -216,9 +236,8 @@ func (l *link) quiesce() {
 // a burst that ends on PING, PONG or the peer's own ACK still pays what
 // it owes. The ACK is built after dispatch, never from lastIn at write
 // time (accept advances lastIn before dispatch), so it certifies
-// processing: a sendWait on the peer (the synchronous Subscribe the READY
-// barrier builds on) returns only after the frame's dispatch here has
-// returned.
+// processing: a wait on whenAcked at the peer (the synchronous Subscribe)
+// returns only after the frame's dispatch here has returned.
 //
 // Batching is deadlock-free because no dispatch path waits on the peer:
 // dispatch hands work to the broker, to an unbounded queue, to a

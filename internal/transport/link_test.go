@@ -136,6 +136,35 @@ func TestLinkCoalescesConcurrentSends(t *testing.T) {
 	t.Logf("%d frames in %d socket writes", frames, writes)
 }
 
+// TestLinkReleaseWritesHeldFramesOnce: held frames stay off the socket
+// until release, which writes them in one write, in sequence.
+func TestLinkReleaseWritesHeldFramesOnce(t *testing.T) {
+	near, far := net.Pipe()
+	defer far.Close()
+	conn := &slowConn{Conn: near}
+	var l link
+	l.attach(conn)
+	defer l.close()
+
+	const frames = 66
+	got := make(chan []uint64, 1)
+	go func() {
+		seqs, _ := readReliable(far, frames)
+		got <- seqs
+	}()
+	for i := 0; i < frames; i++ {
+		l.hold(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, seq, "t") })
+	}
+	if w := conn.writes.Load(); w != 0 {
+		t.Fatalf("%d socket writes before release, want 0", w)
+	}
+	l.release()
+	inSequence(t, <-got, frames)
+	if w := conn.writes.Load(); w != 1 {
+		t.Fatalf("%d socket writes for %d held frames, want 1", w, frames)
+	}
+}
+
 // ackingConn is a peer that acknowledges every reliable frame as it is
 // written: its Write applies the ACK to the sending link before it
 // returns, as a fast peer's ACK can arrive while the sender's write is
@@ -163,9 +192,10 @@ func (c *ackingConn) Write(p []byte) (int, error) {
 
 func (c *ackingConn) Close() error { return nil }
 
-// TestLinkSendWaitRoundTrips: 10⁴ sendWait calls against a peer that
-// ACKs at once all complete. A waiter registered after its frame's write
-// misses the ACK that arrives during the write and waits forever.
+// TestLinkSendWaitRoundTrips: 10⁴ send-then-wait round trips against a
+// peer that ACKs inside the write all complete. The waiter is
+// registered after the frame's write, so a waiter that ignored an ACK
+// applied during the write would wait forever.
 func TestLinkSendWaitRoundTrips(t *testing.T) {
 	var l link
 	l.attach(&ackingConn{l: &l})
@@ -181,7 +211,7 @@ func TestLinkSendWaitRoundTrips(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					<-l.sendWait(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "t") })
+					<-l.whenAcked(l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "t") }))
 				}
 			}()
 		}
@@ -190,7 +220,7 @@ func TestLinkSendWaitRoundTrips(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("sendWait round trips did not complete: a waiter missed its ACK")
+		t.Fatal("round trips did not complete: a waiter missed its ACK")
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -354,7 +384,8 @@ func TestLinkCloseWritesQueuedFrame(t *testing.T) {
 }
 
 // TestNodeForgetsSessionTopics: a worker that has served 50 sessions
-// leaves no goroutine behind when it closes. Its RemoteBroker keeps no
+// leaves no goroutine behind when it closes, and no session leaves a
+// local registration behind once it stops. Its RemoteBroker keeps no
 // per-topic state, so there is no topic record to forget.
 func TestNodeForgetsSessionTopics(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -395,6 +426,10 @@ func TestNodeForgetsSessionTopics(t *testing.T) {
 		if err := rs.WaitReady(ctx); err != nil {
 			t.Fatalf("session %d ready: %v", id, err)
 		}
+		sb := node.session(id).sup.Config.Broker.(*sessionBroker)
+		if got := localRegistrations(sb); got != 2 {
+			t.Fatalf("session %d: %d local registrations after READY, want 2", id, got)
+		}
 		sp := space.New()
 		if err := sp.Attach(br, spaceTopic); err != nil {
 			t.Fatal(err)
@@ -418,6 +453,9 @@ func TestNodeForgetsSessionTopics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %d: %v", id, err)
 		}
+		if got := localRegistrations(sb); got != 0 {
+			t.Fatalf("session %d: %d local registrations left after DONE", id, got)
+		}
 	}
 
 	node.Close()
@@ -431,4 +469,11 @@ func TestNodeForgetsSessionTopics(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutines: %d before, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// localRegistrations counts a session broker's live local subscriptions.
+func localRegistrations(sb *sessionBroker) int {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	return len(sb.live)
 }

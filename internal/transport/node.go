@@ -11,6 +11,8 @@ import (
 	"ginflow/internal/agent"
 	"ginflow/internal/cluster"
 	"ginflow/internal/failure"
+	"ginflow/internal/hocl"
+	"ginflow/internal/mq"
 	"ginflow/internal/trace"
 	"ginflow/internal/workflow"
 )
@@ -243,9 +245,10 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 			Incarnation: e.Incarnation, Info: e.Info,
 		})
 	})
+	sb := newSessionBroker(n.rb, a.TopicPrefix, a.Tasks)
 	ns := &nodeSession{node: n, id: session, sup: &agent.Supervisor{
 		Config: agent.Config{
-			Broker:      n.rb,
+			Broker:      sb,
 			Cluster:     clus,
 			Services:    n.services,
 			Chaos:       chaos,
@@ -258,6 +261,9 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 		RestartDelay:  a.RestartDelay,
 		MaxRecoveries: a.MaxRecoveries,
 	}}
+	// The SUBSCRIBE frames are queued, not written and not waited for
+	// (sessionBroker.Subscribe): the READY sent after the build carries
+	// them all in one write, and is the barrier.
 	for _, spec := range mine {
 		first := ns.sup.New(spec)
 		if err := first.Subscribe(); err != nil {
@@ -330,4 +336,110 @@ func (ns *nodeSession) stopAndReport() {
 	ns.stop()
 	ns.node.rb.sendSession(fDone, ns.id)
 	ns.node.removeSession(ns.id)
+}
+
+// sessionBroker is the broker one session's agents see on a worker. A
+// publish to the inbox of a task this worker hosts in the session is
+// delivered in process, and the manager receives a RECORD of it instead
+// of a PUBLISH, so it counts, retains and journals the message without
+// sending it back. Every other publish, and every subscription's remote
+// half, goes through the worker's RemoteBroker.
+//
+// The short-circuit lives here, not in RemoteBroker, because only the
+// session knows where tasks are placed: only agents subscribe to inbox
+// topics, one agent per task, and placement is fixed for the session's
+// life. A generic client publishing to its own subscription still
+// crosses the socket.
+type sessionBroker struct {
+	rb    *RemoteBroker
+	local map[string]bool // inbox topics of this worker's tasks
+
+	mu sync.Mutex
+	// live holds the current subscription to each local topic with its
+	// push half. A respawning agent has none: a publish in that gap is
+	// recorded only, and the log broker replays it to the new
+	// incarnation.
+	live map[string]localSub
+}
+
+// localSub is the subscription an agent holds on a local topic, and the
+// push that feeds it.
+type localSub struct {
+	sub  *mq.Subscription
+	push func([]mq.Message)
+}
+
+var _ mq.Replayable = (*sessionBroker)(nil)
+
+func newSessionBroker(rb *RemoteBroker, prefix string, tasks []string) *sessionBroker {
+	sb := &sessionBroker{rb: rb, local: map[string]bool{}, live: map[string]localSub{}}
+	for _, t := range tasks {
+		sb.local[agent.Topic(prefix, t)] = true
+	}
+	return sb
+}
+
+// PublishAtoms publishes remotely, unless topic is local: then the
+// RECORD is queued first and the message is pushed to the live
+// subscriber, if any, with the sender's SEQ header unchanged. Queueing
+// the RECORD first puts everything the delivery causes that reaches the
+// manager (the consumer's status push, its own publishes and events)
+// behind it on the ordered link, so the journal holds an inbox message
+// before any status that reflects it, and a respawned consumer's
+// LOGREQ, sent later on the same link, reads a log that holds it.
+func (sb *sessionBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
+	if !sb.local[topic] {
+		return sb.rb.PublishAtoms(topic, atoms)
+	}
+	if err := sb.rb.record(topic, atoms); err != nil {
+		return err
+	}
+	sb.mu.Lock()
+	ls, ok := sb.live[topic]
+	sb.mu.Unlock()
+	if ok {
+		ls.push([]mq.Message{{Topic: topic, Atoms: atoms, Offset: -1}})
+	}
+	return nil
+}
+
+// Subscribe subscribes remotely and, on a local topic, also registers
+// the subscription for in-process delivery: messages that start on the
+// manager (RESYNC requests) still arrive through the remote half.
+// Cancelling the subscription removes both halves.
+//
+// On a local topic the SUBSCRIBE is queued without a write or an ACK
+// wait: the next frame this worker sends carries it, and the server
+// dispatches in order, so the subscription is live before anything that
+// frame or a later one causes. In a build that frame is READY; in a
+// respawn it is the agent-started event agent.Run records right after
+// subscribing (and, over the log broker, the LOGREQ of its replay).
+func (sb *sessionBroker) Subscribe(topic string) (*mq.Subscription, error) {
+	if !sb.local[topic] {
+		return sb.rb.Subscribe(topic)
+	}
+	var id uint64
+	var sub *mq.Subscription
+	sub, push := mq.NewPushSubscription(func() {
+		sb.mu.Lock()
+		if sb.live[topic].sub == sub {
+			delete(sb.live, topic)
+		}
+		sb.mu.Unlock()
+		sb.rb.unsubscribe(id)
+	})
+	sb.mu.Lock()
+	sb.live[topic] = localSub{sub: sub, push: push}
+	sb.mu.Unlock()
+	id, _, err := sb.rb.subscribe(topic, push)
+	if err != nil {
+		sub.Cancel()
+		return nil, err
+	}
+	return sub, nil
+}
+
+// Log reads the serving broker's log of topic.
+func (sb *sessionBroker) Log(topic string) ([]mq.Message, error) {
+	return sb.rb.Log(topic)
 }

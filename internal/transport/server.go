@@ -30,11 +30,14 @@ const maxSocketRedeliveries = 2
 type ServerConfig struct {
 	// Broker is the in-process broker the listener fronts; remote
 	// publishes land here and remote subscriptions are served from it.
-	// Log requests are answered from it when it is mq.Replayable.
+	// Log requests are answered from it when it is mq.Replayable. A
+	// worker's records of in-process deliveries go to its Record method
+	// (the mq brokers have one).
 	Broker mq.PubSub
 	// Chaos, when enabled, perturbs the socket boundary: each remote
 	// publish dispatch may be dropped (bounded redelivery), duplicated,
-	// delayed or held for reordering before it reaches the broker. Nil
+	// delayed or held for reordering before it reaches the broker.
+	// RECORD frames are never perturbed (see Server.record). Nil
 	// disables the hook. The schedule's sleeper provides the delay
 	// clock.
 	Chaos *failure.Schedule
@@ -50,6 +53,11 @@ type ServerConfig struct {
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
+	// rec is the broker's Record, nil when it has none (RECORD frames are
+	// then dropped); decodeRecords is set when the broker keeps logs and
+	// so needs a record's atoms.
+	rec           recorder
+	decodeRecords bool
 
 	mu       sync.Mutex
 	closed   bool
@@ -58,6 +66,13 @@ type Server struct {
 	sessions map[uint64]*RemoteSession
 
 	wg sync.WaitGroup
+}
+
+// recorder is the serving broker's side of a RECORD frame (see
+// mq.LogBroker.Record): count and retain a message without delivering
+// it.
+type recorder interface {
+	Record(topic string, atoms []hocl.Atom) error
 }
 
 // serverNode is the server-side state of one worker, persistent across
@@ -89,6 +104,8 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		nodes:    map[uint64]*serverNode{},
 		sessions: map[uint64]*RemoteSession{},
 	}
+	s.rec, _ = cfg.Broker.(recorder)
+	_, s.decodeRecords = cfg.Broker.(mq.Replayable)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -319,6 +336,14 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 		s.deliverPublish(p, 1)
 		return nil
 
+	case fRecord:
+		p, err := parsePublish(c)
+		if err != nil {
+			return err
+		}
+		s.record(p)
+		return nil
+
 	case fLogReq:
 		reqID, err := c.uvarint()
 		if err != nil {
@@ -468,6 +493,25 @@ func (s *Server) publish(p publishFrame) {
 		return
 	}
 	_ = s.cfg.Broker.PublishAtoms(p.topic, atoms)
+}
+
+// record accounts for a message a worker delivered in process. It skips
+// socket chaos: a record delayed past the LOGREQ of the consumer's
+// respawned incarnation would lose a result no live delivery restores.
+// Only a broker that keeps logs retains and journals the atoms, so only
+// it pays their decode; on any other broker a record is a counter bump.
+func (s *Server) record(p publishFrame) {
+	if s.rec == nil {
+		return
+	}
+	var atoms []hocl.Atom
+	if s.decodeRecords {
+		var err error
+		if atoms, err = hocl.DecodeAtoms(p.data); err != nil {
+			return
+		}
+	}
+	_ = s.rec.Record(p.topic, atoms)
 }
 
 // toWireMsg encodes a broker message for the wire, copying the payload

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -199,6 +200,32 @@ func TestRemoteSubscribeReceives(t *testing.T) {
 	}
 	// Cancelling unsubscribes remotely; later publishes go nowhere.
 	sub.sub.Cancel()
+}
+
+// TestRemoteClientPublishCrossesSocket: a generic client that publishes
+// to a topic it subscribes to itself still goes through the serving
+// broker, which counts and retains the publish and sends it back in a
+// BATCH. Only a node session, which knows where tasks are placed,
+// delivers in process.
+func TestRemoteClientPublishCrossesSocket(t *testing.T) {
+	srv, br, _ := newTestServer(t, nil)
+	rb := dialTest(t, srv, "self")
+	sub := subscribe(t, rb, "wf1.sa.T1")
+	if err := rb.PublishAtoms("wf1.sa.T1", strAtoms("echo")); err != nil {
+		t.Fatal(err)
+	}
+	m := sub.recv(t, 5*time.Second)
+	// A BATCH carries the log broker's offset; a push in process would
+	// carry -1.
+	if strOf(m) != "echo" || m.Offset != 0 {
+		t.Fatalf("got %+v, want the message back from the broker at offset 0", m)
+	}
+	if got := br.PublishedPrefix("wf1."); got != 1 {
+		t.Fatalf("serving broker counted %d publishes, want 1", got)
+	}
+	if log, _ := br.Log("wf1.sa.T1"); len(log) != 1 {
+		t.Fatalf("serving broker retained %d messages, want 1", len(log))
+	}
 }
 
 func TestReconnectResumesBothDirections(t *testing.T) {
@@ -432,6 +459,110 @@ func TestNodeRunsAssignedSession(t *testing.T) {
 	mu.Unlock()
 	if sp.StateFingerprint() == 0 {
 		t.Fatal("space fingerprint is zero after convergence")
+	}
+}
+
+// TestNodeLaunchWaitsForNoAck: a worker's build queues the SUBSCRIBE of
+// every agent and sends READY behind them without waiting for any
+// acknowledgement; READY, dispatched after them in order, is the
+// barrier. A relay between the worker and the server holds back every
+// ACK from the server until READY has passed; a build that waited for
+// an ACK would stall behind it.
+func TestNodeLaunchWaitsForNoAck(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	const tasks = 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ready := make(chan struct{})
+	heldOut := make(chan bool, 1) // whether an ACK was held in vain
+	go func() {
+		worker, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			worker.Close()
+			return
+		}
+		defer worker.Close()
+		defer server.Close()
+		subs := 0 // only the worker-to-server relay touches it
+		go relayFrames(worker, server, func(typ byte) {
+			switch typ {
+			case fSubscribe:
+				subs++
+			case fReady:
+				if subs != tasks {
+					t.Errorf("READY followed %d SUBSCRIBE frames, want %d", subs, tasks)
+				}
+				close(ready)
+			}
+		})
+		first := true
+		relayFrames(server, worker, func(typ byte) {
+			if typ != fAck || !first {
+				return
+			}
+			first = false
+			select {
+			case <-ready:
+				heldOut <- false
+			case <-time.After(2 * time.Second):
+				heldOut <- true
+			}
+		})
+	}()
+
+	reg := agent.NewRegistry()
+	reg.RegisterNoop(0.01, "s")
+	node, err := Join(ln.Addr().String(), NodeConfig{Name: "w1", Services: reg, PingInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	blob, err := workflow.Sequence(tasks, "s", "in").JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, tasks)
+	for i := range names {
+		names[i] = fmt.Sprintf("S%d", i+1)
+	}
+	rs, err := srv.StartRemote(1, map[uint64]Assignment{
+		node.NodeID(): {SpaceTopic: "wt.space", TopicPrefix: "wt.sa.", Workflow: blob, Tasks: names},
+	}, SessionHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if <-heldOut {
+		t.Fatal("the build waited for an ACK before sending READY")
+	}
+}
+
+// relayFrames copies whole frames from src to dst, showing each frame's
+// type to look before forwarding it, until either side closes.
+func relayFrames(src, dst net.Conn, look func(typ byte)) {
+	r := bufio.NewReader(src)
+	for {
+		typ, payload, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		look(typ)
+		buf, _ := appendFrame(nil, typ, payload)
+		if _, err := dst.Write(buf); err != nil {
+			return
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 #
 #	-pr N         write CHANGE_DIR/BENCH_N.json (required)
 #	-pairs N      alternating pairs per named workload (default 10)
+#	-aa N         also N pairs of the parent against itself (default 0)
 #	-claim TEXT   the claim the file backs (default: none)
 #
 # PARENT_DIR and CHANGE_DIR are two checkouts of this repository. Each is
@@ -15,24 +16,30 @@
 #     runs the parent first, set 2 (seed 2) the change first, and each
 #     set is judged by `-compare PARENT CHANGE`;
 #   - for every WORKLOAD named, N pairs of single runs with seeds 1..N,
-#     the parent first on odd seeds and the change first on even ones.
+#     the parent first on odd seeds and the change first on even ones;
+#   - with -aa M, for every WORKLOAD named, M pairs of the parent against
+#     itself with seeds 1..M, the A/A noise floor.
 #
 # Every run keeps the benchmark's own length (run_seconds in BENCHMARK.json).
 #
-# The file has the keys about, claim, notes, sets and pairs, plus a
-# summary: per workload and metric, each side's median and quartiles
-# over the pairs and the number of pairs the change won. Raw outputs stay
+# The file has the keys about, claim, notes, sets, pairs and aa_pairs,
+# plus a summary: per workload and metric, each side's median and
+# quartiles over the pairs, the number of pairs the change won, the A/B
+# shift (the change's median over the parent's, minus one) and, with
+# -aa, the quartiles of the A/A pairs' relative differences (the second
+# run over the first, minus one) beside it. Raw outputs stay
 # under CHANGE_DIR/.bench_build/pairs. Needs bash, git and python3; it
 # changes nothing under benchmarks/.
 set -euo pipefail
 
-usage() { sed -n '4,9p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '4,10p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 
-pr= pairs=10 claim=
+pr= pairs=10 aa=0 claim=
 while [[ $# -gt 0 && $1 == -* ]]; do
 	case $1 in
 	-pr) pr=$2; shift 2 ;;
 	-pairs) pairs=$2; shift 2 ;;
+	-aa) aa=$2; shift 2 ;;
 	-claim) claim=$2; shift 2 ;;
 	*) usage ;;
 	esac
@@ -121,14 +128,26 @@ for wl in ${workloads[@]+"${workloads[@]}"}; do
 	done
 done
 
+# The A/A pairs run the parent's binary twice per seed: run a, then b.
+for wl in ${workloads[@]+"${workloads[@]}"}; do
+	for ((seed = 1; seed <= aa; seed++)); do
+		for run in a b; do
+			echo "== $wl A/A seed $seed: parent ($run)" >&2
+			bench "$parent" -workload "$wl" -seed "$seed" -trace 0 \
+				>"$work/aa-$wl-$seed-$run.log" 2>&1 || true
+		done
+	done
+done
+
 out="$change/BENCH_$pr.json"
 python3 - "$work" "$out" "$change/BENCHMARK.json" "$parent_label" "$change_label" \
-	"$pairs" "$claim" ${workloads[@]+"${workloads[@]}"} <<'EOF'
+	"$pairs" "$aa" "$claim" ${workloads[@]+"${workloads[@]}"} <<'EOF'
 import json, os, statistics, sys
 
-work, out, spec_path, parent_label, change_label, pairs, claim = sys.argv[1:8]
-workloads = sys.argv[8:]
+work, out, spec_path, parent_label, change_label, pairs, aa, claim = sys.argv[1:9]
+workloads = sys.argv[9:]
 pairs = int(pairs)
+aa = int(aa)
 spec = json.load(open(spec_path))
 seconds = spec["run_seconds"]
 better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -180,6 +199,25 @@ for wl in workloads:
             if not res["correct"] or res["failed"] > 0:
                 notes.append(f"{wl} seed {seed}: {side} correct={res['correct']} failed={res['failed']}")
 
+aa_runs = []
+for wl in workloads:
+    for seed in range(1, aa + 1):
+        for run in ("a", "b"):
+            res = last_json(os.path.join(work, f"aa-{wl}-{seed}-{run}.log"))
+            if res is None:
+                notes.append(f"{wl} A/A seed {seed}: run {run} printed no result")
+                continue
+            aa_runs.append({
+                "workload": wl, "seed": seed, "run": run,
+                "correct": res["correct"], "failed": res["failed"], "attempted": res["attempted"],
+                "metrics": {k: v["value"] for k, v in sorted(res["metrics"].items())},
+            })
+            if not res["correct"] or res["failed"] > 0:
+                notes.append(f"{wl} A/A seed {seed}: run {run} correct={res['correct']} failed={res['failed']}")
+
+def rel(new, old):
+    return new / old - 1 if old else 0.0
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -202,12 +240,20 @@ for wl in workloads:
         cell["change_wins"] = sum(
             1 for s in seeds
             if sign * (runs[(s, "change")]["metrics"][metric] - runs[(s, "parent")]["metrics"][metric]) > 0)
+        cell["ab_shift"] = rel(cell["change"]["median"], cell["parent"]["median"])
+        note = (f"{wl} over {len(seeds)} pairs: {metric} parent median {cell['parent']['median']:.4g} "
+                f"(IQR {cell['parent']['q1']:.4g}-{cell['parent']['q3']:.4g}), change median "
+                f"{cell['change']['median']:.4g} (IQR {cell['change']['q1']:.4g}-{cell['change']['q3']:.4g}); "
+                f"the change wins {cell['change_wins']}/{len(seeds)}; A/B shift {cell['ab_shift']:+.1%}")
+        aa_by = {(r["seed"], r["run"]): r for r in aa_runs if r["workload"] == wl}
+        aa_seeds = sorted({seed for seed, run in aa_by if (seed, "a") in aa_by and (seed, "b") in aa_by})
+        if aa_seeds:
+            q1, med, q3 = quartiles([rel(aa_by[(s, "b")]["metrics"][metric], aa_by[(s, "a")]["metrics"][metric])
+                                     for s in aa_seeds])
+            cell["aa"] = {"pairs": len(aa_seeds), "median": med, "q1": q1, "q3": q3}
+            note += f"; A/A over {len(aa_seeds)} pairs: IQR {q1:+.1%} to {q3:+.1%} (median {med:+.1%})"
         summary[wl][metric] = cell
-        notes.append(
-            f"{wl} over {len(seeds)} pairs: {metric} parent median {cell['parent']['median']:.4g} "
-            f"(IQR {cell['parent']['q1']:.4g}-{cell['parent']['q3']:.4g}), change median "
-            f"{cell['change']['median']:.4g} (IQR {cell['change']['q1']:.4g}-{cell['change']['q3']:.4g}); "
-            f"the change wins {cell['change_wins']}/{len(seeds)}")
+        notes.append(note)
 
 verdicts = ", ".join(f"set {e['seed']} exit {e['compare']['exit']}" for e in sets)
 notes.insert(0, f"-compare verdicts (0 = no end-to-end metric worse than its bound): {verdicts}.")
@@ -216,17 +262,22 @@ if not any("correct=" in n or "no result" in n or "no result file" in n for n in
 pair_text = (f" `pairs`: `-workload W -seed S -trace 0` with the binary each tree built, "
              f"seeds 1-{pairs}, parent first on odd seeds and change first on even ones, for "
              + ", ".join(workloads) + "." if workloads else " No pairs were run.")
+if workloads and aa:
+    pair_text += (f" `aa_pairs`: the parent's binary run twice per seed (a, then b), seeds 1-{aa}, "
+                  "the A/A noise floor.")
 doc = {
     "about": (f"Parent {parent_label} vs change {change_label}, written by scripts/bench-pairs.sh. "
               f"Every run keeps the benchmark's length (BENCHMARK.json run_seconds: {seconds:g} s). "
               "`sets`: `benchmarks/run.sh -workload all -seed S -trace 0 -out <file>` per side, "
               "set 1 parent first, set 2 change first; `compare` is `-compare <parent> <change>`."
               + pair_text + " `summary`: per workload and end-to-end metric over the pairs, each side's median "
-              "and quartiles and the number of pairs the change won."),
+              "and quartiles, the number of pairs the change won and `ab_shift` (change median / parent "
+              "median - 1); with A/A pairs, `aa` holds the quartiles of b / a - 1 over them."),
     "claim": claim or None,
     "notes": notes,
     "sets": sets,
     "pairs": pair_runs,
+    "aa_pairs": aa_runs,
     "summary": summary,
 }
 with open(out, "w") as f:
