@@ -213,33 +213,34 @@ func BenchmarkReduceDiamondRules(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeAtoms measures the binary atom codec on a
-// representative journal record: one task status tuple (the full-
-// snapshot push of a mid-workflow task) plus a STATDELTA tuple — the
-// two payload shapes the durable session journal appends on its hot
-// path. Guarded by cmd/benchguard (internal/bench/baseline.json):
-// journaling cost per status record must stay flat.
+// BenchmarkEncodeAtoms measures the binary atom codec on the two
+// payload shapes the durable session journal appends on its hot path:
+// a status record (the VER header plus the full record of a
+// mid-workflow task) and an inbox record (a SEQ header plus a PASS
+// result). Guarded by cmd/benchguard (internal/bench/baseline.json):
+// journaling cost per record must stay flat.
 func BenchmarkEncodeAtoms(b *testing.B) {
 	status := hoclflow.TaskAttrs{
 		Name: "N3_4", Src: []string{"N1_3", "N2_3", "N3_3"},
 		Dst: []string{"N3_5", "N4_5"}, Service: "work",
 		In: []hocl.Atom{hocl.Str("plate-003")},
 	}.SubSolution()
-	delta := hoclflow.StatusDelta{
-		Task: "N3_4", Base: 0x1234, Next: 0x5678,
-		RemovedHashes: []uint64{1, 2, 3},
-		Added:         []hocl.Atom{hocl.Tuple{hocl.Ident("RES"), hocl.NewSolution(hocl.Str("out-work"))}},
-		Inert:         true,
+	records := [][]hocl.Atom{
+		{hoclflow.VersionMarker("N3_4", 0, 3), hoclflow.TaskTuple("N3_4", status)},
+		{hoclflow.SeqMarker("N2_3", 1), hoclflow.PassMessage("N2_3", []hocl.Atom{hocl.Str("out-work")})},
 	}
-	payload := []hocl.Atom{hocl.Tuple{hocl.Ident("N3_4"), status}, delta.Atom()}
 	var sink []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = hocl.AppendAtoms(sink[:0], payload)
+		for _, rec := range records {
+			sink = hocl.AppendAtoms(sink[:0], rec)
+		}
 	}
-	if _, err := hocl.DecodeAtoms(sink); err != nil {
-		b.Fatal(err)
+	for _, rec := range records {
+		if _, err := hocl.DecodeAtoms(hocl.AppendAtoms(nil, rec)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -436,7 +436,7 @@ func (m *Manager) ConnectedNodes() int { return m.inner.ConnectedNodes() }
 
 // Recover scans the journal directory (WithJournal) for sessions a
 // previous Manager process left unfinished — a crash, or a graceful
-// Close mid-run — rebuilds each one from its snapshot + delta log and
+// Close mid-run — rebuilds each one from its snapshot + status log and
 // resumes it, returning the live handles. Tasks whose results were
 // journaled are not re-executed. Service implementations cannot be
 // persisted, so the registry is supplied again; opts apply on top of

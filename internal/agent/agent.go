@@ -129,10 +129,9 @@ type Agent struct {
 	// of sleeping it out.
 	runCtx context.Context
 
-	// statusEnc delta-encodes status pushes: the first push of this
-	// incarnation is a full snapshot, later pushes ship only the changed
-	// top-level atoms, and unchanged states are deduplicated by
-	// fingerprint without rendering or snapshotting anything.
+	// statusEnc versions status pushes: each is the task's full record,
+	// and unchanged states are deduplicated by fingerprint without
+	// rendering or snapshotting anything.
 	statusEnc     hoclflow.StatusEncoder
 	statusScratch []hocl.Atom
 	completedSeen bool
@@ -392,11 +391,9 @@ func (a *Agent) publishWithLatency(topic string, atoms []hocl.Atom, latency floa
 // and the NAME atom are stripped: the space tracks data state, and rules
 // do not round-trip cheaply.
 //
-// The stripped state goes through the incarnation's StatusEncoder: the
-// first push is a full snapshot, later pushes are deltas carrying only
-// the changed top-level atoms (falling back to a snapshot when the delta
-// would not be smaller), and an unchanged state costs one hash pass and
-// no publish.
+// The stripped state goes through the incarnation's StatusEncoder: every
+// push is the task's full record behind a VER header, and an unchanged
+// state costs one fingerprint and no publish.
 func (a *Agent) pushStatus() {
 	atoms := a.statusScratch[:0]
 	for _, atom := range a.local.Atoms() {
@@ -441,9 +438,6 @@ func (a *Agent) markCompleted() {
 // non-inert solution, which the engine could mutate while other owners
 // (peers, the replay log) still share them; those are cloned.
 //
-// RESYNC markers are control messages, not molecules: they reset the
-// status encoder so the next push is a full snapshot (the space asked
-// for one after refusing a delta) and never enter the local solution.
 // SEQ headers are checked first: a message whose (origin, seq, payload
 // fingerprint) was already ingested is a duplicated delivery and is
 // dropped whole (exactly-once ingestion over at-least-once transport).
@@ -461,10 +455,6 @@ func (a *Agent) ingest(msg mq.Message) {
 		}
 	}
 	for _, atom := range atoms {
-		if _, ok := hoclflow.DecodeResync(atom); ok {
-			a.statusEnc.Reset()
-			continue
-		}
 		if hocl.Shareable(atom) {
 			a.local.Add(atom)
 		} else {

@@ -96,9 +96,8 @@ func TestTwoAgentPipeline(t *testing.T) {
 	if len(res) != 1 || !res[0].Equal(hocl.Str("out-s2")) {
 		t.Errorf("T2 results = %v", res)
 	}
-	if sp.Status("T1") != hoclflow.StatusCompleted {
-		t.Errorf("T1 = %v", sp.Status("T1"))
-	}
+	// T1's last push may fold after T2's: wait for it as for T2.
+	waitStatus(t, sp, "T1", hoclflow.StatusCompleted)
 }
 
 // TestAgentCrashAndReplayRecovery exercises §IV-B end to end by hand:
@@ -399,33 +398,5 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 	}
 	if !got.Equal(active) {
 		t.Errorf("clone diverged: %v", got)
-	}
-}
-
-// TestResyncMarkerForcesFullPush: a RESYNC control message resets the
-// status encoder — the next push is a full snapshot even though the
-// local state is unchanged — and never enters the local solution.
-func TestResyncMarkerForcesFullPush(t *testing.T) {
-	clus := testCluster()
-	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
-	p, _ := twoAgentSpecs(t)
-	a := New(Config{
-		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
-		Services: noopRegistry(0, "s1"),
-	})
-	a.pushStatus()
-	a.pushStatus() // unchanged: deduplicated
-	if got := broker.PublishedPrefix(""); got != 1 {
-		t.Fatalf("setup: published %d, want 1", got)
-	}
-
-	before := a.local.Len()
-	a.ingest(mq.Message{Atoms: []hocl.Atom{hoclflow.ResyncMarker("T1")}})
-	if a.local.Len() != before {
-		t.Fatal("RESYNC marker leaked into the local solution")
-	}
-	a.pushStatus() // same state, but the encoder was reset: full push
-	if got := broker.PublishedPrefix(""); got != 2 {
-		t.Fatalf("post-resync push published %d total, want 2", got)
 	}
 }

@@ -95,7 +95,7 @@ type Config struct {
 
 	// Journal configures the durable session journal (DESIGN.md
 	// "Durability & recovery"): when Journal.Dir is set, every
-	// distributed session writes through to an on-disk snapshot + delta
+	// distributed session writes through to an on-disk snapshot + status
 	// log and an unfinished session survives a Manager process crash —
 	// a fresh Manager over the same directory resumes it with Recover.
 	Journal journal.Config

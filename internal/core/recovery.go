@@ -18,14 +18,15 @@ import (
 
 // This file implements crash recovery: a fresh Manager over the same
 // journal directory rebuilds each unfinished session from its snapshot
-// + delta log and re-enters the supervisor loop without re-executing
+// + status log and re-enters the supervisor loop without re-executing
 // completed work (DESIGN.md "Durability & recovery").
 //
 // Replay reuses the live machinery end to end: journaled payloads fold
-// into the session's space through the same full-snapshot/STATDELTA
-// apply path (with the incremental MultisetHash verification) that
-// consumed them the first time, and the rebuilt per-task states seed
-// the replacement agents. A task whose journaled state carries RES
+// into the session's space through the same version-gated apply path
+// that consumed them the first time, and the rebuilt per-task states
+// seed the replacement agents. Each replacement agent's first push is a
+// full record from a fresh encoder, so the resumed space re-hears every
+// rebuilt task without being asked. A task whose journaled state carries RES
 // restarts inert on the invocation path — its IN/PAR were consumed by
 // the recorded gw_setup/gw_call firings — so its service is not invoked
 // again; a task journaled mid-flight re-invokes, exactly as the paper's
@@ -154,8 +155,7 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	}
 
 	// Replay: fold the snapshot and every status record after it into
-	// the fresh space through the live apply path (full snapshots
-	// replace, deltas patch under fingerprint verification).
+	// the fresh space through the live, version-gated apply path.
 	for _, payload := range st.Payloads {
 		if len(payload) == 0 {
 			continue

@@ -188,8 +188,8 @@ func TestRecoverMontageKillPoints(t *testing.T) {
 
 	// One early and one deep kill point keep the runtime bounded while
 	// exercising both a mostly-template and a mostly-journaled recovery.
-	// The journal length varies with interleaving (delta dedup), so the
-	// deep point halves until it lands inside the run.
+	// The journal length varies with interleaving (unchanged-state push
+	// dedup), so the deep point halves until it lands inside the run.
 	rep, journaled, ok := crashAndRecover(t, def, services, 25)
 	if !ok {
 		t.Fatal("kill@25 landed beyond the Montage journal")

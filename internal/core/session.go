@@ -482,15 +482,6 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 
-	// Post-resume convergence: ask every recovered agent for a full
-	// status push through the resync channel. Fresh incarnations push
-	// full snapshots anyway, so this only forces the order — the space
-	// re-hears every rebuilt task even if its seeded state is already
-	// final.
-	for name := range seeded {
-		s.space.RequestResync(name)
-	}
-
 	execStart := clock.Now()
 	host.start(ctx)
 	waitErr := s.space.WaitCompleted(runCtx, def.Exits())
@@ -564,12 +555,6 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 	if err := sp.Attach(broker, spaceTopic); err != nil {
 		return nil, err
 	}
-	// The resync channel: a delta push that fails to anchor makes the
-	// space ask that agent for an immediate full snapshot instead of
-	// staying stale until the agent's next natural full push.
-	sp.SetResyncRequester(func(task string) {
-		_ = broker.PublishAtoms(agent.Topic(topicPrefix, task), []hocl.Atom{hoclflow.ResyncMarker(task)})
-	})
 	spaceCtx, stopSpace := s.mgr.cluster.Clock().WithCancel(context.Background())
 	stop = stopSpace
 	// Durability was asked for, so a failing journal fails the session

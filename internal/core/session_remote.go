@@ -18,8 +18,11 @@ const remoteDoneTimeout = 10 * time.Second
 
 // remoteHost is the session side of out-of-process enactment: the
 // transport RemoteSession, whose hooks (see launchRemote) record the
-// workers' trace events into the session recorder, funnel their
-// failures and resync a reconnected worker's tasks.
+// workers' trace events into the session recorder and funnel their
+// failures. A worker that reconnects needs nothing from the session: the
+// reliable link replays every unacknowledged frame both ways, status
+// pushes included, and the space's version gate drops whatever arrives
+// stale or twice.
 type remoteHost struct {
 	rs *transport.RemoteSession
 }
@@ -61,7 +64,7 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 		}
 	}
 	// The hooks run on the transport's read loops and must not block:
-	// recording, funnelling and requesting a resync all return at once.
+	// recording and funnelling both return at once.
 	// A worker's events precede its DONE on the ordered link, so the
 	// recorder holds every one of them when stop returns.
 	rs, err := srv.StartRemote(uint64(s.id), assigns, transport.SessionHooks{
@@ -69,15 +72,6 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 			s.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
 		},
 		Fail: func(err error) { fail(fmt.Errorf("core: agent failed: %w", err)) },
-		// The reliable link replays everything the outage queued; the
-		// resync additionally forces a fresh full snapshot per task, so
-		// the space heals even if the worker restarted mid-push (the
-		// version gate drops whatever arrives stale or twice).
-		Reconnect: func(node uint64) {
-			for _, task := range tasksOf[node] {
-				s.space.RequestResync(task)
-			}
-		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: remote enactment: %w", err)

@@ -100,25 +100,25 @@ func TestSSHDeployTimeGrowsWithNodes(t *testing.T) {
 }
 
 // TestMesosDeployTimeShrinksWithNodes encodes Fig. 14's linear decrease.
+// Each deploy runs as a participant of a virtual clock, so its time is
+// model time and host scheduling cannot reorder the three sizes.
 func TestMesosDeployTimeShrinksWithNodes(t *testing.T) {
 	times := map[int]float64{}
+	specs := testSpecs(t, 102)
 	for _, nodes := range []int{5, 10, 15} {
-		// Mesos deployment time is measured (not computed), so the clock
-		// scale must keep per-round sleeps above timer granularity, and
-		// the minimum of three trials filters host scheduling hiccups.
-		best := 0.0
-		for trial := 0; trial < 3; trial++ {
-			c := cluster.New(cluster.Config{Nodes: nodes, CoresPerNode: 24, Scale: time.Millisecond})
-			placements, deploy, err := (&Mesos{}).Deploy(context.Background(), testSpecs(t, 102), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			releaseAll(placements)
-			if trial == 0 || deploy < best {
-				best = deploy
-			}
+		c := cluster.New(cluster.Config{Nodes: nodes, CoresPerNode: 24, Virtual: true})
+		var placements []Placement
+		var err error
+		done := make(chan struct{})
+		c.Clock().Go(func() {
+			defer close(done)
+			placements, times[nodes], err = (&Mesos{}).Deploy(context.Background(), specs, c)
+		})
+		<-done
+		if err != nil {
+			t.Fatal(err)
 		}
-		times[nodes] = best
+		releaseAll(placements)
 	}
 	if !(times[5] > times[10] && times[10] > times[15]) {
 		t.Errorf("Mesos deploy must decrease with nodes: %v", times)

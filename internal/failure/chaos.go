@@ -45,7 +45,7 @@ const (
 	// BoundarySpace is the space-client boundary: the hand-off between
 	// the broker's status-topic feed and the space fold. Faults defer
 	// (never lose) or duplicate individual folds, exercising the version
-	// gate and resync machinery from the consumer side.
+	// gate from the consumer side.
 	BoundarySpace
 	// BoundaryAgentCrash is the paper's §V-D fault: one draw per service
 	// invocation, crashing the agent incarnation a fixed time into its

@@ -147,9 +147,8 @@ func Fingerprint(atoms ...Atom) uint64 {
 // AtomHash returns the finalized structural hash of one atom: the
 // per-atom term of Fingerprint's top-level multiset combine. Equal atoms
 // hash equal; below the atom's top level, element order is significant
-// (matching Fingerprint). The delta status protocol (DESIGN.md "Broker
-// internals") uses AtomHash to identify removed atoms on the wire and to
-// fold per-atom hashes incrementally through MultisetHash.
+// (matching Fingerprint). The space folds one per task record and marker
+// through MultisetHash for its state fingerprint.
 func AtomHash(a Atom) uint64 {
 	return mix64(fingerprintAtom(fnvOffset, a))
 }
@@ -157,8 +156,8 @@ func AtomHash(a Atom) uint64 {
 // MultisetHash combines AtomHash values incrementally into the same
 // order-insensitive fingerprint Fingerprint computes in one pass:
 // folding the AtomHash of every atom in a multiset through Add yields
-// Fingerprint of those atoms, and Remove undoes an Add exactly. The zero
-// value is the hash of the empty multiset.
+// Fingerprint of those atoms. The zero value is the hash of the empty
+// multiset.
 type MultisetHash struct {
 	sum, xor uint64
 	n        uint64
@@ -169,13 +168,6 @@ func (m *MultisetHash) Add(h uint64) {
 	m.sum += h
 	m.xor ^= h
 	m.n++
-}
-
-// Remove unfolds one previously added atom hash.
-func (m *MultisetHash) Remove(h uint64) {
-	m.sum -= h
-	m.xor ^= h
-	m.n--
 }
 
 // Fingerprint returns the combined fingerprint, equal to Fingerprint

@@ -212,9 +212,9 @@ func TestGenCountsMutations(t *testing.T) {
 	}
 }
 
-// TestAtomHashMatchesFingerprint pins the invariant the delta status
-// protocol rests on: folding per-atom hashes through MultisetHash yields
-// exactly Fingerprint of the same atoms, and Remove undoes Add.
+// TestAtomHashMatchesFingerprint pins the invariant the space's state
+// fingerprint rests on: folding per-atom hashes through MultisetHash
+// yields exactly Fingerprint of the same atoms.
 func TestAtomHashMatchesFingerprint(t *testing.T) {
 	atoms := sampleTaskSub().Atoms()
 	var m MultisetHash
@@ -223,12 +223,6 @@ func TestAtomHashMatchesFingerprint(t *testing.T) {
 	}
 	if got, want := m.Fingerprint(), Fingerprint(atoms...); got != want {
 		t.Errorf("MultisetHash fingerprint %#x != Fingerprint %#x", got, want)
-	}
-
-	// Removing one atom lands on the fingerprint of the rest.
-	m.Remove(AtomHash(atoms[0]))
-	if got, want := m.Fingerprint(), Fingerprint(atoms[1:]...); got != want {
-		t.Errorf("after Remove: %#x != %#x", got, want)
 	}
 
 	// The zero value hashes the empty multiset.

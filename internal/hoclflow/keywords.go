@@ -23,7 +23,6 @@ const (
 	KeyTRIGGER = hocl.Ident("TRIGGER") // adaptation-fired marker: TRIGGER:"id"
 	KeyADDDST  = hocl.Ident("ADDDST")  // user-level reconfiguration atom
 	KeyMVSRC   = hocl.Ident("MVSRC")   // user-level reconfiguration atom
-	KeyRESYNC  = hocl.Ident("RESYNC")  // space-to-agent full-push request
 	KeySEQ     = hocl.Ident("SEQ")     // per-inbox sequence header: SEQ:T1:n
 	KeyVER     = hocl.Ident("VER")     // status version header: VER:T1:inc:push
 	AtomERROR  = hocl.Ident("ERROR")   // failed invocation marker in RES

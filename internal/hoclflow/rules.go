@@ -144,30 +144,6 @@ func TriggerMarker(id string) hocl.Atom {
 	return hocl.Tuple{KeyTRIGGER, hocl.Str(id)}
 }
 
-// ResyncMarker builds the RESYNC:Task control molecule a space sends to
-// an agent's inbox when a delta-encoded status push failed to anchor
-// (fingerprint mismatch): the agent must answer with a full snapshot
-// push instead of staying stale until its next natural full push. The
-// marker is a control message — agents consume it without adding it to
-// their local solution.
-func ResyncMarker(task string) hocl.Atom {
-	return hocl.Tuple{KeyRESYNC, hocl.Ident(task)}
-}
-
-// DecodeResync reports whether a is a RESYNC control marker and, if so,
-// the task it addresses.
-func DecodeResync(a hocl.Atom) (string, bool) {
-	tp, ok := a.(hocl.Tuple)
-	if !ok || len(tp) != 2 || !tp[0].Equal(KeyRESYNC) {
-		return "", false
-	}
-	name, ok := tp[1].(hocl.Ident)
-	if !ok {
-		return "", false
-	}
-	return string(name), true
-}
-
 // AddDstRule generates the add_dst rule for a source task of a replaced
 // sub-workflow (paper Fig. 7, lines 7.01-7.03): when the adaptation
 // marker arrives, new destinations are appended, which re-enables

@@ -62,6 +62,6 @@ func TestStatusEncoderVersionsAdvance(t *testing.T) {
 	bump(e.Encode(atoms, false))
 	atoms[3] = hocl.Tuple{KeyRES, hocl.NewSolution(hocl.Str("out"))}
 	bump(e.Encode(atoms, false))
-	e.Reset() // resync: the re-push must still outrank prior pushes
+	e.Reset() // the forced re-push must still outrank prior pushes
 	bump(e.Encode(atoms, false))
 }

@@ -6,13 +6,14 @@
 // Each session owns a directory of append-only segment files. A segment
 // begins with the submitted workflow (its JSON form plus the submission
 // metadata needed to rebuild the session) and a full space snapshot,
-// followed by the session's status-push stream — the same full-snapshot
-// and STATDELTA payloads agents publish on the space topic, in exactly
+// followed by the session's status-push stream — the same versioned
+// full-record payloads agents publish on the space topic, in exactly
 // the order the session's space folded them, encoded with the binary
 // atom codec (hocl.EncodeAtoms). Replaying a segment into an empty
 // space therefore rebuilds the crashed session's observable state
-// through the very delta-fold and fingerprint-verification path live
-// operation uses.
+// through the very version-gated apply path live operation uses. The
+// format carries no version: a journal written while status pushes
+// could be deltas does not replay.
 //
 // Every record is framed with its length and a fingerprint of its
 // contents, so a torn tail — the half-written record of a mid-write
@@ -49,8 +50,9 @@ const (
 	// recSnapshot carries a full space snapshot as an encoded molecule
 	// list (task tuples + markers): the replay starting point.
 	recSnapshot byte = 2
-	// recStatus carries one space-topic status payload (full snapshot
-	// tuple or STATDELTA) as an encoded molecule list.
+	// recStatus carries one space-topic status payload (a VER header
+	// and the task's full Name:<...> record, or a marker) as an encoded
+	// molecule list.
 	recStatus byte = 3
 	// recDone marks the session finished: Recover must not resume it.
 	recDone byte = 4

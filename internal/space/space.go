@@ -4,13 +4,10 @@
 // after reductions; the space routes each update "to the right
 // sub-solution" and lets clients observe progress and completion.
 //
-// Status pushes arrive either as full snapshots (a Name:<...> tuple
-// replacing the task's recorded sub-solution) or as deltas
-// (hoclflow.StatusDelta: only the top-level atoms that differ), which the
-// space folds into its stored copy. Deltas are anchored by fingerprints;
-// one that does not anchor — unknown task, base mismatch — is dropped,
-// the last good state is kept and a full push is requested (DESIGN.md
-// "Broker internals").
+// Every status push is the task's full record (a Name:<...> tuple)
+// behind a VER header; the space replaces the task's recorded
+// sub-solution whenever the header advances the task's version and drops
+// the push otherwise (DESIGN.md "Status pushes").
 package space
 
 import (
@@ -39,45 +36,11 @@ func TopicFor(ns string) string {
 	return ns + DefaultTopic
 }
 
-// taskState is one task's recorded status: the sub-solution plus the
-// bookkeeping the delta protocol needs — per-atom hashes aligned with
-// the solution's element order and their incremental multiset combine.
-// Hashes are computed lazily on the first delta, so workflows that only
-// ever push full snapshots never pay for them.
-type taskState struct {
-	sub *hocl.Solution
-	// owned reports whether sub is a space-private shell that may be
-	// mutated in place. A full snapshot arrives frozen and shared with
-	// the publisher (and possibly other subscribers); the first delta
-	// copies the shell before mutating.
-	owned bool
-	// hashed reports whether hashes/msh mirror sub's atoms.
-	hashed bool
-	hashes []uint64
-	msh    hocl.MultisetHash
-}
-
-// ensureHashed (re)builds the per-atom hash mirror from the stored atoms.
-func (st *taskState) ensureHashed() {
-	if st.hashed {
-		return
-	}
-	atoms := st.sub.Atoms()
-	st.hashes = st.hashes[:0]
-	st.msh = hocl.MultisetHash{}
-	for _, a := range atoms {
-		h := hocl.AtomHash(a)
-		st.hashes = append(st.hashes, h)
-		st.msh.Add(h)
-	}
-	st.hashed = true
-}
-
 // Space is the shared multiset. It is safe for concurrent use.
 type Space struct {
 	mu      sync.Mutex
-	tasks   map[string]*taskState // task name -> latest sub-solution
-	markers []hocl.Atom           // TRIGGER markers and other global molecules
+	tasks   map[string]*hocl.Solution // task name -> latest pushed record
+	markers []hocl.Atom               // TRIGGER markers and other global molecules
 	// folded wakes the WaitCompleted waiter after every fold. Attach
 	// puts it on the subscription's clock, so a virtual-clock waiter
 	// parks on the scheduler.
@@ -88,15 +51,6 @@ type Space struct {
 	// a delayed or redelivered push — and is dropped whole, so chaos on
 	// the status topic can never roll a task's recorded state back.
 	versions map[string]taskVersion
-
-	// resync, when set, is invoked (outside the lock) with the name of a
-	// task whose delta-encoded status push failed to anchor: the space
-	// asks the agent for an immediate full push instead of staying stale
-	// until the agent's next natural snapshot. resyncPending dedups the
-	// requests — one per task until a full snapshot heals it.
-	resync        func(task string)
-	resyncPending map[string]bool
-	resyncWant    []string // requests accumulated under the current fold
 
 	sub *mq.Subscription
 	// consumed counts the messages the serve loop has taken off the
@@ -126,10 +80,9 @@ func (v taskVersion) before(w taskVersion) bool {
 // New returns an empty space.
 func New() *Space {
 	return &Space{
-		tasks:         map[string]*taskState{},
-		folded:        cluster.NewWake(nil),
-		resyncPending: map[string]bool{},
-		versions:      map[string]taskVersion{},
+		tasks:    map[string]*hocl.Solution{},
+		folded:   cluster.NewWake(nil),
+		versions: map[string]taskVersion{},
 	}
 }
 
@@ -143,59 +96,16 @@ func (s *Space) ResetVersions() {
 	s.mu.Unlock()
 }
 
-// SetResyncRequester installs the space-to-agent resync channel: fn is
-// called with a task name whenever a delta for it could not be applied
-// (unknown task or fingerprint mismatch), at most once per task until a
-// full snapshot for that task arrives. fn is invoked outside the space
-// lock, after the batch that tripped it has been folded. Typically fn
-// publishes a hoclflow.ResyncMarker to the task's inbox topic.
-func (s *Space) SetResyncRequester(fn func(task string)) {
-	s.mu.Lock()
-	s.resync = fn
-	s.mu.Unlock()
-}
-
-// RequestResync asks the task's agent for a full status push through
-// the installed resync requester (a no-op without one). Recovery uses
-// it to force post-resume convergence of every rebuilt task.
-func (s *Space) RequestResync(task string) {
-	s.mu.Lock()
-	fn := s.resync
-	pending := s.resyncPending[task]
-	if fn != nil && !pending {
-		s.resyncPending[task] = true
-	}
-	s.mu.Unlock()
-	if fn != nil && !pending {
-		fn(task)
-	}
-}
-
-// updateTaskLocked stores the latest sub-solution pushed by a task's
-// agent, replacing any recorded state (the full-snapshot path).
-func (s *Space) updateTaskLocked(name string, sub *hocl.Solution) {
-	st := s.tasks[name]
-	if st == nil {
-		st = &taskState{}
-		s.tasks[name] = st
-	}
-	st.sub = sub
-	st.owned = false
-	st.hashed = false
-	// A full snapshot heals whatever staleness a refused delta left.
-	delete(s.resyncPending, name)
-}
-
 // Status derives the recorded status of a task (StatusIdle when the task
 // has never reported).
 func (s *Space) Status(name string) hoclflow.Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.tasks[name]
+	sub, ok := s.tasks[name]
 	if !ok {
 		return hoclflow.StatusIdle
 	}
-	return hoclflow.StatusOf(st.sub)
+	return hoclflow.StatusOf(sub)
 }
 
 // Results returns the task's recorded RES contents. The atoms are shared
@@ -204,11 +114,11 @@ func (s *Space) Status(name string) hoclflow.Status {
 func (s *Space) Results(name string) []hocl.Atom {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.tasks[name]
+	sub, ok := s.tasks[name]
 	if !ok {
 		return nil
 	}
-	res := hoclflow.Results(st.sub)
+	res := hoclflow.Results(sub)
 	if res == nil {
 		return nil
 	}
@@ -245,8 +155,8 @@ func (s *Space) Snapshot() *hocl.Solution {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	global := hocl.NewSolution()
-	for name, st := range s.tasks {
-		global.Add(hocl.Tuple{hocl.Ident(name), st.sub.SnapshotSolution()})
+	for name, sub := range s.tasks {
+		global.Add(hocl.Tuple{hocl.Ident(name), sub.SnapshotSolution()})
 	}
 	for _, m := range s.markers {
 		global.Add(hocl.Snapshot(m))
@@ -257,14 +167,15 @@ func (s *Space) Snapshot() *hocl.Solution {
 // StateFingerprint hashes the space's observable state — every task's
 // recorded top-level multiset plus the markers — order-insensitively:
 // two spaces that recorded the same states fingerprint equal regardless
-// of how the updates arrived (full snapshots, deltas, or any mix), which
-// is the convergence property the delta protocol is tested against.
+// of the order, duplication or interleaving in which their pushes
+// arrived, which is the convergence property the version gate is tested
+// against.
 func (s *Space) StateFingerprint() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m hocl.MultisetHash
-	for name, st := range s.tasks {
-		fp := hocl.Fingerprint(st.sub.Atoms()...)
+	for name, sub := range s.tasks {
+		fp := hocl.Fingerprint(sub.Atoms()...)
 		m.Add(hocl.AtomHash(hocl.Tuple{hocl.Ident(name), hocl.Int(int64(fp))}))
 	}
 	for _, mk := range s.markers {
@@ -296,8 +207,8 @@ func (s *Space) WaitCompleted(ctx context.Context, names []string) error {
 
 func (s *Space) allCompletedLocked(names []string) bool {
 	for _, n := range names {
-		st, ok := s.tasks[n]
-		if !ok || hoclflow.StatusOf(st.sub) != hoclflow.StatusCompleted {
+		sub, ok := s.tasks[n]
+		if !ok || hoclflow.StatusOf(sub) != hoclflow.StatusCompleted {
 			return false
 		}
 	}
@@ -332,11 +243,10 @@ func (s *Space) Attach(broker mq.PubSub, topic string) error {
 // Serve consumes status messages from the broker topic until the context
 // ends, attaching first if Attach has not been called. Messages arrive
 // in broker batches and are folded in under one lock acquisition per
-// batch. Message payloads are HOCL molecule lists: task tuples
-// (Name:<...>) replace the task's sub-solution, STATDELTA tuples patch
-// it, anything else is recorded as a marker. Malformed payloads are
-// skipped — a resilient space does not die on a corrupt
-// message.
+// batch. Message payloads are HOCL molecule lists: a VER header gates
+// the rest of its payload, task tuples (Name:<...>) replace the task's
+// sub-solution, anything else is recorded as a marker. A resilient space
+// does not die on a corrupt message.
 func (s *Space) Serve(ctx context.Context, broker mq.PubSub, topic string) error {
 	return s.ServeHooked(ctx, broker, topic, nil, nil)
 }
@@ -469,8 +379,8 @@ func (s *Space) TaskStates() map[string]*hocl.Solution {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]*hocl.Solution, len(s.tasks))
-	for name, st := range s.tasks {
-		out[name] = st.sub.SnapshotSolution()
+	for name, sub := range s.tasks {
+		out[name] = sub.SnapshotSolution()
 	}
 	return out
 }
@@ -485,10 +395,12 @@ func (s *Space) ApplyBatch(msgs []mq.Message) {
 	for i := range msgs {
 		s.applyAtomsLocked(msgs[i].Atoms, &applied)
 	}
-	s.finishApplyLocked(applied)
-	fn, want := s.takeResyncLocked()
+	// One wake-up per batch, and only when the fold changed anything:
+	// the waiter re-checks state however many updates it folded in.
+	if applied > 0 {
+		s.folded.Signal()
+	}
 	s.mu.Unlock()
-	fireResync(fn, want)
 }
 
 // ApplyMessage folds one status message into the space, reporting
@@ -498,43 +410,11 @@ func (s *Space) ApplyMessage(msg mq.Message) bool {
 	return len(msg.Atoms) > 0
 }
 
-// takeResyncLocked drains the resync requests accumulated by the fold
-// just performed; the caller fires them after releasing the lock, so
-// the requester callback can publish without re-entering the space.
-func (s *Space) takeResyncLocked() (func(task string), []string) {
-	if s.resync == nil || len(s.resyncWant) == 0 {
-		return nil, nil
-	}
-	want := s.resyncWant
-	s.resyncWant = nil
-	return s.resync, want
-}
-
-func fireResync(fn func(task string), tasks []string) {
-	if fn == nil {
-		return
-	}
-	for _, t := range tasks {
-		fn(t)
-	}
-}
-
-// finishApplyLocked wakes waiters once when the fold changed anything —
-// waiters re-check state anyway, so one wakeup per apply call suffices
-// no matter how many updates it folded in. Refused deltas count as
-// nothing.
-func (s *Space) finishApplyLocked(applied int64) {
-	if applied > 0 {
-		s.folded.Signal()
-	}
-}
-
 // applyAtomsLocked routes each molecule: task tuples (Name:<...>)
-// replace the task's recorded sub-solution, STATDELTA tuples patch it,
-// anything else is recorded as a marker. The space never mutates
-// wire atoms, so sharing them with the publisher and other consumers is
-// safe; only space-owned solution shells are patched in place. applied
-// is incremented per folded-in update (refused deltas do not count).
+// replace the task's recorded sub-solution, anything else is recorded as
+// a marker. The space never mutates wire atoms, so sharing them with the
+// publisher and other consumers is safe. applied is incremented per
+// folded-in update (stale pushes and repeated markers do not count).
 func (s *Space) applyAtomsLocked(atoms []hocl.Atom, applied *int64) {
 	for _, a := range atoms {
 		if task, inc, push, ok := hoclflow.DecodeVersion(a); ok {
@@ -548,16 +428,10 @@ func (s *Space) applyAtomsLocked(atoms []hocl.Atom, applied *int64) {
 			s.versions[task] = v
 			continue
 		}
-		if d, ok := hoclflow.DecodeStatusDelta(a); ok {
-			if s.applyDeltaLocked(&d) {
-				*applied++
-			}
-			continue
-		}
 		if tp, ok := a.(hocl.Tuple); ok && len(tp) == 2 {
 			if name, ok := tp[0].(hocl.Ident); ok {
 				if sub, ok := tp[1].(*hocl.Solution); ok {
-					s.updateTaskLocked(string(name), sub)
+					s.tasks[string(name)] = sub
 					*applied++
 					continue
 				}
@@ -582,99 +456,4 @@ func (s *Space) hasMarkerLocked(a hocl.Atom) bool {
 		}
 	}
 	return false
-}
-
-// applyDeltaLocked folds one delta into the task's recorded state,
-// reporting whether it applied. A delta that does not anchor — unknown
-// task, base fingerprint mismatch, a removal hash the recorded state
-// does not hold, or a Next fingerprint the patch would not produce — is
-// dropped wholly before anything mutates; the last good
-// state is kept. In-order per-topic delivery makes those cases
-// unreachable in normal operation (the agent's first push of an
-// incarnation is always a full snapshot), so a fallback here indicates a
-// lost or reordered message, and the next full snapshot resynchronises.
-func (s *Space) applyDeltaLocked(d *hoclflow.StatusDelta) bool {
-	st, ok := s.tasks[d.Task]
-	if !ok {
-		s.deltaFallbackLocked(d.Task)
-		return false
-	}
-	st.ensureHashed()
-	if st.msh.Fingerprint() != d.Base {
-		s.deltaFallbackLocked(d.Task)
-		return false
-	}
-	// Resolve every removal hash and dry-run the whole patch on a copy
-	// of the multiset combine before mutating anything: the drop is
-	// genuinely atomic, including the Next verification (whose failure
-	// is only reachable through an AtomHash collision inside one status
-	// multiset).
-	var removeIdx []int
-	var taken []bool
-	next := st.msh
-	if len(d.RemovedHashes) > 0 {
-		removeIdx = make([]int, 0, len(d.RemovedHashes))
-		taken = make([]bool, len(st.hashes))
-		for _, h := range d.RemovedHashes {
-			found := -1
-			for j, hh := range st.hashes {
-				if !taken[j] && hh == h {
-					found = j
-					break
-				}
-			}
-			if found < 0 {
-				s.deltaFallbackLocked(d.Task)
-				return false
-			}
-			taken[found] = true
-			removeIdx = append(removeIdx, found)
-			next.Remove(h)
-		}
-	}
-	addedHashes := make([]uint64, len(d.Added))
-	for i, a := range d.Added {
-		addedHashes[i] = hocl.AtomHash(a)
-		next.Add(addedHashes[i])
-	}
-	if next.Fingerprint() != d.Next {
-		s.deltaFallbackLocked(d.Task)
-		return false
-	}
-
-	if !st.owned {
-		// First patch of a shared snapshot: copy the shell (atoms stay
-		// shared) so in-place patches never touch the frozen original.
-		st.sub = st.sub.SnapshotSolution()
-		st.owned = true
-	}
-	if len(removeIdx) > 0 {
-		st.sub.RemoveIndices(removeIdx)
-		// Mirror the removal on the hash slice, preserving order the way
-		// RemoveIndices does.
-		kept := st.hashes[:0]
-		for j, h := range st.hashes {
-			if !taken[j] {
-				kept = append(kept, h)
-			}
-		}
-		st.hashes = kept
-	}
-	if len(d.Added) > 0 {
-		st.sub.Add(d.Added...)
-		st.hashes = append(st.hashes, addedHashes...)
-	}
-	st.msh = next
-	st.sub.SetInert(d.Inert)
-	return true
-}
-
-// deltaFallbackLocked queues a resync request for the task of a refused
-// delta (once per task until a full snapshot heals it).
-func (s *Space) deltaFallbackLocked(task string) {
-	if s.resync == nil || s.resyncPending[task] {
-		return
-	}
-	s.resyncPending[task] = true
-	s.resyncWant = append(s.resyncWant, task)
 }

@@ -54,8 +54,10 @@ import (
 // WELCOME; a mismatch fails the handshake. Version 3 made EVENT bodies
 // binary (version 2 carried them as JSON); version 4 dropped DONE's JSON
 // stats body; version 5 moved the assignment's crash injection into its
-// chaos config; version 6 added RECORD.
-const protocolVersion = 6
+// chaos config; version 6 added RECORD; version 7 made every status
+// push a full record (a version-6 worker would still send STATDELTA
+// tuples, which the space no longer reads).
+const protocolVersion = 7
 
 // readBufSize is the per-connection read buffer: one socket read
 // usually brings in a whole burst of frames.

@@ -404,8 +404,9 @@ func (sb *sessionBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 }
 
 // Subscribe subscribes remotely and, on a local topic, also registers
-// the subscription for in-process delivery: messages that start on the
-// manager (RESYNC requests) still arrive through the remote half.
+// the subscription for in-process delivery: messages that start
+// elsewhere (results from agents on other workers, which the manager
+// forwards) still arrive through the remote half.
 // Cancelling the subscription removes both halves.
 //
 // On a local topic the SUBSCRIBE is queued without a write or an ACK

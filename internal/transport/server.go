@@ -229,7 +229,6 @@ func (s *Server) handshake(conn net.Conn) {
 		return
 	}
 	var n *serverNode
-	rejoined := false
 	if h.nodeID == 0 {
 		s.nextNode++
 		n = &serverNode{id: s.nextNode, name: h.name, subs: map[uint64]*mq.Subscription{}}
@@ -244,15 +243,6 @@ func (s *Server) handshake(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		rejoined = true
-	}
-	var sessions []*RemoteSession
-	if rejoined {
-		for _, rs := range s.sessions {
-			if rs.hasNode(n.id) {
-				sessions = append(sessions, rs)
-			}
-		}
 	}
 	s.mu.Unlock()
 
@@ -263,11 +253,6 @@ func (s *Server) handshake(conn net.Conn) {
 		return
 	}
 	n.link.attach(conn)
-	for _, rs := range sessions {
-		if rs.hooks.Reconnect != nil {
-			rs.hooks.Reconnect(n.id)
-		}
-	}
 	s.wg.Add(1)
 	go s.serveConn(n, conn, r)
 }
@@ -592,10 +577,9 @@ func (e *ErrNodeFailed) Error() string {
 // Fail run on the reporting worker's read loop, so one worker's reports
 // arrive in the order it sent them, and every event a worker recorded
 // precedes its DONE: the session has seen them all when WaitDone
-// returns. Reconnect runs on the handshake goroutine of a worker whose
-// connection dropped and came back. A hook must not block: it runs
-// where link.serve requires that no dispatch wait on the peer, and the
-// read loop owes the worker an ACK. A nil hook drops its reports.
+// returns. A hook must not block: it runs where link.serve requires
+// that no dispatch wait on the peer, and the read loop owes the worker
+// an ACK. A nil hook drops its reports.
 type SessionHooks struct {
 	// Event receives one trace event from a worker's agents, with Node
 	// stamped from the connection.
@@ -605,9 +589,6 @@ type SessionHooks struct {
 	// instead of READY) as an *ErrNodeFailed. Each worker fails a
 	// session at most once, but several workers may.
 	Fail func(error)
-	// Reconnect receives the ID of a worker that rejoined: the
-	// session's cue to resync that worker's tasks.
-	Reconnect func(node uint64)
 }
 
 // RemoteSession is the server-side handle of one workflow session's
