@@ -280,84 +280,6 @@ func TestChaosEscalationFailsSession(t *testing.T) {
 	}
 }
 
-// TestRecoverRestoresReplayLogs: the journaled inbox history must be
-// re-seeded into the fresh broker's replay logs during Recover, so an
-// agent crash after resume can still replay messages consumed before
-// the original process died.
-func TestRecoverRestoresReplayLogs(t *testing.T) {
-	def := workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false))
-	services := diamondServices(nil)
-	dir := t.TempDir()
-	ctx := context.Background()
-
-	logCfg := func(crashAfter int64) Config {
-		cfg := journaledConfig(dir, crashAfter)
-		cfg.Broker = mq.KindLog
-		return cfg
-	}
-	m1, err := NewManager(logCfg(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := m1.Submit(ctx, def, services)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	m1.Close()
-
-	m2, err := NewManager(logCfg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	ids, err := m2.journal.SessionIDs()
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("journaled sessions: %v (%v)", ids, err)
-	}
-	st, err := m2.journal.ReadSession(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Inbox) == 0 {
-		t.Fatal("kill@30 journaled no inbox traffic; test is vacuous")
-	}
-	perTopic := map[string]int{}
-	for _, rec := range st.Inbox {
-		perTopic[rec.Topic]++
-	}
-
-	sessions, err := m2.Recover(ctx, services)
-	if err != nil || len(sessions) != 1 {
-		t.Fatalf("recover: %v (%d sessions)", err, len(sessions))
-	}
-	// The restored logs are in place before the resumed agents run; live
-	// traffic only appends, so each topic holds at least its journaled
-	// history.
-	rep, ok := m2.broker.(mq.Replayable)
-	if !ok {
-		t.Fatal("log broker is not replayable")
-	}
-	for topic, n := range perTopic {
-		log, err := rep.Log(topic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(log); got < n {
-			t.Errorf("topic %s replay log holds %d messages, journal had %d", topic, got, n)
-		}
-	}
-	final, err := sessions[0].Wait(ctx)
-	if err != nil {
-		t.Fatalf("recovered session failed: %v", err)
-	}
-	if final.Statuses[workflow.DiamondMergeName] != hoclflow.StatusCompleted {
-		t.Fatalf("merge = %v after replay-log recovery", final.Statuses[workflow.DiamondMergeName])
-	}
-}
-
 // TestHubCountsDroppedDeliveries pins the lossy-hub contract: a full
 // subscriber buffer drops the delivery and the drop is counted, never
 // blocked on.

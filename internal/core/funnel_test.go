@@ -179,8 +179,8 @@ func TestSessionFailureFunnel(t *testing.T) {
 					t.Fatalf("session completed: %v", rep)
 				}
 				tc.check(t, rep, err)
-				if got := m.broker.Topics(s.prefix); len(got) != 0 {
-					t.Errorf("broker retains the session's topics: %v", got)
+				if n := m.broker.PurgeTopics(s.prefix); n != 0 {
+					t.Errorf("broker retains %d of the session's topics", n)
 				}
 				for _, n := range m.Cluster().Nodes() {
 					if n.InUse() != 0 {

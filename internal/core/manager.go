@@ -77,12 +77,6 @@ type Manager struct {
 	met        *coreMetrics
 	metricsSrv *obs.Server
 
-	// inboxJournals dispatches the broker's publish observer to the
-	// active sessions' inbox write-through callbacks. Non-nil only when
-	// the broker is log-backed and a journal is configured.
-	inboxMu       sync.RWMutex
-	inboxJournals map[int64]func(mq.Message)
-
 	mu     sync.Mutex
 	closed bool
 	nextID int64
@@ -175,19 +169,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			}
 		}
 		m.journal = j
-		// Inbox write-through needs to see every direct-topic publish;
-		// only the log broker exposes the observer hook (the queue broker
-		// offers no replay to restore anyway).
-		if oh, ok := m.broker.(mq.ObserverHost); ok {
-			m.inboxJournals = map[int64]func(mq.Message){}
-			oh.SetPublishObserver(func(msg mq.Message) {
-				m.inboxMu.RLock()
-				for _, fn := range m.inboxJournals {
-					fn(msg)
-				}
-				m.inboxMu.RUnlock()
-			})
-		}
 	}
 	if cfg.MetricsAddr != "" {
 		srv, err := obs.Serve(cfg.MetricsAddr, reg)
@@ -197,27 +178,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.metricsSrv = srv
 	}
 	return m, nil
-}
-
-// registerInboxJournal attaches one session's inbox write-through
-// callback to the broker's publish observer; a no-op when the manager
-// has no observer hook (queue broker or no journal).
-func (m *Manager) registerInboxJournal(id int64, fn func(mq.Message)) {
-	if m.inboxJournals == nil {
-		return
-	}
-	m.inboxMu.Lock()
-	m.inboxJournals[id] = fn
-	m.inboxMu.Unlock()
-}
-
-func (m *Manager) unregisterInboxJournal(id int64) {
-	if m.inboxJournals == nil {
-		return
-	}
-	m.inboxMu.Lock()
-	delete(m.inboxJournals, id)
-	m.inboxMu.Unlock()
 }
 
 // Metrics exposes the manager's metrics registry (Config.Metrics, or

@@ -139,8 +139,8 @@ func TestManagerConcurrentMixedSessions(t *testing.T) {
 	// All sessions purged their namespaces: the shared broker retains no
 	// per-session topic state.
 	for _, s := range sessions {
-		if topics := m.broker.Topics(s.prefix); len(topics) != 0 {
-			t.Errorf("session %d left topics behind: %v", s.ID(), topics)
+		if n := m.broker.PurgeTopics(s.prefix); n != 0 {
+			t.Errorf("session %d left %d topics behind", s.ID(), n)
 		}
 	}
 }
@@ -221,8 +221,8 @@ func TestManagerCancelReleasesResources(t *testing.T) {
 			t.Errorf("node %v still holds %d slots after cancel", n, n.InUse())
 		}
 	}
-	if topics := m.broker.Topics(s.prefix); len(topics) != 0 {
-		t.Errorf("topics not purged after cancel: %v", topics)
+	if n := m.broker.PurgeTopics(s.prefix); n != 0 {
+		t.Errorf("%d topics not purged after cancel", n)
 	}
 	if got := m.Active(); got != 0 {
 		t.Errorf("active = %d after cancel", got)
@@ -510,8 +510,8 @@ func TestCancelledSessionLeavesNoTopicsOnAnyShard(t *testing.T) {
 	}
 	for _, s := range sessions {
 		ns := s.prefix
-		if got := broker.Topics(ns); len(got) != 0 {
-			t.Errorf("broker retains topics of cancelled session %s: %v", ns, got)
+		if n := broker.PurgeTopics(ns); n != 0 {
+			t.Errorf("broker retains %d topics of cancelled session %s", n, ns)
 		}
 	}
 }
@@ -596,8 +596,8 @@ func TestManagerCloseLeavesNothing(t *testing.T) {
 				n.Close()
 			}
 			m.Close()
-			if topics := broker.Topics(""); len(topics) != 0 {
-				t.Errorf("broker holds topics after Close: %v", topics)
+			if n := broker.PurgeTopics(""); n != 0 {
+				t.Errorf("broker holds %d topics after Close", n)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -168,33 +168,14 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	// push would be dropped as stale.
 	s.space.ResetVersions()
 
-	// Re-seed the fresh broker's replay logs with the journaled inbox
-	// history: an agent that crashes after resume can still replay the
-	// messages its pre-crash incarnations consumed in the old process.
-	if len(st.Inbox) > 0 {
-		if lr, ok := m.broker.(mq.LogRestorer); ok {
-			byTopic := map[string][]mq.Message{}
-			var order []string
-			for _, rec := range st.Inbox {
-				if _, seen := byTopic[rec.Topic]; !seen {
-					order = append(order, rec.Topic)
-				}
-				byTopic[rec.Topic] = append(byTopic[rec.Topic], mq.Message{Topic: rec.Topic, Atoms: rec.Atoms})
-			}
-			for _, topic := range order {
-				lr.RestoreLog(topic, byTopic[topic])
-			}
-		}
-	}
-
 	// Resume write-through: the rebuilt state is checkpointed into a
 	// fresh segment before the session runs, superseding the replayed
-	// segments; the inbox history is re-journaled into the fresh head.
+	// segments.
 	meta, err := sessionMeta(s)
 	if err != nil {
 		return fail(err)
 	}
-	jw, err := m.journal.ResumeSession(meta, s.space.Snapshot().Atoms(), st.Inbox)
+	jw, err := m.journal.ResumeSession(meta, s.space.Snapshot().Atoms())
 	if err != nil {
 		return fail(err)
 	}

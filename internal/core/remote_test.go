@@ -310,7 +310,7 @@ func countInboxDuplicates(m *Manager) func() int64 {
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	var n int64
-	m.broker.(mq.ObserverHost).SetPublishObserver(func(msg mq.Message) {
+	m.broker.(*mq.LogBroker).SetPublishObserver(func(msg mq.Message) {
 		if !strings.Contains(msg.Topic, agent.DefaultTopicPrefix) || len(msg.Atoms) == 0 {
 			return
 		}

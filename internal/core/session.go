@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -442,7 +441,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	defer fail(nil)
 
 	// The space consumes status updates; attach before any agent runs.
-	stopSpace, err := s.attachSpace(fail, spaceTopic, topicPrefix)
+	stopSpace, err := s.attachSpace(fail, spaceTopic)
 	if err != nil {
 		return nil, err
 	}
@@ -544,8 +543,8 @@ func endCause(ctx, runCtx context.Context) error {
 // attachSpace subscribes the session's space to its status topic and
 // starts the serve loop that folds it, journaling each batch first when
 // the session is durable. The serve loop and the journal report their
-// failures to fail; the returned stop ends the serve loop.
-func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPrefix string) (stop func(), err error) {
+// failures to fail; the returned stopSpace ends the serve loop.
+func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic string) (stopSpace func(), err error) {
 	sp, broker := s.space, s.mgr.broker
 	// The space-client boundary is chaos-perturbed too: delivered status
 	// batches may be deferred or double-folded before they reach the
@@ -556,7 +555,6 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 		return nil, err
 	}
 	spaceCtx, stopSpace := s.mgr.cluster.Clock().WithCancel(context.Background())
-	stop = stopSpace
 	// Durability was asked for, so a failing journal fails the session
 	// instead of silently degrading.
 	journalErr := func(err error) {
@@ -576,40 +574,13 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic, topicPre
 				func(batch []mq.Message) { journalErr(s.journalBatch(batch)) },
 				func() { journalErr(s.maybeCheckpoint()) })
 		}
-		// Inbox write-through (log broker only): every direct-topic
-		// publish is journaled as it lands in the broker log, so a
-		// manager crash after resume can still replay pre-crash inbox
-		// traffic into a fresh broker. Rotation rewrites the full history
-		// from the live log into each new segment head.
-		if rep, ok := broker.(mq.Replayable); ok && s.mgr.inboxJournals != nil {
-			s.mgr.registerInboxJournal(s.id, func(msg mq.Message) {
-				if !strings.HasPrefix(msg.Topic, topicPrefix) {
-					return
-				}
-				journalErr(s.jw.AppendInbox(msg.Topic, msg.Atoms))
-			})
-			stop = func() {
-				s.mgr.unregisterInboxJournal(s.id)
-				stopSpace()
-			}
-			s.jw.SetInboxSource(func() []journal.InboxRecord {
-				var recs []journal.InboxRecord
-				for _, topic := range broker.Topics(topicPrefix) {
-					log, _ := rep.Log(topic) // an in-process log read never fails
-					for _, m := range log {
-						recs = append(recs, journal.InboxRecord{Topic: topic, Atoms: m.Atoms})
-					}
-				}
-				return recs
-			})
-		}
 	}
 	s.mgr.cluster.Clock().Go(func() {
 		if err := serveSpace(); err != nil && spaceCtx.Err() == nil {
 			fail(fmt.Errorf("core: space failed: %w", err))
 		}
 	})
-	return stop, nil
+	return stopSpace, nil
 }
 
 // agentHost is where a session's agents run: in process under one

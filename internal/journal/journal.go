@@ -15,6 +15,15 @@
 // format carries no version: a journal written while status pushes
 // could be deltas does not replay.
 //
+// A segment holds exactly what the space folds: workflow, snapshot,
+// status and done records. Agent inbox traffic is not journaled: a
+// resumed session re-derives what the crash lost by reconciling the
+// agent specs against the replayed space, and a respawn after resume
+// replays the fresh broker's log (DESIGN.md "Replay and resume
+// semantics"). The inbox record type survives only for the frozen
+// benchmark probe, which writes it through AppendInbox; ReadSession
+// skips it.
+//
 // Every record is framed with its length and a fingerprint of its
 // contents, so a torn tail — the half-written record of a mid-write
 // crash — is detected and cleanly ignored on open: recovery resumes
@@ -57,9 +66,9 @@ const (
 	// recDone marks the session finished: Recover must not resume it.
 	recDone byte = 4
 	// recInbox carries one direct-topic inbox message (topic + payload
-	// atoms): the replay source that survives log-broker loss across a
-	// double crash (crash, recover, crash again before the agents drained
-	// their logs).
+	// atoms). It is written only by the frozen benchmark probe through
+	// AppendInbox; the product writes none, and ReadSession validates
+	// the frame and skips it.
 	recInbox byte = 5
 )
 
@@ -244,11 +253,8 @@ func (j *Journal) CreateSession(meta SessionMeta) (*SessionWriter, error) {
 // ResumeSession reopens an unfinished session for write-through after
 // recovery: the recovered state is checkpointed into a fresh segment
 // (whose workflow record re-persists meta) and the superseded segments
-// are pruned. snapshot must be the molecule list of the rebuilt space;
-// inbox is the direct-message history read back from the old segments,
-// re-journaled into the fresh head so a second crash can still replay
-// it.
-func (j *Journal) ResumeSession(meta SessionMeta, snapshot []hocl.Atom, inbox []InboxRecord) (*SessionWriter, error) {
+// are pruned. snapshot must be the molecule list of the rebuilt space.
+func (j *Journal) ResumeSession(meta SessionMeta, snapshot []hocl.Atom) (*SessionWriter, error) {
 	dir := j.sessionDir(meta.ID)
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -257,9 +263,6 @@ func (j *Journal) ResumeSession(meta SessionMeta, snapshot []hocl.Atom, inbox []
 	w := &SessionWriter{cfg: j.cfg, dir: dir, meta: meta, met: j.met}
 	if n := len(segs); n > 0 {
 		w.segIndex = segs[n-1].index
-	}
-	if len(inbox) > 0 {
-		w.inboxSource = func() []InboxRecord { return inbox }
 	}
 	if err := w.rotate(snapshot); err != nil {
 		return nil, err
@@ -290,21 +293,6 @@ type SessionWriter struct {
 	closed    bool
 	scratch   []byte // frame assembly buffer, reused per record
 	enc       []byte // atom-encoding buffer, reused per record
-	// inboxSource, when set, supplies the session's full direct-message
-	// history at rotation time so each new segment carries the complete
-	// inbox replay stream (older segments are pruned).
-	inboxSource func() []InboxRecord
-}
-
-// InboxRecord is one journaled direct-topic message: the agent inbox
-// traffic a recovered session must replay so resumed agents re-observe
-// the PASS/ADAPT messages their crashed incarnations consumed from the
-// log broker.
-type InboxRecord struct {
-	// Topic is the direct topic the message was published on.
-	Topic string
-	// Atoms is the frozen message payload.
-	Atoms []hocl.Atom
 }
 
 // segmentName renders the file name of segment n.
@@ -484,45 +472,17 @@ func (w *SessionWriter) AppendStatus(atoms []hocl.Atom) error {
 	return nil
 }
 
-// AppendInbox journals one direct-topic message — the write-ahead copy
-// of an agent inbox delivery. Like AppendStatus it reuses the writer's
-// buffers; the atoms must be frozen broker payloads.
+// AppendInbox journals one direct-topic message as a recInbox record:
+// uvarint topic length, topic bytes, then the encoded atom list. It is
+// written only by the frozen benchmark probe; the product writes none,
+// and ReadSession skips the record.
 func (w *SessionWriter) AppendInbox(topic string, atoms []hocl.Atom) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.enc = appendInboxPayload(w.enc[:0], topic, atoms)
+	w.enc = binary.AppendUvarint(w.enc[:0], uint64(len(topic)))
+	w.enc = append(w.enc, topic...)
+	w.enc = hocl.AppendAtoms(w.enc, atoms)
 	return w.appendFrame(recInbox, w.enc)
-}
-
-// SetInboxSource installs the callback rotation uses to rewrite the
-// session's full inbox history into each new segment head. Pass nil to
-// stop carrying inbox records forward.
-func (w *SessionWriter) SetInboxSource(fn func() []InboxRecord) {
-	w.mu.Lock()
-	w.inboxSource = fn
-	w.mu.Unlock()
-}
-
-// appendInboxPayload encodes one inbox record: uvarint topic length,
-// topic bytes, then the encoded atom list.
-func appendInboxPayload(dst []byte, topic string, atoms []hocl.Atom) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(topic)))
-	dst = append(dst, topic...)
-	return hocl.AppendAtoms(dst, atoms)
-}
-
-// decodeInboxPayload is the inverse of appendInboxPayload.
-func decodeInboxPayload(payload []byte) (InboxRecord, error) {
-	n, used := binary.Uvarint(payload)
-	if used <= 0 || uint64(len(payload)-used) < n {
-		return InboxRecord{}, fmt.Errorf("journal: inbox record: bad topic length")
-	}
-	topic := string(payload[used : used+int(n)])
-	atoms, err := hocl.DecodeAtoms(payload[used+int(n):])
-	if err != nil {
-		return InboxRecord{}, fmt.Errorf("journal: inbox record: %w", err)
-	}
-	return InboxRecord{Topic: topic, Atoms: atoms}, nil
 }
 
 // ShouldCheckpoint reports whether enough status records have
@@ -588,16 +548,6 @@ func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
 	}
 	if err := w.appendFrame(recSnapshot, hocl.EncodeAtoms(snapshot)); err != nil {
 		return err
-	}
-	// Older segments are about to be pruned: rewrite the full inbox
-	// history into the new head so direct-message replay stays complete.
-	if w.inboxSource != nil {
-		for _, rec := range w.inboxSource() {
-			w.enc = appendInboxPayload(w.enc[:0], rec.Topic, rec.Atoms)
-			if err := w.appendFrame(recInbox, w.enc); err != nil {
-				return err
-			}
-		}
 	}
 	if err := w.maybeSync(); err != nil {
 		return err

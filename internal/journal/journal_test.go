@@ -345,7 +345,7 @@ func TestJournalResumeRotatesAndPrunes(t *testing.T) {
 	w.Close()
 
 	snap := statusPayload("T1", 2)
-	w2, err := j.ResumeSession(testMeta(5), snap, nil)
+	w2, err := j.ResumeSession(testMeta(5), snap)
 	if err != nil {
 		t.Fatal(err)
 	}

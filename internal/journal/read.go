@@ -24,12 +24,6 @@ type SessionState struct {
 	// apply path live status pushes take) rebuilds the session's
 	// observable state.
 	Payloads [][]hocl.Atom
-	// Inbox is the direct-topic message history journaled for the
-	// session, in publish order: recovery restores it into the log
-	// broker so resumed agents replay their pre-crash inbox traffic.
-	// Unlike Payloads it is NOT cut at snapshots — rotation rewrites the
-	// full history into each segment head.
-	Inbox []InboxRecord
 	// TornBytes counts the bytes of torn tail ignored at the end of the
 	// newest segment (0 when the segment ends on a frame boundary).
 	TornBytes int64
@@ -44,7 +38,10 @@ type SessionState struct {
 }
 
 // ReadSession reads a session's replayable state from its newest intact
-// segment. A torn tail — the trailing bytes of a record interrupted by
+// segment: the workflow, snapshot, status and done records, which are
+// exactly what the session's space folds. An inbox record (written only
+// by the frozen benchmark probe) is validated by its frame and skipped.
+// A torn tail — the trailing bytes of a record interrupted by
 // the crash — is detected by the frame length/fingerprint and ignored; a
 // segment whose head (workflow record + first snapshot) is torn is
 // skipped entirely in favour of its predecessor, which rotation keeps on
@@ -93,14 +90,20 @@ func (j *Journal) ReadSession(id int64) (*SessionState, error) {
 	return nil, fmt.Errorf("journal: session %d: no intact segment: %w", id, lastErr)
 }
 
-// readSegment parses one segment file: frames are validated by length
-// and fingerprint, replay is cut to the last complete snapshot, and the
-// first invalid frame ends the scan (everything after it is torn tail).
+// readSegment reads and parses one segment file.
 func readSegment(path string) (*SessionState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	return parseSegment(path, data)
+}
+
+// parseSegment parses one segment's bytes (path only names it in
+// errors): frames are validated by length and fingerprint, replay is cut
+// to the last complete snapshot, and the first invalid frame ends the
+// scan (everything after it is torn tail).
+func parseSegment(path string, data []byte) (*SessionState, error) {
 	st := &SessionState{}
 	sawMeta, sawSnapshot := false, false
 	pos := 0
@@ -136,11 +139,8 @@ func readSegment(path string) (*SessionState, error) {
 			st.Payloads = append(st.Payloads, atoms)
 			st.StatusRecords++
 		case recInbox:
-			rec, err := decodeInboxPayload(payload)
-			if err != nil {
-				return nil, fmt.Errorf("journal: %s: %w", path, err)
-			}
-			st.Inbox = append(st.Inbox, rec)
+			// The frame is intact; the product neither writes nor
+			// replays inbox records.
 		case recDone:
 			st.Done = true
 		default:
@@ -157,7 +157,6 @@ func readSegment(path string) (*SessionState, error) {
 		// but ReadSession prefers an intact predecessor segment.
 		st.Payloads = nil
 		st.StatusRecords = 0
-		st.Inbox = nil
 		st.headTorn = true
 	}
 	return st, nil

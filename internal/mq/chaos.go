@@ -11,24 +11,6 @@ import (
 // history while live consumers experience drops, duplicates, delays and
 // reorders.
 
-// ObserverHost is implemented by brokers that can report every accepted
-// publish to a synchronous observer (the journal's inbox write-through
-// point).
-type ObserverHost interface {
-	SetPublishObserver(func(Message))
-}
-
-// LogRestorer is implemented by brokers whose replay logs can be
-// re-seeded from journaled history during crash recovery.
-type LogRestorer interface {
-	RestoreLog(topic string, msgs []Message)
-}
-
-var (
-	_ ObserverHost = (*LogBroker)(nil)
-	_ LogRestorer  = (*LogBroker)(nil)
-)
-
 // maxRedeliveries bounds how often chaos may drop one (message,
 // subscriber) delivery before the modelled middleware's redelivery is
 // forced through. A drop is therefore a delay plus a reorder, never a

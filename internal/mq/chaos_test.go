@@ -123,31 +123,8 @@ func TestChaosReorderSwaps(t *testing.T) {
 	}
 }
 
-// TestRestoreLogReplacesHistory checks recovery's log re-seeding:
-// offsets renumber, content replaces, and replay returns the restored
-// history.
-func TestRestoreLogReplacesHistory(t *testing.T) {
-	b := NewLogBrokerSharded(chaosClock(t), 0.1, 0)
-	if err := b.PublishAtoms("wf1.sa.T1", strAtoms("old")); err != nil {
-		t.Fatal(err)
-	}
-	b.RestoreLog("wf1.sa.T1", []Message{
-		{Atoms: []hocl.Atom{hocl.Int(1)}},
-		{Atoms: []hocl.Atom{hocl.Int(2)}},
-	})
-	log := logOf(b, "wf1.sa.T1")
-	if len(log) != 2 {
-		t.Fatalf("restored log holds %d messages, want 2", len(log))
-	}
-	for i, m := range log {
-		if m.Offset != i || m.Topic != "wf1.sa.T1" {
-			t.Fatalf("message %d: offset=%d topic=%q", i, m.Offset, m.Topic)
-		}
-	}
-}
-
-// TestPublishObserverSeesEveryPublish checks the write-through hook
-// fires once per accepted publish, including for textual payloads.
+// TestPublishObserverSeesEveryPublish checks the test hook fires once
+// per accepted publish, including for textual payloads.
 func TestPublishObserverSeesEveryPublish(t *testing.T) {
 	b := NewLogBrokerSharded(chaosClock(t), 0.1, 0)
 	var seen []Message

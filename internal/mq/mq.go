@@ -42,7 +42,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,10 +94,6 @@ type Broker interface {
 	// sharing the given prefix — the per-session message count of a
 	// long-lived broker multiplexing namespaced workflow runs.
 	PublishedPrefix(prefix string) int64
-	// Topics returns the topics under the given prefix that still hold
-	// broker state (subscriber lists, retained logs, counters) on any
-	// shard, sorted. An empty prefix lists everything.
-	Topics(prefix string) []string
 	// PurgeTopics drops all broker state for topics sharing the given
 	// prefix — subscriber registrations, retained logs and counters, on
 	// every shard — and reports how many topics were purged. Sessions
@@ -594,44 +589,6 @@ func (c *common) PublishedPrefix(prefix string) int64 {
 	return n
 }
 
-// shardTopics collects the topics under prefix holding subscriber or
-// counter state on one shard.
-func (c *common) shardTopics(sh *shard, prefix string, seen map[string]bool) {
-	sh.mu.RLock()
-	for topic, list := range sh.subs {
-		if len(list) > 0 && strings.HasPrefix(topic, prefix) {
-			seen[topic] = true
-		}
-	}
-	sh.mu.RUnlock()
-	sh.qmu.Lock()
-	for topic := range sh.perTopic {
-		if strings.HasPrefix(topic, prefix) {
-			seen[topic] = true
-		}
-	}
-	sh.qmu.Unlock()
-}
-
-// Topics lists topics under prefix that hold subscriber or counter state
-// on any shard.
-func (c *common) Topics(prefix string) []string {
-	seen := map[string]bool{}
-	for _, sh := range c.shards {
-		c.shardTopics(sh, prefix, seen)
-	}
-	return sortedKeys(seen)
-}
-
-func sortedKeys(seen map[string]bool) []string {
-	out := make([]string, 0, len(seen))
-	for topic := range seen {
-		out = append(out, topic)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PurgeTopics drops subscriber registrations and counters for topics
 // with the given prefix on every shard. Subscriptions are not cancelled —
 // that is the owning consumer's job — so a purged consumer simply stops
@@ -739,9 +696,8 @@ type LogBroker struct {
 	*common
 	logShards []*logShard
 
-	// observer, when set, sees every accepted publish and record — the
-	// journal's inbox write-through point (DESIGN.md "Fault model & chaos
-	// harness").
+	// observer, when set, sees every accepted publish and record: a test
+	// hook (SetPublishObserver).
 	observer atomic.Pointer[func(Message)]
 }
 
@@ -783,7 +739,7 @@ func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 // Record retains and observes a message exactly as PublishAtoms does,
 // and counts it, but delivers it to no one (see common.Record): its
 // publisher has delivered it already. The log still replays it to a
-// respawned consumer, and the observer journals it.
+// respawned consumer, and the observer sees it.
 func (b *LogBroker) Record(topic string, atoms []hocl.Atom) error {
 	if err := b.common.Record(topic, atoms); err != nil {
 		return err
@@ -802,8 +758,8 @@ func (b *LogBroker) retain(topic string, atoms []hocl.Atom) Message {
 	ls.logs[msg.Topic] = append(ls.logs[msg.Topic], msg)
 	ls.mu.Unlock()
 	// The observer runs outside the log-shard lock (it may take locks of
-	// its own, e.g. the journal writer's) and before delivery, so a
-	// journaled message is durable before any consumer can act on it.
+	// its own) and before delivery, so it sees a message before any
+	// consumer can act on it.
 	if obs := b.observer.Load(); obs != nil {
 		(*obs)(msg)
 	}
@@ -813,54 +769,15 @@ func (b *LogBroker) retain(topic string, atoms []hocl.Atom) Message {
 // SetPublishObserver registers fn, invoked synchronously for every
 // accepted publish or record, after the message is appended to the log
 // and before it is delivered. One observer at a time; install it before
-// traffic flows. The Manager uses it to journal agent inboxes
-// write-through.
+// traffic flows. It is a test hook: no product code installs one, and
+// the remote chaos test counts the inbox messages the broker received
+// twice through it.
 func (b *LogBroker) SetPublishObserver(fn func(Message)) {
 	if fn == nil {
 		b.observer.Store(nil)
 		return
 	}
 	b.observer.Store(&fn)
-}
-
-// RestoreLog replaces a topic's retained log with msgs, renumbering
-// offsets. Crash recovery uses it to re-seed a fresh process's broker
-// with the journaled inbox history, so an agent that crashes again
-// after resume still replays its pre-crash messages. Nothing is
-// delivered; only the replay history changes.
-func (b *LogBroker) RestoreLog(topic string, msgs []Message) {
-	log := make([]Message, len(msgs))
-	for i, m := range msgs {
-		m.Topic = topic
-		m.Offset = i
-		log[i] = m
-	}
-	ls := b.logShards[b.shardIndex(topic)]
-	ls.mu.Lock()
-	ls.logs[topic] = log
-	ls.mu.Unlock()
-}
-
-// Topics lists topics under prefix holding subscriber, counter or log
-// state on any shard.
-func (b *LogBroker) Topics(prefix string) []string {
-	seen := map[string]bool{}
-	for i, sh := range b.shards {
-		b.shardTopics(sh, prefix, seen)
-		b.logTopics(i, prefix, seen)
-	}
-	return sortedKeys(seen)
-}
-
-func (b *LogBroker) logTopics(shard int, prefix string, seen map[string]bool) {
-	ls := b.logShards[shard]
-	ls.mu.RLock()
-	for topic := range ls.logs {
-		if strings.HasPrefix(topic, prefix) {
-			seen[topic] = true
-		}
-	}
-	ls.mu.RUnlock()
 }
 
 // PurgeTopics additionally drops the retained logs under prefix — the

@@ -158,8 +158,8 @@ func TestPurgeTopicsAcrossShards(t *testing.T) {
 	if n := b.PurgeTopics("wf1."); n != 2 {
 		t.Errorf("purged %d topics, want 2", n)
 	}
-	if got := b.Topics("wf1."); len(got) != 0 {
-		t.Errorf("Topics(wf1.) = %v after purge", got)
+	if n := b.PurgeTopics("wf1."); n != 0 {
+		t.Errorf("a second purge of wf1. found %d topics", n)
 	}
 	if got := logOf(b, "wf1.sa.T1"); len(got) != 0 {
 		t.Errorf("purged log survives: %v", got)
@@ -169,17 +169,35 @@ func TestPurgeTopicsAcrossShards(t *testing.T) {
 	}
 	// Every other session keeps its two topics, each holding state only
 	// on the shard it routes to.
+	all := map[string]bool{}
 	for i, sh := range b.shards {
 		seen := map[string]bool{}
-		b.shardTopics(sh, "", seen)
-		b.logTopics(i, "", seen)
+		sh.mu.RLock()
+		for topic, list := range sh.subs {
+			if len(list) > 0 {
+				seen[topic] = true
+			}
+		}
+		sh.mu.RUnlock()
+		sh.qmu.Lock()
+		for topic := range sh.perTopic {
+			seen[topic] = true
+		}
+		sh.qmu.Unlock()
+		ls := b.logShards[i]
+		ls.mu.RLock()
+		for topic := range ls.logs {
+			seen[topic] = true
+		}
+		ls.mu.RUnlock()
 		for topic := range seen {
 			if want := b.shardIndex(topic); want != i {
 				t.Errorf("topic %s holds state on shard %d, routes to %d", topic, i, want)
 			}
+			all[topic] = true
 		}
 	}
-	if all := b.Topics(""); len(all) != 2*(sessions-1) {
+	if len(all) != 2*(sessions-1) {
 		t.Errorf("topics after purge: %d, want %d", len(all), 2*(sessions-1))
 	}
 }

@@ -341,8 +341,8 @@ func (ns *nodeSession) stopAndReport() {
 // sessionBroker is the broker one session's agents see on a worker. A
 // publish to the inbox of a task this worker hosts in the session is
 // delivered in process, and the manager receives a RECORD of it instead
-// of a PUBLISH, so it counts, retains and journals the message without
-// sending it back. Every other publish, and every subscription's remote
+// of a PUBLISH, so it counts and retains the message without sending it
+// back. Every other publish, and every subscription's remote
 // half, goes through the worker's RemoteBroker.
 //
 // The short-circuit lives here, not in RemoteBroker, because only the
@@ -384,9 +384,10 @@ func newSessionBroker(rb *RemoteBroker, prefix string, tasks []string) *sessionB
 // subscriber, if any, with the sender's SEQ header unchanged. Queueing
 // the RECORD first puts everything the delivery causes that reaches the
 // manager (the consumer's status push, its own publishes and events)
-// behind it on the ordered link, so the journal holds an inbox message
-// before any status that reflects it, and a respawned consumer's
-// LOGREQ, sent later on the same link, reads a log that holds it.
+// behind it on the ordered link, so the broker has counted and retained
+// an inbox message before any status that reflects it reaches the space,
+// and a respawned consumer's LOGREQ, sent later on the same link, reads
+// a log that holds it.
 func (sb *sessionBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	if !sb.local[topic] {
 		return sb.rb.PublishAtoms(topic, atoms)

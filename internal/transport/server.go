@@ -483,8 +483,8 @@ func (s *Server) publish(p publishFrame) {
 // record accounts for a message a worker delivered in process. It skips
 // socket chaos: a record delayed past the LOGREQ of the consumer's
 // respawned incarnation would lose a result no live delivery restores.
-// Only a broker that keeps logs retains and journals the atoms, so only
-// it pays their decode; on any other broker a record is a counter bump.
+// Only a broker that keeps logs retains the atoms, so only it pays
+// their decode; on any other broker a record is a counter bump.
 func (s *Server) record(p publishFrame) {
 	if s.rec == nil {
 		return

@@ -14,7 +14,9 @@
 #
 #   - two sets of `-workload all -seed S -trace 0`: set 1 (seed 1)
 #     runs the parent first, set 2 (seed 2) the change first, and each
-#     set is judged by `-compare PARENT CHANGE`;
+#     set is compared by `-compare PARENT CHANGE`, one run per side,
+#     so a set's EXCEEDS line is one sample confounded with run order
+#     (the notes give the pairs' shift beside it, where there are any);
 #   - for every WORKLOAD named, N pairs of single runs with seeds 1..N,
 #     the parent first on odd seeds and the change first on even ones;
 #   - with -aa M, for every WORKLOAD named, M pairs of the parent against
@@ -255,8 +257,29 @@ for wl in workloads:
         summary[wl][metric] = cell
         notes.append(note)
 
+# A set compares one run per side, so each EXCEEDS line is one sample
+# whose shift is confounded with run order; only the pairs separate the
+# change from it.
+for e in sets:
+    for line in e["compare"]["output"]:
+        fields = line.split()
+        if len(fields) < 7 or fields[-1] != "EXCEEDS":
+            continue
+        wl, metric, shift = fields[0], fields[1], fields[4]
+        note = (f"set {e['seed']} ({e['order']}): {wl} {metric} worse by {shift} is one run per side, "
+                "confounded with run order")
+        cell = summary.get(wl, {}).get(metric)
+        if cell:
+            note += (f"; over {cell['pairs']} alternating pairs the A/B shift is {cell['ab_shift']:+.1%} "
+                     f"and the change wins {cell['change_wins']}/{cell['pairs']}")
+        else:
+            note += f"; {wl} was not paired, so nothing here separates the change from run order"
+        notes.append(note + ".")
+
 verdicts = ", ".join(f"set {e['seed']} exit {e['compare']['exit']}" for e in sets)
-notes.insert(0, f"-compare verdicts (0 = no end-to-end metric worse than its bound): {verdicts}.")
+notes.insert(0, f"-compare exit codes, one run per side per set (0 = no end-to-end metric of that "
+                f"single run past its bound): {verdicts}. A set's EXCEEDS line is one sample, "
+                "confounded with run order; the pairs, where run, say whether the change moved it.")
 if not any("correct=" in n or "no result" in n or "no result file" in n for n in notes):
     notes.insert(1, "Every run of both sets and of the pairs is correct: true with failed: 0.")
 pair_text = (f" `pairs`: `-workload W -seed S -trace 0` with the binary each tree built, "
