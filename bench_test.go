@@ -272,6 +272,49 @@ func BenchmarkJournalAppendStatus(b *testing.B) {
 	}
 }
 
+// BenchmarkStatusPush measures one status push as an agent makes it
+// after a reduction: StatusEncoder.Encode over the stripped atoms of a
+// 16-source mesh task mid-workflow (8 inputs received, 8 pending),
+// alternating two states so that every call pushes. Guarded by
+// cmd/benchguard: the record shares the agent's atoms, frozen, so a push
+// costs its shell and headers, never a copy of a nested solution.
+func BenchmarkStatusPush(b *testing.B) {
+	const fan = 16
+	inert := func(atoms ...hocl.Atom) *hocl.Solution {
+		sol := hocl.NewSolution(atoms...)
+		sol.SetInert(true)
+		return sol
+	}
+	// state is the task after received of its fan PASS messages.
+	state := func(received int) []hocl.Atom {
+		var src, dst, in []hocl.Atom
+		for i := 1; i <= fan; i++ {
+			dst = append(dst, hocl.Ident(fmt.Sprintf("D%d", i)))
+			if i <= received {
+				in = append(in, hocl.Str(fmt.Sprintf("out-S%d", i)))
+			} else {
+				src = append(src, hocl.Ident(fmt.Sprintf("S%d", i)))
+			}
+		}
+		return []hocl.Atom{
+			hocl.Tuple{hoclflow.KeySRC, inert(src...)},
+			hocl.Tuple{hoclflow.KeyDST, inert(dst...)},
+			hocl.Tuple{hoclflow.KeySRV, hocl.Str("work")},
+			hocl.Tuple{hoclflow.KeyIN, inert(in...)},
+			hocl.Tuple{hoclflow.KeyRES, inert()},
+		}
+	}
+	states := [2][]hocl.Atom{state(fan / 2), state(fan/2 + 1)}
+	enc := hoclflow.StatusEncoder{Task: "N8_3"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if enc.Encode(states[i%2], true) == nil {
+			b.Fatal("a changed state did not push")
+		}
+	}
+}
+
 // nextOne pulls the single message the benchmark loop just published.
 func nextOne(b *testing.B, sub *mq.Subscription) mq.Message {
 	batch, err := sub.Next(context.Background())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ginflow/internal/cluster"
@@ -141,6 +142,9 @@ type Agent struct {
 	// can suppress duplicated deliveries. Touched only by the reduction
 	// goroutine.
 	sendSeq map[string]int64
+	// lastPass is the PASS atom of the last send, shared by every
+	// destination that receives the same results.
+	lastPass hocl.Tuple
 	// seen records ingested (origin, seq) pairs with the payload
 	// fingerprint that carried them: a repeat with the same fingerprint
 	// is a duplicate delivery and is suppressed; a repeat with a
@@ -155,8 +159,10 @@ type Agent struct {
 // New builds an agent incarnation from its spec. The spec's template
 // solution is snapshotted (copy-on-write at the solution boundary):
 // every incarnation starts from the pristine task state and rebuilds
-// through replay, per §IV-B's soft-state design, while immutable atoms
-// and rules stay shared with the template.
+// through replay, per §IV-B's soft-state design. The template's
+// attribute solutions are frozen (hoclflow.TaskAttrs), so the snapshot
+// copies only the top-level shell; they, the immutable atoms and the
+// rules stay shared with the template.
 func New(cfg Config) *Agent {
 	a := &Agent{
 		cfg:  cfg,
@@ -293,12 +299,14 @@ func (a *Agent) rideOutFaults(svcName string, dur float64) (float64, error) {
 }
 
 // send implements the decentralised gw_pass product (§IV-A): ship the
-// result molecules directly to the destination agent's inbox. The
-// result atoms are snapshotted (solutions get independent shells,
-// immutable atoms travel by reference) and handed to the broker
-// pre-built, never rendered to text. Link latency to the destination's
-// node is charged asynchronously — the message is on the wire, the
-// sender moves on.
+// result molecules directly to the destination agent's inbox. gw_send
+// fires once per destination with the same results, so the frozen PASS
+// atom (hoclflow.PassMessage) is built once per distinct result list and
+// every destination, the broker's log and each receiver share it by
+// reference; only the SEQ header is per destination. The arguments are
+// already the VM's snapshots, so nothing is copied here, and nothing is
+// rendered to text. Link latency to the destination's node is charged
+// asynchronously — the message is on the wire, the sender moves on.
 func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	if len(args) < 1 {
 		return nil, fmt.Errorf("send: missing destination")
@@ -312,10 +320,20 @@ func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	// trace could show the successor completing first.
 	a.markCompleted()
 	topic := Topic(a.cfg.TopicPrefix, string(dst))
-	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, hocl.SnapshotAtoms(args[1:])))
+	payload := a.stampSeq(topic, a.passFor(args[1:]))
 	a.publishWithLatency(topic, payload, a.linkLatencyTo(string(dst)))
 	a.cfg.Trace.Record(trace.ResultSent, a.name, a.cfg.Incarnation, string(dst))
 	return nil, nil
+}
+
+// passFor returns the PASS atom carrying res: the last one built when
+// its results equal res, a new frozen one otherwise.
+func (a *Agent) passFor(res []hocl.Atom) hocl.Atom {
+	if a.lastPass != nil && slices.EqualFunc(a.lastPass[2].(*hocl.Solution).Atoms(), res, hocl.Atom.Equal) {
+		return a.lastPass
+	}
+	a.lastPass = hoclflow.PassMessage(a.name, res).(hocl.Tuple)
+	return a.lastPass
 }
 
 // fireTrigger implements the decentralised trigger_adapt (§IV-A): the

@@ -400,3 +400,38 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 		t.Errorf("clone diverged: %v", got)
 	}
 }
+
+// TestSendSharesOnePassPerResult: gw_send fires once per destination
+// with the same results, and every destination gets the one frozen PASS
+// payload; a different result list gets a new one.
+func TestSendSharesOnePassPerResult(t *testing.T) {
+	clus := testCluster()
+	broker := mq.NewLogBrokerSharded(clus.Clock(), 0.0001, 0)
+	p, _ := twoAgentSpecs(t)
+	a := New(Config{
+		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Services: noopRegistry(0, "s1"),
+	})
+	sends := []struct{ dst, res string }{{"T2", "r"}, {"T3", "r"}, {"T4", "other"}}
+	payloads := map[string]*hocl.Solution{}
+	for _, s := range sends {
+		if _, err := a.send([]hocl.Atom{hocl.Ident(s.dst), hocl.Str(s.res)}); err != nil {
+			t.Fatal(err)
+		}
+		log, err := broker.Log(Topic("", s.dst))
+		if err != nil || len(log) != 1 || len(log[0].Atoms) != 2 {
+			t.Fatalf("%s: inbox log %v, %v", s.dst, log, err)
+		}
+		payload := log[0].Atoms[1].(hocl.Tuple)[2].(*hocl.Solution)
+		if !payload.Contains(hocl.Str(s.res)) || hocl.Snapshot(payload) != hocl.Atom(payload) {
+			t.Errorf("%s: PASS payload %v is not the frozen result", s.dst, payload)
+		}
+		payloads[s.dst] = payload
+	}
+	if payloads["T2"] != payloads["T3"] {
+		t.Error("two destinations of one result got two PASS payloads")
+	}
+	if payloads["T4"] == payloads["T2"] {
+		t.Error("a different result reused the previous PASS payload")
+	}
+}

@@ -197,8 +197,10 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 // to its source's DST set whenever the destination still waits on that
 // source, and a triggered adaptation whose ADAPT marker never reached
 // its destination is re-injected there. states maps task name to its
-// rebuilt sub-solution (mutation-safe snapshots); triggered lists the
-// adaptation IDs whose TRIGGER markers the journal preserved.
+// rebuilt sub-solution, the space's frozen record; triggered lists the
+// adaptation IDs whose TRIGGER markers the journal preserved. Only
+// top-level local shells are edited here (seedLocal's fresh ones, or a
+// template's): a nested solution is replaced, never mutated.
 func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) error {
 	plans, err := def.AdaptationPlans()
 	if err != nil {
@@ -322,7 +324,10 @@ func removeRule(sol *hocl.Solution, name string) {
 	}
 }
 
-// addDestination ensures the local solution's DST set contains dst.
+// addDestination ensures the local solution's DST set contains dst. The
+// DST solution may be a frozen journaled record or template attribute,
+// so it is never edited: a missing dst replaces the tuple with a new
+// DST:<*old, dst> (copy-on-write).
 func addDestination(sol *hocl.Solution, dst string) {
 	tp, idx := sol.FindTuple(hoclflow.KeyDST)
 	if idx < 0 || len(tp) != 2 {
@@ -330,12 +335,11 @@ func addDestination(sol *hocl.Solution, dst string) {
 		return
 	}
 	inner, ok := tp[1].(*hocl.Solution)
-	if !ok {
+	if !ok || inner.Contains(hocl.Ident(dst)) {
 		return
 	}
-	if !inner.Contains(hocl.Ident(dst)) {
-		inner.Add(hocl.Ident(dst))
-	}
+	atoms := append(append([]hocl.Atom(nil), inner.Atoms()...), hocl.Ident(dst))
+	sol.ReplaceAt(idx, hocl.Tuple{hoclflow.KeyDST, hocl.NewSolution(atoms...)})
 }
 
 func intersects(a, b []string) bool {

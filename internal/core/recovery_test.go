@@ -12,6 +12,7 @@ import (
 	"ginflow/internal/agent"
 	"ginflow/internal/executor"
 	"ginflow/internal/failure"
+	"ginflow/internal/hocl"
 	"ginflow/internal/hoclflow"
 	"ginflow/internal/journal"
 	"ginflow/internal/montage"
@@ -618,6 +619,140 @@ func TestRecoverLogBrokerUnderAgentCrashes(t *testing.T) {
 			}
 			if respawns == 0 {
 				t.Fatal("no agent respawned after a resume; the test is vacuous")
+			}
+		})
+	}
+}
+
+// pushState folds one task state into sp the way its agent pushes it:
+// the template's atoms minus NAME and rules, with the tuples in with
+// replacing those of the same key, through a StatusEncoder, so the space
+// holds a frozen record as in a live session.
+func pushState(t *testing.T, sp *space.Space, spec workflow.AgentSpec, with ...hocl.Tuple) {
+	t.Helper()
+	var atoms []hocl.Atom
+	for _, a := range spec.Local.Atoms() {
+		tp, ok := a.(hocl.Tuple)
+		if !ok || tp[0].Equal(hoclflow.KeyNAME) {
+			continue
+		}
+		for _, w := range with {
+			if w[0].Equal(tp[0]) {
+				a = w
+			}
+		}
+		atoms = append(atoms, a)
+	}
+	enc := hoclflow.StatusEncoder{Task: spec.Task.Name}
+	sp.ApplyMessage(mq.Message{Atoms: enc.Encode(atoms, true)})
+	rec := sp.TaskStates()[spec.Task.Name]
+	if hocl.Snapshot(rec) != hocl.Atom(rec) {
+		t.Fatalf("%s: pushed record is not frozen", spec.Task.Name)
+	}
+}
+
+// inertSolution builds the inert solution a reduced agent would hold.
+func inertSolution(atoms ...hocl.Atom) *hocl.Solution {
+	sol := hocl.NewSolution(atoms...)
+	sol.SetInert(true)
+	return sol
+}
+
+// TestRecoverSpecsEditsCopiesNotTheSpace runs recovery's rewiring over
+// the space's frozen records: the seeded locals get the re-added DST
+// entry (and the re-injected ADAPT marker), the space is left exactly as
+// it was, and nothing panics on a frozen solution.
+func TestRecoverSpecsEditsCopiesNotTheSpace(t *testing.T) {
+	spec := workflow.DefaultDiamondSpec(2, 2, false)
+	cases := []struct {
+		name string
+		def  *workflow.Definition
+		// states maps a task to the tuples its journaled record replaces.
+		states    map[string][]hocl.Tuple
+		triggered []string
+		// wantDst maps a task to the destination its seeded DST must hold.
+		wantDst   map[string]string
+		wantAdapt string
+	}{
+		{
+			// SPLIT sent to N2_1 and retired the edge to N1_1, whose
+			// PASS the crash swallowed: addDestination re-adds N1_1.
+			name: "retired-edge",
+			def:  workflow.Diamond(spec),
+			states: map[string][]hocl.Tuple{
+				"SPLIT": {
+					{hoclflow.KeyDST, inertSolution(hocl.Ident("N2_1"))},
+					{hoclflow.KeyIN, inertSolution()},
+					{hoclflow.KeyRES, inertSolution(hocl.Str("out-split"))},
+				},
+				"N1_1": nil,
+				"N2_1": nil,
+			},
+			wantDst: map[string]string{"SPLIT": "N1_1"},
+		},
+		{
+			// The adaptation triggered and R1_2 retired its edge to
+			// MERGE, whose SRC still lists the faulty finals (mv_src
+			// pending): ADAPT is re-injected at MERGE and R1_2's DST
+			// regains MERGE.
+			name: "mv_src-pending",
+			def:  workflow.WithBodyReplacement(workflow.Diamond(spec), spec, false, "workalt"),
+			states: map[string][]hocl.Tuple{
+				"MERGE": nil,
+				"R1_2": {
+					{hoclflow.KeySRC, inertSolution()},
+					{hoclflow.KeyDST, inertSolution()},
+					{hoclflow.KeyRES, inertSolution(hocl.Str("out-alt"))},
+				},
+			},
+			triggered: []string{"bodyswap"},
+			wantDst:   map[string]string{"R1_2": "MERGE"},
+			wantAdapt: "MERGE",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			specs, err := tc.def.TranslateAgents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			byName := map[string]int{}
+			for i := range specs {
+				byName[specs[i].Task.Name] = i
+			}
+			sp := space.New()
+			for name, with := range tc.states {
+				pushState(t, sp, specs[byName[name]], with...)
+			}
+			for _, id := range tc.triggered {
+				sp.ApplyMessage(mq.Message{Atoms: []hocl.Atom{hoclflow.TriggerMarker(id)}})
+			}
+			before, rendered := sp.StateFingerprint(), map[string]string{}
+			for name, rec := range sp.TaskStates() {
+				rendered[name] = rec.String()
+			}
+
+			if err := recoverSpecs(tc.def, specs, sp.TaskStates(), sp.Triggered()); err != nil {
+				t.Fatal(err)
+			}
+
+			if sp.StateFingerprint() != before {
+				t.Error("recovery moved the space's fingerprint")
+			}
+			for name, rec := range sp.TaskStates() {
+				if rec.String() != rendered[name] {
+					t.Errorf("recovery edited %s's record: %v, want %s", name, rec, rendered[name])
+				}
+			}
+			for task, dst := range tc.wantDst {
+				local := specs[byName[task]].Local
+				tp, idx := local.FindTuple(hoclflow.KeyDST)
+				if idx < 0 || !tp[1].(*hocl.Solution).Contains(hocl.Ident(dst)) {
+					t.Errorf("%s: seeded local %v lacks DST entry %s", task, local, dst)
+				}
+			}
+			if tc.wantAdapt != "" && !specs[byName[tc.wantAdapt]].Local.Contains(hoclflow.AdaptMarker(tc.triggered[0])) {
+				t.Errorf("%s: ADAPT marker not re-injected: %v", tc.wantAdapt, specs[byName[tc.wantAdapt]].Local)
 			}
 		})
 	}

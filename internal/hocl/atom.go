@@ -155,6 +155,10 @@ func (a List) Clone() Atom {
 // a solution is inert when no rule it contains can fire and all of its
 // sub-solutions are inert. Mutating the solution clears the flag.
 //
+// A frozen solution (Freeze) is inert, may be shared by any number of
+// owners and goroutines, and is never mutated again: every mutator
+// panics on it, and Snapshot returns it as is.
+//
 // A Solution also tracks a generation counter bumped on every structural
 // mutation. The reduction engine keeps per-solution caches (the indices
 // of contained rules and the list of reachable nested solutions) that are
@@ -162,6 +166,9 @@ func (a List) Clone() Atom {
 type Solution struct {
 	elems []Atom
 	inert bool
+	// frozen marks a shared, immutable solution (share.go). It fits in
+	// inert's padding word, so the struct stays 96 bytes.
+	frozen bool
 
 	// gen counts structural mutations (DESIGN.md "Incremental reduction").
 	gen uint64
@@ -179,7 +186,12 @@ type Solution struct {
 
 // mutated records a structural mutation: the solution is active again and
 // the generation counter moves past the engine caches, invalidating them.
+// Every mutator calls it before touching elems, so a frozen solution
+// panics unchanged.
 func (s *Solution) mutated() {
+	if s.frozen {
+		panic(frozenMutation)
+	}
 	s.gen++
 	s.inert = false
 }
@@ -259,10 +271,10 @@ func (s *Solution) Atoms() []Atom { return s.elems }
 
 // Add inserts atoms into the solution and marks it active (non-inert).
 func (s *Solution) Add(atoms ...Atom) {
-	s.elems = append(s.elems, atoms...)
 	if len(atoms) > 0 {
 		s.mutated()
 	}
+	s.elems = append(s.elems, atoms...)
 }
 
 // RemoveIndices removes the atoms at the given indices (which must be
@@ -281,13 +293,13 @@ func (s *Solution) removeSortedInPlace(idx []int) {
 	if len(idx) == 0 {
 		return
 	}
+	s.mutated()
 	slices.Sort(idx)
 	// Remove back to front so earlier indices stay valid.
 	for k := len(idx) - 1; k >= 0; k-- {
 		i := idx[k]
 		s.elems = append(s.elems[:i], s.elems[i+1:]...)
 	}
-	s.mutated()
 }
 
 // RemoveFirst removes the first atom equal to a, reporting whether one was
@@ -328,8 +340,14 @@ func (s *Solution) Count(a Atom) int {
 func (s *Solution) Inert() bool { return s.inert }
 
 // SetInert records the inertness state; it is exported for the reduction
-// engine and for agents that receive solutions over the wire.
-func (s *Solution) SetInert(v bool) { s.inert = v }
+// engine and for builders of inert payloads. Clearing the flag of a
+// frozen solution panics.
+func (s *Solution) SetInert(v bool) {
+	if !v && s.frozen {
+		panic(frozenMutation)
+	}
+	s.inert = v
+}
 
 func (s *Solution) Equal(b Atom) bool {
 	o, ok := b.(*Solution)
@@ -355,7 +373,8 @@ outer:
 
 func (s *Solution) Clone() Atom { return s.CloneSolution() }
 
-// CloneSolution returns a deep copy preserving the inertness flag.
+// CloneSolution returns a deep copy preserving the inertness flag. The
+// copy is never frozen.
 func (s *Solution) CloneSolution() *Solution {
 	c := &Solution{elems: make([]Atom, len(s.elems)), inert: s.inert}
 	for i, e := range s.elems {
@@ -402,8 +421,8 @@ func (s *Solution) FindTuple(key Ident) (Tuple, int) {
 
 // ReplaceAt substitutes the atom at index i and marks the solution active.
 func (s *Solution) ReplaceAt(i int, a Atom) {
-	s.elems[i] = a
 	s.mutated()
+	s.elems[i] = a
 }
 
 func (s *Solution) String() string {

@@ -10,34 +10,41 @@ import (
 // rests on: every atom except *Solution is immutable, and an inert
 // solution is never mutated by the reduction engine (the engine neither
 // descends into nor fires rules inside an inert solution, and pattern
-// matching only destructures). Snapshots therefore copy only Solution
-// shells and their element arrays — the copy-on-write boundary — and
-// share everything else by reference.
+// matching only destructures).
+//
+// Freeze makes the invariant explicit and checked. A frozen solution is
+// inert, shared by reference across owners and goroutines (the sending
+// agent, its destinations, the broker's replay log, the space, the
+// journal), and never mutated again: every mutator panics on it. Frozen
+// at birth are a PASS payload, a status record and a task template's
+// attribute solutions (package hoclflow), and every inert solution the
+// wire codec decodes. Snapshots copy only the unfrozen Solution shells
+// and their element arrays — the copy-on-write boundary — and share
+// everything else, frozen solutions included, by reference.
+
+// frozenMutation is the panic value of a mutation of a frozen solution.
+const frozenMutation = "hocl: mutation of a frozen solution"
 
 // Snapshot returns a copy of a that can be mutated through Solution
-// methods without affecting the original (and vice versa): every solution
-// reachable from a gets a fresh shell with a fresh element array, while
-// all non-solution atoms — including those inside rebuilt tuples and
-// lists — are shared by reference. For atoms containing no solution,
-// Snapshot returns a itself with zero allocation.
+// methods without affecting the original (and vice versa): every
+// unfrozen solution reachable from a gets a fresh shell with a fresh
+// element array, while frozen solutions and all non-solution atoms —
+// including those inside rebuilt tuples and lists — are shared by
+// reference. For atoms containing no unfrozen solution, Snapshot returns
+// a itself with zero allocation.
 func Snapshot(a Atom) Atom {
 	c, _ := snapshotAtom(a)
 	return c
 }
 
-// SnapshotAtoms maps Snapshot over a slice of atoms.
-func SnapshotAtoms(atoms []Atom) []Atom {
-	out := make([]Atom, len(atoms))
-	for i, a := range atoms {
-		out[i] = Snapshot(a)
-	}
-	return out
-}
-
 // SnapshotSolution is the Solution form of Snapshot: a fresh shell and
 // element array (preserving the inertness flag), sharing element atoms
-// down to the next solution boundary.
+// down to the next unfrozen solution boundary. A frozen solution is its
+// own snapshot.
 func (s *Solution) SnapshotSolution() *Solution {
+	if s.frozen {
+		return s
+	}
 	elems := make([]Atom, len(s.elems))
 	for i, e := range s.elems {
 		elems[i], _ = snapshotAtom(e)
@@ -46,10 +53,13 @@ func (s *Solution) SnapshotSolution() *Solution {
 }
 
 // snapshotAtom returns the snapshot of a and whether anything was copied
-// (i.e. a contains a solution somewhere).
+// (i.e. a contains an unfrozen solution somewhere).
 func snapshotAtom(a Atom) (Atom, bool) {
 	switch v := a.(type) {
 	case *Solution:
+		if v.frozen {
+			return v, false
+		}
 		return v.SnapshotSolution(), true
 	case Tuple:
 		if out, copied := snapshotSeq([]Atom(v)); copied {
@@ -67,7 +77,7 @@ func snapshotAtom(a Atom) (Atom, bool) {
 }
 
 // snapshotSeq snapshots a tuple/list element slice, allocating only when
-// some element actually contains a solution.
+// some element actually contains an unfrozen solution.
 func snapshotSeq(elems []Atom) ([]Atom, bool) {
 	for i, e := range elems {
 		c, copied := snapshotAtom(e)
@@ -85,16 +95,54 @@ func snapshotSeq(elems []Atom) ([]Atom, bool) {
 	return elems, false
 }
 
+// Freeze freezes every solution reachable from a when all of them are
+// inert (the Shareable condition) and reports whether it did; otherwise
+// it leaves a unchanged and reports false. It stops descending at a
+// solution already frozen. Freeze writes the flags in place, so it is
+// called by a's single owner before a is shared, never on an atom other
+// goroutines may already read.
+func Freeze(a Atom) bool {
+	if !Shareable(a) {
+		return false
+	}
+	freezeAtom(a)
+	return true
+}
+
+func freezeAtom(a Atom) {
+	switch v := a.(type) {
+	case *Solution:
+		if v.frozen {
+			return
+		}
+		v.frozen = true
+		freezeSeq(v.elems)
+	case Tuple:
+		freezeSeq([]Atom(v))
+	case List:
+		freezeSeq([]Atom(v))
+	}
+}
+
+func freezeSeq(elems []Atom) {
+	for _, e := range elems {
+		freezeAtom(e)
+	}
+}
+
 // Shareable reports whether a can be added to a solution under active
 // reduction while remaining shared with other owners (another agent, the
 // broker's replay log, the space): true when every solution reachable
 // from a is inert. The engine never mutates an inert solution — it skips
 // reducing it and pattern matching only destructures — so such atoms can
-// travel by reference. A non-shareable atom must be cloned by the
-// receiver before ingestion.
+// travel by reference. A frozen solution is shareable without a walk. A
+// non-shareable atom must be cloned by the receiver before ingestion.
 func Shareable(a Atom) bool {
 	switch v := a.(type) {
 	case *Solution:
+		if v.frozen {
+			return true
+		}
 		if !v.inert {
 			return false
 		}

@@ -129,7 +129,9 @@ func appendWireSeq(dst []byte, elems []Atom) []byte {
 
 // DecodeAtoms decodes a molecule list from the binary wire format,
 // consuming the whole buffer. Decoded atoms are freshly built (nothing
-// aliases data): solutions carry their encoded inertness, floats and
+// aliases data): solutions carry their encoded inertness, an inert
+// solution whose nested solutions are all inert comes back frozen (see
+// Freeze), so consumers share it by reference, floats and
 // strings are bit-exact, and rules are re-parsed from their rendered
 // bodies. Corrupt input — bad version, truncation, trailing garbage,
 // over-deep nesting, an unparseable rule — returns an error; DecodeAtoms
@@ -272,7 +274,12 @@ func (d *wireDecoder) atom(depth int) (Atom, error) {
 			return List(elems), nil
 		default:
 			sol := NewSolution(elems...)
-			sol.SetInert(tag == wireSolutionInert)
+			if tag == wireSolutionInert {
+				// Decoded atoms have one owner, the decoder: freezing
+				// them lets every consumer share them by reference.
+				sol.SetInert(true)
+				Freeze(sol)
+			}
 			return sol, nil
 		}
 	case wireRule:

@@ -120,15 +120,28 @@ func GwRecv() *hocl.Rule { return gwRecv }
 func GwGc() *hocl.Rule { return gwGc }
 
 // PassMessage builds the molecule carried by a result transfer from task
-// src: PASS:src:<res...>. The carried solution is marked inert at build
-// time: the results come out of the sender's already-reduced RES solution
-// (gw_send only matches an inert RES), so the receiving engine can match
-// gw_recv immediately instead of first reducing the payload — and the
-// shared payload is never written to.
+// src: PASS:src:<res...>. The carried solution is marked inert and frozen
+// at build time (hocl.Freeze): the results come out of the sender's
+// already-reduced RES solution (gw_send only matches an inert RES), so
+// the receiving engine can match gw_recv immediately instead of first
+// reducing the payload, and every destination, the broker's log and the
+// receiver share the one payload by reference. The res slice is not
+// retained; its atoms are frozen with the payload unless one holds an
+// active solution, in which case the payload stays unfrozen and each
+// receiver clones it.
 func PassMessage(src string, res []hocl.Atom) hocl.Atom {
-	sol := hocl.NewSolution(res...)
+	return hocl.Tuple{KeyPASS, hocl.Ident(src), frozenSolution(res...)}
+}
+
+// frozenSolution builds an inert solution of atoms and freezes it, or
+// leaves it active when some atom holds an active solution.
+func frozenSolution(atoms ...hocl.Atom) *hocl.Solution {
+	sol := hocl.NewSolution(atoms...)
 	sol.SetInert(true)
-	return hocl.Tuple{KeyPASS, hocl.Ident(src), sol}
+	if !hocl.Freeze(sol) {
+		sol.SetInert(false)
+	}
+	return sol
 }
 
 // AdaptMarker builds the ADAPT:"id" molecule that enables an adaptation's
@@ -270,17 +283,21 @@ func (t TaskAttrs) LocalSolution(rules ...*hocl.Rule) *hocl.Solution {
 	return hocl.NewSolution(atoms...)
 }
 
+// attrAtoms builds the attribute atoms. SRC, DST, IN and RES are born
+// inert and frozen (IN only when its inputs hold no active solution):
+// the engine rewrites them by building new solutions, never in place, so
+// every agent incarnation instantiated from the template shares them.
 func (t TaskAttrs) attrAtoms() []hocl.Atom {
 	in := make([]hocl.Atom, len(t.In))
 	for i, a := range t.In {
 		in[i] = a.Clone()
 	}
 	return []hocl.Atom{
-		hocl.Tuple{KeySRC, identSolution(t.Src)},
-		hocl.Tuple{KeyDST, identSolution(t.Dst)},
+		hocl.Tuple{KeySRC, frozenSolution(idents(t.Src)...)},
+		hocl.Tuple{KeyDST, frozenSolution(idents(t.Dst)...)},
 		hocl.Tuple{KeySRV, hocl.Str(t.Service)},
-		hocl.Tuple{KeyIN, hocl.NewSolution(in...)},
-		hocl.Tuple{KeyRES, hocl.NewSolution()},
+		hocl.Tuple{KeyIN, frozenSolution(in...)},
+		hocl.Tuple{KeyRES, frozenSolution()},
 	}
 }
 

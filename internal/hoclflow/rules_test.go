@@ -417,15 +417,16 @@ func TestStatusHelpers(t *testing.T) {
 	if got := StatusOf(ready); got != StatusReady {
 		t.Errorf("status = %v, want ready", got)
 	}
+	// RES is a frozen template attribute: a result replaces the tuple.
 	done := TaskAttrs{Name: "T1", Service: "s"}.SubSolution()
-	res, _ := done.FindTuple(KeyRES)
-	res[1].(*hocl.Solution).Add(hocl.Str("out"))
+	_, idx := done.FindTuple(KeyRES)
+	done.ReplaceAt(idx, hocl.Tuple{KeyRES, hocl.NewSolution(hocl.Str("out"))})
 	if got := StatusOf(done); got != StatusCompleted {
 		t.Errorf("status = %v, want completed", got)
 	}
 	failed := TaskAttrs{Name: "T1", Service: "s"}.SubSolution()
-	res2, _ := failed.FindTuple(KeyRES)
-	res2[1].(*hocl.Solution).Add(AtomERROR)
+	_, idx = failed.FindTuple(KeyRES)
+	failed.ReplaceAt(idx, hocl.Tuple{KeyRES, hocl.NewSolution(AtomERROR)})
 	if got := StatusOf(failed); got != StatusFailed {
 		t.Errorf("status = %v, want failed", got)
 	}

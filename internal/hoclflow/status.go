@@ -68,8 +68,13 @@ type StatusEncoder struct {
 
 // Encode returns the wire payload for the task's current stripped status
 // atoms — the VER header and the full Name:<...> record — or nil when
-// the state is unchanged since the last push. The record's atoms are
-// snapshotted (frozen); the caller keeps ownership of the input slice.
+// the state is unchanged since the last push. The record is a fresh
+// shell over the caller's own atoms, which Encode freezes (hocl.Freeze)
+// so that the space, the journal and the caller share them; only an atom
+// holding an active solution, which a reduced local solution never
+// holds, is copied instead. An inert record is frozen as a whole. The
+// caller keeps ownership of the input slice, and must mutate no frozen
+// atom afterwards (the engine never does).
 func (e *StatusEncoder) Encode(atoms []hocl.Atom, inert bool) []hocl.Atom {
 	fp := hocl.Fingerprint(atoms...)
 	if e.pushed && fp == e.fp {
@@ -77,8 +82,14 @@ func (e *StatusEncoder) Encode(atoms []hocl.Atom, inert bool) []hocl.Atom {
 	}
 	e.pushed, e.fp = true, fp
 	e.push++
-	sub := hocl.NewSolution(hocl.SnapshotAtoms(atoms)...)
+	sub := hocl.NewSolution(atoms...)
+	for i, a := range atoms {
+		if !hocl.Freeze(a) {
+			sub.ReplaceAt(i, hocl.Snapshot(a))
+		}
+	}
 	sub.SetInert(inert)
+	hocl.Freeze(sub)
 	return []hocl.Atom{
 		VersionMarker(e.Task, int64(e.Incarnation), e.push),
 		TaskTuple(e.Task, sub),

@@ -549,6 +549,15 @@ func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
 	if err := w.appendFrame(recSnapshot, hocl.EncodeAtoms(snapshot)); err != nil {
 		return err
 	}
+	if w.crashTripped() {
+		// The crash hook dropped a head write (or tripped right after
+		// them): a process killed here never reached the prune, so the
+		// predecessor segments stay for recovery to fall back on.
+		if old != nil {
+			old.Close()
+		}
+		return nil
+	}
 	if err := w.maybeSync(); err != nil {
 		return err
 	}

@@ -330,6 +330,47 @@ func TestJournalTornRotationHeadFallsBack(t *testing.T) {
 	}
 }
 
+// TestJournalCrashHookMidRotationKeepsPredecessor trips the crash hook
+// between a resumed segment's two head writes: the workflow record lands,
+// the snapshot is dropped. A kill at that instant leaves the predecessor
+// segment on disk, so recovery must still replay its status records.
+func TestJournalCrashHookMidRotationKeepsPredecessor(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, Config{Dir: dir})
+	w, err := j.CreateSession(testMeta(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.AppendStatus(statusPayload("T1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+
+	crashing := mustOpen(t, Config{Dir: dir, CrashAfterRecords: 1})
+	w2, err := crashing.ResumeSession(testMeta(7), statusPayload("T1", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w2.Crashed() {
+		t.Fatal("crash hook never tripped")
+	}
+	w2.Close()
+	for _, n := range []int{1, 2} {
+		if _, err := os.Stat(filepath.Join(dir, "wf-7", segmentName(n))); err != nil {
+			t.Errorf("segment %d: %v", n, err)
+		}
+	}
+	st, err := j.ReadSession(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StatusRecords != 3 {
+		t.Fatalf("replayed %d status records, want the predecessor's 3", st.StatusRecords)
+	}
+}
+
 func TestJournalResumeRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, Config{Dir: dir})

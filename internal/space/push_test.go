@@ -23,9 +23,18 @@ func applyPayload(s *Space, payload []hocl.Atom) {
 // fullSnapshotPayload builds an unversioned full-record payload for a
 // state.
 func fullSnapshotPayload(task string, atoms []hocl.Atom, inert bool) []hocl.Atom {
-	sub := hocl.NewSolution(hocl.SnapshotAtoms(atoms)...)
+	sub := hocl.NewSolution(snapshotAtoms(atoms)...)
 	sub.SetInert(inert)
 	return []hocl.Atom{hocl.Tuple{hocl.Ident(task), sub}}
+}
+
+// snapshotAtoms maps hocl.Snapshot over atoms.
+func snapshotAtoms(atoms []hocl.Atom) []hocl.Atom {
+	out := make([]hocl.Atom, len(atoms))
+	for i, a := range atoms {
+		out[i] = hocl.Snapshot(a)
+	}
+	return out
 }
 
 // randomStatusState generates a mesh-task-shaped stripped status: the
@@ -55,7 +64,7 @@ func randomStatusState(rng *rand.Rand, fan int) []hocl.Atom {
 		atoms = append(atoms, hocl.Tuple{hoclflow.KeyIN, hocl.NewSolution(in...)})
 	}
 	if rng.Intn(3) == 0 {
-		atoms = append(atoms, hocl.Tuple{hoclflow.KeyPAR, hocl.List(hocl.SnapshotAtoms(in))})
+		atoms = append(atoms, hocl.Tuple{hoclflow.KeyPAR, hocl.List(snapshotAtoms(in))})
 	}
 	res := hocl.NewSolution()
 	if srcLeft == 0 && rng.Intn(2) == 0 {

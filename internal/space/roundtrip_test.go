@@ -15,8 +15,8 @@ func statusPayload(t *testing.T) []hocl.Atom {
 	sub := hoclflow.TaskAttrs{
 		Name: "T3", Src: []string{"T1"}, Dst: []string{"T4"}, Service: "s1",
 	}.SubSolution()
-	if tp, idx := sub.FindTuple(hoclflow.KeyRES); idx >= 0 {
-		tp[1].(*hocl.Solution).Add(hocl.Str("out-s1"), hocl.List{hocl.Int(1), hocl.Int(2)})
+	if _, idx := sub.FindTuple(hoclflow.KeyRES); idx >= 0 {
+		sub.ReplaceAt(idx, hocl.Tuple{hoclflow.KeyRES, hocl.NewSolution(hocl.Str("out-s1"), hocl.List{hocl.Int(1), hocl.Int(2)})})
 	}
 	return []hocl.Atom{
 		hoclflow.TaskTuple("T3", sub),

@@ -150,7 +150,8 @@ func (s *Space) Triggered() []string {
 // Snapshot renders the space as a global multiset: task tuples plus
 // markers — the distributed analogue of the centralized global solution.
 // The result is a copy-on-write snapshot: the caller may mutate (even
-// reduce) it freely without affecting the space.
+// reduce) the global solution without affecting the space; the task
+// records inside it are shared and, when frozen, must not be mutated.
 func (s *Space) Snapshot() *hocl.Solution {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,8 +374,9 @@ func (s *Space) FlushDeferred() {
 
 // TaskStates returns a copy-on-write snapshot of every task's recorded
 // sub-solution, keyed by task name — the per-task view crash recovery
-// seeds replacement agents from. The caller may mutate the returned
-// solutions freely.
+// seeds replacement agents from. A frozen record (every pushed or
+// journaled one) is its own snapshot and is handed out as is: the caller
+// must not mutate it, and edits a copy instead.
 func (s *Space) TaskStates() map[string]*hocl.Solution {
 	s.mu.Lock()
 	defer s.mu.Unlock()
