@@ -175,6 +175,60 @@ func BenchmarkAblationTranslate(b *testing.B) {
 	}
 }
 
+// adaptSwapDefinition is the adapt-swap workload's shape: a 16x16
+// diamond whose whole mesh body a replacement mesh swaps on failure
+// (paper §V-B), 514 deployable tasks.
+func adaptSwapDefinition() *workflow.Definition {
+	spec := workflow.DefaultDiamondSpec(16, 16, false)
+	return workflow.WithBodyReplacement(workflow.Diamond(spec), spec, false, "workalt")
+}
+
+// BenchmarkPlanHit measures what a Manager's Submit of an already
+// compiled definition costs to find its plan: a structural hash of
+// every field and a field-wise equality check against the plan's copy.
+// Guarded by cmd/benchguard at 0 allocs/op: a hit copies, renders and
+// translates nothing.
+func BenchmarkPlanHit(b *testing.B) {
+	def := adaptSwapDefinition()
+	var plans workflow.PlanCache
+	p := plans.Plan(def)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if plans.Plan(def) != p {
+			b.Fatal("an unchanged definition missed its plan")
+		}
+	}
+}
+
+// BenchmarkAgentNew measures one agent incarnation from a compiled
+// plan's template: the snapshot of the local solution's top-level
+// shell, the engine, and the agent's own functions on the engine's
+// overlay. The template is the §V-B destination's, which also binds the
+// generated mv_src rewrite. Guarded by cmd/benchguard: the built-in
+// function table is shared, so copying it into an engine again fails
+// the ceiling.
+func BenchmarkAgentNew(b *testing.B) {
+	var plans workflow.PlanCache
+	specs, err := plans.Plan(adaptSwapDefinition()).Specs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var spec workflow.AgentSpec
+	for _, s := range specs {
+		if s.Task.Name == workflow.DiamondMergeName {
+			spec = s
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if agent.New(agent.Config{Spec: spec}) == nil {
+			b.Fatal("no agent")
+		}
+	}
+}
+
 // --- Hot-path benchmarks (message path and reduction engine) ---------------
 
 // BenchmarkReduceDiamondRules measures the agent-side reduction of one

@@ -206,7 +206,8 @@ func (a *Agent) spaceTopic() string {
 
 // bindFunctions registers the agent-bound external functions on the
 // embedded interpreter: invoke, send, the adaptation triggers this task
-// owns and the generated mv_src rewrites.
+// owns and the generated mv_src rewrites. They are the engine's own
+// overlay; the built-ins stay in the one shared table.
 func (a *Agent) bindFunctions() {
 	a.engine.Funcs.Register(hoclflow.FnInvoke, a.invoke)
 	a.engine.Funcs.Register(hoclflow.FnSend, a.send)

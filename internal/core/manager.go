@@ -76,6 +76,9 @@ type Manager struct {
 	reg        *obs.Registry
 	met        *coreMetrics
 	metricsSrv *obs.Server
+	// plans compiles each distinct definition once: every Submit (and
+	// Recover) of equal content shares one plan.
+	plans workflow.PlanCache
 
 	mu     sync.Mutex
 	closed bool
@@ -295,7 +298,9 @@ func SubmitExecutor(k executor.Kind) SubmitOption {
 // context bounds the whole session: cancelling it cancels the session.
 // Submit validates the service bindings up front — a task or replacement
 // task referencing a service the registry cannot resolve fails with
-// ErrUnknownService before anything deploys.
+// ErrUnknownService before anything deploys. The session reads only the
+// manager's compiled plan of def (a copy taken here, or a cached one of
+// equal content), so the caller may edit def once Submit returns.
 //
 // Under a virtual clock, a Submit from a goroutine outside the schedule
 // lands at a wall-clock-dependent model instant: sessions already
@@ -321,7 +326,8 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	if closed {
 		return nil, ErrManagerClosed
 	}
-	if err := checkServices(def, services); err != nil {
+	plan := m.plans.Plan(def)
+	if err := checkServices(plan.Def(), services); err != nil {
 		return nil, err
 	}
 
@@ -352,7 +358,7 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 		return nil, ErrManagerClosed
 	}
 	m.nextID++
-	s := newSession(m, m.nextID, def, services, sub)
+	s := newSession(m, m.nextID, plan, services, sub)
 	s.cancel = cancel
 	s.exec = exec
 	m.active[s.id] = s
@@ -408,7 +414,7 @@ func (m *Manager) sessionExecutor(kind executor.Kind) (executor.Executor, error)
 
 // sessionMeta builds the durable identity record of a session.
 func sessionMeta(s *Session) (journal.SessionMeta, error) {
-	defJSON, err := s.def.JSON()
+	defJSON, err := s.plan.JSON()
 	if err != nil {
 		return journal.SessionMeta{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ginflow/internal/agent"
@@ -100,7 +101,11 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	if err != nil {
 		return nil, err
 	}
-	if err := checkServices(def, services); err != nil {
+	// The recovered session shares the manager's plan of its workflow,
+	// as a Submit of it would: recovery edits copies of the templates
+	// only (recoveredSpecs).
+	plan := m.plans.Plan(def)
+	if err := checkServices(plan.Def(), services); err != nil {
 		return nil, err
 	}
 	sub := SubmitConfig{
@@ -134,7 +139,7 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 		cancel(ErrCancelled)
 		return nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
 	}
-	s := newSession(m, st.Meta.ID, def, services, sub)
+	s := newSession(m, st.Meta.ID, plan, services, sub)
 	s.cancel = cancel
 	s.exec = exec
 	s.recovered = true
@@ -190,6 +195,18 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	return s, nil
 }
 
+// recoveredSpecs returns a recovered session's agent specs: a copy of
+// the plan's templates, every local shell snapshotted, rewritten by
+// recoverSpecs. The templates are shared with every session of the
+// workflow, so recovery never edits them.
+func recoveredSpecs(def *workflow.Definition, templates []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) ([]workflow.AgentSpec, error) {
+	specs := slices.Clone(templates)
+	for i := range specs {
+		specs[i].Local = specs[i].Local.SnapshotSolution()
+	}
+	return specs, recoverSpecs(def, specs, states, triggered)
+}
+
 // recoverSpecs rewrites the translated agent specs of a recovered
 // session: journaled task states replace the pristine template locals
 // (keeping the template's NAME and rules — status pushes strip both),
@@ -199,8 +216,10 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 // its destination is re-injected there. states maps task name to its
 // rebuilt sub-solution, the space's frozen record; triggered lists the
 // adaptation IDs whose TRIGGER markers the journal preserved. Only
-// top-level local shells are edited here (seedLocal's fresh ones, or a
-// template's): a nested solution is replaced, never mutated.
+// top-level local shells are edited here (seedLocal's fresh ones, or
+// the ones specs holds): a nested solution is replaced, never mutated.
+// specs must be the session's own copy, shells included: the templates
+// of a plan are shared (recoveredSpecs copies them first).
 func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) error {
 	plans, err := def.AdaptationPlans()
 	if err != nil {

@@ -30,9 +30,11 @@ import (
 // per-task statuses from the session space) and Events (a live, typed,
 // non-blocking event stream).
 type Session struct {
-	id       int64
-	prefix   string // topic namespace, e.g. "wf3."
-	def      *workflow.Definition
+	id     int64
+	prefix string // topic namespace, e.g. "wf3."
+	// plan is the manager's compiled plan of the submitted definition,
+	// shared with every session of equal content: read-only.
+	plan     *workflow.Plan
 	services *agent.Registry
 	mgr      *Manager
 	sub      SubmitConfig
@@ -59,16 +61,16 @@ type Session struct {
 	err    error
 }
 
-func newSession(m *Manager, id int64, def *workflow.Definition, services *agent.Registry, sub SubmitConfig) *Session {
+func newSession(m *Manager, id int64, plan *workflow.Plan, services *agent.Registry, sub SubmitConfig) *Session {
 	s := &Session{
 		id:       id,
 		prefix:   fmt.Sprintf("wf%d.", id),
-		def:      def,
+		plan:     plan,
 		services: services,
 		mgr:      m,
 		sub:      sub,
 		space:    space.New(),
-		hub:      newHub[trace.Event](eventBuffer(def)),
+		hub:      newHub[trace.Event](eventBuffer(plan)),
 		done:     make(chan struct{}),
 	}
 	if sub.CollectTrace {
@@ -121,8 +123,8 @@ func (s *Session) maybeCheckpoint() error {
 // eventBuffer sizes a session's per-subscriber event buffer: the stream
 // is non-blocking (a full buffer drops), so it is sized to hold a whole
 // healthy run (~5 events per task) with headroom for recoveries.
-func eventBuffer(def *workflow.Definition) int {
-	n := 8*len(def.AllTaskIDs()) + 64
+func eventBuffer(plan *workflow.Plan) int {
+	n := 8*len(plan.TaskIDs()) + 64
 	if n < 256 {
 		n = 256
 	}
@@ -178,7 +180,7 @@ func (s *Session) Status() map[string]hoclflow.Status {
 		}
 		return out
 	}
-	for _, id := range s.def.AllTaskIDs() {
+	for _, id := range s.plan.TaskIDs() {
 		out[id] = s.space.Status(id)
 	}
 	return out
@@ -280,7 +282,7 @@ func classifyCause(cause error) error {
 // interpreter over the global multiset — the §III semantics, useful as a
 // baseline and for debugging (the paper's "centralized executor").
 func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
-	def, services := s.def, s.services
+	def, services := s.plan.Def(), s.services
 	prog, err := def.TranslateCentral()
 	if err != nil {
 		return nil, err
@@ -343,12 +345,12 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 		Statuses: map[string]hoclflow.Status{},
 		Results:  map[string][]string{},
 	}
-	for _, id := range def.AllTaskIDs() {
+	for _, id := range s.plan.TaskIDs() {
 		if sub := hoclflow.FindTaskSub(prog.Global, id); sub != nil {
 			rep.Statuses[id] = hoclflow.StatusOf(sub)
 		}
 	}
-	for _, exit := range def.Exits() {
+	for _, exit := range s.plan.Exits() {
 		sub := hoclflow.FindTaskSub(prog.Global, exit)
 		if sub == nil {
 			continue
@@ -408,8 +410,8 @@ func (s *Session) deployWithRetry(ctx context.Context, specs []workflow.AgentSpe
 // the first cause and cancels runCtx, the one context the await (and
 // the remote READY barrier) watch on either clock.
 func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
-	def, cfg := s.def, s.mgr.cfg
-	specs, err := def.TranslateAgents()
+	plan, def, cfg := s.plan, s.plan.Def(), s.mgr.cfg
+	specs, err := plan.Specs()
 	if err != nil {
 		return nil, err
 	}
@@ -423,10 +425,9 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// each agent seeds from the journaled task state, and the DAG wiring
 	// is reconciled so results whose delivery the crash swallowed are
 	// re-sent (DESIGN.md "Durability & recovery").
-	var seeded map[string]*hocl.Solution
 	if s.recovered {
-		seeded = s.space.TaskStates()
-		if err := recoverSpecs(def, specs, seeded, s.space.Triggered()); err != nil {
+		specs, err = recoveredSpecs(def, specs, s.space.TaskStates(), s.space.Triggered())
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -483,7 +484,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 
 	execStart := clock.Now()
 	host.start(ctx)
-	waitErr := s.space.WaitCompleted(runCtx, def.Exits())
+	waitErr := s.space.WaitCompleted(runCtx, plan.Exits())
 	if waitErr != nil {
 		waitErr = endCause(ctx, runCtx)
 	}
@@ -514,10 +515,10 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	}
 	rep.Adaptations = sp.Triggered()
 	rep.Events = s.recorder.Events()
-	for _, id := range def.AllTaskIDs() {
+	for _, id := range plan.TaskIDs() {
 		rep.Statuses[id] = sp.Status(id)
 	}
-	for _, exit := range def.Exits() {
+	for _, exit := range plan.Exits() {
 		for _, a := range sp.Results(exit) {
 			rep.Results[exit] = append(rep.Results[exit], a.String())
 		}

@@ -39,7 +39,7 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: remote enactment: no worker nodes joined")
 	}
-	defJSON, err := s.def.JSON()
+	defJSON, err := s.plan.JSON()
 	if err != nil {
 		return nil, err
 	}

@@ -258,6 +258,10 @@ func NewSolution(atoms ...Atom) *Solution {
 	return s
 }
 
+// solutionOver builds an active solution that owns elems: unlike
+// NewSolution it neither copies nor appends. The caller gives elems up.
+func solutionOver(elems []Atom) *Solution { return &Solution{elems: elems} }
+
 // Len returns the number of atoms in the solution.
 func (s *Solution) Len() int { return len(s.elems) }
 

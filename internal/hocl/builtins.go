@@ -9,15 +9,15 @@ import (
 // core set — the HOCLflow "extra syntactic facilities" (§III-A) grow a
 // small standard library here so user programs and service kernels can
 // manipulate parameter lists without external functions.
-func (f *Funcs) registerListBuiltins() {
-	f.Register("sum", numericFold("sum", func(acc, x float64) float64 { return acc + x }, 0))
-	f.Register("product", numericFold("product", func(acc, x float64) float64 { return acc * x }, 1))
-	f.Register("count", func(args []Atom) ([]Atom, error) {
+func registerListBuiltins(reg func(string, Func)) {
+	reg("sum", numericFold("sum", func(acc, x float64) float64 { return acc + x }, 0))
+	reg("product", numericFold("product", func(acc, x float64) float64 { return acc * x }, 1))
+	reg("count", func(args []Atom) ([]Atom, error) {
 		return []Atom{Int(len(args))}, nil
 	})
-	f.Register("minimum", numericPick("minimum", func(a, b float64) bool { return a < b }))
-	f.Register("maximum", numericPick("maximum", func(a, b float64) bool { return a > b }))
-	f.Register("nth", func(args []Atom) ([]Atom, error) {
+	reg("minimum", numericPick("minimum", func(a, b float64) bool { return a < b }))
+	reg("maximum", numericPick("maximum", func(a, b float64) bool { return a > b }))
+	reg("nth", func(args []Atom) ([]Atom, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("nth: want (list, index)")
 		}
@@ -34,7 +34,7 @@ func (f *Funcs) registerListBuiltins() {
 		}
 		return []Atom{l[n]}, nil
 	})
-	f.Register("reverse", func(args []Atom) ([]Atom, error) {
+	reg("reverse", func(args []Atom) ([]Atom, error) {
 		l, err := oneList("reverse", args)
 		if err != nil {
 			return nil, err
@@ -45,7 +45,7 @@ func (f *Funcs) registerListBuiltins() {
 		}
 		return []Atom{out}, nil
 	})
-	f.Register("sorted", func(args []Atom) ([]Atom, error) {
+	reg("sorted", func(args []Atom) ([]Atom, error) {
 		l, err := oneList("sorted", args)
 		if err != nil {
 			return nil, err
@@ -64,7 +64,7 @@ func (f *Funcs) registerListBuiltins() {
 		}
 		return []Atom{out}, nil
 	})
-	f.Register("contains", func(args []Atom) ([]Atom, error) {
+	reg("contains", func(args []Atom) ([]Atom, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("contains: want (list|solution, atom)")
 		}

@@ -190,16 +190,62 @@ func TestFuncsRegistryOps(t *testing.T) {
 			t.Errorf("Names not sorted: %v", names)
 		}
 	}
-	g := &Funcs{}
-	f.CloneInto(g)
-	if _, ok := g.Lookup("custom"); !ok {
-		t.Error("CloneInto missed a function")
-	}
 	// Zero value is usable.
 	var z Funcs
 	z.Register("zv", func(args []Atom) ([]Atom, error) { return nil, nil })
 	if _, ok := z.Lookup("zv"); !ok {
 		t.Error("zero-value registry unusable")
+	}
+}
+
+// TestFuncsOverlay: a registry is an overlay over the one built-in
+// table. It resolves every built-in without copying the table, its own
+// names shadow a built-in for it alone, and Names lists the union once.
+func TestFuncsOverlay(t *testing.T) {
+	var sink *Funcs
+	if n := testing.AllocsPerRun(100, func() { sink = NewFuncs() }); n != 1 || sink == nil {
+		t.Errorf("NewFuncs: %v allocs, want 1 (the registry itself)", n)
+	}
+	var e Engine
+	if n := testing.AllocsPerRun(100, func() { _ = e.funcs() }); n != 0 {
+		t.Errorf("Engine.funcs with nil Funcs: %v allocs, want 0", n)
+	}
+	if e.Funcs != nil {
+		t.Error("Engine.funcs filled in the engine's Funcs")
+	}
+	var z Funcs
+	if _, ok := z.Lookup("list"); !ok {
+		t.Error("zero-value registry does not resolve the built-ins")
+	}
+	a, b := NewFuncs(), NewFuncs()
+	a.Register("len", func([]Atom) ([]Atom, error) { return []Atom{Int(-1)}, nil })
+	a.Register("mine", func([]Atom) ([]Atom, error) { return nil, nil })
+	if fn, _ := a.Lookup("len"); fn == nil {
+		t.Fatal("shadowing registry lost len")
+	} else if out, _ := fn([]Atom{List{Int(1)}}); !out[0].Equal(Int(-1)) {
+		t.Errorf("overlay len = %v, want the registry's own", out)
+	}
+	if fn, _ := b.Lookup("len"); fn == nil {
+		t.Fatal("other registry lost len")
+	} else if out, _ := fn([]Atom{List{Int(1)}}); !out[0].Equal(Int(1)) {
+		t.Errorf("built-in len = %v: one registry's shadow leaked into another", out)
+	}
+	if _, ok := a.Lookup("sum"); !ok {
+		t.Error("a shadowing registry no longer resolves the other built-ins")
+	}
+	if _, ok := b.Lookup("mine"); ok {
+		t.Error("one registry's function leaked into another")
+	}
+	names := a.Names()
+	if len(names) != len(builtinTable)+1 {
+		t.Errorf("Names = %d entries, want %d built-ins + 1", len(names), len(builtinTable))
+	}
+	seen := map[string]bool{}
+	for _, n := range names {
+		if seen[n] {
+			t.Errorf("Names lists %q twice", n)
+		}
+		seen[n] = true
 	}
 }
 

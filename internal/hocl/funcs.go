@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Func is an external function callable from rule guards and products.
@@ -20,15 +21,35 @@ import (
 // before reusing the window).
 type Func func(args []Atom) ([]Atom, error)
 
-// Funcs is a registry of external functions. The zero value is empty and
-// ready to use; NewFuncs returns a registry preloaded with the built-ins.
-// Registries are safe for concurrent lookup and registration.
+// Funcs is a registry of external functions: an overlay of an engine's
+// own functions over the built-in table. Every registry resolves the
+// built-ins; a name registered on the overlay takes precedence. The zero
+// value is ready to use. Registries are safe for concurrent lookup and
+// registration.
 type Funcs struct {
 	mu sync.RWMutex
 	m  map[string]Func
+	// shadows is set once the overlay registers a built-in's name; until
+	// then a built-in resolves from the table without taking mu.
+	shadows atomic.Bool
 }
 
-// NewFuncs returns a registry containing the built-in functions:
+// builtinTable holds the built-in functions, built once at package
+// initialisation and never written after: every registry reads it
+// without copying it.
+var builtinTable = func() map[string]Func {
+	m := map[string]Func{}
+	reg := func(name string, fn Func) { m[name] = fn }
+	registerBuiltins(reg)
+	registerListBuiltins(reg)
+	return m
+}()
+
+// builtinsOnly is the registry of an engine with no Funcs of its own.
+// Nothing registers on it.
+var builtinsOnly = &Funcs{}
+
+// NewFuncs returns an empty registry over the built-in functions:
 //
 //	list(a1, ..., an)   -> [a1, ..., an]          (paper footnote 4)
 //	len(x)              -> element count of a list, solution, tuple or string
@@ -37,14 +58,12 @@ type Funcs struct {
 //	concat(l1, l2)      -> concatenated lists
 //	str(a...)           -> string rendering of atoms, concatenated
 //	flatten(l)          -> splices a list's elements into the molecule list
-func NewFuncs() *Funcs {
-	f := &Funcs{m: map[string]Func{}}
-	f.registerBuiltins()
-	f.registerListBuiltins()
-	return f
-}
+//
+// plus the list and numeric utilities of builtins.go. It copies nothing.
+func NewFuncs() *Funcs { return &Funcs{} }
 
-// Register adds (or replaces) a function under the given name.
+// Register adds (or replaces) a function under the given name. A name
+// of a built-in shadows the built-in for this registry only.
 func (f *Funcs) Register(name string, fn Func) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -52,43 +71,50 @@ func (f *Funcs) Register(name string, fn Func) {
 		f.m = map[string]Func{}
 	}
 	f.m[name] = fn
+	if _, ok := builtinTable[name]; ok {
+		f.shadows.Store(true)
+	}
 }
 
-// Lookup returns the function registered under name.
+// Lookup returns the function registered under name: the overlay's
+// first, then the built-in table's.
 func (f *Funcs) Lookup(name string) (Func, bool) {
+	if fn, ok := builtinTable[name]; ok && !f.shadows.Load() {
+		return fn, true
+	}
 	f.mu.RLock()
-	defer f.mu.RUnlock()
 	fn, ok := f.m[name]
+	f.mu.RUnlock()
+	if ok {
+		return fn, true
+	}
+	fn, ok = builtinTable[name]
 	return fn, ok
 }
 
-// Names returns the sorted registered function names.
+// Names returns the sorted names the registry resolves: the overlay's
+// and the built-ins'.
 func (f *Funcs) Names() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	names := make([]string, 0, len(f.m))
+	names := make([]string, 0, len(f.m)+len(builtinTable))
 	for n := range f.m {
 		names = append(names, n)
+	}
+	for n := range builtinTable {
+		if _, ok := f.m[n]; !ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-// CloneInto copies every registration into dst (used by agents that extend
-// the shared built-ins with instance-bound functions).
-func (f *Funcs) CloneInto(dst *Funcs) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for n, fn := range f.m {
-		dst.Register(n, fn)
-	}
-}
-
-func (f *Funcs) registerBuiltins() {
-	f.Register("list", func(args []Atom) ([]Atom, error) {
+func registerBuiltins(reg func(string, Func)) {
+	reg("list", func(args []Atom) ([]Atom, error) {
 		return []Atom{List(append([]Atom(nil), args...))}, nil
 	})
-	f.Register("len", func(args []Atom) ([]Atom, error) {
+	reg("len", func(args []Atom) ([]Atom, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("len: want 1 argument, got %d", len(args))
 		}
@@ -105,7 +131,7 @@ func (f *Funcs) registerBuiltins() {
 			return nil, fmt.Errorf("len: cannot measure %s", args[0].Kind())
 		}
 	})
-	f.Register("head", func(args []Atom) ([]Atom, error) {
+	reg("head", func(args []Atom) ([]Atom, error) {
 		l, err := oneList("head", args)
 		if err != nil {
 			return nil, err
@@ -115,7 +141,7 @@ func (f *Funcs) registerBuiltins() {
 		}
 		return []Atom{l[0]}, nil
 	})
-	f.Register("tail", func(args []Atom) ([]Atom, error) {
+	reg("tail", func(args []Atom) ([]Atom, error) {
 		l, err := oneList("tail", args)
 		if err != nil {
 			return nil, err
@@ -125,7 +151,7 @@ func (f *Funcs) registerBuiltins() {
 		}
 		return []Atom{List(append([]Atom(nil), l[1:]...))}, nil
 	})
-	f.Register("append", func(args []Atom) ([]Atom, error) {
+	reg("append", func(args []Atom) ([]Atom, error) {
 		if len(args) < 1 {
 			return nil, fmt.Errorf("append: want at least 1 argument")
 		}
@@ -136,7 +162,7 @@ func (f *Funcs) registerBuiltins() {
 		out := append(append(List(nil), l...), args[1:]...)
 		return []Atom{out}, nil
 	})
-	f.Register("concat", func(args []Atom) ([]Atom, error) {
+	reg("concat", func(args []Atom) ([]Atom, error) {
 		var out List
 		for i, a := range args {
 			l, ok := a.(List)
@@ -147,7 +173,7 @@ func (f *Funcs) registerBuiltins() {
 		}
 		return []Atom{out}, nil
 	})
-	f.Register("str", func(args []Atom) ([]Atom, error) {
+	reg("str", func(args []Atom) ([]Atom, error) {
 		parts := make([]string, len(args))
 		for i, a := range args {
 			if s, ok := a.(Str); ok {
@@ -158,7 +184,7 @@ func (f *Funcs) registerBuiltins() {
 		}
 		return []Atom{Str(strings.Join(parts, ""))}, nil
 	})
-	f.Register("flatten", func(args []Atom) ([]Atom, error) {
+	reg("flatten", func(args []Atom) ([]Atom, error) {
 		l, err := oneList("flatten", args)
 		if err != nil {
 			return nil, err

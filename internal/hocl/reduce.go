@@ -23,8 +23,8 @@ type TraceEvent struct {
 // The zero value is usable: built-in functions only, deterministic
 // left-to-right atom selection, DefaultMaxSteps.
 type Engine struct {
-	// Funcs resolves external function calls; nil falls back to a
-	// built-ins-only registry.
+	// Funcs resolves external function calls; nil resolves the
+	// built-ins only.
 	Funcs *Funcs
 	// Rand, when non-nil, shuffles candidate order each firing so the
 	// reduction order is chemically non-deterministic (but reproducible
@@ -48,7 +48,8 @@ type Engine struct {
 	candOrd []int
 }
 
-// NewEngine returns an engine with the built-in function registry.
+// NewEngine returns an engine with an empty registry of its own over
+// the built-in functions.
 func NewEngine() *Engine { return &Engine{Funcs: NewFuncs()} }
 
 // ErrDiverged reports that reduction exceeded the step budget.
@@ -79,7 +80,7 @@ func (e *Engine) Steps() int { return e.steps }
 
 func (e *Engine) funcs() *Funcs {
 	if e.Funcs == nil {
-		e.Funcs = NewFuncs()
+		return builtinsOnly
 	}
 	return e.Funcs
 }

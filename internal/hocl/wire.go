@@ -273,7 +273,8 @@ func (d *wireDecoder) atom(depth int) (Atom, error) {
 		case wireList:
 			return List(elems), nil
 		default:
-			sol := NewSolution(elems...)
+			// The solution takes the slice seq allocated for it.
+			sol := solutionOver(elems)
 			if tag == wireSolutionInert {
 				// Decoded atoms have one owner, the decoder: freezing
 				// them lets every consumer share them by reference.

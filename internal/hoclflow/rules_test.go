@@ -2,6 +2,7 @@ package hoclflow
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -606,4 +607,54 @@ func TestAdaptationRulesStayPerCall(t *testing.T) {
 	if AddDstRule("a1", "T1", []string{"R1"}) == AddDstRule("a1", "T1", []string{"R1"}) {
 		t.Error("add_dst: two calls returned one instance")
 	}
+}
+
+// TestBuiltinTableConcurrentOverlays: every engine resolves the
+// built-ins from one shared table, beneath an overlay of its own. 64
+// engines run their first reductions concurrently over one shared rule
+// set; gw_setup calls the built-in list, and each engine's send and
+// invoke are its own, so each send sees only its engine's destination
+// and result. Every other engine also shadows list in its overlay,
+// which must reach no other engine.
+func TestBuiltinTableConcurrentOverlays(t *testing.T) {
+	rules := []*hocl.Rule{GwSetup(), GwCall(), GwSend(), GwRecv(), GwGc()}
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst, out := fmt.Sprintf("D%d", i), hocl.Str(fmt.Sprintf("out-%d", i))
+			sol := TaskAttrs{Name: "T1", Src: []string{"T0"}, Dst: []string{dst}, Service: "s"}.LocalSolution(rules...)
+			sol.Add(PassMessage("T0", []hocl.Atom{hocl.Str("in")}))
+			e := hocl.NewEngine()
+			e.Funcs.Register(FnInvoke, func(args []hocl.Atom) ([]hocl.Atom, error) {
+				return []hocl.Atom{out}, nil
+			})
+			var sends [][]hocl.Atom
+			e.Funcs.Register(FnSend, func(args []hocl.Atom) ([]hocl.Atom, error) {
+				sends = append(sends, append([]hocl.Atom(nil), args...))
+				return nil, nil
+			})
+			shadowed := 0
+			if i%2 == 1 {
+				list, _ := e.Funcs.Lookup("list")
+				e.Funcs.Register("list", func(args []hocl.Atom) ([]hocl.Atom, error) {
+					shadowed++
+					return list(args)
+				})
+			}
+			if err := e.Reduce(sol); err != nil {
+				t.Error(err)
+				return
+			}
+			want := [][]hocl.Atom{{hocl.Ident(dst), out}}
+			if !reflect.DeepEqual(sends, want) {
+				t.Errorf("engine %d sent %v, want %v", i, sends, want)
+			}
+			if want := i % 2; shadowed != want {
+				t.Errorf("engine %d: its own list ran %d times, want %d", i, shadowed, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

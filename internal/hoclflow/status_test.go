@@ -1,6 +1,7 @@
 package hoclflow
 
 import (
+	"fmt"
 	"testing"
 
 	"ginflow/internal/hocl"
@@ -135,3 +136,55 @@ func TestStatusEncoderSnapshotsAddedAtoms(t *testing.T) {
 		t.Errorf("wire payload observed a post-encode mutation: %v", res)
 	}
 }
+
+// TestDecodeStatusPushAllocs pins the cost of decoding one status push
+// off the wire: the VER header plus the full record of a 16-source mesh
+// task mid-workflow (8 inputs received, 8 pending). Each decoded
+// solution takes the element slice the decoder built for it, so it
+// costs its shell and that slice; one more allocation per solution means
+// the decoder copies the elements again.
+func TestDecodeStatusPushAllocs(t *testing.T) {
+	const fan = 16
+	var src, dst, in []hocl.Atom
+	for i := 1; i <= fan; i++ {
+		dst = append(dst, hocl.Ident(fmt.Sprintf("D%d", i)))
+		if i <= fan/2 {
+			in = append(in, hocl.Str(fmt.Sprintf("out-S%d", i)))
+		} else {
+			src = append(src, hocl.Ident(fmt.Sprintf("S%d", i)))
+		}
+	}
+	inert := func(atoms ...hocl.Atom) *hocl.Solution {
+		sol := hocl.NewSolution(atoms...)
+		sol.SetInert(true)
+		return sol
+	}
+	enc := StatusEncoder{Task: "N8_3"}
+	push := enc.Encode([]hocl.Atom{
+		hocl.Tuple{KeySRC, inert(src...)},
+		hocl.Tuple{KeyDST, inert(dst...)},
+		hocl.Tuple{KeySRV, hocl.Str("work")},
+		hocl.Tuple{KeyIN, inert(in...)},
+		hocl.Tuple{KeyRES, inert()},
+	}, true)
+	wire := hocl.AppendAtoms(nil, push)
+	decoded, err := hocl.DecodeAtoms(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hocl.Fingerprint(decoded...) != hocl.Fingerprint(push...) {
+		t.Fatalf("decoded push %v differs from %v", decoded, push)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := hocl.DecodeAtoms(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != decodeStatusPushAllocs {
+		t.Errorf("decoding a status push: %v allocs, want %d", got, decodeStatusPushAllocs)
+	}
+}
+
+// decodeStatusPushAllocs is TestDecodeStatusPushAllocs's exact count
+// (110 when each decoded solution copied its elements).
+const decodeStatusPushAllocs = 106

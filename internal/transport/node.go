@@ -39,6 +39,10 @@ type NodeConfig struct {
 type Node struct {
 	rb       *RemoteBroker
 	services *agent.Registry
+	// plans compiles each distinct assigned workflow once, keyed by
+	// its JSON bytes: a repeated assignment skips decoding and
+	// translating it.
+	plans workflow.PlanCache
 
 	mu       sync.Mutex
 	sessions map[uint64]*nodeSession
@@ -184,7 +188,8 @@ type nodeSession struct {
 // buildSession rebuilds the assigned agents from the workflow JSON —
 // the wire carries the definition, not the specs: generated reduction
 // functions and service bindings are reconstructed locally, exactly as
-// the in-process engine builds them.
+// the in-process engine builds them, once per distinct workflow (the
+// node's plan cache); the agents share the plan's templates.
 func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	var a Assignment
 	if err := json.Unmarshal(blob, &a); err != nil {
@@ -193,11 +198,11 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	if err := a.Chaos.Validate(); err != nil {
 		return nil, fmt.Errorf("bad assignment: %w", err)
 	}
-	def, err := workflow.FromJSON(a.Workflow)
+	plan, err := n.plans.PlanJSON(a.Workflow)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := def.TranslateAgents()
+	specs, err := plan.Specs()
 	if err != nil {
 		return nil, err
 	}
