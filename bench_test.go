@@ -184,18 +184,29 @@ func adaptSwapDefinition() *workflow.Definition {
 }
 
 // BenchmarkPlanHit measures what a Manager's Submit of an already
-// compiled definition costs to find its plan: a structural hash of
-// every field and a field-wise equality check against the plan's copy.
-// Guarded by cmd/benchguard at 0 allocs/op: a hit copies, renders and
-// translates nothing.
+// compiled definition costs to find its plan: rendering the definition
+// as JSON, the key, and comparing it with the cached plan's. Guarded by
+// cmd/benchguard: a hit that decodes or translates the definition again
+// fails the ceiling.
 func BenchmarkPlanHit(b *testing.B) {
 	def := adaptSwapDefinition()
+	lookup := func(plans *workflow.PlanCache) *workflow.Plan {
+		data, err := def.JSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := plans.Plan(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
 	var plans workflow.PlanCache
-	p := plans.Plan(def)
+	p := lookup(&plans)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if plans.Plan(def) != p {
+		if lookup(&plans) != p {
 			b.Fatal("an unchanged definition missed its plan")
 		}
 	}
@@ -209,8 +220,7 @@ func BenchmarkPlanHit(b *testing.B) {
 // function table is shared, so copying it into an engine again fails
 // the ceiling.
 func BenchmarkAgentNew(b *testing.B) {
-	var plans workflow.PlanCache
-	specs, err := plans.Plan(adaptSwapDefinition()).Specs()
+	specs, err := adaptSwapDefinition().TranslateAgents()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,8 +76,8 @@ type Manager struct {
 	reg        *obs.Registry
 	met        *coreMetrics
 	metricsSrv *obs.Server
-	// plans compiles each distinct definition once: every Submit (and
-	// Recover) of equal content shares one plan.
+	// plans keeps the compiled plan of the last workflow submitted or
+	// recovered: a Submit of the same workflow shares it.
 	plans workflow.PlanCache
 
 	mu     sync.Mutex
@@ -299,8 +299,8 @@ func SubmitExecutor(k executor.Kind) SubmitOption {
 // Submit validates the service bindings up front — a task or replacement
 // task referencing a service the registry cannot resolve fails with
 // ErrUnknownService before anything deploys. The session reads only the
-// manager's compiled plan of def (a copy taken here, or a cached one of
-// equal content), so the caller may edit def once Submit returns.
+// manager's compiled plan of def (decoded from def's JSON, or a cached
+// one of the same JSON), so the caller may edit def once Submit returns.
 //
 // Under a virtual clock, a Submit from a goroutine outside the schedule
 // lands at a wall-clock-dependent model instant: sessions already
@@ -326,8 +326,11 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	if closed {
 		return nil, ErrManagerClosed
 	}
-	plan := m.plans.Plan(def)
-	if err := checkServices(plan.Def(), services); err != nil {
+	if err := checkServices(def, services); err != nil {
+		return nil, err
+	}
+	plan, err := m.plan(def)
+	if err != nil {
 		return nil, err
 	}
 
@@ -369,11 +372,8 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	// no status stream to journal). The workflow record is durable
 	// before any agent deploys — the write-ahead contract.
 	if m.journal != nil && exec != nil {
-		meta, err := sessionMeta(s)
-		if err == nil {
-			s.jw, err = m.journal.CreateSession(meta)
-		}
-		if err != nil {
+		var err error
+		if s.jw, err = m.journal.CreateSession(sessionMeta(s)); err != nil {
 			m.mu.Lock()
 			delete(m.active, s.id)
 			m.mu.Unlock()
@@ -412,19 +412,26 @@ func (m *Manager) sessionExecutor(kind executor.Kind) (executor.Executor, error)
 	return executorFor(m.cfg, kind)
 }
 
-// sessionMeta builds the durable identity record of a session.
-func sessionMeta(s *Session) (journal.SessionMeta, error) {
-	defJSON, err := s.plan.JSON()
+// plan returns the manager's compiled plan of def, keyed by its JSON:
+// the cached one when def renders as the last plan did, else a new one
+// decoded from the rendering, which is the session's own copy of def.
+func (m *Manager) plan(def *workflow.Definition) (*workflow.Plan, error) {
+	data, err := def.JSON()
 	if err != nil {
-		return journal.SessionMeta{}, err
+		return nil, err
 	}
+	return m.plans.Plan(data)
+}
+
+// sessionMeta builds the durable identity record of a session.
+func sessionMeta(s *Session) journal.SessionMeta {
 	return journal.SessionMeta{
 		ID:           s.id,
-		Workflow:     defJSON,
+		Workflow:     s.plan.JSON(),
 		TimeoutNS:    int64(s.sub.Timeout),
 		CollectTrace: s.sub.CollectTrace,
 		Executor:     string(s.sub.Executor),
-	}, nil
+	}
 }
 
 // finish removes a completed session from the active set.

@@ -167,7 +167,14 @@ func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 			m2.Close()
 			break // past the end of the run's journal
 		}
-		plan := m2.plans.Plan(def)
+		data, err := def.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := m2.plans.Plan(data)
+		if err != nil {
+			t.Fatal(err)
+		}
 		templates, err := plan.Specs()
 		if err != nil {
 			t.Fatal(err)

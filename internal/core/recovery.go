@@ -101,11 +101,15 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	if err != nil {
 		return nil, err
 	}
+	if err := checkServices(def, services); err != nil {
+		return nil, err
+	}
 	// The recovered session shares the manager's plan of its workflow,
 	// as a Submit of it would: recovery edits copies of the templates
-	// only (recoveredSpecs).
-	plan := m.plans.Plan(def)
-	if err := checkServices(plan.Def(), services); err != nil {
+	// only (recoveredSpecs). The journal keeps the workflow compacted,
+	// so def is rendered again to key the plan a Submit would.
+	plan, err := m.plan(def)
+	if err != nil {
 		return nil, err
 	}
 	sub := SubmitConfig{
@@ -176,11 +180,7 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 	// Resume write-through: the rebuilt state is checkpointed into a
 	// fresh segment before the session runs, superseding the replayed
 	// segments.
-	meta, err := sessionMeta(s)
-	if err != nil {
-		return fail(err)
-	}
-	jw, err := m.journal.ResumeSession(meta, s.space.Snapshot().Atoms())
+	jw, err := m.journal.ResumeSession(sessionMeta(s), s.space.Snapshot().Atoms())
 	if err != nil {
 		return fail(err)
 	}

@@ -39,10 +39,6 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: remote enactment: no worker nodes joined")
 	}
-	defJSON, err := s.plan.JSON()
-	if err != nil {
-		return nil, err
-	}
 	cfg := s.mgr.cfg
 	tasksOf := map[uint64][]string{}
 	for i := range specs {
@@ -54,7 +50,7 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 		assigns[id] = transport.Assignment{
 			SpaceTopic:    spaceTopic,
 			TopicPrefix:   topicPrefix,
-			Workflow:      defJSON,
+			Workflow:      s.plan.JSON(),
 			Tasks:         tasks,
 			RestartDelay:  cfg.RestartDelay,
 			MaxRecoveries: cfg.MaxRecoveries,

@@ -181,15 +181,6 @@ func TestFuncsRegistryOps(t *testing.T) {
 	if _, ok := f.Lookup("custom"); !ok {
 		t.Error("registered function missing")
 	}
-	names := f.Names()
-	if len(names) == 0 {
-		t.Fatal("Names empty")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Errorf("Names not sorted: %v", names)
-		}
-	}
 	// Zero value is usable.
 	var z Funcs
 	z.Register("zv", func(args []Atom) ([]Atom, error) { return nil, nil })
@@ -200,7 +191,7 @@ func TestFuncsRegistryOps(t *testing.T) {
 
 // TestFuncsOverlay: a registry is an overlay over the one built-in
 // table. It resolves every built-in without copying the table, its own
-// names shadow a built-in for it alone, and Names lists the union once.
+// names shadow a built-in for it alone.
 func TestFuncsOverlay(t *testing.T) {
 	var sink *Funcs
 	if n := testing.AllocsPerRun(100, func() { sink = NewFuncs() }); n != 1 || sink == nil {
@@ -235,17 +226,6 @@ func TestFuncsOverlay(t *testing.T) {
 	}
 	if _, ok := b.Lookup("mine"); ok {
 		t.Error("one registry's function leaked into another")
-	}
-	names := a.Names()
-	if len(names) != len(builtinTable)+1 {
-		t.Errorf("Names = %d entries, want %d built-ins + 1", len(names), len(builtinTable))
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("Names lists %q twice", n)
-		}
-		seen[n] = true
 	}
 }
 

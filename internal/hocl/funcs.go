@@ -2,10 +2,8 @@ package hocl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Func is an external function callable from rule guards and products.
@@ -29,9 +27,6 @@ type Func func(args []Atom) ([]Atom, error)
 type Funcs struct {
 	mu sync.RWMutex
 	m  map[string]Func
-	// shadows is set once the overlay registers a built-in's name; until
-	// then a built-in resolves from the table without taking mu.
-	shadows atomic.Bool
 }
 
 // builtinTable holds the built-in functions, built once at package
@@ -71,17 +66,11 @@ func (f *Funcs) Register(name string, fn Func) {
 		f.m = map[string]Func{}
 	}
 	f.m[name] = fn
-	if _, ok := builtinTable[name]; ok {
-		f.shadows.Store(true)
-	}
 }
 
 // Lookup returns the function registered under name: the overlay's
 // first, then the built-in table's.
 func (f *Funcs) Lookup(name string) (Func, bool) {
-	if fn, ok := builtinTable[name]; ok && !f.shadows.Load() {
-		return fn, true
-	}
 	f.mu.RLock()
 	fn, ok := f.m[name]
 	f.mu.RUnlock()
@@ -90,24 +79,6 @@ func (f *Funcs) Lookup(name string) (Func, bool) {
 	}
 	fn, ok = builtinTable[name]
 	return fn, ok
-}
-
-// Names returns the sorted names the registry resolves: the overlay's
-// and the built-ins'.
-func (f *Funcs) Names() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	names := make([]string, 0, len(f.m)+len(builtinTable))
-	for n := range f.m {
-		names = append(names, n)
-	}
-	for n := range builtinTable {
-		if _, ok := f.m[n]; !ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 func registerBuiltins(reg func(string, Func)) {

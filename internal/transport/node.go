@@ -39,8 +39,8 @@ type NodeConfig struct {
 type Node struct {
 	rb       *RemoteBroker
 	services *agent.Registry
-	// plans compiles each distinct assigned workflow once, keyed by
-	// its JSON bytes: a repeated assignment skips decoding and
+	// plans keeps the compiled plan of the last assigned workflow,
+	// keyed by its JSON bytes: a repeated assignment skips decoding and
 	// translating it.
 	plans workflow.PlanCache
 
@@ -188,8 +188,9 @@ type nodeSession struct {
 // buildSession rebuilds the assigned agents from the workflow JSON —
 // the wire carries the definition, not the specs: generated reduction
 // functions and service bindings are reconstructed locally, exactly as
-// the in-process engine builds them, once per distinct workflow (the
-// node's plan cache); the agents share the plan's templates.
+// the in-process engine builds them, once per run of assignments of one
+// workflow (the node's plan cache); the agents share the plan's
+// templates.
 func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	var a Assignment
 	if err := json.Unmarshal(blob, &a); err != nil {
@@ -198,7 +199,7 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	if err := a.Chaos.Validate(); err != nil {
 		return nil, fmt.Errorf("bad assignment: %w", err)
 	}
-	plan, err := n.plans.PlanJSON(a.Workflow)
+	plan, err := n.plans.Plan(a.Workflow)
 	if err != nil {
 		return nil, err
 	}

@@ -28,20 +28,30 @@ import (
 //	  ]
 //	}
 func FromJSON(data []byte) (*Definition, error) {
-	var d Definition
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("workflow: decoding JSON: %w", err)
+	d, err := decodeJSON(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return &d, nil
+	return d, nil
 }
 
 // JSON encodes the definition as indented JSON. The output round-trips
 // through FromJSON.
 func (d *Definition) JSON() ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")
+}
+
+// decodeJSON decodes a definition without validating it, rejecting
+// unknown fields.
+func decodeJSON(data []byte) (*Definition, error) {
+	var d Definition
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return nil, fmt.Errorf("workflow: decoding JSON: %w", err)
+	}
+	return &d, nil
 }

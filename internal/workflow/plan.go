@@ -2,40 +2,34 @@ package workflow
 
 import (
 	"bytes"
-	"hash/maphash"
-	"slices"
 	"sync"
 )
 
-// planCacheSize is how many plans a PlanCache keeps; past it the least
-// recently used plan is evicted.
-const planCacheSize = 16
-
-// Plan is a definition compiled once: the validated definition (the
-// plan's own deep copy), its agent-spec templates, its exit and task-ID
-// lists and its JSON. Everything a plan hands out is shared by every
-// session built from it and is read-only: the specs' local solutions
-// are copied before an edit (agent.New snapshots the shell, and crash
-// recovery copies the spec slice and every shell first), and rules,
-// generated functions and trigger lists are never edited.
+// Plan is a definition compiled once: the definition decoded from its
+// JSON (the plan's own copy), its agent-spec templates, its exit and
+// task-ID lists and the JSON itself. Everything a plan hands out is
+// shared by every session built from it and is read-only: the specs'
+// local solutions are copied before an edit (agent.New snapshots the
+// shell, and crash recovery copies the spec slice and every shell
+// first), and rules, generated functions and trigger lists are never
+// edited.
 type Plan struct {
 	def   *Definition
-	hash  uint64
-	src   []byte // the JSON the plan was keyed by (PlanJSON); nil for Plan
+	json  []byte
 	exits []string
 	ids   []string
 
 	buildOnce sync.Once
 	specs     []AgentSpec
 	buildErr  error
-
-	jsonOnce sync.Once
-	json     []byte
-	jsonErr  error
 }
 
 // Def returns the plan's definition. The caller must not edit it.
 func (p *Plan) Def() *Definition { return p.def }
+
+// JSON returns the JSON the plan was compiled from. The caller must not
+// edit it.
+func (p *Plan) JSON() []byte { return p.json }
 
 // Exits returns the definition's exit tasks (Definition.Exits).
 func (p *Plan) Exits() []string { return p.exits }
@@ -52,179 +46,31 @@ func (p *Plan) Specs() ([]AgentSpec, error) {
 	return p.specs, p.buildErr
 }
 
-// JSON returns the definition's JSON (Definition.JSON), rendered on the
-// first call.
-func (p *Plan) JSON() ([]byte, error) {
-	p.jsonOnce.Do(func() { p.json, p.jsonErr = p.def.JSON() })
-	return p.json, p.jsonErr
-}
-
-func newPlan(def *Definition, hash uint64, src []byte) *Plan {
-	return &Plan{def: def, hash: hash, src: src, exits: def.Exits(), ids: def.AllTaskIDs()}
-}
-
-// PlanCache keeps the plans of the last planCacheSize distinct
-// definitions it was asked for. A lookup hashes the definition to pick
-// a candidate and requires exact equality with its copy, so a hash
-// collision never returns another workflow's plan. It is safe for
-// concurrent use; the zero value is ready.
+// PlanCache keeps the plan of the last workflow it was asked for, keyed
+// by the workflow's JSON and compared byte for byte. Every workload
+// that repeats a definition repeats it back to back, so one plan is
+// what the cache needs to keep. It is safe for concurrent use; the zero
+// value is ready.
 type PlanCache struct {
-	mu    sync.Mutex
-	plans []*Plan // least recently used first
+	mu   sync.Mutex
+	last *Plan
 }
 
-// Plan returns the plan of def: a cached one whose definition equals
-// def field for field, or a new one over a deep copy of def. Either
-// way the plan never reads def after the call returns, so the caller
-// may edit def freely; an edited def misses and gets a plan of its own.
-func (c *PlanCache) Plan(def *Definition) *Plan {
-	h := def.hash()
+// Plan returns the plan of the definition data encodes: the cached one
+// when data equals its JSON, else a new one decoded from data, which
+// replaces it. Decoding does not validate: a plan of an invalid
+// definition reports the error from Specs. The plan keeps data; the
+// caller must not edit it afterwards.
+func (c *PlanCache) Plan(data []byte) (*Plan, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.find(func(p *Plan) bool { return p.hash == h && p.src == nil && p.def.equal(def) }); p != nil {
-		return p
+	if c.last != nil && bytes.Equal(c.last.json, data) {
+		return c.last, nil
 	}
-	return c.add(newPlan(def.clone(), h, nil))
-}
-
-// PlanJSON returns the plan of the definition data encodes, keyed by
-// the bytes themselves: a cached plan requires data to equal its
-// source byte for byte; a miss decodes and validates data (FromJSON)
-// and caches the plan only when that succeeds. The cache keeps data;
-// the caller must not edit it afterwards.
-func (c *PlanCache) PlanJSON(data []byte) (*Plan, error) {
-	h := maphash.Bytes(planSeed, data)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.find(func(p *Plan) bool { return p.hash == h && p.src != nil && bytes.Equal(p.src, data) }); p != nil {
-		return p, nil
-	}
-	def, err := FromJSON(data)
+	def, err := decodeJSON(data)
 	if err != nil {
 		return nil, err
 	}
-	return c.add(newPlan(def, h, data)), nil
-}
-
-// find returns the most recently used plan that match accepts, marking
-// it used; nil when none does. c.mu is held.
-func (c *PlanCache) find(match func(*Plan) bool) *Plan {
-	for i := len(c.plans) - 1; i >= 0; i-- {
-		if p := c.plans[i]; match(p) {
-			copy(c.plans[i:], c.plans[i+1:])
-			c.plans[len(c.plans)-1] = p
-			return p
-		}
-	}
-	return nil
-}
-
-// add caches p as the most recently used plan, evicting the least
-// recently used one past planCacheSize. c.mu is held.
-func (c *PlanCache) add(p *Plan) *Plan {
-	if len(c.plans) == planCacheSize {
-		copy(c.plans, c.plans[1:])
-		c.plans = c.plans[:planCacheSize-1]
-	}
-	c.plans = append(c.plans, p)
-	return p
-}
-
-// planSeed seeds the plan hashes; they live in memory only.
-var planSeed = maphash.MakeSeed()
-
-// hash is a structural hash over every field of the definition. Each
-// string ends with a 0 byte and each list with a 1 byte, so moving an
-// element across a boundary changes the hash; a collision costs only a
-// failed equality check.
-func (d *Definition) hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(planSeed)
-	hashStr(&h, d.Name)
-	for i := range d.Tasks {
-		t := &d.Tasks[i]
-		hashStr(&h, t.ID)
-		hashStr(&h, t.Service)
-		hashStrs(&h, t.In)
-		hashStrs(&h, t.Dst)
-	}
-	h.WriteByte(1)
-	for i := range d.Adaptations {
-		a := &d.Adaptations[i]
-		hashStr(&h, a.ID)
-		hashStrs(&h, a.Faulty)
-		for j := range a.Replacement {
-			r := &a.Replacement[j]
-			hashStr(&h, r.ID)
-			hashStr(&h, r.Service)
-			hashStrs(&h, r.In)
-			hashStrs(&h, r.Src)
-			hashStrs(&h, r.Dst)
-		}
-		h.WriteByte(1)
-	}
-	return h.Sum64()
-}
-
-func hashStr(h *maphash.Hash, s string) {
-	h.WriteString(s)
-	h.WriteByte(0)
-}
-
-func hashStrs(h *maphash.Hash, ss []string) {
-	for _, s := range ss {
-		hashStr(h, s)
-	}
-	h.WriteByte(1)
-}
-
-// equal reports whether d and o agree on every field, as
-// reflect.DeepEqual would: a nil list differs from an empty one.
-func (d *Definition) equal(o *Definition) bool {
-	if d.Name != o.Name || !sameLen(d.Tasks, o.Tasks) || !sameLen(d.Adaptations, o.Adaptations) {
-		return false
-	}
-	for i := range d.Tasks {
-		a, b := &d.Tasks[i], &o.Tasks[i]
-		if a.ID != b.ID || a.Service != b.Service || !strsEqual(a.In, b.In) || !strsEqual(a.Dst, b.Dst) {
-			return false
-		}
-	}
-	for i := range d.Adaptations {
-		a, b := &d.Adaptations[i], &o.Adaptations[i]
-		if a.ID != b.ID || !strsEqual(a.Faulty, b.Faulty) || !sameLen(a.Replacement, b.Replacement) {
-			return false
-		}
-		for j := range a.Replacement {
-			x, y := &a.Replacement[j], &b.Replacement[j]
-			if x.ID != y.ID || x.Service != y.Service || !strsEqual(x.In, y.In) ||
-				!strsEqual(x.Src, y.Src) || !strsEqual(x.Dst, y.Dst) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func sameLen[E any](a, b []E) bool { return len(a) == len(b) && (a == nil) == (b == nil) }
-
-func strsEqual(a, b []string) bool { return sameLen(a, b) && slices.Equal(a, b) }
-
-// clone returns a deep copy of d: it shares no slice with d, and keeps
-// every nil list nil.
-func (d *Definition) clone() *Definition {
-	c := &Definition{Name: d.Name, Tasks: slices.Clone(d.Tasks), Adaptations: slices.Clone(d.Adaptations)}
-	for i := range c.Tasks {
-		t := &c.Tasks[i]
-		t.In, t.Dst = slices.Clone(t.In), slices.Clone(t.Dst)
-	}
-	for i := range c.Adaptations {
-		a := &c.Adaptations[i]
-		a.Faulty, a.Replacement = slices.Clone(a.Faulty), slices.Clone(a.Replacement)
-		for j := range a.Replacement {
-			r := &a.Replacement[j]
-			r.In, r.Src, r.Dst = slices.Clone(r.In), slices.Clone(r.Src), slices.Clone(r.Dst)
-		}
-	}
-	return c
+	c.last = &Plan{def: def, json: data, exits: def.Exits(), ids: def.AllTaskIDs()}
+	return c.last, nil
 }

@@ -2,11 +2,8 @@ package workflow
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func adaptedDiamond(h, v int) *Definition {
@@ -14,19 +11,30 @@ func adaptedDiamond(h, v int) *Definition {
 	return WithBodyReplacement(Diamond(spec), spec, false, "workalt")
 }
 
-// TestPlanCacheExactKey: equal content hits one plan whose templates are
-// built once; the plan keeps its own copy, so an edit to the caller's
-// definition after the lookup reaches neither the plan nor later hits,
-// and the edited definition gets a plan of its own.
-func TestPlanCacheExactKey(t *testing.T) {
+func mustJSON(t *testing.T, def *Definition) []byte {
+	t.Helper()
+	data, err := def.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPlanCacheKeepsLastPlan: equal bytes hit one plan whose templates
+// are built once; the plan decodes its own copy of the definition, so
+// an edit to the caller's definition reaches neither the plan nor a
+// later hit. Other bytes get a plan of their own, which replaces the
+// cached one.
+func TestPlanCacheKeepsLastPlan(t *testing.T) {
 	var c PlanCache
 	def := adaptedDiamond(3, 3)
-	p := c.Plan(def)
-	if p.Def() == def {
-		t.Fatal("the plan holds the caller's definition, not a copy")
+	data := mustJSON(t, def)
+	p, err := c.Plan(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Def(), def) {
-		t.Fatal("the plan's copy differs from the definition")
+	if p.Def() == def || !reflect.DeepEqual(p.Def(), def) {
+		t.Fatal("the plan's definition is not a copy equal to the caller's")
 	}
 	specs, err := p.Specs()
 	if err != nil {
@@ -35,176 +43,56 @@ func TestPlanCacheExactKey(t *testing.T) {
 	if again, _ := p.Specs(); &again[0] != &specs[0] {
 		t.Error("Specs built the templates twice")
 	}
-	if c.Plan(def.clone()) != p || c.Plan(def) != p {
-		t.Error("equal content missed the cache")
+	if q, _ := c.Plan(bytes.Clone(data)); q != p {
+		t.Error("equal bytes missed the cache")
 	}
 	if !reflect.DeepEqual(p.Exits(), def.Exits()) || !reflect.DeepEqual(p.TaskIDs(), def.AllTaskIDs()) {
 		t.Error("plan exits or task IDs differ from the definition's")
 	}
-	want, _ := def.JSON()
-	if got, err := p.JSON(); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("plan JSON differs from Definition.JSON (err %v)", err)
+	if !bytes.Equal(p.JSON(), data) {
+		t.Error("plan JSON differs from the bytes it was compiled from")
 	}
 
 	def.Tasks[1].Service = "renamed"
 	if p.Def().Tasks[1].Service == "renamed" {
 		t.Fatal("an edit of the caller's definition reached the plan")
 	}
-	edited := c.Plan(def)
-	if edited == p {
+	edited, err := c.Plan(mustJSON(t, def))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edited == p || edited.Def().Tasks[1].Service != "renamed" {
 		t.Fatal("an edited definition hit the old plan")
 	}
-	def.Tasks[1].Service = p.Def().Tasks[1].Service
-	if c.Plan(def) != p {
-		t.Error("the restored definition missed its plan")
-	}
-	for _, edit := range []func(d *Definition){
-		func(d *Definition) { d.Name = "other" },
-		func(d *Definition) { d.Tasks[0].In = append(d.Tasks[0].In, "x") },
-		func(d *Definition) { d.Tasks[0].In = nil },
-		func(d *Definition) { d.Tasks = append(d.Tasks, Task{ID: "EXTRA", Service: "s"}) },
-		func(d *Definition) { d.Adaptations[0].Faulty = d.Adaptations[0].Faulty[1:] },
-		func(d *Definition) { d.Adaptations[0].Replacement[0].Src = nil },
-		func(d *Definition) { d.Adaptations[0].Replacement[2].Service = "x" },
-		func(d *Definition) { d.Adaptations = nil },
-	} {
-		d := p.Def().clone()
-		edit(d)
-		if c.Plan(d) == p {
-			t.Errorf("edited definition %s hit the original plan", d.Name)
-		}
+	if q, _ := c.Plan(data); q == p || q == edited {
+		t.Error("the cache kept more than the last plan")
 	}
 }
 
-// TestPlanCacheEvictsLeastRecentlyUsed: the cache keeps planCacheSize
-// plans and evicts the one used least recently.
-func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
+// TestPlanCacheErrors: bytes that do not decode return an error and
+// leave the cached plan in place; a definition that decodes but does
+// not validate gets a plan whose Specs reports the error, every time.
+func TestPlanCacheErrors(t *testing.T) {
 	var c PlanCache
-	defs := make([]*Definition, planCacheSize+1)
-	plans := make([]*Plan, len(defs))
-	for i := range defs {
-		defs[i] = Sequence(i+2, "s", "in")
-	}
-	for i := 0; i < planCacheSize; i++ {
-		plans[i] = c.Plan(defs[i])
-	}
-	c.Plan(defs[0]) // defs[1] is now the least recently used
-	plans[planCacheSize] = c.Plan(defs[planCacheSize])
-	if len(c.plans) != planCacheSize {
-		t.Fatalf("cache holds %d plans, want %d", len(c.plans), planCacheSize)
-	}
-	if c.Plan(defs[0]) != plans[0] {
-		t.Error("a recently used plan was evicted")
-	}
-	if c.Plan(defs[1]) == plans[1] {
-		t.Error("the least recently used plan was kept")
-	}
-}
-
-// TestPlanCacheJSON: the worker-side lookup keys by the bytes, reuses
-// the plan for equal bytes and caches nothing for bytes that do not
-// decode or validate.
-func TestPlanCacheJSON(t *testing.T) {
-	var c PlanCache
-	data, err := adaptedDiamond(2, 2).JSON()
+	p, err := c.Plan(mustJSON(t, adaptedDiamond(2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.PlanJSON(data)
+	for _, bad := range []string{`{`, `{"tasks":[],"extra":1}`} {
+		if _, err := c.Plan([]byte(bad)); err == nil {
+			t.Errorf("Plan(%s) succeeded", bad)
+		}
+	}
+	if c.last != p {
+		t.Error("a failed decode replaced the cached plan")
+	}
+	invalid, err := c.Plan([]byte(`{"tasks":[{"id":"t1","service":"s"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q, _ := c.PlanJSON(bytes.Clone(data)); q != p {
-		t.Error("equal bytes missed the cache")
-	}
-	if _, err := p.Specs(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{`{`, `{"tasks":[{"id":"t1","service":"s"}]}`} {
-		if _, err := c.PlanJSON([]byte(bad)); err == nil {
-			t.Errorf("PlanJSON(%s) succeeded", bad)
-		}
-	}
-	if len(c.plans) != 1 {
-		t.Errorf("cache holds %d plans after failed lookups, want 1", len(c.plans))
-	}
-}
-
-// TestPlanValidationErrorAtSpecs: an invalid definition still gets a
-// plan; its validation error surfaces from Specs, every time.
-func TestPlanValidationErrorAtSpecs(t *testing.T) {
-	var c PlanCache
-	p := c.Plan(&Definition{Tasks: []Task{{ID: "t1", Service: "s"}}})
 	for i := 0; i < 2; i++ {
-		if _, err := p.Specs(); err == nil {
+		if _, err := invalid.Specs(); err == nil {
 			t.Fatal("Specs of an invalid definition succeeded")
 		}
-	}
-}
-
-// TestQuickPlanKeyIsExact: the cache key's equality agrees with
-// reflect.DeepEqual, equal definitions hash alike, and a clone equals
-// its original while sharing none of its lists. It also pins the field
-// sets: a field added to the model must join hash, equal and clone.
-func TestQuickPlanKeyIsExact(t *testing.T) {
-	for typ, n := range map[reflect.Type]int{
-		reflect.TypeOf(Definition{}):      3,
-		reflect.TypeOf(Task{}):            4,
-		reflect.TypeOf(Adaptation{}):      3,
-		reflect.TypeOf(ReplacementTask{}): 5,
-	} {
-		if typ.NumField() != n {
-			t.Errorf("%s has %d fields, the plan key covers %d", typ, typ.NumField(), n)
-		}
-	}
-	strs := func(r *rand.Rand) []string {
-		switch r.Intn(4) {
-		case 0:
-			return nil
-		case 1:
-			return []string{}
-		}
-		out := make([]string, 1+r.Intn(2))
-		for i := range out {
-			out[i] = fmt.Sprint("v", r.Intn(2))
-		}
-		return out
-	}
-	gen := func(r *rand.Rand) *Definition {
-		d := &Definition{Name: fmt.Sprint("n", r.Intn(2))}
-		for i := r.Intn(3); i > 0; i-- {
-			d.Tasks = append(d.Tasks, Task{ID: fmt.Sprint("T", r.Intn(2)), Service: "s", In: strs(r), Dst: strs(r)})
-		}
-		if r.Intn(2) == 0 {
-			a := Adaptation{ID: "a", Faulty: strs(r)}
-			for i := r.Intn(3); i > 0; i-- {
-				a.Replacement = append(a.Replacement, ReplacementTask{ID: "R", Service: fmt.Sprint("s", r.Intn(2)), In: strs(r), Src: strs(r), Dst: strs(r)})
-			}
-			d.Adaptations = append(d.Adaptations, a)
-		}
-		return d
-	}
-	f := func(s1, s2 int64) bool {
-		a, b := gen(rand.New(rand.NewSource(s1))), gen(rand.New(rand.NewSource(s2)))
-		if a.equal(b) != reflect.DeepEqual(a, b) {
-			t.Logf("equal = %v, DeepEqual = %v:\n%+v\n%+v", a.equal(b), reflect.DeepEqual(a, b), a, b)
-			return false
-		}
-		if a.equal(b) && a.hash() != b.hash() {
-			return false
-		}
-		c := a.clone()
-		if !reflect.DeepEqual(a, c) || !a.equal(c) || a.hash() != c.hash() {
-			return false
-		}
-		for i := range c.Tasks {
-			if len(c.Tasks[i].Dst) > 0 && &c.Tasks[i].Dst[0] == &a.Tasks[i].Dst[0] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
