@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"reflect"
 	"slices"
@@ -22,8 +23,8 @@ import (
 // service on its definition while the session runs; the session still
 // completes with the submitted shape (under -race, no read of the
 // caller's definition races the edit). Submitting the edited definition
-// then compiles a plan of its own, and an unchanged copy of it hits
-// that plan.
+// then compiles a plan of its own, an unchanged copy of it hits that
+// plan, and a Submit rejected for an unbound service leaves it cached.
 func TestSubmitDetachesDefinition(t *testing.T) {
 	m := newTestManager(t, Config{
 		Executor: executor.KindSSH,
@@ -80,6 +81,19 @@ func TestSubmitDetachesDefinition(t *testing.T) {
 	if _, err := s3.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
+
+	// A Submit rejected for its service bindings takes no plan.
+	unbound := &workflow.Definition{Tasks: []workflow.Task{{ID: "T1", Service: "unbound"}}}
+	if _, err := m.Submit(ctx, unbound, services); !errors.Is(err, ErrUnknownService) {
+		t.Fatalf("Submit with an unbound service: %v, want ErrUnknownService", err)
+	}
+	data, err := def.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := m.plans.Plan(data); err != nil || p != s3.plan {
+		t.Errorf("a rejected Submit replaced the cached plan (%v)", err)
+	}
 }
 
 // templateState fingerprints every template of a plan and records the
@@ -130,7 +144,10 @@ func rewires(t *testing.T, def *workflow.Definition, templates []workflow.AgentS
 // recovery must re-add a DST entry and re-inject ADAPT, and recovered on
 // a fresh manager, whose plan it shares. A later Submit of the same
 // definition hits that plan, starts from pristine templates and
-// reproduces the uninterrupted run.
+// reproduces the uninterrupted run: its results, its adaptations and its
+// completed exit. Tasks off the adaptation's final path are not
+// compared: on the real clock whether they finished before the exit did
+// depends on timing (as in TestRecoverAdaptedDiamondKillPoints).
 func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 	spec := workflow.DefaultDiamondSpec(2, 2, false)
 	def := workflow.WithBodyReplacement(workflow.Diamond(spec), spec, false, "workalt")
@@ -216,9 +233,17 @@ func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill@%d: fresh session failed: %v", crashAfter, err)
 		}
-		if !reflect.DeepEqual(rep.Results, baseline.Results) || !reflect.DeepEqual(rep.Statuses, baseline.Statuses) {
+		if !reflect.DeepEqual(rep.Results, baseline.Results) || !reflect.DeepEqual(rep.Adaptations, baseline.Adaptations) {
 			t.Errorf("kill@%d: fresh session after recovery:\n got %v %v\nwant %v %v",
-				crashAfter, rep.Results, rep.Statuses, baseline.Results, baseline.Statuses)
+				crashAfter, rep.Results, rep.Adaptations, baseline.Results, baseline.Adaptations)
+		}
+		if got, want := slices.Sorted(maps.Keys(rep.Statuses)), slices.Sorted(maps.Keys(baseline.Statuses)); !reflect.DeepEqual(got, want) {
+			t.Errorf("kill@%d: fresh session reports tasks %v, want %v", crashAfter, got, want)
+		}
+		for _, exit := range def.Exits() {
+			if rep.Statuses[exit] != hoclflow.StatusCompleted {
+				t.Errorf("kill@%d: fresh session's exit %s is %v", crashAfter, exit, rep.Statuses[exit])
+			}
 		}
 		if !reflect.DeepEqual(templateState(templates), pristine) {
 			t.Errorf("kill@%d: the templates changed across the sessions", crashAfter)
