@@ -81,7 +81,7 @@ func TestTwoAgentPipeline(t *testing.T) {
 		// subscription barrier must make start order irrelevant
 		a := New(Config{
 			Spec: spec, Broker: broker, Cluster: clus,
-			Node: clus.Node(0), Services: services,
+			Node: clus.Nodes()[0], Services: services,
 		})
 		if err := a.Subscribe(); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestAgentCrashAndReplayRecovery(t *testing.T) {
 	// Consumer incarnation 0 with injection enabled.
 	crashed := make(chan error, 1)
 	a0 := New(Config{
-		Spec: c, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Spec: c, Broker: broker, Cluster: clus, Node: clus.Nodes()[0],
 		Services: services, Chaos: crash,
 	})
 	if err := a0.Subscribe(); err != nil {
@@ -129,7 +129,7 @@ func TestAgentCrashAndReplayRecovery(t *testing.T) {
 
 	// Producer (no injection).
 	prod := New(Config{
-		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(1),
+		Spec: p, Broker: broker, Cluster: clus, Node: clus.Nodes()[1],
 		Services: services,
 	})
 	go prod.Run(ctx)
@@ -152,7 +152,7 @@ func TestAgentCrashAndReplayRecovery(t *testing.T) {
 
 	// Recovery: incarnation 1, injection disabled, replays the log.
 	a1 := New(Config{
-		Spec: c, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Spec: c, Broker: broker, Cluster: clus, Node: clus.Nodes()[0],
 		Services: services, Incarnation: 1,
 	})
 	go a1.Run(ctx)
@@ -173,14 +173,14 @@ func TestAgentRecoveryImpossibleOnQueueBroker(t *testing.T) {
 	services := noopRegistry(0.01, "s1", "s2")
 
 	// Producer runs and completes while the consumer is dead.
-	prod := New(Config{Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(1), Services: services})
+	prod := New(Config{Spec: p, Broker: broker, Cluster: clus, Node: clus.Nodes()[1], Services: services})
 	go prod.Run(ctx)
 	waitStatus(t, sp, "T1", hoclflow.StatusCompleted)
 	time.Sleep(10 * time.Millisecond) // let the P2P message evaporate
 
 	// "Recovered" consumer: nothing to replay on a queue broker.
 	a1 := New(Config{
-		Spec: c, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Spec: c, Broker: broker, Cluster: clus, Node: clus.Nodes()[0],
 		Services: services, Incarnation: 1,
 	})
 	go a1.Run(ctx)
@@ -227,7 +227,7 @@ func TestAgentDistributedAdaptation(t *testing.T) {
 	for _, spec := range specs {
 		a := New(Config{
 			Spec: spec, Broker: broker, Cluster: clus,
-			Node: clus.Node(0), Services: services,
+			Node: clus.Nodes()[0], Services: services,
 		})
 		if err := a.Subscribe(); err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestAgentIngestEmptyMessageIsNoop(t *testing.T) {
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
 		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
-		Cluster: clus, Node: clus.Node(0), Services: noopRegistry(0, "s1"),
+		Cluster: clus, Node: clus.Nodes()[0], Services: noopRegistry(0, "s1"),
 	})
 	before := a.local.Len()
 	a.ingest(mq.Message{})
@@ -320,7 +320,7 @@ func TestInvokeUnknownServiceIsFatal(t *testing.T) {
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
 		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
-		Cluster: clus, Node: clus.Node(0), Services: NewRegistry(), // empty!
+		Cluster: clus, Node: clus.Nodes()[0], Services: NewRegistry(), // empty!
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -354,7 +354,7 @@ func TestPushStatusDeduplicatesByFingerprint(t *testing.T) {
 	broker := mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0)
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
-		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Spec: p, Broker: broker, Cluster: clus, Node: clus.Nodes()[0],
 		Services: noopRegistry(0, "s1"),
 	})
 	a.pushStatus()
@@ -380,7 +380,7 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
 		Spec: p, Broker: mq.NewQueueBrokerSharded(clus.Clock(), 0.0001, 0),
-		Cluster: clus, Node: clus.Node(0), Services: noopRegistry(0, "s1"),
+		Cluster: clus, Node: clus.Nodes()[0], Services: noopRegistry(0, "s1"),
 	})
 
 	frozen := hoclflow.PassMessage("T0", []hocl.Atom{hocl.Str("r")})
@@ -409,7 +409,7 @@ func TestSendSharesOnePassPerResult(t *testing.T) {
 	broker := mq.NewLogBrokerSharded(clus.Clock(), 0.0001, 0)
 	p, _ := twoAgentSpecs(t)
 	a := New(Config{
-		Spec: p, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Spec: p, Broker: broker, Cluster: clus, Node: clus.Nodes()[0],
 		Services: noopRegistry(0, "s1"),
 	})
 	sends := []struct{ dst, res string }{{"T2", "r"}, {"T3", "r"}, {"T4", "other"}}

@@ -137,16 +137,6 @@ func (c *Clock) Go(fn func()) {
 	go fn()
 }
 
-// AdvanceTo moves a virtual clock's model time forward by hand without
-// firing timers. It is meaningful only on a clock with no active
-// participants — unit tests driving Now() values directly. Real-mode
-// clocks and backwards targets ignore the call.
-func (c *Clock) AdvanceTo(t float64) {
-	if c.v != nil {
-		c.v.advanceTo(t)
-	}
-}
-
 // WithCancelCause is context.WithCancelCause for a context that
 // participants block on. On a real clock it is exactly that. On a
 // virtual clock, when parent never ends or was made by this clock's
@@ -185,17 +175,6 @@ func (c *Clock) WithTimeoutCause(parent context.Context, timeout time.Duration, 
 		t.Stop()
 		cancel(nil)
 	}
-}
-
-// NewCond returns a scheduler-aware condition variable bound to a
-// virtual clock, or nil on a real-mode clock. Cond.Wait follows Sleep's
-// calling contract. Code that waits for a state change on either clock
-// uses Wake, which parks on a Cond only on a virtual clock.
-func (c *Clock) NewCond() *Cond {
-	if c.v == nil {
-		return nil
-	}
-	return &Cond{v: c.v}
 }
 
 // Node is one machine of the simulated platform. The paper limits
@@ -332,9 +311,6 @@ func New(cfg Config) *Cluster {
 
 // Nodes returns the platform's machines.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// Node returns the i-th machine.
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // Clock returns the shared model clock.
 func (c *Cluster) Clock() *Clock { return c.clock }

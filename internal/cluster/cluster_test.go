@@ -87,7 +87,7 @@ func TestClusterDefaults(t *testing.T) {
 
 func TestClusterLatency(t *testing.T) {
 	c := New(Config{Nodes: 2, LinkLatency: 0.5})
-	a, b := c.Node(0), c.Node(1)
+	a, b := c.Nodes()[0], c.Nodes()[1]
 	if got := c.Latency(a, a); got != 0 {
 		t.Errorf("intra-node latency = %v", got)
 	}

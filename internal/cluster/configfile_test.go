@@ -35,14 +35,14 @@ func TestParseConfigFile(t *testing.T) {
 	if got := len(c.Nodes()); got != 3 {
 		t.Fatalf("built %d nodes", got)
 	}
-	if c.Node(0).String() != "paravance-1" || c.Node(0).Slots() != 32 {
-		t.Errorf("node 0: %v slots %d", c.Node(0), c.Node(0).Slots())
+	if c.Nodes()[0].String() != "paravance-1" || c.Nodes()[0].Slots() != 32 {
+		t.Errorf("node 0: %v slots %d", c.Nodes()[0], c.Nodes()[0].Slots())
 	}
-	if c.Node(1).Slots() != 16 {
-		t.Errorf("node 1 slots = %d", c.Node(1).Slots())
+	if c.Nodes()[1].Slots() != 16 {
+		t.Errorf("node 1 slots = %d", c.Nodes()[1].Slots())
 	}
-	if c.Node(2).String() != "node-2" { // unnamed falls back to id
-		t.Errorf("node 2 = %v", c.Node(2))
+	if c.Nodes()[2].String() != "node-2" { // unnamed falls back to id
+		t.Errorf("node 2 = %v", c.Nodes()[2])
 	}
 	if got := c.TotalSlots(); got != 2*(16+8+4) {
 		t.Errorf("total slots = %d", got)

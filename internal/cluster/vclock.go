@@ -530,24 +530,12 @@ func (v *vsched) nowModel() float64 {
 	return v.now
 }
 
-// advanceTo moves model time forward by hand. Only meaningful on a
-// clock with no active participants (unit tests driving Now() values
-// directly); it does not fire timers.
-func (v *vsched) advanceTo(t float64) {
-	v.mu.Lock()
-	if t > v.now {
-		v.now = t
-	}
-	v.mu.Unlock()
-}
-
 // Cond is a scheduler-aware condition variable for virtual mode: the
 // replacement for channel-based waits, which a single-token schedule
 // cannot express (an unbuffered rendezvous needs two goroutines
 // runnable at once). Wait releases the run token; Broadcast moves every
-// current waiter to the ready queue in wait order. Obtain one from
-// Clock.NewCond, or wait through Wake, which uses one on a virtual
-// clock.
+// current waiter to the ready queue in wait order. Code waits through
+// Wake, which uses one on a virtual clock.
 type Cond struct {
 	v       *vsched
 	waiters []waitRef // stale entries are skipped

@@ -12,6 +12,16 @@ import (
 	"time"
 )
 
+// NewCond returns a condition variable bound to a virtual clock, or nil
+// on a real-mode clock: the tests' direct handle on what Wake parks on.
+// Cond.Wait follows Sleep's calling contract.
+func (c *Clock) NewCond() *Cond {
+	if c.v == nil {
+		return nil
+	}
+	return &Cond{v: c.v}
+}
+
 // TestVirtualSleepOrder: concurrent participants sleeping distinct
 // durations wake in deadline order, and Now() tracks each deadline
 // exactly.
@@ -146,7 +156,6 @@ func TestRealModeAPIsAreNoops(t *testing.T) {
 		t.Fatal("real clock reports Virtual()")
 	}
 	c.Enter()
-	c.AdvanceTo(99)
 	if cond := c.NewCond(); cond != nil {
 		t.Fatal("NewCond on a real clock should return nil")
 	}
@@ -155,17 +164,6 @@ func TestRealModeAPIsAreNoops(t *testing.T) {
 	c.Go(func() { wg.Done() })
 	wg.Wait()
 	c.Exit()
-}
-
-// TestVirtualAdvanceTo drives the participant-less use (test clocks
-// that were previously ad-hoc fakes).
-func TestVirtualAdvanceTo(t *testing.T) {
-	c := NewVirtualClock()
-	c.AdvanceTo(2.5)
-	c.AdvanceTo(1.0) // backwards: ignored
-	if got := c.Now(); got != 2.5 {
-		t.Fatalf("Now() = %v, want 2.5", got)
-	}
 }
 
 // drawCtx makes a cancellable context of a kind drawn from rng: plain

@@ -38,7 +38,8 @@ import (
 // parameterises a Manager; the ginflow façade builds one from
 // functional options.
 type Config struct {
-	// Executor: ssh, mesos or centralized (default ssh).
+	// Executor: ssh, mesos, ec2 or centralized (default ssh), each with
+	// its default tuning (executor.New).
 	Executor executor.Kind
 	// Broker: activemq or kafka (default activemq). Ignored by the
 	// centralized executor.
@@ -58,10 +59,6 @@ type Config struct {
 	// run their agents out-of-process. Requires a distributed executor:
 	// the centralized manager has no broker for the listener to front.
 	Listen string
-	// SSH / Mesos / EC2 tune the executors (zero values take defaults).
-	SSH   executor.SSH
-	Mesos executor.Mesos
-	EC2   executor.EC2
 
 	// RestartDelay is the modelled cost of respawning a crashed agent
 	// (default 2 model seconds).

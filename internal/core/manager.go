@@ -127,7 +127,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m.met = newCoreMetrics(m, reg)
 	if cfg.Executor != executor.KindCentralized {
-		exec, err := executorFor(cfg, cfg.Executor)
+		exec, err := executor.New(cfg.Executor)
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +409,7 @@ func (m *Manager) sessionExecutor(kind executor.Kind) (executor.Executor, error)
 	if kind == m.cfg.Executor && m.exec != nil {
 		return m.exec, nil
 	}
-	return executorFor(m.cfg, kind)
+	return executor.New(kind)
 }
 
 // plan returns the manager's compiled plan of def, keyed by its JSON:
@@ -505,22 +505,4 @@ func checkServices(def *workflow.Definition, services *agent.Registry) error {
 		}
 	}
 	return nil
-}
-
-// executorFor instantiates the executor of the given kind from the
-// config's per-executor tuning sections.
-func executorFor(cfg Config, kind executor.Kind) (executor.Executor, error) {
-	switch kind {
-	case executor.KindSSH:
-		ssh := cfg.SSH
-		return &ssh, nil
-	case executor.KindMesos:
-		m := cfg.Mesos
-		return &m, nil
-	case executor.KindEC2:
-		e := cfg.EC2
-		return &e, nil
-	default:
-		return nil, fmt.Errorf("core: unknown distributed executor %q", kind)
-	}
 }

@@ -116,12 +116,8 @@ func dstLen(sol *hocl.Solution) int {
 
 // rewires reports whether recovering from states re-adds a DST entry
 // and re-injects an ADAPT marker, recoverSpecs' two edits.
-func rewires(t *testing.T, def *workflow.Definition, templates []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) (readded, adapt bool) {
-	t.Helper()
-	specs, err := recoveredSpecs(def, templates, states, triggered)
-	if err != nil {
-		t.Fatal(err)
-	}
+func rewires(plan *workflow.Plan, templates []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) (readded, adapt bool) {
+	specs := recoveredSpecs(plan, templates, states, triggered)
 	for i, s := range specs {
 		base := templates[i].Local
 		if st, ok := states[s.Task.Name]; ok {
@@ -197,7 +193,7 @@ func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 			t.Fatal(err)
 		}
 		states, triggered := journaledSpace(t, m2.journal, ids[0])
-		if readded, adapt := rewires(t, def, templates, states, triggered); !readded || !adapt {
+		if readded, adapt := rewires(plan, templates, states, triggered); !readded || !adapt {
 			m2.Close()
 			continue
 		}
@@ -255,7 +251,7 @@ func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 		for _, task := range []string{workflow.DiamondSplitName, workflow.DiamondMergeName} {
 			delete(states, task)
 		}
-		if readded, adapt := rewires(t, def, templates, states, triggered); !readded || !adapt {
+		if readded, adapt := rewires(plan, templates, states, triggered); !readded || !adapt {
 			t.Errorf("kill@%d: without the source's and destination's records, recovery no longer rewires them", crashAfter)
 		}
 		if !reflect.DeepEqual(templateState(templates), pristine) {
@@ -266,6 +262,20 @@ func TestRecoverNeverEditsCachedTemplates(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("no kill point made recovery re-add a DST entry and re-inject ADAPT; the test is vacuous")
 	}
+}
+
+// planOf compiles def into a plan of its own, as a Manager would.
+func planOf(t *testing.T, def *workflow.Definition) *workflow.Plan {
+	t.Helper()
+	data, err := def.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := new(workflow.PlanCache).Plan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // journaledSpace folds a journaled session into a throwaway space and

@@ -105,10 +105,10 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 		return nil, err
 	}
 	// The recovered session shares the manager's plan of its workflow,
-	// as a Submit of it would: recovery edits copies of the templates
-	// only (recoveredSpecs). The journal keeps the workflow compacted,
-	// so def is rendered again to key the plan a Submit would.
-	plan, err := m.plan(def)
+	// as a Submit of it would: the journaled bytes are what
+	// Definition.JSON renders. Recovery edits copies of the templates
+	// only (recoveredSpecs).
+	plan, err := m.plans.Plan(st.Meta.Workflow)
 	if err != nil {
 		return nil, err
 	}
@@ -199,12 +199,13 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 // the plan's templates, every local shell snapshotted, rewritten by
 // recoverSpecs. The templates are shared with every session of the
 // workflow, so recovery never edits them.
-func recoveredSpecs(def *workflow.Definition, templates []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) ([]workflow.AgentSpec, error) {
+func recoveredSpecs(plan *workflow.Plan, templates []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) []workflow.AgentSpec {
 	specs := slices.Clone(templates)
 	for i := range specs {
 		specs[i].Local = specs[i].Local.SnapshotSolution()
 	}
-	return specs, recoverSpecs(def, specs, states, triggered)
+	recoverSpecs(plan, specs, states, triggered)
+	return specs
 }
 
 // recoverSpecs rewrites the translated agent specs of a recovered
@@ -219,12 +220,11 @@ func recoveredSpecs(def *workflow.Definition, templates []workflow.AgentSpec, st
 // top-level local shells are edited here (seedLocal's fresh ones, or
 // the ones specs holds): a nested solution is replaced, never mutated.
 // specs must be the session's own copy, shells included: the templates
-// of a plan are shared (recoveredSpecs copies them first).
-func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) error {
-	plans, err := def.AdaptationPlans()
-	if err != nil {
-		return err
-	}
+// of a plan are shared (recoveredSpecs copies them first). plan is the
+// built plan the specs come from: its definition's tasks and its
+// adaptation plans.
+func recoverSpecs(plan *workflow.Plan, specs []workflow.AgentSpec, states map[string]*hocl.Solution, triggered []string) {
+	plans := plan.Adaptations()
 	triggeredSet := map[string]bool{}
 	for _, id := range triggered {
 		triggeredSet[id] = true
@@ -234,15 +234,15 @@ func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states m
 	// replacement tasks of triggered adaptations. Untriggered
 	// replacements stay idle and must not be wired into anyone's DST.
 	active := map[string]bool{}
-	for _, t := range def.Tasks {
+	for _, t := range plan.Def().Tasks {
 		active[t.ID] = true
 	}
 	for i := range plans {
 		if !triggeredSet[plans[i].ID] {
 			continue
 		}
-		for _, r := range plans[i].ReplacementIDs {
-			active[r] = true
+		for _, r := range plans[i].Replacement {
+			active[r.Name] = true
 		}
 	}
 
@@ -277,7 +277,7 @@ func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states m
 		if !ok {
 			continue
 		}
-		if !intersects(pending[dest], p.FaultyFinals) {
+		if !slices.ContainsFunc(pending[dest], func(src string) bool { return slices.Contains(p.FaultyFinals, src) }) {
 			// The journaled SRC no longer lists a faulty final: mv_src
 			// already applied before the crash. seedLocal re-armed the
 			// one-shot rule from the pristine template, and a faulty task
@@ -290,7 +290,7 @@ func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states m
 			continue
 		}
 		destLocal.Add(hoclflow.AdaptMarker(p.ID))
-		pending[dest] = rewriteSources(pending[dest], p.FaultyFinals, p.ReplacementFinals)
+		pending[dest] = hoclflow.MvSrcSources(pending[dest], p.FaultyFinals, p.ReplacementFinals)
 	}
 
 	// Wiring reconciliation: any active task still waiting on a source
@@ -307,7 +307,6 @@ func recoverSpecs(def *workflow.Definition, specs []workflow.AgentSpec, states m
 			addDestination(srcLocal, name)
 		}
 	}
-	return nil
 }
 
 // seedLocal rebuilds an agent-local solution from a journaled task
@@ -359,40 +358,4 @@ func addDestination(sol *hocl.Solution, dst string) {
 	}
 	atoms := append(append([]hocl.Atom(nil), inner.Atoms()...), hocl.Ident(dst))
 	sol.ReplaceAt(idx, hocl.Tuple{hoclflow.KeyDST, hocl.NewSolution(atoms...)})
-}
-
-func intersects(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// rewriteSources anticipates mv_src: faulty finals out, replacement
-// finals in (deduplicated, order-preserving).
-func rewriteSources(srcs, remove, add []string) []string {
-	removeSet := map[string]bool{}
-	for _, r := range remove {
-		removeSet[r] = true
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range srcs {
-		if removeSet[s] || seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	for _, a := range add {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
 }

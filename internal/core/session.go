@@ -426,10 +426,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// is reconciled so results whose delivery the crash swallowed are
 	// re-sent (DESIGN.md "Durability & recovery").
 	if s.recovered {
-		specs, err = recoveredSpecs(def, specs, s.space.TaskStates(), s.space.Triggered())
-		if err != nil {
-			return nil, err
-		}
+		specs = recoveredSpecs(plan, specs, s.space.TaskStates(), s.space.Triggered())
 	}
 
 	// Whatever happens past this point, the session must not leave state

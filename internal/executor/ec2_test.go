@@ -31,8 +31,8 @@ func TestEC2PacksDensely(t *testing.T) {
 	if used != 3 {
 		t.Errorf("booted %d instances, want 3 (dense packing)", used)
 	}
-	if c.Node(0).InUse() != 4 || c.Node(1).InUse() != 4 || c.Node(2).InUse() != 1 {
-		t.Errorf("packing: %d/%d/%d", c.Node(0).InUse(), c.Node(1).InUse(), c.Node(2).InUse())
+	if c.Nodes()[0].InUse() != 4 || c.Nodes()[1].InUse() != 4 || c.Nodes()[2].InUse() != 1 {
+		t.Errorf("packing: %d/%d/%d", c.Nodes()[0].InUse(), c.Nodes()[1].InUse(), c.Nodes()[2].InUse())
 	}
 }
 
@@ -82,7 +82,7 @@ func TestEC2QuotaExhausted(t *testing.T) {
 	if err == nil {
 		t.Fatal("over-quota deployment succeeded")
 	}
-	if got := c.Node(0).InUse(); got != 0 {
+	if got := c.Nodes()[0].InUse(); got != 0 {
 		t.Errorf("leaked %d slots", got)
 	}
 }

@@ -73,7 +73,7 @@ func TestSSHClusterFull(t *testing.T) {
 		t.Fatal("overfull deployment succeeded")
 	}
 	// Failed deployment must release what it allocated.
-	if got := c.Node(0).InUse(); got != 0 {
+	if got := c.Nodes()[0].InUse(); got != 0 {
 		t.Errorf("leaked %d slots", got)
 	}
 }

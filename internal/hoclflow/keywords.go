@@ -21,8 +21,6 @@ const (
 	KeyPASS    = hocl.Ident("PASS")    // in-flight result message: PASS:T1:<...>
 	KeyADAPT   = hocl.Ident("ADAPT")   // adaptation marker: ADAPT:"id"
 	KeyTRIGGER = hocl.Ident("TRIGGER") // adaptation-fired marker: TRIGGER:"id"
-	KeyADDDST  = hocl.Ident("ADDDST")  // user-level reconfiguration atom
-	KeyMVSRC   = hocl.Ident("MVSRC")   // user-level reconfiguration atom
 	KeySEQ     = hocl.Ident("SEQ")     // per-inbox sequence header: SEQ:T1:n
 	KeyVER     = hocl.Ident("VER")     // status version header: VER:T1:inc:push
 	AtomERROR  = hocl.Ident("ERROR")   // failed invocation marker in RES

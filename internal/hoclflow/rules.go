@@ -2,6 +2,7 @@ package hoclflow
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ginflow/internal/hocl"
@@ -186,36 +187,39 @@ func MvSrcRule(id string) *hocl.Rule {
 }
 
 // MvSrcFunc builds the source-set rewrite function registered under
-// MvSrcFuncName(id): it removes the faulty sources and adds the
-// replacement sources (deduplicated, idempotent).
+// MvSrcFuncName(id): MvSrcSources over the task names of its arguments,
+// which must all be Ident atoms.
 func MvSrcFunc(removeSrcs, addSrcs []string) hocl.Func {
-	remove := make(map[hocl.Ident]bool, len(removeSrcs))
-	for _, r := range removeSrcs {
-		remove[hocl.Ident(r)] = true
-	}
 	return func(args []hocl.Atom) ([]hocl.Atom, error) {
-		var out []hocl.Atom
-		seen := map[hocl.Ident]bool{}
-		for _, a := range args {
+		srcs := make([]string, len(args))
+		for i, a := range args {
 			id, ok := a.(hocl.Ident)
 			if !ok {
 				return nil, fmt.Errorf("mv_src: source %v is not a task name", a)
 			}
-			if remove[id] || seen[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, id)
+			srcs[i] = string(id)
 		}
-		for _, add := range addSrcs {
-			id := hocl.Ident(add)
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-		return out, nil
+		return idents(MvSrcSources(srcs, removeSrcs, addSrcs)), nil
 	}
+}
+
+// MvSrcSources is mv_src's rewrite of a destination's source set: srcs
+// without the faulty sources in remove, then the replacement sources in
+// add, each name once, in first-seen order. It is idempotent. Crash
+// recovery calls it to predict what a pending mv_src will leave.
+func MvSrcSources(srcs, remove, add []string) []string {
+	out := make([]string, 0, len(srcs)+len(add))
+	for _, s := range srcs {
+		if !slices.Contains(remove, s) && !slices.Contains(out, s) {
+			out = append(out, s)
+		}
+	}
+	for _, a := range add {
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // LocalTriggerRule generates the decentralised trigger_adapt rule placed

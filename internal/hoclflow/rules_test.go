@@ -388,23 +388,48 @@ func TestLocalTriggerRule(t *testing.T) {
 	}
 }
 
+// TestMvSrcFunc: the mv_src function and MvSrcSources, the rewrite
+// crash recovery calls to predict it, agree on every case, and both are
+// idempotent.
 func TestMvSrcFunc(t *testing.T) {
-	fn := MvSrcFunc([]string{"T2", "T9"}, []string{"R1", "R2"})
-	out, err := fn([]hocl.Atom{hocl.Ident("T2"), hocl.Ident("T3"), hocl.Ident("R1")})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name              string
+		srcs, remove, add []string
+		want              []string
+	}{
+		{"rewire", []string{"T2", "T3", "R1"}, []string{"T2", "T9"}, []string{"R1", "R2"}, []string{"T3", "R1", "R2"}},
+		{"duplicate source", []string{"T3", "T3", "T2"}, []string{"T2"}, []string{"R1"}, []string{"T3", "R1"}},
+		{"removed source listed twice", []string{"T2", "T3", "T2"}, []string{"T2"}, []string{"R1"}, []string{"T3", "R1"}},
+		{"replacement already present", []string{"R1", "T2"}, []string{"T2"}, []string{"R1", "R2"}, []string{"R1", "R2"}},
+		{"no sources left", []string{"T2"}, []string{"T2"}, nil, []string{}},
+		{"empty", nil, []string{"T2"}, []string{"R1"}, []string{"R1"}},
 	}
-	got := map[string]bool{}
-	for _, a := range out {
-		got[string(a.(hocl.Ident))] = true
+	for _, tc := range cases {
+		fn := MvSrcFunc(tc.remove, tc.add)
+		once, err := fn(idents(tc.srcs))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		twice, err := fn(once)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		predicted := MvSrcSources(tc.srcs, tc.remove, tc.add)
+		if !reflect.DeepEqual(predicted, tc.want) {
+			t.Errorf("%s: MvSrcSources = %v, want %v", tc.name, predicted, tc.want)
+		}
+		if !reflect.DeepEqual(once, idents(predicted)) {
+			t.Errorf("%s: mv_src = %v, MvSrcSources = %v", tc.name, once, predicted)
+		}
+		if !reflect.DeepEqual(twice, once) {
+			t.Errorf("%s: mv_src twice = %v, once = %v", tc.name, twice, once)
+		}
+		if again := MvSrcSources(predicted, tc.remove, tc.add); !reflect.DeepEqual(again, predicted) {
+			t.Errorf("%s: MvSrcSources twice = %v, once = %v", tc.name, again, predicted)
+		}
 	}
-	if !got["T3"] || !got["R1"] || !got["R2"] || got["T2"] {
-		t.Errorf("mv_src output: %v", out)
-	}
-	if len(out) != 3 {
-		t.Errorf("mv_src output has duplicates: %v", out)
-	}
-	if _, err := fn([]hocl.Atom{hocl.Str("notatask")}); err == nil {
+	fn := MvSrcFunc([]string{"T2"}, []string{"R1"})
+	if _, err := fn([]hocl.Atom{hocl.Ident("T3"), hocl.Str("notatask")}); err == nil {
 		t.Error("non-ident source must error")
 	}
 }

@@ -75,8 +75,8 @@ func TestRoundsDecreaseWithNodes(t *testing.T) {
 func TestOfferSkipsFullNodes(t *testing.T) {
 	c := testCluster(2, 1) // 2 slots per node
 	// Fill node 0 completely.
-	c.Node(0).Allocate()
-	c.Node(0).Allocate()
+	c.Nodes()[0].Allocate()
+	c.Nodes()[0].Allocate()
 	m := NewMaster(c, Config{})
 	f := NewOnePerNodeFramework(taskIDs(2))
 	launches, err := m.RunFramework(context.Background(), f)
@@ -93,8 +93,8 @@ func TestOfferSkipsFullNodes(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	c := testCluster(1, 1)
 	// Saturate the only node so no launch can ever occur.
-	c.Node(0).Allocate()
-	c.Node(0).Allocate()
+	c.Nodes()[0].Allocate()
+	c.Nodes()[0].Allocate()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -109,8 +109,8 @@ func TestContextCancellation(t *testing.T) {
 
 func TestMaxRoundsGuard(t *testing.T) {
 	c := testCluster(1, 1)
-	c.Node(0).Allocate()
-	c.Node(0).Allocate()
+	c.Nodes()[0].Allocate()
+	c.Nodes()[0].Allocate()
 	m := NewMaster(c, Config{MaxRounds: 3})
 	_, err := m.RunFramework(context.Background(), NewOnePerNodeFramework(taskIDs(1)))
 	if err == nil {

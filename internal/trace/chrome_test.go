@@ -4,20 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"ginflow/internal/cluster"
 )
 
 // TestSetCapRing exercises the ring-buffer retention bound: overwrite
 // order, the dropped counter, shrink-below-length, and restoring
 // unbounded retention.
 func TestSetCapRing(t *testing.T) {
-	clock := cluster.NewVirtualClock()
+	clock := new(manualClock)
 	r := NewRecorder(clock)
 	r.SetCap(3)
 	dropped0 := obsDropped.Value()
 	for i := 1; i <= 5; i++ {
-		clock.AdvanceTo(float64(i))
+		clock.set(float64(i))
 		r.Record(ResultSent, "T", i, "")
 	}
 	if n := len(r.Events()); n != 3 {
@@ -44,9 +42,9 @@ func TestSetCapRing(t *testing.T) {
 
 	// Restoring unbounded retention grows again.
 	r.SetCap(0)
-	clock.AdvanceTo(6)
+	clock.set(6)
 	r.Record(ResultSent, "T", 6, "")
-	clock.AdvanceTo(7)
+	clock.set(7)
 	r.Record(ResultSent, "T", 7, "")
 	if n := len(r.Events()); n != 3 {
 		t.Errorf("after uncapping: len = %d, want 3", n)
@@ -60,11 +58,11 @@ func TestSetCapRing(t *testing.T) {
 // TestSetCapMidRing re-bounds a recorder whose ring has already
 // wrapped (start > 0), the aliasing-sensitive path of SetCap.
 func TestSetCapMidRing(t *testing.T) {
-	clock := cluster.NewVirtualClock()
+	clock := new(manualClock)
 	r := NewRecorder(clock)
 	r.SetCap(4)
 	for i := 1; i <= 6; i++ { // wraps twice: ring holds 3,4,5,6 with start=2
-		clock.AdvanceTo(float64(i))
+		clock.set(float64(i))
 		r.Record(ResultSent, "T", i, "")
 	}
 	r.SetCap(2)
@@ -72,7 +70,7 @@ func TestSetCapMidRing(t *testing.T) {
 	if len(events) != 2 || events[0].At != 5 || events[1].At != 6 {
 		t.Errorf("mid-ring re-bound kept %v, want [5 6]", events)
 	}
-	clock.AdvanceTo(7)
+	clock.set(7)
 	r.Record(ResultSent, "T", 7, "")
 	events = r.Events()
 	if len(events) != 2 || events[0].At != 6 || events[1].At != 7 {
@@ -84,19 +82,19 @@ func TestSetCapMidRing(t *testing.T) {
 // per task, matched invocations as complete "X" slices with model
 // seconds scaled to microseconds, everything else as instants.
 func TestWriteChromeTrace(t *testing.T) {
-	clock := cluster.NewVirtualClock()
+	clock := new(manualClock)
 	r := NewRecorder(clock)
-	clock.AdvanceTo(1)
+	clock.set(1)
 	r.Record(AgentStarted, "T1", 0, "")
-	clock.AdvanceTo(2)
+	clock.set(2)
 	r.Record(ServiceInvoked, "T1", 0, "work")
-	clock.AdvanceTo(4.5)
+	clock.set(4.5)
 	r.Record(ServiceCompleted, "T1", 0, "work")
-	clock.AdvanceTo(5)
+	clock.set(5)
 	r.Record(ServiceInvoked, "T2", 1, "flaky")
-	clock.AdvanceTo(6)
+	clock.set(6)
 	r.Record(ServiceErrored, "T2", 1, "flaky")
-	clock.AdvanceTo(7)
+	clock.set(7)
 	r.Record(AgentCrashed, "T2", 1, "boom")
 
 	var buf bytes.Buffer

@@ -3,13 +3,14 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"ginflow/internal/cluster"
 )
 
-// The tests drive model time through a participant-less virtual clock:
-// AdvanceTo moves Now() forward by hand (the unit-test face of the
-// discrete-event scheduler; see internal/cluster).
+// manualClock is a Clock whose model time the tests set by hand.
+type manualClock struct{ now float64 }
+
+func (c *manualClock) Now() float64 { return c.now }
+
+func (c *manualClock) set(t float64) { c.now = t }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
@@ -20,18 +21,18 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestRecordAndQuery(t *testing.T) {
-	clock := cluster.NewVirtualClock()
+	clock := new(manualClock)
 	r := NewRecorder(clock)
 
-	clock.AdvanceTo(1)
+	clock.set(1)
 	r.Record(AgentStarted, "T1", 0, "")
-	clock.AdvanceTo(2)
+	clock.set(2)
 	r.Record(ServiceInvoked, "T1", 0, "s1")
-	clock.AdvanceTo(5)
+	clock.set(5)
 	r.Record(ServiceCompleted, "T1", 0, "s1")
-	clock.AdvanceTo(6)
+	clock.set(6)
 	r.Record(ResultSent, "T1", 0, "T2")
-	clock.AdvanceTo(7)
+	clock.set(7)
 	r.Record(TaskCompleted, "T2", 0, "")
 
 	events := r.Events()
@@ -57,9 +58,9 @@ func TestRecordAndQuery(t *testing.T) {
 // TestCountOutlivesRetention: Count tallies every recorded event, also
 // those a capped ring overwrote and those a forwarder never retained.
 func TestCountOutlivesRetention(t *testing.T) {
-	capped := NewRecorder(cluster.NewVirtualClock())
+	capped := NewRecorder(new(manualClock))
 	capped.SetCap(2)
-	fwd := NewForwarder(cluster.NewVirtualClock())
+	fwd := NewForwarder(new(manualClock))
 	for _, r := range []*Recorder{capped, fwd} {
 		for i := 0; i < 5; i++ {
 			r.Record(AgentCrashed, "T", i, "")
@@ -83,7 +84,7 @@ func TestCountOutlivesRetention(t *testing.T) {
 // TestSinkFanOut: sinks observe every recorded event live; a
 // forward-only recorder streams without retaining.
 func TestSinkFanOut(t *testing.T) {
-	r := NewRecorder(cluster.NewVirtualClock())
+	r := NewRecorder(new(manualClock))
 	var got1, got2 []Event
 	r.AddSink(func(e Event) { got1 = append(got1, e) })
 	r.AddSink(func(e Event) { got2 = append(got2, e) })
@@ -99,7 +100,7 @@ func TestSinkFanOut(t *testing.T) {
 		t.Errorf("retained = %d", n)
 	}
 
-	f := NewForwarder(cluster.NewVirtualClock())
+	f := NewForwarder(new(manualClock))
 	var streamed int
 	f.AddSink(func(Event) { streamed++ })
 	f.Record(AgentStarted, "T1", 0, "")
@@ -117,7 +118,7 @@ func TestSinkFanOut(t *testing.T) {
 }
 
 func TestRecorderConcurrency(t *testing.T) {
-	r := NewRecorder(cluster.NewVirtualClock())
+	r := NewRecorder(new(manualClock))
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {

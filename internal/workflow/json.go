@@ -38,10 +38,12 @@ func FromJSON(data []byte) (*Definition, error) {
 	return d, nil
 }
 
-// JSON encodes the definition as indented JSON. The output round-trips
-// through FromJSON.
+// JSON encodes the definition as compact JSON. The output round-trips
+// through FromJSON, and it is byte for byte what a journal records as
+// the session's workflow (a json.RawMessage, which encoding/json
+// compacts), so a plan keyed by either is the same plan.
 func (d *Definition) JSON() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
+	return json.Marshal(d)
 }
 
 // decodeJSON decodes a definition without validating it, rejecting

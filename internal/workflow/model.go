@@ -9,6 +9,8 @@ package workflow
 import (
 	"fmt"
 	"sort"
+
+	"ginflow/internal/hoclflow"
 )
 
 // Task is a node of the workflow DAG: an abstract function implemented by
@@ -182,28 +184,41 @@ func (d *Definition) EdgeCount() int {
 	return n
 }
 
-// adaptationPlan is the derived wiring of one adaptation, computed by
-// Validate and consumed by translation.
-type adaptationPlan struct {
-	spec *Adaptation
-	// sources: main tasks outside Faulty that feed the replacement
-	// sub-workflow and must re-send their result (ADDDST targets).
-	sources []string
-	// addDst[source] lists the replacement tasks the source must serve.
-	addDst map[string][]string
-	// destination: the unique main task receiving the sub-workflow output.
-	destination string
-	// faultyFinals: faulty tasks with an edge to destination (removed
-	// from the destination's SRC by mv_src).
-	faultyFinals []string
-	// replacementFinals: replacement tasks with an edge to destination
-	// (added to the destination's SRC by mv_src).
-	replacementFinals []string
+// AdaptationPlan is the derived wiring of one adaptation, computed once
+// per validation by Adaptation.plan. Translation generates the
+// adaptation's rules from it, and crash recovery (internal/core) reads
+// it to tell which replacement tasks are live and how a triggered
+// adaptation rewires the DAG.
+type AdaptationPlan struct {
+	// ID is the adaptation's identifier (TRIGGER markers carry it).
+	ID string
+	// Faulty lists the faulty tasks, each hosting a trigger.
+	Faulty []string
+	// Sources are the main tasks outside the faulty sub-workflow that
+	// feed the replacement and re-send their results on adaptation
+	// (add_dst hosts).
+	Sources []string
+	// AddDst maps each source to the replacement tasks it serves,
+	// sorted.
+	AddDst map[string][]string
+	// Destination is the unique main task receiving the replaced
+	// sub-workflow's output (the mv_src host).
+	Destination string
+	// FaultyFinals are the faulty tasks wired into Destination's SRC
+	// before adaptation (mv_src removes them).
+	FaultyFinals []string
+	// ReplacementFinals are the replacement tasks wired into
+	// Destination's SRC by mv_src.
+	ReplacementFinals []string
+	// Replacement holds every replacement task's attributes with its
+	// normalised Src and Dst (wiring).
+	Replacement []hoclflow.TaskAttrs
 }
 
 // plan computes the adaptation wiring. It assumes Validate-level checks
-// of task existence have passed; structural errors are still reported.
-func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
+// of task existence have passed; structural errors (a cyclic
+// replacement, the Fig. 9 destination rules) are still reported.
+func (a *Adaptation) plan(d *Definition) (*AdaptationPlan, error) {
 	faulty := map[string]bool{}
 	for _, f := range a.Faulty {
 		faulty[f] = true
@@ -213,8 +228,11 @@ func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
 		repl[r.ID] = true
 	}
 
-	p := &adaptationPlan{spec: a, addDst: map[string][]string{}}
 	srcOf, dstOf := a.wiring()
+	if err := replacementAcyclic(a, dstOf); err != nil {
+		return nil, err
+	}
+	p := &AdaptationPlan{ID: a.ID, Faulty: a.Faulty, AddDst: map[string][]string{}}
 
 	// Destination: the unique non-faulty main task that faulty tasks
 	// point to (Fig. 9(c): multiple outgoing destinations are invalid).
@@ -229,8 +247,8 @@ func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
 				continue
 			}
 			destSet[dst] = true
-			if !containsStr(p.faultyFinals, fid) {
-				p.faultyFinals = append(p.faultyFinals, fid)
+			if !containsStr(p.FaultyFinals, fid) {
+				p.FaultyFinals = append(p.FaultyFinals, fid)
 			}
 		}
 	}
@@ -238,7 +256,7 @@ func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
 		return nil, fmt.Errorf("adaptation %q: faulty sub-workflow must have exactly one destination, found %d (paper Fig. 9)", a.ID, len(destSet))
 	}
 	for dst := range destSet {
-		p.destination = dst
+		p.Destination = dst
 	}
 
 	// Replacement wiring: sources re-send, finals feed the destination.
@@ -253,10 +271,10 @@ func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
 			if _, ok := d.TaskByID(src); !ok {
 				return nil, fmt.Errorf("adaptation %q: replacement task %q references unknown source %q", a.ID, r.ID, src)
 			}
-			if !containsStr(p.sources, src) {
-				p.sources = append(p.sources, src)
+			if !containsStr(p.Sources, src) {
+				p.Sources = append(p.Sources, src)
 			}
-			p.addDst[src] = append(p.addDst[src], r.ID)
+			p.AddDst[src] = append(p.AddDst[src], r.ID)
 		}
 		for _, dst := range dstOf[r.ID] {
 			if repl[dst] {
@@ -264,20 +282,30 @@ func (a *Adaptation) plan(d *Definition) (*adaptationPlan, error) {
 			}
 			// Fig. 9(d): the replacement must not communicate with any
 			// main task other than the single destination.
-			if dst != p.destination {
-				return nil, fmt.Errorf("adaptation %q: replacement task %q sends to %q, but the only allowed destination is %q (paper Fig. 9)", a.ID, r.ID, dst, p.destination)
+			if dst != p.Destination {
+				return nil, fmt.Errorf("adaptation %q: replacement task %q sends to %q, but the only allowed destination is %q (paper Fig. 9)", a.ID, r.ID, dst, p.Destination)
 			}
-			if !containsStr(p.replacementFinals, r.ID) {
-				p.replacementFinals = append(p.replacementFinals, r.ID)
+			if !containsStr(p.ReplacementFinals, r.ID) {
+				p.ReplacementFinals = append(p.ReplacementFinals, r.ID)
 			}
 		}
+		p.Replacement = append(p.Replacement, hoclflow.TaskAttrs{
+			Name:    r.ID,
+			Src:     srcOf[r.ID],
+			Dst:     dstOf[r.ID],
+			Service: r.Service,
+			In:      strAtoms(r.In),
+		})
 	}
-	if len(p.replacementFinals) == 0 {
-		return nil, fmt.Errorf("adaptation %q: replacement sub-workflow never reaches destination %q", a.ID, p.destination)
+	if len(p.ReplacementFinals) == 0 {
+		return nil, fmt.Errorf("adaptation %q: replacement sub-workflow never reaches destination %q", a.ID, p.Destination)
 	}
-	sort.Strings(p.sources)
-	sort.Strings(p.faultyFinals)
-	sort.Strings(p.replacementFinals)
+	sort.Strings(p.Sources)
+	sort.Strings(p.FaultyFinals)
+	sort.Strings(p.ReplacementFinals)
+	for _, dsts := range p.AddDst {
+		sort.Strings(dsts)
+	}
 	return p, nil
 }
 

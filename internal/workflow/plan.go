@@ -6,22 +6,23 @@ import (
 )
 
 // Plan is a definition compiled once: the definition decoded from its
-// JSON (the plan's own copy), its agent-spec templates, its exit and
-// task-ID lists and the JSON itself. Everything a plan hands out is
-// shared by every session built from it and is read-only: the specs'
-// local solutions are copied before an edit (agent.New snapshots the
-// shell, and crash recovery copies the spec slice and every shell
-// first), and rules, generated functions and trigger lists are never
-// edited.
+// JSON (the plan's own copy), its adaptation plans and agent-spec
+// templates, its exit and task-ID lists and the JSON itself.
+// Everything a plan hands out is shared by every session built from it
+// and is read-only: the specs' local solutions are copied before an
+// edit (agent.New snapshots the shell, and crash recovery copies the
+// spec slice and every shell first), and rules, generated functions,
+// trigger lists and adaptation plans are never edited.
 type Plan struct {
 	def   *Definition
 	json  []byte
 	exits []string
 	ids   []string
 
-	buildOnce sync.Once
-	specs     []AgentSpec
-	buildErr  error
+	buildOnce   sync.Once
+	adaptations []AdaptationPlan
+	specs       []AgentSpec
+	buildErr    error
 }
 
 // Def returns the plan's definition. The caller must not edit it.
@@ -42,8 +43,27 @@ func (p *Plan) TaskIDs() []string { return p.ids }
 // built on the first call: validation errors surface there, and are
 // returned again by every later call.
 func (p *Plan) Specs() ([]AgentSpec, error) {
-	p.buildOnce.Do(func() { p.specs, p.buildErr = p.def.TranslateAgents() })
+	p.build()
 	return p.specs, p.buildErr
+}
+
+// Adaptations returns the adaptation plans the templates were built
+// from, one per adaptation in declaration order; nil when Specs reports
+// an error.
+func (p *Plan) Adaptations() []AdaptationPlan {
+	p.build()
+	return p.adaptations
+}
+
+// build validates the definition and translates it from the adaptation
+// plans validation derived, once.
+func (p *Plan) build() {
+	p.buildOnce.Do(func() {
+		p.adaptations, p.buildErr = p.def.validate()
+		if p.buildErr == nil {
+			p.specs = p.def.agentSpecs(p.adaptations)
+		}
+	})
 }
 
 // PlanCache keeps the plan of the last workflow it was asked for, keyed

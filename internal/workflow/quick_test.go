@@ -113,7 +113,7 @@ func TestQuickSrcIsTransposeOfDst(t *testing.T) {
 				fwd[dst][task.ID] = true
 			}
 		}
-		attrs := d.taskAttrs()
+		attrs := d.taskAttrs(nil)
 		for i, task := range d.Tasks {
 			src := d.SrcOf(task.ID)
 			if attrs[i].Name != task.ID || !reflect.DeepEqual(attrs[i].Src, src) {

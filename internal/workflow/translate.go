@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"fmt"
 	"sort"
 
 	"ginflow/internal/hocl"
@@ -52,7 +51,7 @@ func newRolePlan() *rolePlan { return &rolePlan{funcs: map[string]hocl.Func{}} }
 // to the destination, triggers to every faulty task. The central flag
 // selects the centralized trigger (a global rule, returned separately)
 // or the decentralised local trigger.
-func (d *Definition) adaptationRoles(central bool) (map[string]*rolePlan, []*hocl.Rule, error) {
+func adaptationRoles(plans []AdaptationPlan, central bool) (map[string]*rolePlan, []*hocl.Rule) {
 	roles := map[string]*rolePlan{}
 	role := func(id string) *rolePlan {
 		if roles[id] == nil {
@@ -62,43 +61,37 @@ func (d *Definition) adaptationRoles(central bool) (map[string]*rolePlan, []*hoc
 	}
 	var globalRules []*hocl.Rule
 
-	for i := range d.Adaptations {
-		a := &d.Adaptations[i]
-		p, err := a.plan(d)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workflow: %w", err)
+	for i := range plans {
+		p := &plans[i]
+		for _, src := range p.Sources {
+			role(src).rules = append(role(src).rules, hoclflow.AddDstRule(p.ID, src, p.AddDst[src]))
 		}
-		for _, src := range p.sources {
-			dsts := append([]string(nil), p.addDst[src]...)
-			sort.Strings(dsts)
-			role(src).rules = append(role(src).rules, hoclflow.AddDstRule(a.ID, src, dsts))
-		}
-		dst := role(p.destination)
-		dst.rules = append(dst.rules, hoclflow.MvSrcRule(a.ID))
-		dst.funcs[hoclflow.MvSrcFuncName(a.ID)] = hoclflow.MvSrcFunc(p.faultyFinals, p.replacementFinals)
+		dst := role(p.Destination)
+		dst.rules = append(dst.rules, hoclflow.MvSrcRule(p.ID))
+		dst.funcs[hoclflow.MvSrcFuncName(p.ID)] = hoclflow.MvSrcFunc(p.FaultyFinals, p.ReplacementFinals)
 
-		notify := append(append([]string(nil), p.sources...), p.destination)
-		for _, f := range a.Faulty {
+		notify := append(append([]string(nil), p.Sources...), p.Destination)
+		for _, f := range p.Faulty {
 			if central {
 				globalRules = append(globalRules,
-					hoclflow.CentralTriggerRule(a.ID, f, p.sources, p.destination))
+					hoclflow.CentralTriggerRule(p.ID, f, p.Sources, p.Destination))
 			} else {
-				role(f).rules = append(role(f).rules, hoclflow.LocalTriggerRule(a.ID, f))
+				role(f).rules = append(role(f).rules, hoclflow.LocalTriggerRule(p.ID, f))
 				role(f).triggers = append(role(f).triggers, TriggerSpec{
-					AdaptationID: a.ID,
-					FuncName:     hoclflow.TriggerFuncName(a.ID),
+					AdaptationID: p.ID,
+					FuncName:     hoclflow.TriggerFuncName(p.ID),
 					Notify:       notify,
 				})
 			}
 		}
 	}
-	return roles, globalRules, nil
+	return roles, globalRules
 }
 
 // taskAttrs builds the hoclflow attributes for every deployable task:
-// main tasks (Src derived from the DAG) and replacement tasks (Src/Dst
-// from the normalised adaptation wiring).
-func (d *Definition) taskAttrs() []hoclflow.TaskAttrs {
+// main tasks (Src derived from the DAG) and the replacement tasks of
+// every adaptation plan.
+func (d *Definition) taskAttrs(plans []AdaptationPlan) []hoclflow.TaskAttrs {
 	// One pass over the edges; SrcOf per task would rescan them all.
 	mainSrc := make(map[string][]string, len(d.Tasks))
 	for _, t := range d.Tasks {
@@ -118,18 +111,8 @@ func (d *Definition) taskAttrs() []hoclflow.TaskAttrs {
 			In:      strAtoms(t.In),
 		})
 	}
-	for i := range d.Adaptations {
-		a := &d.Adaptations[i]
-		srcOf, dstOf := a.wiring()
-		for _, r := range a.Replacement {
-			out = append(out, hoclflow.TaskAttrs{
-				Name:    r.ID,
-				Src:     srcOf[r.ID],
-				Dst:     dstOf[r.ID],
-				Service: r.Service,
-				In:      strAtoms(r.In),
-			})
-		}
+	for _, p := range plans {
+		out = append(out, p.Replacement...)
 	}
 	return out
 }
@@ -147,19 +130,17 @@ func strAtoms(ss []string) []hocl.Atom {
 // adaptation rules injected ("the phase of rules injection ... takes
 // place in a transparent way before the actual execution", §IV-D).
 func (d *Definition) TranslateCentral() (*CentralProgram, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	roles, globalRules, err := d.adaptationRoles(true)
+	plans, err := d.validate()
 	if err != nil {
 		return nil, err
 	}
+	roles, globalRules := adaptationRoles(plans, true)
 	global := hocl.NewSolution(hoclflow.GwPass())
 	for _, r := range globalRules {
 		global.Add(r)
 	}
 	prog := &CentralProgram{Global: global, Funcs: map[string]hocl.Func{}}
-	for _, attrs := range d.taskAttrs() {
+	for _, attrs := range d.taskAttrs(plans) {
 		rules := []*hocl.Rule{hoclflow.GwSetup(), hoclflow.GwCall()}
 		if rp := roles[attrs.Name]; rp != nil {
 			rules = append(rules, rp.rules...)
@@ -177,15 +158,19 @@ func (d *Definition) TranslateCentral() (*CentralProgram, error) {
 // decentralised generic rules (gw_setup, gw_call, gw_send, gw_recv,
 // gw_gc) plus the adaptation rules for the roles the task plays.
 func (d *Definition) TranslateAgents() ([]AgentSpec, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	roles, _, err := d.adaptationRoles(false)
+	plans, err := d.validate()
 	if err != nil {
 		return nil, err
 	}
+	return d.agentSpecs(plans), nil
+}
+
+// agentSpecs translates a validated definition, given its adaptation
+// plans, into TranslateAgents' specs.
+func (d *Definition) agentSpecs(plans []AdaptationPlan) []AgentSpec {
+	roles, _ := adaptationRoles(plans, false)
 	var specs []AgentSpec
-	for _, attrs := range d.taskAttrs() {
+	for _, attrs := range d.taskAttrs(plans) {
 		rules := []*hocl.Rule{
 			hoclflow.GwSetup(), hoclflow.GwCall(),
 			hoclflow.GwSend(), hoclflow.GwRecv(), hoclflow.GwGc(),
@@ -201,5 +186,5 @@ func (d *Definition) TranslateAgents() ([]AgentSpec, error) {
 		spec.Local = attrs.LocalSolution(rules...)
 		specs = append(specs, spec)
 	}
-	return specs, nil
+	return specs
 }

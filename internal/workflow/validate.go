@@ -21,41 +21,48 @@ import (
 //   - replacement task IDs do not collide with main tasks or with other
 //     adaptations, and the replacement sub-graph is itself acyclic.
 func (d *Definition) Validate() error {
+	_, err := d.validate()
+	return err
+}
+
+// validate is Validate returning the adaptation plans it derived, one
+// per adaptation in declaration order: the only place they are derived.
+func (d *Definition) validate() ([]AdaptationPlan, error) {
 	if len(d.Tasks) == 0 {
-		return fmt.Errorf("workflow: no tasks")
+		return nil, fmt.Errorf("workflow: no tasks")
 	}
 	byID := map[string]bool{}
 	for _, t := range d.Tasks {
 		if err := validateTaskID(t.ID, byID); err != nil {
-			return err
+			return nil, err
 		}
 		if t.Service == "" {
-			return fmt.Errorf("workflow: task %q has no service", t.ID)
+			return nil, fmt.Errorf("workflow: task %q has no service", t.ID)
 		}
 	}
 	for _, t := range d.Tasks {
 		seen := map[string]bool{}
 		for _, dst := range t.Dst {
 			if !byID[dst] {
-				return fmt.Errorf("workflow: task %q lists unknown destination %q", t.ID, dst)
+				return nil, fmt.Errorf("workflow: task %q lists unknown destination %q", t.ID, dst)
 			}
 			if dst == t.ID {
-				return fmt.Errorf("workflow: task %q depends on itself", t.ID)
+				return nil, fmt.Errorf("workflow: task %q depends on itself", t.ID)
 			}
 			if seen[dst] {
-				return fmt.Errorf("workflow: task %q lists destination %q twice", t.ID, dst)
+				return nil, fmt.Errorf("workflow: task %q lists destination %q twice", t.ID, dst)
 			}
 			seen[dst] = true
 		}
 	}
 	if _, err := d.TopoOrder(); err != nil {
-		return err
+		return nil, err
 	}
 	if len(d.Entries()) == 0 {
-		return fmt.Errorf("workflow: no entry task")
+		return nil, fmt.Errorf("workflow: no entry task")
 	}
 	if len(d.Exits()) == 0 {
-		return fmt.Errorf("workflow: no exit task")
+		return nil, fmt.Errorf("workflow: no exit task")
 	}
 	return d.validateAdaptations(byID)
 }
@@ -74,7 +81,7 @@ func validateTaskID(id string, byID map[string]bool) error {
 	return nil
 }
 
-func (d *Definition) validateAdaptations(mainIDs map[string]bool) error {
+func (d *Definition) validateAdaptations(mainIDs map[string]bool) ([]AdaptationPlan, error) {
 	entries := map[string]bool{}
 	for _, e := range d.Entries() {
 		entries[e] = true
@@ -82,68 +89,67 @@ func (d *Definition) validateAdaptations(mainIDs map[string]bool) error {
 	claimed := map[string]string{} // faulty task -> adaptation id
 	replIDs := map[string]bool{}
 	adaptIDs := map[string]bool{}
+	var plans []AdaptationPlan
 
 	for i := range d.Adaptations {
 		a := &d.Adaptations[i]
 		if a.ID == "" {
-			return fmt.Errorf("workflow: adaptation %d has no id", i)
+			return nil, fmt.Errorf("workflow: adaptation %d has no id", i)
 		}
 		if adaptIDs[a.ID] {
-			return fmt.Errorf("workflow: duplicate adaptation id %q", a.ID)
+			return nil, fmt.Errorf("workflow: duplicate adaptation id %q", a.ID)
 		}
 		adaptIDs[a.ID] = true
 		if len(a.Faulty) == 0 {
-			return fmt.Errorf("workflow: adaptation %q has no faulty tasks", a.ID)
+			return nil, fmt.Errorf("workflow: adaptation %q has no faulty tasks", a.ID)
 		}
 		if len(a.Replacement) == 0 {
-			return fmt.Errorf("workflow: adaptation %q has no replacement tasks", a.ID)
+			return nil, fmt.Errorf("workflow: adaptation %q has no replacement tasks", a.ID)
 		}
 		for _, f := range a.Faulty {
 			if !mainIDs[f] {
-				return fmt.Errorf("workflow: adaptation %q names unknown faulty task %q", a.ID, f)
+				return nil, fmt.Errorf("workflow: adaptation %q names unknown faulty task %q", a.ID, f)
 			}
 			if entries[f] {
-				return fmt.Errorf("workflow: adaptation %q: faulty task %q is a workflow entry; its replacement could never receive the workflow input", a.ID, f)
+				return nil, fmt.Errorf("workflow: adaptation %q: faulty task %q is a workflow entry; its replacement could never receive the workflow input", a.ID, f)
 			}
 			if prev, dup := claimed[f]; dup {
-				return fmt.Errorf("workflow: adaptations %q and %q overlap on task %q (faulty sets must be disjoint, §III-C)", prev, a.ID, f)
+				return nil, fmt.Errorf("workflow: adaptations %q and %q overlap on task %q (faulty sets must be disjoint, §III-C)", prev, a.ID, f)
 			}
 			claimed[f] = a.ID
 		}
 		for _, r := range a.Replacement {
 			if !hoclflow.ValidTaskName(r.ID) {
-				return fmt.Errorf("workflow: replacement task id %q is not a valid HOCL symbol", r.ID)
+				return nil, fmt.Errorf("workflow: replacement task id %q is not a valid HOCL symbol", r.ID)
 			}
 			if mainIDs[r.ID] {
-				return fmt.Errorf("workflow: replacement task %q collides with a main task", r.ID)
+				return nil, fmt.Errorf("workflow: replacement task %q collides with a main task", r.ID)
 			}
 			if replIDs[r.ID] {
-				return fmt.Errorf("workflow: replacement task %q defined twice", r.ID)
+				return nil, fmt.Errorf("workflow: replacement task %q defined twice", r.ID)
 			}
 			replIDs[r.ID] = true
 			if r.Service == "" {
-				return fmt.Errorf("workflow: replacement task %q has no service", r.ID)
+				return nil, fmt.Errorf("workflow: replacement task %q has no service", r.ID)
 			}
 		}
-		if err := validateReplacementAcyclic(a); err != nil {
-			return err
+		// plan() enforces acyclicity and the Fig. 9 destination rules.
+		p, err := a.plan(d)
+		if err != nil {
+			return nil, fmt.Errorf("workflow: %w", err)
 		}
-		// plan() enforces the Fig. 9 destination rules.
-		if _, err := a.plan(d); err != nil {
-			return fmt.Errorf("workflow: %w", err)
-		}
+		plans = append(plans, *p)
 	}
-	return nil
+	return plans, nil
 }
 
-// validateReplacementAcyclic topologically sorts the replacement-internal
-// edges.
-func validateReplacementAcyclic(a *Adaptation) error {
+// replacementAcyclic topologically sorts the replacement-internal edges
+// of dstOf, the adaptation's normalised wiring.
+func replacementAcyclic(a *Adaptation, dstOf map[string][]string) error {
 	ids := map[string]bool{}
 	for _, r := range a.Replacement {
 		ids[r.ID] = true
 	}
-	_, dstOf := a.wiring()
 	indeg := map[string]int{}
 	adj := map[string][]string{}
 	for _, r := range a.Replacement {
@@ -177,7 +183,7 @@ func validateReplacementAcyclic(a *Adaptation) error {
 		}
 	}
 	if seen != len(indeg) {
-		return fmt.Errorf("workflow: adaptation %q: replacement sub-workflow has a cycle", a.ID)
+		return fmt.Errorf("adaptation %q: replacement sub-workflow has a cycle", a.ID)
 	}
 	return nil
 }
