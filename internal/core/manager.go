@@ -338,13 +338,29 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 		Timeout:      m.cfg.Timeout,
 		CollectTrace: m.cfg.CollectTrace,
 	}
+	// Journaling applies to distributed sessions (a centralized run has
+	// no status stream to journal). The workflow record is durable
+	// before any agent deploys — the write-ahead contract.
+	return m.startSession(ctx, 0, plan, services, sub, opts, func(s *Session) (err error) {
+		if m.journal != nil && s.exec != nil {
+			s.jw, err = m.journal.CreateSession(sessionMeta(s))
+		}
+		return err
+	})
+}
+
+// startSession starts a session, submitted or recovered: it applies
+// opts over sub, resolves the executor, registers the session and runs
+// setup (its journal) before the session runs on the clock; a setup
+// error unregisters it again. id 0 draws a fresh ID; a recovered
+// session's journaled id must not be active, and later IDs follow it.
+func (m *Manager) startSession(ctx context.Context, id int64, plan *workflow.Plan, services *agent.Registry, sub SubmitConfig, opts []SubmitOption, setup func(*Session) error) (*Session, error) {
 	for _, opt := range opts {
 		opt(&sub)
 	}
 	if sub.Timeout <= 0 {
 		sub.Timeout = m.cfg.Timeout
 	}
-
 	exec, err := m.sessionExecutor(sub.Executor)
 	if err != nil {
 		return nil, err
@@ -360,29 +376,30 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 		cancel(ErrManagerClosed)
 		return nil, ErrManagerClosed
 	}
-	m.nextID++
-	s := newSession(m, m.nextID, plan, services, sub)
+	if id == 0 {
+		m.nextID++
+		id = m.nextID
+	} else if _, active := m.active[id]; active {
+		m.mu.Unlock()
+		cancel(ErrCancelled)
+		return nil, fmt.Errorf("core: session %d is still active", id)
+	}
+	m.nextID = max(m.nextID, id)
+	s := newSession(m, id, plan, services, sub)
 	s.cancel = cancel
 	s.exec = exec
 	m.active[s.id] = s
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	// Journaling applies to distributed sessions (a centralized run has
-	// no status stream to journal). The workflow record is durable
-	// before any agent deploys — the write-ahead contract.
-	if m.journal != nil && exec != nil {
-		var err error
-		if s.jw, err = m.journal.CreateSession(sessionMeta(s)); err != nil {
-			m.mu.Lock()
-			delete(m.active, s.id)
-			m.mu.Unlock()
-			m.wg.Done()
-			cancel(ErrCancelled)
-			return nil, err
-		}
+	if err := setup(s); err != nil {
+		m.mu.Lock()
+		delete(m.active, s.id)
+		m.mu.Unlock()
+		m.wg.Done()
+		cancel(ErrCancelled)
+		return nil, err
 	}
-
 	// Under a virtual clock the session goroutine is a schedule
 	// participant (Clock.Go); in real mode this is a plain goroutine.
 	m.cluster.Clock().Go(func() {

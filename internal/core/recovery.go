@@ -117,82 +117,38 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 		CollectTrace: st.Meta.CollectTrace,
 		Executor:     executor.Kind(st.Meta.Executor),
 	}
-	for _, opt := range opts {
-		opt(&sub)
-	}
-	if sub.Timeout <= 0 {
-		sub.Timeout = m.cfg.Timeout
-	}
-	exec, err := m.sessionExecutor(sub.Executor)
-	if err != nil {
-		return nil, err
-	}
-	if exec == nil {
-		return nil, fmt.Errorf("core: journaled session has no distributed executor")
-	}
-
-	runCtx, cancel := m.cluster.Clock().WithCancelCause(ctx)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel(ErrManagerClosed)
-		return nil, ErrManagerClosed
-	}
-	if _, active := m.active[st.Meta.ID]; active {
-		m.mu.Unlock()
-		cancel(ErrCancelled)
-		return nil, fmt.Errorf("core: session %d is still active", st.Meta.ID)
-	}
-	s := newSession(m, st.Meta.ID, plan, services, sub)
-	s.cancel = cancel
-	s.exec = exec
-	s.recovered = true
-	if st.Meta.ID > m.nextID {
-		m.nextID = st.Meta.ID
-	}
-	m.active[s.id] = s
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	fail := func(err error) (*Session, error) {
-		m.mu.Lock()
-		delete(m.active, s.id)
-		m.mu.Unlock()
-		m.wg.Done()
-		cancel(ErrCancelled)
-		return nil, err
-	}
-
-	// Replay: fold the snapshot and every status record after it into
-	// the fresh space through the live, version-gated apply path.
-	for _, payload := range st.Payloads {
-		if len(payload) == 0 {
-			continue
+	return m.startSession(ctx, st.Meta.ID, plan, services, sub, opts, func(s *Session) error {
+		if s.exec == nil {
+			return fmt.Errorf("core: journaled session has no distributed executor")
 		}
-		s.space.ApplyMessage(mq.Message{Atoms: payload})
-	}
-	// Replay advanced the space's per-task version gate to the journaled
-	// (incarnation, push) high-water marks; the resumed agents restart at
-	// incarnation 0 and push 1, so the gate must reopen or every live
-	// push would be dropped as stale.
-	s.space.ResetVersions()
+		s.recovered = true
+		// Replay: fold the snapshot and every status record after it
+		// into the fresh space through the live, version-gated apply
+		// path.
+		for _, payload := range st.Payloads {
+			if len(payload) == 0 {
+				continue
+			}
+			s.space.ApplyMessage(mq.Message{Atoms: payload})
+		}
+		// Replay advanced the space's per-task version gate to the
+		// journaled (incarnation, push) high-water marks; the resumed
+		// agents restart at incarnation 0 and push 1, so the gate must
+		// reopen or every live push would be dropped as stale.
+		s.space.ResetVersions()
 
-	// Resume write-through: the rebuilt state is checkpointed into a
-	// fresh segment before the session runs, superseding the replayed
-	// segments.
-	jw, err := m.journal.ResumeSession(sessionMeta(s), s.space.Snapshot().Atoms())
-	if err != nil {
-		return fail(err)
-	}
-	s.jw = jw
-
-	s.recorder.Record(trace.SessionRecovered, "", 0,
-		fmt.Sprintf("replayed %d status records", st.StatusRecords))
-	m.cluster.Clock().Go(func() {
-		defer m.wg.Done()
-		s.run(runCtx)
+		// Resume write-through: the rebuilt state is checkpointed into
+		// a fresh segment before the session runs, superseding the
+		// replayed segments.
+		jw, err := m.journal.ResumeSession(sessionMeta(s), s.space.Snapshot().Atoms())
+		if err != nil {
+			return err
+		}
+		s.jw = jw
+		s.recorder.Record(trace.SessionRecovered, "", 0,
+			fmt.Sprintf("replayed %d status records", st.StatusRecords))
+		return nil
 	})
-	return s, nil
 }
 
 // recoveredSpecs returns a recovered session's agent specs: a copy of

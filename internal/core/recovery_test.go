@@ -131,8 +131,13 @@ func assertMatchesBaseline(t *testing.T, rep *Report, baseline *Report, journale
 			t.Errorf("kill@%d: task %s recovered %v, want %v", crashAfter, task, rep.Statuses[task], st)
 		}
 	}
-	// No re-invocation: a task whose RES was journaled must not invoke
-	// its service again in the recovered run.
+	assertNoReinvocation(t, rep, journaled, crashAfter)
+}
+
+// assertNoReinvocation requires that no task whose RES was journaled
+// invokes its service again in the recovered run.
+func assertNoReinvocation(t *testing.T, rep *Report, journaled map[string]hoclflow.Status, crashAfter int64) {
+	t.Helper()
 	invoked := map[string]bool{}
 	for _, e := range rep.Events {
 		if e.Kind == trace.ServiceInvoked {

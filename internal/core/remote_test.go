@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -417,6 +418,169 @@ func TestRemoteUnknownServiceFailsFast(t *testing.T) {
 	}
 }
 
+// TestRemoteFailedBarrierStopsWorkers: when one worker cannot build its
+// share (its process lacks the service) the READY barrier fails, and
+// the session stops the worker that did build its share before it gives
+// up: that worker reports DONE. The failing worker holds no share and
+// answers STOP at once, so the session does not wait out the DONE
+// timeout.
+func TestRemoteFailedBarrierStopsWorkers(t *testing.T) {
+	def := workflow.Sequence(2, "exotic", "payload")
+	services := agent.NewRegistry()
+	services.RegisterNoop(0.1, "exotic")
+
+	cfg := remoteBaseConfig()
+	cfg.Listen = "127.0.0.1:0"
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tap := newFrameTap(t, m.ListenerAddr())
+	healthy, err := transport.Join(tap.addr(), transport.NodeConfig{Name: "healthy", Services: services, PingInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	broken, err := transport.Join(m.ListenerAddr(), transport.NodeConfig{Name: "broken", Services: agent.NewRegistry(), PingInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broken.Close()
+
+	s, err := m.Submit(context.Background(), def, services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = s.Wait(context.Background())
+	var nf *transport.ErrNodeFailed
+	if !errors.As(err, &nf) {
+		t.Fatalf("session error %v, want the broken worker's failure", err)
+	}
+	if dones := tap.doneCount(); dones != 1 {
+		t.Errorf("the healthy worker reported DONE %d times, want 1: its share was never stopped", dones)
+	}
+	if took := time.Since(start); took >= remoteDoneTimeout {
+		t.Errorf("the failed barrier took %v: the session waited out the DONE timeout", took)
+	}
+}
+
+// TestRemoteRecoverKillPoints recovers journaled sessions onto worker
+// processes: the 3×3 diamond and the §V-B adapted 2×2 diamond run in
+// process with the journal frozen at a kill point, then a Manager with
+// a listener and two re-executed workers recovers each. The recovered
+// agents start on the workers from the local solutions their
+// assignments carry: the manager deploys no agent itself, the results
+// and exit statuses are the uninterrupted run's, and no task whose RES
+// was journaled invokes its service again (read from the workers'
+// forwarded events).
+func TestRemoteRecoverKillPoints(t *testing.T) {
+	spec := workflow.DefaultDiamondSpec(2, 2, false)
+	adapted := workflow.WithBodyReplacement(workflow.Diamond(spec), spec, false, "workalt")
+	last, _ := adapted.TaskByID(workflow.LastMeshTask(spec))
+	last.Service = "flaky"
+	adaptedServices := diamondServices(nil)
+	adaptedServices.RegisterFailing("flaky", 0.1)
+
+	for _, tc := range []struct {
+		name     string
+		def      *workflow.Definition
+		services *agent.Registry
+		kind     string
+		kills    []int64
+	}{
+		{"diamond", workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false)), diamondServices(nil), "diamond", []int64{6, 20}},
+		{"adapted", adapted, adaptedServices, "adapted", []int64{5, 14}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline, err := Run(context.Background(), tc.def, tc.services, journaledConfig("", 0).withoutJournal())
+			if err != nil {
+				t.Fatalf("baseline run: %v", err)
+			}
+			for _, crashAfter := range tc.kills {
+				rep, journaled, m := remoteRecover(t, tc.def, tc.services, tc.kind, crashAfter)
+				// Only the exits are compared: whether a task off the
+				// adaptation's final path completes before the exit does
+				// depends on timing.
+				if !reflect.DeepEqual(rep.Results, baseline.Results) {
+					t.Errorf("kill@%d: results diverged:\n got %v\nwant %v", crashAfter, rep.Results, baseline.Results)
+				}
+				for _, exit := range tc.def.Exits() {
+					if rep.Statuses[exit] != baseline.Statuses[exit] {
+						t.Errorf("kill@%d: exit %s recovered %v, want %v", crashAfter, exit, rep.Statuses[exit], baseline.Statuses[exit])
+					}
+				}
+				assertNoReinvocation(t, rep, journaled, crashAfter)
+				if len(journaled) == 0 {
+					t.Errorf("kill@%d: the journal held no task state; the kill point is vacuous", crashAfter)
+				}
+				if n := m.reg.Counter("ginflow_agents_deployed_total", "").Value(); n != 0 {
+					t.Errorf("kill@%d: the manager deployed %d agents itself; the recovered agents must run on the workers", crashAfter, n)
+				}
+				if n := len(rep.Events); n == 0 || rep.Agents == 0 {
+					t.Errorf("kill@%d: %d forwarded events for %d agents", crashAfter, n, rep.Agents)
+				}
+			}
+		})
+	}
+}
+
+// remoteRecover runs def in process with the journal frozen after
+// crashAfter records, then recovers it on a manager with a listener, a
+// private metrics registry and two workers of kind. It returns the
+// recovered report, the statuses the journal held at the kill point and
+// the recovering manager.
+func remoteRecover(t *testing.T, def *workflow.Definition, services *agent.Registry, kind string, crashAfter int64) (*Report, map[string]hoclflow.Status, *Manager) {
+	t.Helper()
+	dir := t.TempDir()
+	ctx := context.Background()
+	m1, err := NewManager(journaledConfig(dir, crashAfter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m1.Submit(ctx, def, services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(ctx); err != nil {
+		t.Fatalf("kill@%d: first run failed: %v", crashAfter, err)
+	}
+	m1.Close()
+
+	cfg := journaledConfig(dir, 0)
+	cfg.Cluster.Virtual = false // a listener needs the real clock
+	cfg.Listen = "127.0.0.1:0"
+	cfg.Metrics = obs.NewRegistry()
+	m2, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m2.Close() })
+	ids, err := m2.journal.SessionIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 {
+		t.Fatalf("kill@%d: %d journaled sessions, want 1 (the kill point lies beyond the run)", crashAfter, len(ids))
+	}
+	journaled := journaledStatuses(t, m2.journal, ids[0])
+	spawnWorkers(t, m2.ListenerAddr(), kind, 2)
+
+	sessions, err := m2.Recover(ctx, services, SubmitTrace())
+	if err != nil {
+		t.Fatalf("kill@%d: recover: %v", crashAfter, err)
+	}
+	if len(sessions) != 1 {
+		t.Fatalf("kill@%d: recovered %d sessions, want 1", crashAfter, len(sessions))
+	}
+	rep, err := sessions[0].Wait(ctx)
+	if err != nil {
+		t.Fatalf("kill@%d: recovered session failed: %v (report %v)", crashAfter, err, rep)
+	}
+	return rep, journaled, m2
+}
+
 // TestListenRequiresBroker: a centralized manager has no broker for the
 // listener to front.
 func TestListenRequiresBroker(t *testing.T) {
@@ -428,7 +592,7 @@ func TestListenRequiresBroker(t *testing.T) {
 
 // frameTap relays one worker's connection to the manager's listener and
 // tallies the frames it carries. It reads the transport's wire layout
-// (internal/transport/frame.go, protocol version 6): a 4-byte big-endian
+// (internal/transport/frame.go, protocol version 8): a 4-byte big-endian
 // length, a type byte, then a payload whose reliable frames start with
 // a uvarint sequence number.
 type frameTap struct {
@@ -438,13 +602,15 @@ type frameTap struct {
 	mu sync.Mutex
 	// inboxPublishes counts the worker's PUBLISH frames to an inbox
 	// topic, records its RECORD frames and logReqs its LOGREQ frames;
-	// passBatches counts the manager's BATCH frames that carry a PASS.
-	inboxPublishes, records, logReqs, passBatches int
+	// passBatches counts the manager's BATCH frames that carry a PASS;
+	// dones counts the worker's DONE frames.
+	inboxPublishes, records, logReqs, passBatches, dones int
 }
 
 const (
 	wirePublish byte = 18
 	wireBatch   byte = 19
+	wireDone    byte = 25
 	wireLogReq  byte = 27
 	wireRecord  byte = 29
 )
@@ -513,6 +679,8 @@ func (tap *frameTap) fromWorker(typ byte, payload []byte) {
 		tap.records++
 	case wireLogReq:
 		tap.logReqs++
+	case wireDone:
+		tap.dones++
 	}
 }
 
@@ -549,6 +717,12 @@ func (tap *frameTap) counts() (inboxPublishes, records, logReqs, passBatches int
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	return tap.inboxPublishes, tap.records, tap.logReqs, tap.passBatches
+}
+
+func (tap *frameTap) doneCount() int {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	return tap.dones
 }
 
 // tappedRun runs def on a listener-hosting manager with one worker

@@ -464,23 +464,44 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// worker processes have joined, the agents run out-of-process — the
 	// session fans its tasks out over the joined nodes and supervises
 	// through the control protocol instead of in-process goroutines.
-	// Recovered sessions stay in-process: their agents seed from
-	// journaled solutions, which do not travel over an Assignment.
 	// Either way every first incarnation subscribes before any agent
 	// starts reducing: a fast entry task must not publish results into
 	// the void (fatal on the volatile queue broker).
+	agentFail := func(err error) { fail(fmt.Errorf("core: agent failed: %w", err)) }
 	var host agentHost
-	if s.mgr.server != nil && !s.recovered && s.mgr.server.NodeCount() > 0 {
-		host, err = s.launchRemote(runCtx, fail, spaceTopic, topicPrefix, specs)
+	if s.mgr.server != nil && s.mgr.server.NodeCount() > 0 {
+		host, err = s.launchRemote(runCtx, agentFail, spaceTopic, topicPrefix, specs)
 	} else {
-		host, err = s.launchLocal(fail, spaceTopic, topicPrefix, placements)
+		nodeOf := map[string]*cluster.Node{}
+		placed := make([]workflow.AgentSpec, len(placements))
+		for i, p := range placements {
+			nodeOf[p.Spec.Task.Name] = p.Node
+			placed[i] = p.Spec
+		}
+		sup := &agent.Supervisor{
+			Config: agent.Config{
+				Broker:      broker,
+				Cluster:     clus,
+				Placements:  nodeOf,
+				Services:    s.services,
+				SpaceTopic:  spaceTopic,
+				TopicPrefix: topicPrefix,
+				Trace:       s.recorder,
+				Chaos:       s.mgr.chaos,
+				Retry:       cfg.Retry,
+				Metrics:     s.mgr.met.agents,
+			},
+			RestartDelay:  cfg.RestartDelay,
+			MaxRecoveries: cfg.MaxRecoveries,
+		}
+		host, err = sup, sup.Launch(placed)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	execStart := clock.Now()
-	host.start(ctx)
+	host.Start(ctx, agentFail)
 	waitErr := s.space.WaitCompleted(runCtx, plan.Exits())
 	if waitErr != nil {
 		waitErr = endCause(ctx, runCtx)
@@ -488,7 +509,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	execTime := clock.Now() - execStart
 	// Once the host has stopped, no agent records any more: the report's
 	// crash, respawn and dedup counts are complete folds over the recorder.
-	host.stop()
+	host.Stop()
 	s.settle(ctx, waitErr == nil, spaceTopic)
 
 	sp := s.space
@@ -582,88 +603,15 @@ func (s *Session) attachSpace(fail context.CancelCauseFunc, spaceTopic string) (
 }
 
 // agentHost is where a session's agents run: in process under one
-// supervisor (localHost), or on the joined worker nodes (remoteHost).
-// Every agent is built and subscribed before start.
+// agent.Supervisor, or on the joined worker nodes (remoteHost). Every
+// agent is built and subscribed before Start.
 type agentHost interface {
-	// start lets every agent run until ctx ends or stop.
-	start(ctx context.Context)
-	// stop winds the agents down; once it returns they record nothing
+	// Start lets every agent run until ctx ends or Stop, handing fail
+	// the error of an agent that fails for good.
+	Start(ctx context.Context, fail func(error))
+	// Stop winds the agents down; once it returns they record nothing
 	// more.
-	stop()
-}
-
-// localHost runs a session's agents as supervised in-process
-// goroutines.
-type localHost struct {
-	sup    *agent.Supervisor
-	firsts []*agent.Agent
-	clock  *cluster.Clock
-	fail   context.CancelCauseFunc
-
-	cancel context.CancelFunc
-	live   atomic.Int64 // agents whose supervisor has not returned
-	exited cluster.Wake // signalled when the last supervisor returns
-}
-
-// launchLocal builds and subscribes the first incarnation of every
-// placed agent.
-func (s *Session) launchLocal(fail context.CancelCauseFunc, spaceTopic, topicPrefix string, placements []executor.Placement) (*localHost, error) {
-	clus, cfg := s.mgr.cluster, s.mgr.cfg
-	nodeOf := map[string]*cluster.Node{}
-	for _, p := range placements {
-		nodeOf[p.Spec.Task.Name] = p.Node
-	}
-	h := &localHost{clock: clus.Clock(), fail: fail, exited: cluster.NewWake(clus.Clock()), sup: &agent.Supervisor{
-		Config: agent.Config{
-			Broker:      s.mgr.broker,
-			Cluster:     clus,
-			Placements:  nodeOf,
-			Services:    s.services,
-			SpaceTopic:  spaceTopic,
-			TopicPrefix: topicPrefix,
-			Trace:       s.recorder,
-			Chaos:       s.mgr.chaos,
-			Retry:       cfg.Retry,
-			Metrics:     s.mgr.met.agents,
-		},
-		RestartDelay:  cfg.RestartDelay,
-		MaxRecoveries: cfg.MaxRecoveries,
-	}}
-	for _, p := range placements {
-		a := h.sup.New(p.Spec)
-		if err := a.Subscribe(); err != nil {
-			return nil, err
-		}
-		h.firsts = append(h.firsts, a)
-	}
-	return h, nil
-}
-
-func (h *localHost) start(ctx context.Context) {
-	ctx, h.cancel = h.clock.WithCancel(ctx)
-	h.live.Store(int64(len(h.firsts)))
-	for _, a := range h.firsts {
-		h.clock.Go(func() {
-			defer func() {
-				if h.live.Add(-1) == 0 {
-					h.exited.Signal()
-				}
-			}()
-			if err := h.sup.Run(ctx, a); err != nil && ctx.Err() == nil {
-				h.fail(fmt.Errorf("core: agent failed: %w", err))
-			}
-		})
-	}
-}
-
-func (h *localHost) stop() {
-	h.cancel()
-	// Wait through the clock: on a virtual clock the agents need the run
-	// token to observe the cancellation and unwind, and a wait inside the
-	// schedule resumes the session at a deterministic point of it.
-	for h.live.Load() > 0 {
-		h.exited.Park(context.Background())
-	}
+	Stop()
 }
 
 // settle lets the space catch up once the agents have stopped, before

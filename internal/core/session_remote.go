@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ginflow/internal/hocl"
 	"ginflow/internal/trace"
 	"ginflow/internal/transport"
 	"ginflow/internal/workflow"
@@ -32,32 +33,42 @@ type remoteHost struct {
 // deterministic for a given fleet) and barriers on every worker's READY
 // — the remote form of the subscribe-before-reduce ordering: a worker
 // reports READY only once all its agents' inbox subscriptions are live
-// on the manager's broker.
-func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseFunc, spaceTopic, topicPrefix string, specs []workflow.AgentSpec) (*remoteHost, error) {
+// on the manager's broker. A recovered session ships each task's
+// recovered local solution, which the worker builds the task's first
+// incarnation from. A failed barrier stops the workers that did build
+// their share before the session gives up on them.
+func (s *Session) launchRemote(runCtx context.Context, fail func(error), spaceTopic, topicPrefix string, specs []workflow.AgentSpec) (*remoteHost, error) {
 	srv := s.mgr.server
 	ids := srv.NodeIDs()
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: remote enactment: no worker nodes joined")
 	}
 	cfg := s.mgr.cfg
-	tasksOf := map[uint64][]string{}
+	assigns := map[uint64]transport.Assignment{}
 	for i := range specs {
 		id := ids[i%len(ids)]
-		tasksOf[id] = append(tasksOf[id], specs[i].Task.Name)
-	}
-	assigns := map[uint64]transport.Assignment{}
-	for id, tasks := range tasksOf {
-		assigns[id] = transport.Assignment{
-			SpaceTopic:    spaceTopic,
-			TopicPrefix:   topicPrefix,
-			Workflow:      s.plan.JSON(),
-			Tasks:         tasks,
-			RestartDelay:  cfg.RestartDelay,
-			MaxRecoveries: cfg.MaxRecoveries,
-			ScaleNS:       int64(s.mgr.cluster.Clock().Scale()),
-			Chaos:         cfg.Chaos,
-			Retry:         cfg.Retry,
+		a, ok := assigns[id]
+		if !ok {
+			a = transport.Assignment{
+				SpaceTopic:    spaceTopic,
+				TopicPrefix:   topicPrefix,
+				Workflow:      s.plan.JSON(),
+				RestartDelay:  cfg.RestartDelay,
+				MaxRecoveries: cfg.MaxRecoveries,
+				ScaleNS:       int64(s.mgr.cluster.Clock().Scale()),
+				Chaos:         cfg.Chaos,
+				Retry:         cfg.Retry,
+			}
 		}
+		name := specs[i].Task.Name
+		a.Tasks = append(a.Tasks, name)
+		if s.recovered {
+			if a.Locals == nil {
+				a.Locals = map[string][]byte{}
+			}
+			a.Locals[name] = hocl.EncodeAtoms(specs[i].Local.Atoms())
+		}
+		assigns[id] = a
 	}
 	// The hooks run on the transport's read loops and must not block:
 	// recording and funnelling both return at once.
@@ -67,26 +78,30 @@ func (s *Session) launchRemote(runCtx context.Context, fail context.CancelCauseF
 		Event: func(e transport.NodeEvent) {
 			s.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
 		},
-		Fail: func(err error) { fail(fmt.Errorf("core: agent failed: %w", err)) },
+		Fail: fail,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: remote enactment: %w", err)
 	}
 	// A worker that cannot build its agents reports FAIL instead of
 	// READY; the Fail hook funnels it, which ends the barrier.
+	rh := &remoteHost{rs: rs}
 	if err := rs.WaitReady(runCtx); err != nil {
-		rs.Close()
+		rh.Stop()
 		return nil, err
 	}
-	return &remoteHost{rs: rs}, nil
+	return rh, nil
 }
 
-func (rh *remoteHost) start(context.Context) { rh.rs.Start() }
+// Start tells the workers to run their agents; their failures reach
+// the session through the Fail hook set at launch.
+func (rh *remoteHost) Start(context.Context, func(error)) { rh.rs.Start() }
 
-// stop winds the workers down, waits for their DONE reports (giving up
+// Stop winds the workers down, waits for their DONE reports (giving up
 // on a worker that never answers within remoteDoneTimeout) and closes
-// the session.
-func (rh *remoteHost) stop() {
+// the session. A worker that holds no share of the session answers
+// DONE at once.
+func (rh *remoteHost) Stop() {
 	rh.rs.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), remoteDoneTimeout)
 	defer cancel()

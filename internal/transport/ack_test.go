@@ -86,7 +86,8 @@ func TestAckAfterControlFrameEndsBurst(t *testing.T) {
 	// The sending link has no connection: its frame goes to the outbox
 	// only, and the test writes the bytes itself.
 	var l link
-	acked := l.whenAcked(l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "wf1.sa.T1") }))
+	seq, _ := l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "wf1.sa.T1") })
+	acked := l.whenAcked(seq)
 	burst := append(frameBytes(t, fSubscribe, l.outbox[0].payload), frameBytes(t, fPing, nil)...)
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)

@@ -340,14 +340,15 @@ func (rb *RemoteBroker) record(topic string, atoms []hocl.Atom) error {
 	return rb.sendMessage(fRecord, topic, atoms)
 }
 
-// sendMessage sends one message frame (PUBLISH or RECORD).
+// sendMessage sends one message frame (PUBLISH or RECORD). A message
+// too large for one frame fails here and is never sent.
 func (rb *RemoteBroker) sendMessage(typ byte, topic string, atoms []hocl.Atom) error {
 	if rb.isClosed() {
 		return mq.ErrClosed
 	}
 	p := publishFrame{topic: topic, data: hocl.EncodeAtoms(atoms)}
-	rb.link.send(typ, func(seq uint64) []byte { return encodePublish(seq, p) })
-	return nil
+	_, err := rb.link.send(typ, func(seq uint64) []byte { return encodePublish(seq, p) })
+	return err
 }
 
 // Subscribe opens a remote subscription on the serving broker and
@@ -388,12 +389,17 @@ func (rb *RemoteBroker) subscribe(topic string, push func([]mq.Message)) (id, se
 	id = rb.nextSub
 	rb.subs[id] = &clientSub{topic: topic, push: push}
 	rb.mu.Unlock()
-	seq = rb.link.hold(fSubscribe, func(seq uint64) []byte {
+	seq, err = rb.link.hold(fSubscribe, func(seq uint64) []byte {
 		buf := binary.AppendUvarint(nil, seq)
 		buf = binary.AppendUvarint(buf, id)
 		return appendString(buf, topic)
 	})
-	return id, seq, nil
+	if err != nil {
+		rb.mu.Lock()
+		delete(rb.subs, id)
+		rb.mu.Unlock()
+	}
+	return id, seq, err
 }
 
 // awaitAck waits until the server has processed every frame up to seq.

@@ -56,8 +56,10 @@ import (
 // stats body; version 5 moved the assignment's crash injection into its
 // chaos config; version 6 added RECORD; version 7 made every status
 // push a full record (a version-6 worker would still send STATDELTA
-// tuples, which the space no longer reads).
-const protocolVersion = 7
+// tuples, which the space no longer reads); version 8 added the
+// assignment's recovered local solutions (a version-7 worker would
+// ignore them and restart recovered tasks from their templates).
+const protocolVersion = 8
 
 // readBufSize is the per-connection read buffer: one socket read
 // usually brings in a whole burst of frames.

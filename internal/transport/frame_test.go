@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"ginflow/internal/hocl"
@@ -344,4 +347,20 @@ func FuzzFrameDecode(f *testing.F) {
 
 func isIOErr(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// TestDesignStatesProtocolVersion keeps DESIGN.md's "Frames and the
+// reliable link" on the version the code speaks.
+func TestDesignStatesProtocolVersion(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`The layout is protocol\s+version (\d+)\.`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatal(`DESIGN.md no longer states "The layout is protocol version N."`)
+	}
+	if v, _ := strconv.Atoi(string(m[1])); v != protocolVersion {
+		t.Errorf("DESIGN.md states protocol version %d, the code speaks %d", v, protocolVersion)
+	}
 }

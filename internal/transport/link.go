@@ -72,21 +72,22 @@ type sentFrame struct {
 }
 
 // send transmits a reliable frame whose payload was built by an
-// encode* helper around the sequence seq, and returns seq. Reliable
-// sends never fail: if the connection is down (or breaks mid-write) the
-// frame stays in the outbox and the next attach replays it.
-func (l *link) send(typ byte, build func(seq uint64) []byte) uint64 {
+// encode* helper around the sequence seq, and returns seq. A reliable
+// send fails only on a frame too large to encode: if the connection is
+// down (or breaks mid-write) the frame stays in the outbox and the next
+// attach replays it.
+func (l *link) send(typ byte, build func(seq uint64) []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq := l.enqueue(typ, build)
+	seq, err := l.enqueue(typ, build)
 	l.flush()
-	return seq
+	return seq, err
 }
 
 // hold queues a reliable frame like send but does not write it: the
 // next flush carries it, whichever sender makes it, and release makes
 // one. A burst of held frames costs one socket write.
-func (l *link) hold(typ byte, build func(seq uint64) []byte) uint64 {
+func (l *link) hold(typ byte, build func(seq uint64) []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.enqueue(typ, build)
@@ -119,14 +120,19 @@ func (l *link) whenAcked(seq uint64) <-chan struct{} {
 }
 
 // enqueue assigns the next sequence, keeps the frame in the outbox and
-// queues it for the current connection; l.mu held.
-func (l *link) enqueue(typ byte, build func(seq uint64) []byte) uint64 {
+// queues it for the current connection; l.mu held. A frame too large to
+// encode is refused before it takes a sequence: in the outbox, every
+// reconnect would replay it and drop the connection again.
+func (l *link) enqueue(typ byte, build func(seq uint64) []byte) (uint64, error) {
+	payload := build(l.nextSeq + 1)
+	if n := 1 + len(payload); n > maxFrame {
+		return 0, fmt.Errorf("%w: oversized frame (%d bytes)", errFrame, n)
+	}
 	l.nextSeq++
-	payload := build(l.nextSeq)
 	l.outbox = append(l.outbox, sentFrame{seq: l.nextSeq, typ: typ, payload: payload})
 	metUnacked.Add(1)
 	l.queue(typ, payload)
-	return l.nextSeq
+	return l.nextSeq, nil
 }
 
 // sendControl transmits an unsequenced control frame on the current
@@ -152,19 +158,13 @@ func (l *link) sendAck() {
 }
 
 // queue appends one frame to the pending buffer if a connection is
-// attached; l.mu held. A frame too large to encode drops the
-// connection, as a failed write does.
+// attached; l.mu held. enqueue has checked a reliable frame's size, and
+// control frames are small.
 func (l *link) queue(typ byte, payload []byte) {
 	if l.conn == nil {
 		return
 	}
-	buf, err := appendFrame(l.pending, typ, payload)
-	if err != nil {
-		l.conn.Close()
-		l.conn = nil
-		return
-	}
-	l.pending = buf
+	l.pending, _ = appendFrame(l.pending, typ, payload)
 	l.pendingN++
 }
 

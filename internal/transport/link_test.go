@@ -211,7 +211,8 @@ func TestLinkSendWaitRoundTrips(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					<-l.whenAcked(l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "t") }))
+					seq, _ := l.send(fSubscribe, func(seq uint64) []byte { return subscribeBody(seq, 1, "t") })
+					<-l.whenAcked(seq)
 				}
 			}()
 		}
@@ -426,7 +427,7 @@ func TestNodeForgetsSessionTopics(t *testing.T) {
 		if err := rs.WaitReady(ctx); err != nil {
 			t.Fatalf("session %d ready: %v", id, err)
 		}
-		sb := node.session(id).sup.Config.Broker.(*sessionBroker)
+		sb := node.session(id).Config.Broker.(*sessionBroker)
 		if got := localRegistrations(sb); got != 2 {
 			t.Fatalf("session %d: %d local registrations after READY, want 2", id, got)
 		}

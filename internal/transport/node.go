@@ -93,7 +93,7 @@ func (n *Node) Close() error {
 	}
 	n.mu.Unlock()
 	for _, ns := range sessions {
-		ns.stop()
+		ns.Stop()
 	}
 	err := n.rb.Close()
 	n.wg.Wait()
@@ -122,16 +122,21 @@ func (n *Node) handleControl(cf controlFrame) {
 		n.handleAssign(cf.session, cf.blob)
 	case fStart:
 		if ns := n.session(cf.session); ns != nil {
-			ns.start()
+			ns.Start(context.Background(), ns.fail) // the rest run on until STOP
 		}
 	case fStop:
-		if ns := n.session(cf.session); ns != nil {
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				ns.stopAndReport()
-			}()
+		// A session this worker does not hold (its assignment failed
+		// here, or it is already stopped) has nothing to wind down.
+		ns := n.session(cf.session)
+		if ns == nil {
+			n.rb.sendSession(fDone, cf.session)
+			return
 		}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			ns.stopAndReport()
+		}()
 	}
 }
 
@@ -167,20 +172,12 @@ func (n *Node) handleAssign(session uint64, blob []byte) {
 	n.rb.sendSession(fReady, session)
 }
 
-// nodeSession is one assigned session's worker-side state.
+// nodeSession is one assigned session's worker-side state: the
+// supervisor that hosts its agents, and its once-only FAIL report.
 type nodeSession struct {
+	*agent.Supervisor
 	node *Node
 	id   uint64
-
-	sup    *agent.Supervisor
-	agents []*agent.Agent // first incarnations, subscribed at build time
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-
-	mu      sync.Mutex
-	started bool
 
 	failOnce sync.Once
 }
@@ -190,7 +187,8 @@ type nodeSession struct {
 // functions and service bindings are reconstructed locally, exactly as
 // the in-process engine builds them, once per run of assignments of one
 // workflow (the node's plan cache); the agents share the plan's
-// templates.
+// templates, except a recovered task's, which starts from the local
+// solution its assignment carries.
 func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	var a Assignment
 	if err := json.Unmarshal(blob, &a); err != nil {
@@ -213,10 +211,18 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	}
 	var mine []workflow.AgentSpec
 	for _, spec := range specs {
-		if want[spec.Task.Name] {
-			mine = append(mine, spec)
-			delete(want, spec.Task.Name)
+		if !want[spec.Task.Name] {
+			continue
 		}
+		if enc, ok := a.Locals[spec.Task.Name]; ok {
+			atoms, err := hocl.DecodeAtoms(enc)
+			if err != nil {
+				return nil, fmt.Errorf("bad assignment: task %s: %w", spec.Task.Name, err)
+			}
+			spec.Local = hocl.NewSolution(atoms...)
+		}
+		mine = append(mine, spec)
+		delete(want, spec.Task.Name)
 	}
 	if len(want) > 0 {
 		return nil, fmt.Errorf("assignment names unknown tasks: %v", a.Tasks)
@@ -252,7 +258,7 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 		})
 	})
 	sb := newSessionBroker(n.rb, a.TopicPrefix, a.Tasks)
-	ns := &nodeSession{node: n, id: session, sup: &agent.Supervisor{
+	ns := &nodeSession{node: n, id: session, Supervisor: &agent.Supervisor{
 		Config: agent.Config{
 			Broker:      sb,
 			Cluster:     clus,
@@ -270,39 +276,10 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	// The SUBSCRIBE frames are queued, not written and not waited for
 	// (sessionBroker.Subscribe): the READY sent after the build carries
 	// them all in one write, and is the barrier.
-	for _, spec := range mine {
-		first := ns.sup.New(spec)
-		if err := first.Subscribe(); err != nil {
-			return nil, err
-		}
-		ns.agents = append(ns.agents, first)
+	if err := ns.Launch(mine); err != nil {
+		return nil, err
 	}
 	return ns, nil
-}
-
-// start launches the supervised agent loops.
-func (ns *nodeSession) start() {
-	ns.mu.Lock()
-	if ns.started {
-		ns.mu.Unlock()
-		return
-	}
-	ns.started = true
-	ns.ctx, ns.cancel = context.WithCancel(context.Background())
-	ns.mu.Unlock()
-	// Every agent runs under the session's supervisor (crash respawns
-	// replay the inbox through the remote broker's Log). An escalation
-	// or a spent budget FAILs the session to the server, while the
-	// remaining agents keep running until STOP, as in-process.
-	for _, first := range ns.agents {
-		ns.wg.Add(1)
-		go func() {
-			defer ns.wg.Done()
-			if err := ns.sup.Run(ns.ctx, first); err != nil {
-				ns.fail(err)
-			}
-		}()
-	}
 }
 
 // fail reports the session's first unrecoverable error to the server.
@@ -316,30 +293,10 @@ func (ns *nodeSession) fail(err error) {
 	})
 }
 
-// stop cancels the agents and waits for them to unwind. A session
-// stopped before start releases its subscriptions by running each agent
-// once under an already-cancelled context.
-func (ns *nodeSession) stop() {
-	ns.mu.Lock()
-	started := ns.started
-	ns.started = true // bar a late START from relaunching
-	ns.mu.Unlock()
-	if started {
-		ns.cancel()
-		ns.wg.Wait()
-	} else {
-		done, cancel := context.WithCancel(context.Background())
-		cancel()
-		for _, a := range ns.agents {
-			_ = a.Run(done)
-		}
-	}
-}
-
 // stopAndReport stops the session and reports DONE. Every event its
 // agents recorded was sent before, on the same ordered link.
 func (ns *nodeSession) stopAndReport() {
-	ns.stop()
+	ns.Stop()
 	ns.node.rb.sendSession(fDone, ns.id)
 	ns.node.removeSession(ns.id)
 }

@@ -514,7 +514,8 @@ func fromWireMsg(topic string, w wireMsg) (mq.Message, error) {
 // Assignment is the work order a remote session sends each worker: the
 // workflow (JSON, rebuilt node-side into agent specs — service
 // implementations and generated functions cannot travel), the subset of
-// tasks the worker hosts, and the tuning the in-process engine would
+// tasks the worker hosts, the recovered local solutions of a session
+// rebuilt from its journal, and the tuning the in-process engine would
 // have applied (restart budget, fault schedule, clock scale).
 type Assignment struct {
 	// SpaceTopic and TopicPrefix scope the agents to the session's
@@ -525,6 +526,11 @@ type Assignment struct {
 	Workflow json.RawMessage `json:"workflow"`
 	// Tasks names the agents this worker hosts.
 	Tasks []string `json:"tasks"`
+	// Locals holds, for each task of a recovered session, its recovered
+	// local solution in the hocl wire codec (hocl.EncodeAtoms, rules
+	// included): the task's first incarnation starts from it instead of
+	// the workflow's template.
+	Locals map[string][]byte `json:"locals,omitempty"`
 	// RestartDelay / MaxRecoveries tune the node-side supervisor loop.
 	RestartDelay  float64 `json:"restart_delay,omitempty"`
 	MaxRecoveries int     `json:"max_recoveries,omitempty"`
@@ -650,15 +656,20 @@ func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment, hook
 	s.sessions[session] = rs
 	s.mu.Unlock()
 
+	// An assignment that cannot be sent fails the session; the workers
+	// already assigned are told to stop, so none keeps its share.
 	for _, n := range nodes {
 		blob, err := json.Marshal(assigns[n.id])
-		if err != nil {
-			rs.Close()
-			return nil, err
+		if err == nil {
+			_, err = n.link.send(fAssign, func(seq uint64) []byte {
+				return encodeSessionBlob(seq, session, blob)
+			})
 		}
-		n.link.send(fAssign, func(seq uint64) []byte {
-			return encodeSessionBlob(seq, session, blob)
-		})
+		if err != nil {
+			rs.Stop()
+			rs.Close()
+			return nil, fmt.Errorf("transport: session %d: assignment to node %d: %w", session, n.id, err)
+		}
 	}
 	return rs, nil
 }
