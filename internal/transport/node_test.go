@@ -27,8 +27,7 @@ func joinPair(t *testing.T, srv *Server) (*Node, []byte) {
 	return node, blob
 }
 
-// pairAssignment assigns both tasks of joinPair's sequence to node in
-// session id's namespace.
+// pairAssignment assigns both tasks of joinPair's sequence to node.
 func pairAssignment(node *Node, blob []byte) map[uint64]Assignment {
 	return map[uint64]Assignment{node.NodeID(): {
 		SpaceTopic: "wt.space", TopicPrefix: "wt.sa.", Workflow: blob,
