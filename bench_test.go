@@ -246,19 +246,7 @@ func BenchmarkAgentNew(b *testing.B) {
 // receives a PASS message from each of its sources, assembles parameters,
 // invokes and forwards. This is the per-message CPU cost of enactment.
 func BenchmarkReduceDiamondRules(b *testing.B) {
-	const fan = 8
-	srcs := make([]string, fan)
-	dsts := make([]string, fan)
-	for i := range srcs {
-		srcs[i] = fmt.Sprintf("S%d", i+1)
-		dsts[i] = fmt.Sprintf("D%d", i+1)
-	}
-	attrs := hoclflow.TaskAttrs{Name: "W1", Src: srcs, Dst: dsts, Service: "work"}
-	tmpl := attrs.LocalSolution(hoclflow.GwSetup(), hoclflow.GwCall(), hoclflow.GwSend(), hoclflow.GwRecv())
-	passes := make([]hocl.Atom, fan)
-	for i, s := range srcs {
-		passes[i] = hoclflow.PassMessage(s, []hocl.Atom{hocl.Str("out-" + s)})
-	}
+	tmpl, passes := fanInTask(8)
 	engine := hocl.NewEngine()
 	engine.Funcs.Register(hoclflow.FnInvoke, func([]hocl.Atom) ([]hocl.Atom, error) {
 		return []hocl.Atom{hocl.Str("res")}, nil
@@ -275,6 +263,51 @@ func BenchmarkReduceDiamondRules(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFirstReduce measures what a new agent incarnation pays for
+// its first reduction: the snapshot of its template, a fresh engine
+// with the agent's functions on its overlay, the ingest of one PASS
+// per source, and a Reduce that assembles the parameters, invokes and
+// forwards. BenchmarkReduceDiamondRules reuses one engine and so cannot
+// see state an engine grows on its first reductions. Guarded by
+// cmd/benchguard: matching state kept per engine instead of borrowed
+// per reduction fails the ceiling.
+func BenchmarkFirstReduce(b *testing.B) {
+	tmpl, passes := fanInTask(8)
+	invoke := func([]hocl.Atom) ([]hocl.Atom, error) { return []hocl.Atom{hocl.Str("res")}, nil }
+	send := func([]hocl.Atom) ([]hocl.Atom, error) { return nil, nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol := tmpl.SnapshotSolution()
+		engine := hocl.NewEngine()
+		engine.Funcs.Register(hoclflow.FnInvoke, invoke)
+		engine.Funcs.Register(hoclflow.FnSend, send)
+		sol.Add(passes...)
+		if err := engine.Reduce(sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fanInTask returns the local solution of a fully-connected mesh task
+// with fan sources and destinations, carrying the four gw rules, and
+// the PASS message each of its sources sends it.
+func fanInTask(fan int) (*hocl.Solution, []hocl.Atom) {
+	srcs := make([]string, fan)
+	dsts := make([]string, fan)
+	for i := range srcs {
+		srcs[i] = fmt.Sprintf("S%d", i+1)
+		dsts[i] = fmt.Sprintf("D%d", i+1)
+	}
+	attrs := hoclflow.TaskAttrs{Name: "W1", Src: srcs, Dst: dsts, Service: "work"}
+	tmpl := attrs.LocalSolution(hoclflow.GwSetup(), hoclflow.GwCall(), hoclflow.GwSend(), hoclflow.GwRecv())
+	passes := make([]hocl.Atom, fan)
+	for i, s := range srcs {
+		passes[i] = hoclflow.PassMessage(s, []hocl.Atom{hocl.Str("out-" + s)})
+	}
+	return tmpl, passes
 }
 
 // BenchmarkEncodeAtoms measures the binary atom codec on the two

@@ -120,10 +120,15 @@ type Config struct {
 // void), then drive with Run; a crashed agent is dead — recovery creates
 // a new incarnation.
 type Agent struct {
-	cfg    Config
-	name   string
-	local  *hocl.Solution
-	engine *hocl.Engine
+	cfg   Config
+	name  string
+	local *hocl.Solution
+	// engine is the embedded interpreter and funcs its overlay of the
+	// agent's own functions, both held by value: the engine keeps no
+	// matching state between reductions (each Reduce borrows it), so an
+	// idle agent pays only for its settings and its few bound names.
+	engine hocl.Engine
+	funcs  hocl.Funcs
 	sub    *mq.Subscription
 	// runCtx is the context of the active Run, consulted by invoke so a
 	// cancelled agent abandons its in-flight modelled invocation instead
@@ -150,7 +155,7 @@ type Agent struct {
 	// is a duplicate delivery and is suppressed; a repeat with a
 	// different fingerprint is a respawned sender reusing its counter
 	// and is accepted. Touched only by the ingest goroutine.
-	seen map[string]map[int64]uint64
+	seen map[seqKey]uint64
 
 	// met is the resolved instrument set (zero value: all no-ops).
 	met Metrics
@@ -171,7 +176,7 @@ func New(cfg Config) *Agent {
 	a.local = cfg.Spec.Local.SnapshotSolution()
 	a.statusEnc.Task = a.name
 	a.statusEnc.Incarnation = cfg.Incarnation
-	a.engine = hocl.NewEngine()
+	a.engine.Funcs = &a.funcs
 	if cfg.Metrics != nil {
 		a.met = *cfg.Metrics
 	}
@@ -209,14 +214,14 @@ func (a *Agent) spaceTopic() string {
 // owns and the generated mv_src rewrites. They are the engine's own
 // overlay; the built-ins stay in the one shared table.
 func (a *Agent) bindFunctions() {
-	a.engine.Funcs.Register(hoclflow.FnInvoke, a.invoke)
-	a.engine.Funcs.Register(hoclflow.FnSend, a.send)
+	a.funcs.Register(hoclflow.FnInvoke, a.invoke)
+	a.funcs.Register(hoclflow.FnSend, a.send)
 	for name, fn := range a.cfg.Spec.Funcs {
-		a.engine.Funcs.Register(name, fn)
+		a.funcs.Register(name, fn)
 	}
 	for _, trig := range a.cfg.Spec.Triggers {
 		trig := trig
-		a.engine.Funcs.Register(trig.FuncName, func([]hocl.Atom) ([]hocl.Atom, error) {
+		a.funcs.Register(trig.FuncName, func([]hocl.Atom) ([]hocl.Atom, error) {
 			return nil, a.fireTrigger(trig)
 		})
 	}
@@ -371,18 +376,21 @@ func (a *Agent) stampSeq(topic string, body hocl.Atom) []hocl.Atom {
 func (a *Agent) dupSeq(origin string, n int64, payload []hocl.Atom) bool {
 	fp := hocl.Fingerprint(payload...)
 	if a.seen == nil {
-		a.seen = map[string]map[int64]uint64{}
+		a.seen = map[seqKey]uint64{}
 	}
-	m := a.seen[origin]
-	if m == nil {
-		m = map[int64]uint64{}
-		a.seen[origin] = m
-	}
-	if prev, ok := m[n]; ok && prev == fp {
+	k := seqKey{origin, n}
+	if prev, ok := a.seen[k]; ok && prev == fp {
 		return true
 	}
-	m[n] = fp
+	a.seen[k] = fp
 	return false
+}
+
+// seqKey identifies one ingested message: its origin task and the SEQ
+// number that task stamped on it.
+type seqKey struct {
+	origin string
+	seq    int64
 }
 
 func (a *Agent) linkLatencyTo(peer string) float64 {

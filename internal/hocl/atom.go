@@ -222,6 +222,10 @@ func (s *Solution) nestedSolutions() []*Solution {
 
 func (s *Solution) buildCaches() {
 	s.ruleIdx = s.ruleIdx[:0]
+	// Clear the old list, not only truncate it: a solution consumed
+	// since the last build must not stay reachable from the spare
+	// capacity.
+	clear(s.nested)
 	s.nested = s.nested[:0]
 	for i, a := range s.elems {
 		switch v := a.(type) {
@@ -299,10 +303,12 @@ func (s *Solution) removeSortedInPlace(idx []int) {
 	}
 	s.mutated()
 	slices.Sort(idx)
-	// Remove back to front so earlier indices stay valid.
+	// Remove back to front so earlier indices stay valid. slices.Delete
+	// zeroes the vacated tail slot, so a consumed atom does not stay
+	// reachable from the spare capacity.
 	for k := len(idx) - 1; k >= 0; k-- {
 		i := idx[k]
-		s.elems = append(s.elems[:i], s.elems[i+1:]...)
+		s.elems = slices.Delete(s.elems, i, i+1)
 	}
 }
 

@@ -4,9 +4,10 @@ import "errors"
 
 // This file is the expression stack machine that executes the programs
 // built by ecompile.go. One evalVM is owned by each matcher (guards) and
-// reused by the engine across firings (products), so its value stack,
-// mark stack and removal scratch amortise to zero allocations on the
-// reduction hot path.
+// reused across the firings of a reduction (products); the matcher lives
+// in the pooled scratch a reduction borrows, so its value stack, mark
+// stack and removal scratch amortise to zero allocations on the
+// reduction hot path without every engine keeping a set.
 //
 // The machine runs in one of two modes:
 //
@@ -132,8 +133,9 @@ func (v *evalVM) run(prog []einstr, env *Binding, funcs *Funcs) error {
 		case eCallScalar, eCallElems:
 			mark := v.marks[len(v.marks)-1]
 			v.marks = v.marks[:len(v.marks)-1]
-			// Re-lookup after argument evaluation: registries are
-			// mutable, and eCallCheck ran before the arguments.
+			// Look the function up again rather than carry it from
+			// eCallCheck: calls nested in the arguments ran in
+			// between, and an overlay lookup is a short scan.
 			fn, ok := funcs.Lookup(ins.name)
 			if !ok {
 				if v.quiet {

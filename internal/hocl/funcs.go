@@ -3,7 +3,6 @@ package hocl
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Func is an external function callable from rule guards and products.
@@ -22,12 +21,29 @@ type Func func(args []Atom) ([]Atom, error)
 // Funcs is a registry of external functions: an overlay of an engine's
 // own functions over the built-in table. Every registry resolves the
 // built-ins; a name registered on the overlay takes precedence. The zero
-// value is ready to use. Registries are safe for concurrent lookup and
-// registration.
+// value is ready to use.
+//
+// A registry is filled, then read: register every function before the
+// first Reduce (or lookup) that uses the registry, and only look up
+// after that. Lookups take no lock, so any number of goroutines may look
+// up concurrently in a registry nobody writes to; a Register concurrent
+// with anything else on the same registry is a data race.
 type Funcs struct {
-	mu sync.RWMutex
-	m  map[string]Func
+	// own is the overlay: an engine binds a handful of names (an agent
+	// binds invoke, send and its task's generated functions), so a
+	// linear scan beats hashing and one slice is the whole registry.
+	own []namedFunc
 }
+
+// namedFunc is one overlay entry.
+type namedFunc struct {
+	name string
+	fn   Func
+}
+
+// ownCap sizes an overlay's entry slice on its first Register: invoke,
+// send and two task functions fit without growing it.
+const ownCap = 4
 
 // builtinTable holds the built-in functions, built once at package
 // initialisation and never written after: every registry reads it
@@ -60,24 +76,27 @@ func NewFuncs() *Funcs { return &Funcs{} }
 // Register adds (or replaces) a function under the given name. A name
 // of a built-in shadows the built-in for this registry only.
 func (f *Funcs) Register(name string, fn Func) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.m == nil {
-		f.m = map[string]Func{}
+	for i := range f.own {
+		if f.own[i].name == name {
+			f.own[i].fn = fn
+			return
+		}
 	}
-	f.m[name] = fn
+	if f.own == nil {
+		f.own = make([]namedFunc, 0, ownCap)
+	}
+	f.own = append(f.own, namedFunc{name, fn})
 }
 
 // Lookup returns the function registered under name: the overlay's
 // first, then the built-in table's.
 func (f *Funcs) Lookup(name string) (Func, bool) {
-	f.mu.RLock()
-	fn, ok := f.m[name]
-	f.mu.RUnlock()
-	if ok {
-		return fn, true
+	for i := range f.own {
+		if f.own[i].name == name {
+			return f.own[i].fn, true
+		}
 	}
-	fn, ok = builtinTable[name]
+	fn, ok := builtinTable[name]
 	return fn, ok
 }
 

@@ -23,7 +23,7 @@ func matchOnce(t *testing.T, ruleSrc string, sol *Solution) *Match {
 // firing top-level rules — test scaffolding for matcher-level assertions.
 func (e *Engine) reduceNestedOnly(sol *Solution) error {
 	for _, sub := range sol.nestedSolutions() {
-		if err := e.reduce(sub, 1); err != nil {
+		if err := e.reduce(new(scratch), sub, 1); err != nil {
 			return err
 		}
 	}

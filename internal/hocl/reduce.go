@@ -3,6 +3,7 @@ package hocl
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // DefaultMaxSteps bounds a single Reduce call; programs that exceed it are
@@ -37,15 +38,37 @@ type Engine struct {
 	Trace func(TraceEvent)
 
 	steps int
+}
 
-	// scratch is the reusable matcher (used-flags and binding); its state
-	// is only live within one fireOne candidate attempt, so a single
-	// instance serves the whole (sequential) reduction.
-	scratch matcher
-	// ruleOrd / candOrd are reusable permutation buffers for the
-	// chemically non-deterministic (Rand != nil) mode.
+// scratch is one reduction's working state: the matcher (its stacks,
+// binding and expression machine) and the permutation buffers of the
+// chemically non-deterministic (Rand != nil) mode. Its contents are live
+// only within one fireOne candidate attempt, so one instance serves a
+// whole reduction. A reduction borrows it from scratchPool and returns
+// it when it ends: an engine between reductions holds none, so the
+// number of live scratches is the number of reductions in progress, not
+// the number of engines.
+type scratch struct {
+	m       matcher
 	ruleOrd []int
 	candOrd []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release drops every reference the scratch holds into the reduced
+// solution, keeping the slices' capacity, so a pooled scratch retains
+// no atom of a past reduction.
+func (s *scratch) release() {
+	m := &s.m
+	m.sol, m.funcs, m.order, m.rng = nil, nil, nil, nil
+	m.guardRejects = 0
+	clear(m.data[:cap(m.data)])
+	clear(m.ctxs[:cap(m.ctxs)])
+	clear(m.vm.stack[:cap(m.vm.stack)])
+	if m.env != nil {
+		m.env.reset()
+	}
 }
 
 // NewEngine returns an engine with an empty registry of its own over
@@ -60,18 +83,21 @@ func (e *ErrDiverged) Error() string {
 }
 
 // Reduce rewrites sol until it is inert. It is not safe for concurrent
-// use on the same solution; each service agent owns one engine and one
-// local solution (paper §IV-A), which is exactly how GinFlow avoids
-// coherency problems.
+// use on the same engine or solution; each service agent owns one engine
+// and one local solution (paper §IV-A), which is exactly how GinFlow
+// avoids coherency problems. Distinct engines reduce concurrently: each
+// call borrows its matching state for the call's duration only.
 func (e *Engine) Reduce(sol *Solution) error {
+	s := scratchPool.Get().(*scratch)
 	e.steps = 0
-	err := e.reduce(sol, 0)
+	err := e.reduce(s, sol, 0)
 	// Flush the pass's locally accumulated counts to the process-wide
 	// metrics — three atomic adds per Reduce, nothing per firing.
 	metReduceCalls.Inc()
 	metRuleFirings.Add(int64(e.steps))
-	metGuardRejections.Add(e.scratch.guardRejects)
-	e.scratch.guardRejects = 0
+	metGuardRejections.Add(s.m.guardRejects)
+	s.release()
+	scratchPool.Put(s)
 	return err
 }
 
@@ -92,7 +118,7 @@ func (e *Engine) maxSteps() int {
 	return DefaultMaxSteps
 }
 
-func (e *Engine) reduce(sol *Solution, depth int) error {
+func (e *Engine) reduce(s *scratch, sol *Solution, depth int) error {
 	if sol.Inert() {
 		return nil
 	}
@@ -108,11 +134,11 @@ func (e *Engine) reduce(sol *Solution, depth int) error {
 			if sub.Inert() {
 				continue
 			}
-			if err := e.reduce(sub, depth+1); err != nil {
+			if err := e.reduce(s, sub, depth+1); err != nil {
 				return err
 			}
 		}
-		fired, err := e.fireOne(sol, depth)
+		fired, err := e.fireOne(s, sol, depth)
 		if err != nil {
 			return err
 		}
@@ -126,14 +152,14 @@ func (e *Engine) reduce(sol *Solution, depth int) error {
 // fireOne tries every rule in sol and applies the first match found,
 // reporting whether anything fired. Rule positions come from the
 // solution's cached rule index, so atom-heavy solutions are not rescanned
-// per firing; matcher state and permutation buffers are engine-owned and
-// reused across attempts.
-func (e *Engine) fireOne(sol *Solution, depth int) (bool, error) {
+// per firing; matcher state and permutation buffers come from the
+// reduction's scratch and are reused across attempts.
+func (e *Engine) fireOne(s *scratch, sol *Solution, depth int) (bool, error) {
 	rules := sol.ruleIndices()
 	if len(rules) == 0 {
 		return false, nil
 	}
-	ruleOrd := e.permInto(&e.ruleOrd, len(rules))
+	ruleOrd := e.permInto(&s.ruleOrd, len(rules))
 	for k := range rules {
 		ri := k
 		if ruleOrd != nil {
@@ -144,8 +170,8 @@ func (e *Engine) fireOne(sol *Solution, depth int) (bool, error) {
 		// The candidate permutation covers the top level; the matcher
 		// draws per-context permutations from Rand itself, so nested
 		// solution patterns see the same chemical non-determinism.
-		e.scratch.reset(sol, e.funcs(), e.permInto(&e.candOrd, sol.Len()), e.Rand)
-		m := e.scratch.matchRule(r, idx)
+		s.m.reset(sol, e.funcs(), e.permInto(&s.candOrd, sol.Len()), e.Rand)
+		m := s.m.matchRule(r, idx)
 		if m == nil {
 			continue
 		}
@@ -153,7 +179,7 @@ func (e *Engine) fireOne(sol *Solution, depth int) (bool, error) {
 		if e.steps > e.maxSteps() {
 			return false, &ErrDiverged{Steps: e.maxSteps()}
 		}
-		if err := r.applyVM(sol, m, idx, e.funcs(), &e.scratch.vm); err != nil {
+		if err := r.applyVM(sol, m, idx, e.funcs(), &s.m.vm); err != nil {
 			return false, err
 		}
 		if e.Trace != nil {

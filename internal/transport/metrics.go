@@ -14,6 +14,8 @@ var (
 		"Socket writes by transport endpoints; one write carries every frame queued on its link since the last.")
 	metFramesReceived = obs.Default().Counter("ginflow_transport_frames_received_total",
 		"Frames read from transport sockets.")
+	metOversized = obs.Default().Counter("ginflow_transport_oversized_messages_total",
+		"Messages a server could not forward to a remote subscriber: encoded alone, each exceeds the frame cap.")
 	metReconnects = obs.Default().Counter("ginflow_transport_reconnects_total",
 		"Successful client re-handshakes after a broken connection.")
 	metRetryDials = obs.Default().Counter("ginflow_retry_attempts_total",

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -293,7 +294,7 @@ func (s *Server) dispatch(n *serverNode, typ byte, c *cursor) error {
 		n.subs[subID] = sub
 		n.mu.Unlock()
 		s.wg.Add(1)
-		go s.forward(n, subID, sub)
+		go s.forward(n, subID, topic, sub)
 		return nil
 
 	case fUnsubscribe:
@@ -407,10 +408,12 @@ func (s *Server) dispatchSession(n *serverNode, typ byte, c *cursor) error {
 }
 
 // forward streams one broker subscription to its remote subscriber
-// until the subscription is cancelled. Each batch is encoded into the
-// BATCH frame and sent reliably, so a batch that raced a connection
-// drop is replayed on reconnect.
-func (s *Server) forward(n *serverNode, subID uint64, sub *mq.Subscription) {
+// until the subscription is cancelled. Each batch is encoded into as
+// few BATCH frames as the frame cap allows and each is sent reliably, so
+// a batch that raced a connection drop is replayed on reconnect. A
+// message too large for a frame of its own cannot be forwarded: it is
+// counted and reported (tooLarge), and the rest of its batch still goes.
+func (s *Server) forward(n *serverNode, subID uint64, topic string, sub *mq.Subscription) {
 	defer s.wg.Done()
 	for {
 		batch, err := sub.Next(context.Background())
@@ -421,11 +424,78 @@ func (s *Server) forward(n *serverNode, subID uint64, sub *mq.Subscription) {
 		for i := range batch {
 			msgs[i] = toWireMsg(batch[i])
 		}
-		n.link.send(fBatch, func(seq uint64) []byte {
-			buf := binary.AppendUvarint(nil, seq)
-			buf = binary.AppendUvarint(buf, subID)
-			return encodeMsgs(buf, msgs)
-		})
+		for len(msgs) > 0 {
+			k := fitFrame(msgs)
+			if k == 0 {
+				s.tooLarge(n.id, topic, len(msgs[0].data))
+				msgs = msgs[1:]
+				continue
+			}
+			part := msgs[:k]
+			// fitFrame kept the frame under the cap, the one reason
+			// send refuses a frame.
+			_, _ = n.link.send(fBatch, func(seq uint64) []byte {
+				buf := binary.AppendUvarint(nil, seq)
+				buf = binary.AppendUvarint(buf, subID)
+				return encodeMsgs(buf, part)
+			})
+			msgs = msgs[k:]
+		}
+	}
+}
+
+// batchOverhead bounds a BATCH frame's bytes besides its messages: the
+// type byte and the sequence, subscription and count uvarints.
+const batchOverhead = 1 + 3*binary.MaxVarintLen64
+
+// fitFrame returns how many leading messages of msgs fit in one BATCH
+// frame, counting every varint at its widest; 0 means the first does
+// not fit on its own.
+func fitFrame(msgs []wireMsg) int {
+	size := batchOverhead
+	for i, m := range msgs {
+		size += 2*binary.MaxVarintLen64 + len(m.data)
+		if size > maxFrame {
+			return i
+		}
+	}
+	return len(msgs)
+}
+
+// ErrMessageTooLarge reports a message the server could not forward to
+// a remote subscriber because, encoded, it exceeds the frame cap on its
+// own. It fails the session whose inbox topic the message was
+// published on.
+type ErrMessageTooLarge struct {
+	// Node is the subscriber's worker.
+	Node uint64
+	// Topic is the message's topic.
+	Topic string
+	// Bytes is the message's encoded size.
+	Bytes int
+}
+
+// Error renders the failure.
+func (e *ErrMessageTooLarge) Error() string {
+	return fmt.Sprintf("transport: %d-byte message on %q exceeds the %d-byte frame cap for node %d",
+		e.Bytes, e.Topic, maxFrame, e.Node)
+}
+
+// tooLarge counts a message that cannot be forwarded and fails every
+// session whose inbox topics include topic with an *ErrMessageTooLarge.
+func (s *Server) tooLarge(node uint64, topic string, bytes int) {
+	metOversized.Inc()
+	err := &ErrMessageTooLarge{Node: node, Topic: topic, Bytes: bytes}
+	var fails []func(error)
+	s.mu.Lock()
+	for _, rs := range s.sessions {
+		if rs.hooks.Fail != nil && rs.topicPrefix != "" && strings.HasPrefix(topic, rs.topicPrefix) {
+			fails = append(fails, rs.hooks.Fail)
+		}
+	}
+	s.mu.Unlock()
+	for _, fail := range fails {
+		fail(err)
 	}
 }
 
@@ -593,7 +663,9 @@ type SessionHooks struct {
 	// Fail receives a worker's early failure (an escalated agent, a
 	// spent recovery budget, or an assignment it could not build, sent
 	// instead of READY) as an *ErrNodeFailed. Each worker fails a
-	// session at most once, but several workers may.
+	// session at most once, but several workers may. It also receives
+	// an *ErrMessageTooLarge for each message on one of the session's
+	// inbox topics that no frame can carry to its worker.
 	Fail func(error)
 }
 
@@ -606,6 +678,9 @@ type RemoteSession struct {
 	server *Server
 	nodes  []uint64
 	hooks  SessionHooks
+	// topicPrefix prefixes the session's inbox topics, as its
+	// assignments give it.
+	topicPrefix string
 
 	mu      sync.Mutex
 	ready   map[uint64]bool
@@ -643,7 +718,8 @@ func (s *Server) StartRemote(session uint64, assigns map[uint64]Assignment, hook
 		return nil, fmt.Errorf("transport: session %d already active", session)
 	}
 	nodes := make([]*serverNode, 0, len(assigns))
-	for id := range assigns {
+	for id, a := range assigns {
+		rs.topicPrefix = a.TopicPrefix
 		n := s.nodes[id]
 		if n == nil {
 			s.mu.Unlock()

@@ -604,3 +604,71 @@ func TestNodeRejectsInvalidChaosAssignment(t *testing.T) {
 		t.Fatal("worker accepted an assignment with AgentCrashP = 1.5")
 	}
 }
+
+// TestBatchOverFrameCapSplits: a batch whose encoding exceeds the frame
+// cap is split across frames, so every message in it reaches the remote
+// subscriber. Two 9 MiB messages and a small one published together
+// used to travel as one 18 MiB BATCH, which the link refused whole.
+func TestBatchOverFrameCapSplits(t *testing.T) {
+	srv, br, _ := newTestServer(t, nil)
+	rb := dialTest(t, srv, "sub")
+	sub := subscribe(t, rb, "sa.big")
+	big := strings.Repeat("x", 9<<20)
+	for _, body := range []string{big, big, "small"} {
+		if err := br.PublishAtoms("sa.big", strAtoms(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []int{len(big), len(big), len("small")} {
+		if got := len(strOf(sub.recv(t, 10*time.Second))); got != want {
+			t.Fatalf("message %d: %d bytes, want %d", i, got, want)
+		}
+	}
+}
+
+// TestOversizedMessageFailsSession: a message too large for any frame
+// cannot reach a worker's agent. It is counted, and the session whose
+// inbox topic it was published on fails with the structured cause.
+func TestOversizedMessageFailsSession(t *testing.T) {
+	srv, br, _ := newTestServer(t, nil)
+	node, blob := joinPair(t, srv)
+	defer node.Close()
+	failed := make(chan error, 1)
+	rs, err := srv.StartRemote(1, pairAssignment(node, blob), SessionHooks{
+		Fail: func(err error) {
+			select {
+			case failed <- err:
+			default:
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rs.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := metOversized.Value()
+	if err := br.PublishAtoms("wt.sa.S2", strAtoms(strings.Repeat("x", maxFrame))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-failed:
+		var tl *ErrMessageTooLarge
+		if !errors.As(err, &tl) || tl.Topic != "wt.sa.S2" || tl.Node != node.NodeID() || tl.Bytes <= maxFrame {
+			t.Fatalf("session failed with %v, want an ErrMessageTooLarge for wt.sa.S2 on node %d", err, node.NodeID())
+		}
+	case <-ctx.Done():
+		t.Fatal("the session was not told its message could not be forwarded")
+	}
+	if n := metOversized.Value() - before; n != 1 {
+		t.Errorf("oversized messages counted %d, want 1", n)
+	}
+	rs.Stop()
+	if err := rs.WaitDone(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
